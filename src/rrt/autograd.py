@@ -36,11 +36,18 @@ __all__ = [
     "tmean",
     "embedding",
     "masked_softmax_lastdim",
+    "attention",
     "layer_norm",
     "bce_with_logits",
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+# Logits budget of one attention tile, in floats (1 MB in float32), so that
+# Q.K^T, the softmax passes and P.V over a tile run from cache.  At T=1004
+# a tile is one slice for any budget up to 2^20; at T=36 a 2^20 budget puts
+# a whole 100-pair batch (4 MB) in one tile and measured slower.
+ATTENTION_TILE_FLOATS = 1 << 18
 
 # Module-level switch; flipping it is not thread-safe, callers serialize.
 _grad_enabled = True
@@ -220,9 +227,14 @@ def _as_tensor(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _records(parents: tuple) -> bool:
+    """Whether an op over these parents is recorded on the tape."""
+    return _grad_enabled and any(p.requires_grad or p._grad_fn is not None for p in parents)
+
+
 def _make(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._grad_fn is not None for p in parents):
+    if _records(parents):
         out.requires_grad = False
         out._parents = parents
         out._grad_fn = grad_fn
@@ -429,28 +441,114 @@ def embedding(table: Tensor, indices) -> Tensor:
 # -- normalization, attention softmax, loss ------------------------------
 
 
-def masked_softmax_lastdim(x: Tensor, mask) -> Tensor:
-    """Softmax over the last axis restricted to mask==True positions.
+def _masked_softmax_(z: np.ndarray, mask) -> None:
+    """In place: z <- softmax of z over its last axis, restricted to
+    mask==True positions (mask broadcasts against z; None means all valid).
 
     Masked positions get exactly zero weight; valid positions sum to one per
     row.  A row with no valid position yields all zeros (padded rows must be
     inert, not NaN).  Stabilized by subtracting the max over valid entries.
     """
-    m = np.broadcast_to(np.asarray(mask, dtype=bool), x.data.shape)
-    z = np.where(m, x.data, -np.inf)
+    if mask is not None:
+        np.copyto(z, -np.inf, where=~mask)
     rowmax = z.max(axis=-1, keepdims=True)
-    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
+    rowmax[~np.isfinite(rowmax)] = 0.0
     np.subtract(z, rowmax, out=z)
     np.exp(z, out=z)  # masked slots: exp(-inf) = 0 exactly
     denom = z.sum(axis=-1, keepdims=True)
-    np.divide(z, np.where(denom == 0.0, 1.0, denom), out=z)
-    p = z.astype(x.data.dtype, copy=False)
+    denom[denom == 0.0] = 1.0
+    np.divide(z, denom, out=z)
+
+
+def masked_softmax_lastdim(x: Tensor, mask) -> Tensor:
+    """Softmax over the last axis restricted to mask==True positions; see
+    _masked_softmax_ for the handling of masked and all-masked rows."""
+    p = np.array(x.data, copy=True)
+    _masked_softmax_(p, np.asarray(mask, dtype=bool))
 
     def grad_fn(g):
         inner = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - inner),)
 
     return _make(p, (x,), grad_fn)
+
+
+def _head_major(shape, dtype) -> np.ndarray:
+    """Uninitialized [B, h, T, d_h] view of a [B, T, h, d_h] buffer, so that
+    merging heads back into [B*T, h*d_h] rows needs no copy."""
+    B, h, T, dh = shape
+    return np.empty((B, T, h, dh), dtype=dtype).transpose(0, 2, 1, 3)
+
+
+def _tile(flat: np.ndarray, shape) -> np.ndarray:
+    """The leading part of a flat scratch buffer, viewed as shape."""
+    return flat[: int(np.prod(shape))].reshape(shape)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False):
+    """Masked scaled dot-product attention, softmax(q.k^T / sqrt(d_h)).v, as
+    one op with a hand-written backward.
+
+    q, k, v are [B, h, T, d_h] of one shape; mask is bool, broadcastable to
+    [B, h, T], and marks the valid keys of each slice.  Returns (context
+    [B, h, T, d_h], probabilities [B, h, T, T] or None); the probabilities
+    are built only when return_probs is set.  Context and gradients are
+    views of [B, T, h, d_h] buffers.
+
+    The flattened B*h axis runs in tiles of consecutive slices whose logits
+    stay within ATTENTION_TILE_FLOATS, never splitting a pair's heads across
+    two tiles unless one pair alone exceeds the budget.  Without recording,
+    no [B, h, T, T] buffer exists; recording keeps every tile's
+    probabilities for the backward.
+    """
+    if not (q.shape == k.shape == v.shape) or q.ndim != 4:
+        raise ValueError(
+            f"attention needs q, k, v of one [B, h, T, d_h] shape, got {q.shape}, {k.shape}, {v.shape}"
+        )
+    B, h, T, dh = q.shape
+    dtype = q.dtype
+    scale = dtype.type(1.0 / np.sqrt(dh))
+    qd, kd, vd = q.data, k.data, v.data
+    kmask = np.broadcast_to(np.asarray(mask, dtype=bool), (B, h, T))
+    tile = max(1, ATTENTION_TILE_FLOATS // (T * T))  # slices per tile
+    if tile >= h:
+        step = tile // h
+        spans = [(np.s_[b : b + step], slice(None)) for b in range(0, B, step)]
+    else:
+        spans = [(np.s_[b : b + 1], np.s_[c : c + tile]) for b in range(B) for c in range(0, h, tile)]
+    tile_floats = min(tile, B * h) * T * T
+    recording = _records((q, k, v))
+
+    ctx = _head_major(q.shape, dtype)
+    probs = np.empty((B, h, T, T), dtype=dtype) if (recording or return_probs) else None
+    buf = np.empty(tile_floats, dtype=dtype) if probs is None else None
+    for bs, hs in spans:
+        qt = qd[bs, hs]
+        p = _tile(buf, qt.shape[:2] + (T, T)) if probs is None else probs[bs, hs]
+        np.matmul(qt, kd[bs, hs].swapaxes(-1, -2), out=p)
+        np.multiply(p, scale, out=p)
+        m = kmask[bs, hs]
+        _masked_softmax_(p, None if m.all() else m[..., None, :])
+        np.matmul(p, vd[bs, hs], out=ctx[bs, hs])
+
+    def grad_fn(g):
+        gq, gk, gv = (_head_major(q.shape, dtype) for _ in range(3))
+        buf = np.empty(tile_floats, dtype=dtype)
+        for bs, hs in spans:
+            p, gt = probs[bs, hs], g[bs, hs]
+            dp = _tile(buf, p.shape)
+            np.matmul(p.swapaxes(-1, -2), gt, out=gv[bs, hs])
+            np.matmul(gt, vd[bs, hs].swapaxes(-1, -2), out=dp)
+            inner = (dp * p).sum(axis=-1, keepdims=True)
+            np.subtract(dp, inner, out=dp)
+            np.multiply(p, dp, out=dp)
+            np.multiply(dp, scale, out=dp)  # dp now holds dS, the logits' gradient
+            np.matmul(dp, kd[bs, hs], out=gq[bs, hs])
+            np.matmul(dp.swapaxes(-1, -2), qd[bs, hs], out=gk[bs, hs])
+        return gq, gk, gv
+
+    out = _make(ctx, (q, k, v), grad_fn)
+    return out, (probs if return_probs else None)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -110,7 +110,7 @@ def l2_normalize(vec: np.ndarray) -> np.ndarray:
     v = np.asarray(vec)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
-        raise ValueError("cannot L2-normalize a zero vector")
+        raise DataFormatError("cannot L2-normalize a zero vector")
     return (v / norm).astype(v.dtype, copy=False)
 
 
@@ -118,11 +118,14 @@ def normalize_records(records: Iterable[ImageRecord]) -> list[ImageRecord]:
     """Unit-normalize globals and locals; returns new records."""
     out = []
     for r in records:
-        locs = [
-            LocalDescriptor(l2_normalize(l.vec), l.u, l.v, l.scale_index)
-            for l in r.locals
-        ]
-        out.append(ImageRecord(r.id, r.label, l2_normalize(r.global_desc), locs))
+        try:
+            locs = [
+                LocalDescriptor(l2_normalize(l.vec), l.u, l.v, l.scale_index)
+                for l in r.locals
+            ]
+            out.append(ImageRecord(r.id, r.label, l2_normalize(r.global_desc), locs))
+        except DataFormatError as exc:
+            raise DataFormatError(f"record {r.id}: {exc}") from None
     return out
 
 

@@ -309,7 +309,7 @@ def mha_forward(layer, cfg: ModelConfig, z: Tensor, mask: np.ndarray, return_att
     """Multi-head self-attention; mask marks valid key positions.
 
     z is [T, d] or [B, T, d].  Returns (output, attention or None); the
-    attention array is [B, h, T, T], post-softmax.
+    attention array is [B, h, T, T], post-softmax, built only when asked.
     """
     squeeze = z.ndim == 2
     if squeeze:
@@ -317,21 +317,21 @@ def mha_forward(layer, cfg: ModelConfig, z: Tensor, mask: np.ndarray, return_att
         mask = np.asarray(mask, dtype=bool)[None, :]
     B, T, d = z.shape
     h, dh = cfg.h, cfg.d_h
+    rows = ag.reshape(z, (B * T, d))  # projections run as 2-D gemms
 
-    def heads(t):
-        return ag.swapaxes(ag.reshape(t, (B, T, h, dh)), 1, 2)  # [B,h,T,dh]
+    def heads(w, b):
+        return ag.swapaxes(ag.reshape(ag.affine(rows, w, b), (B, T, h, dh)), 1, 2)  # [B,h,T,dh]
 
-    q = heads(ag.affine(z, layer.wq, layer.bq))
-    k = heads(ag.affine(z, layer.wk, layer.bk))
-    v = heads(ag.affine(z, layer.wv, layer.bv))
-
-    logits = ag.scale(ag.matmul(q, ag.swapaxes(k, 2, 3)), 1.0 / np.sqrt(dh))
-    attn = ag.masked_softmax_lastdim(logits, mask[:, None, None, :])
-    ctx = ag.reshape(ag.swapaxes(ag.matmul(attn, v), 1, 2), (B, T, d))
-    out = ag.affine(ctx, layer.wo, layer.bo)
-    if squeeze:
-        out = ag.reshape(out, (T, d))
-    return out, (attn.data if return_attn else None)
+    ctx, attn = ag.attention(
+        heads(layer.wq, layer.bq),
+        heads(layer.wk, layer.bk),
+        heads(layer.wv, layer.bv),
+        mask[:, None, :],
+        return_probs=return_attn,
+    )
+    ctx = ag.reshape(ag.swapaxes(ctx, 1, 2), (B * T, d))
+    out = ag.reshape(ag.affine(ctx, layer.wo, layer.bo), (T, d) if squeeze else (B, T, d))
+    return out, attn
 
 
 def transformer_layer(layer, cfg: ModelConfig, z: Tensor, mask: np.ndarray, return_attn: bool = False):
@@ -482,7 +482,11 @@ def score_pair(params: ModelParams, cfg: ModelConfig, a: ImageRecord, b: ImageRe
 
 
 def _auto_chunk(cfg: ModelConfig) -> int:
-    # Bound the [B, h, T, T] attention buffer to roughly 2^26 floats.
+    # Pairs per forward pass, sized so a [B, h, T, T] buffer holds roughly
+    # 2^26 floats.  Without grad, attention holds one tile of logits at a
+    # time and builds that buffer only when attention weights are returned,
+    # so a chunk's peak is set by its [B, T, d_c] MLP activations (66 MB
+    # each in float32 at paper scale, B=16).
     per_pair = cfg.h * cfg.seq_len * cfg.seq_len
     return max(1, (1 << 26) // max(per_pair, 1))
 

@@ -45,6 +45,7 @@ __all__ = [
 
 INDEX_MAGIC = b"RRTI"
 INDEX_VERSION = 1
+U32_MAX = 0xFFFFFFFF
 
 # scorer(query_id, candidate_ids) -> scores aligned with candidate_ids
 Scorer = Callable[[int, Sequence[int]], Sequence[float]]
@@ -83,12 +84,23 @@ def build_index(
     if projected:
         if params is None or cfg is None:
             raise ValueError("projected index needs model params and config")
-        raw = np.stack([l2_normalize(r.global_desc.astype(np.float32)) for r in records])
+        raw = _unit_rows([r.global_desc.astype(np.float32) for r in records], ids)
         mat = raw @ params["global_proj.w"].data + params["global_proj.b"].data
     else:
         mat = np.stack([r.global_desc.astype(np.float32) for r in records])
-    mat = np.stack([l2_normalize(row) for row in mat]).astype(np.float32)
+    mat = _unit_rows(mat, ids).astype(np.float32)
     return GlobalIndex(ids=ids, vectors=mat, projected=projected)
+
+
+def _unit_rows(rows, ids) -> np.ndarray:
+    """Stacked l2_normalize of each row; a failure names the record id."""
+    out = []
+    for rec_id, row in zip(ids, rows):
+        try:
+            out.append(l2_normalize(row))
+        except DataFormatError as exc:
+            raise DataFormatError(f"record {rec_id}: {exc}") from None
+    return np.stack(out)
 
 
 def query_vector(index: GlobalIndex, record: ImageRecord, params=None, cfg=None) -> np.ndarray:
@@ -102,6 +114,10 @@ def query_vector(index: GlobalIndex, record: ImageRecord, params=None, cfg=None)
 
 
 def save_index(index: GlobalIndex, path) -> None:
+    """Write the index; ids are stored as u32 and must fit."""
+    bad = index.ids[(index.ids < 0) | (index.ids > U32_MAX)]
+    if bad.size:
+        raise DataFormatError(f"index id {int(bad[0])} does not fit the format's u32 ids")
     n, dim = index.vectors.shape
     with open(path, "wb") as fh:
         fh.write(INDEX_MAGIC)
@@ -233,14 +249,21 @@ def aqe_then_rerank(
 
 
 def write_neighbors(path, lists: Sequence[NeighborList]) -> None:
+    """One JSON object per query; a non-finite score, which JSON cannot
+    hold, raises DataFormatError before anything is written."""
+    lines = []
+    for nl in lists:
+        obj = {
+            "query": int(nl.query_id),
+            "method": nl.method,
+            "neighbors": [[int(g), float(s)] for g, s in nl.entries],
+        }
+        try:
+            lines.append(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
+        except ValueError as exc:
+            raise DataFormatError(f"query {nl.query_id}: non-finite neighbor score ({exc})") from None
     with open(path, "w") as fh:
-        for nl in lists:
-            obj = {
-                "query": int(nl.query_id),
-                "method": nl.method,
-                "neighbors": [[int(g), float(s)] for g, s in nl.entries],
-            }
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        fh.writelines(lines)
 
 
 def read_neighbors(path) -> list[NeighborList]:

@@ -63,3 +63,33 @@ def stable_rerank_brute(entries, scores, k):
     # python's sorted is stable, so equal scores keep prior order
     prefix = sorted(prefix, key=lambda t: -t[1])
     return prefix + list(entries[m:])
+
+
+def composed_mha_forward(layer, cfg, z, mask, return_attn=False):
+    """Multi-head attention composed from autograd primitives: affine, head
+    split, q.k^T matmul, scale, masked softmax, P.v matmul, head merge, output
+    affine.  The reference for the fused attention op, in the same op order,
+    so float32 outputs must match it bit for bit."""
+    from rrt import autograd as ag
+
+    squeeze = z.ndim == 2
+    if squeeze:
+        z = ag.reshape(z, (1,) + tuple(z.shape))
+        mask = np.asarray(mask, dtype=bool)[None, :]
+    B, T, d = z.shape
+    h, dh = cfg.h, cfg.d_h
+
+    def heads(t):
+        return ag.swapaxes(ag.reshape(t, (B, T, h, dh)), 1, 2)  # [B,h,T,dh]
+
+    q = heads(ag.affine(z, layer.wq, layer.bq))
+    k = heads(ag.affine(z, layer.wk, layer.bk))
+    v = heads(ag.affine(z, layer.wv, layer.bv))
+
+    logits = ag.scale(ag.matmul(q, ag.swapaxes(k, 2, 3)), 1.0 / np.sqrt(dh))
+    attn = ag.masked_softmax_lastdim(logits, mask[:, None, None, :])
+    ctx = ag.reshape(ag.swapaxes(ag.matmul(attn, v), 1, 2), (B, T, d))
+    out = ag.affine(ctx, layer.wo, layer.bo)
+    if squeeze:
+        out = ag.reshape(out, (T, d))
+    return out, (attn.data if return_attn else None)

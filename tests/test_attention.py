@@ -1,0 +1,128 @@
+"""The fused attention op: bit-identical to the composed reference path in
+float32 across tile boundaries, gradients against central differences and
+against the composed path, masked and all-masked keys, and the memory bound
+that motivates the tiling."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from rrt import autograd as ag
+from rrt.autograd import Tensor
+from rrt.model import init_params, mha_forward
+
+from gradcheck import central_difference, max_rel_err
+from helpers import tiny_config
+from oracles import composed_mha_forward
+
+
+def mixed_mask(cfg, B):
+    """Key masks for B pairs: even pairs unpadded, odd pairs padded."""
+    T = cfg.seq_len
+    mask = np.ones((B, T), dtype=bool)
+    mask[1::2, T // 2 + 1 :] = False
+    mask[1::2, 2] = False
+    return mask
+
+
+class TestMatchesComposedPath:
+    @pytest.mark.parametrize("slices_per_tile", [1, 2, 4, 64])
+    def test_float32_bit_identical_across_tiles(self, monkeypatch, slices_per_tile):
+        # h=2: one slice per tile splits each pair's heads, two put each
+        # pair in its own tile (all-valid tiles skip masking), four leave a
+        # partial last tile.  d_h=6 keeps the 1/sqrt(d_h) scale inexact, so
+        # scaling before instead of after Q.K^T would change bits.
+        cfg = tiny_config(d=12, d_h=6)
+        T = cfg.seq_len
+        monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", slices_per_tile * T * T)
+        params = init_params(cfg, seed=21)
+        rng = np.random.default_rng(21)
+        B = 5
+        z = rng.standard_normal((B, T, cfg.d)).astype(np.float32)
+        mask = mixed_mask(cfg, B)
+
+        out, attn = mha_forward(params.layer(0), cfg, Tensor(z), mask, return_attn=True)
+        ref, ref_attn = composed_mha_forward(params.layer(0), cfg, Tensor(z), mask, return_attn=True)
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert attn.shape == (B, cfg.h, T, T)
+        assert attn.tobytes() == ref_attn.tobytes()
+
+    def test_gradients_match_composed_path(self, monkeypatch):
+        cfg = tiny_config()
+        T = cfg.seq_len
+        monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", 4 * T * T)
+        rng = np.random.default_rng(22)
+        B = 3
+        z0 = rng.standard_normal((B, T, cfg.d))
+        readout = rng.standard_normal((B, T, cfg.d))
+        mask = mixed_mask(cfg, B)
+
+        grads = []
+        for forward in (mha_forward, composed_mha_forward):
+            params = init_params(cfg, seed=22).astype(np.float64, cfg)
+            z = Tensor(z0, requires_grad=True)
+            out, _ = forward(params.layer(0), cfg, z, mask)
+            (out * Tensor(readout)).sum().backward()
+            lp = params.layer(0)
+            grads.append([z.grad] + [getattr(lp, n).grad for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")])
+        for fused, composed in zip(*grads):
+            np.testing.assert_allclose(fused, composed, rtol=1e-10, atol=1e-12)
+
+
+class TestAttentionOp:
+    def test_gradcheck_with_masked_and_all_masked_keys(self, monkeypatch):
+        monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", 5 * 5)  # one slice per tile
+        rng = np.random.default_rng(23)
+        shape = (3, 2, 5, 3)  # [B, h, T, d_h]
+        q0, k0, v0 = (rng.standard_normal(shape) for _ in range(3))
+        mask = np.array(
+            [[True, False, True, True, False], [False] * 5, [True] * 5]
+        )[:, None, :]
+        readout = rng.standard_normal(shape)
+
+        def f(q, k, v):
+            out, _ = ag.attention(Tensor(q), Tensor(k), Tensor(v), mask)
+            return float((out.data * readout).sum())
+
+        q, k, v = (Tensor(x, requires_grad=True) for x in (q0, k0, v0))
+        out, probs = ag.attention(q, k, v, mask)
+        assert probs is None
+        np.testing.assert_array_equal(out.data[1], 0.0)  # no valid key: inert, not NaN
+        (out * Tensor(readout)).sum().backward()
+
+        numeric = [
+            central_difference(lambda x: f(x, k0, v0), q0),
+            central_difference(lambda x: f(q0, x, v0), k0),
+            central_difference(lambda x: f(q0, k0, x), v0),
+        ]
+        for t, n in zip((q, k, v), numeric):
+            assert np.all(np.isfinite(t.grad))
+            np.testing.assert_array_equal(t.grad[1], 0.0)
+            assert max_rel_err(t.grad, n) < 1e-6
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one"):
+            ag.attention(Tensor(np.zeros((1, 2, 3, 4))), Tensor(np.zeros((1, 2, 3, 4))), Tensor(np.zeros((1, 2, 3, 5))), np.ones((1, 2, 3), bool))
+
+    def test_no_full_logits_buffer_without_grad(self, monkeypatch):
+        B, h, T, dh = 16, 4, 64, 8
+        monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", T * T)
+        full_bytes = B * h * T * T * 4
+        rng = np.random.default_rng(25)
+        q, k, v = (Tensor(rng.standard_normal((B, h, T, dh)).astype(np.float32)) for _ in range(3))
+        mask = np.ones((B, 1, T), dtype=bool)
+        mask[::2, :, T // 2 :] = False
+
+        def peak(return_probs):
+            tracemalloc.start()
+            try:
+                with ag.no_grad():
+                    ag.attention(q, k, v, mask, return_probs=return_probs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(return_probs=True) >= full_bytes  # the probe sees numpy buffers
+        assert peak(return_probs=False) < full_bytes // 4

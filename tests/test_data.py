@@ -84,6 +84,17 @@ class TestL2Normalize:
         with pytest.raises(ValueError):
             l2_normalize(np.zeros(4))
 
+    def test_zero_descriptor_names_its_record(self):
+        recs, _ = random_records(3, 3)
+        recs[1] = ImageRecord(
+            recs[1].id,
+            recs[1].label,
+            recs[1].global_desc,
+            [LocalDescriptor(np.zeros(4, dtype=np.float32), 1.0, 2.0, 0)],
+        )
+        with pytest.raises(DataFormatError, match=f"record {recs[1].id}: .*zero vector"):
+            normalize_records(recs)
+
 
 class TestPersistence:
     def test_empty_dataset_round_trip(self, tmp_path):

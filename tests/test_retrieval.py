@@ -176,6 +176,21 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.ids, index.ids)
         assert loaded.vectors.tobytes() == index.vectors.tobytes()
 
+    @pytest.mark.parametrize("bad_id", [2**32 + 5, -1])
+    def test_ids_outside_u32_rejected_on_save(self, tmp_path, bad_id):
+        index = GlobalIndex(ids=np.array([0, bad_id], dtype=np.int64), vectors=np.eye(2, dtype=np.float32))
+        p = tmp_path / "g.rrti"
+        with pytest.raises(DataFormatError, match=str(bad_id)):
+            save_index(index, p)
+        assert not p.exists()
+
+    def test_zero_global_names_its_record(self):
+        rng = np.random.default_rng(10)
+        recs = [make_record(rng, i, 0, 8, 16, 2, 3) for i in range(3)]
+        recs[2].global_desc[:] = 0.0
+        with pytest.raises(DataFormatError, match="record 2"):
+            build_index(recs)
+
     def test_bad_index_magic(self, tmp_path):
         p = tmp_path / "g.rrti"
         p.write_bytes(b"JUNKJUNKJUNK")
@@ -201,6 +216,16 @@ class TestPersistence:
         write_neighbors(p, [NeighborList(query_id=0, entries=[(1, score)])])
         loaded = read_neighbors(p)
         assert loaded[0].entries[0][1] == score  # exact round trip
+
+    def test_nan_score_rejected_naming_query(self, tmp_path):
+        p = tmp_path / "n.jsonl"
+        lists = [
+            NeighborList(query_id=1, entries=[(2, 0.5)]),
+            NeighborList(query_id=7, entries=[(2, float("nan"))]),
+        ]
+        with pytest.raises(DataFormatError, match="query 7"):
+            write_neighbors(p, lists)
+        assert not p.exists()
 
     def test_malformed_line_reports_position(self, tmp_path):
         p = tmp_path / "n.jsonl"
