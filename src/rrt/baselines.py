@@ -2,15 +2,36 @@
 verification (mutual nearest-neighbor matching plus RANSAC homography, scored
 by inlier count).
 
-The RANSAC is hypothesize-and-verify with normalized 4-point DLT and a
-symmetric-transfer inlier test, vectorized across the whole iteration budget:
-all sample quadruples are drawn up front from the seeded generator, so the
-result is a pure function of (matches, config, seed).
+The RANSAC is hypothesize-and-verify with a symmetric-transfer inlier test.
+All sample quadruples are drawn up front from the pair's seeded generator, so
+the result is a pure function of (matches, config, seed).
+
+- One hypothesis per distinct set.  Draws that pick the same 4 matches, in
+  any order, give one hypothesis, fitted on the ordering of the set's first
+  draw.  A set's first draw is the earliest iteration that could win with
+  its count, so ties still resolve to the earliest iteration.  With n
+  matches there are at most C(n, 4) sets (70 at n = 8), however many
+  iterations are drawn.
+- Closed-form fit.  On Hartley-normalized points, with M = [p1 p2 p3] the
+  homogeneous points as columns and lambda = adj(M) p4, the homography is
+  H ~ M_b diag(lambda_b / lambda_a) adj(M_a) (Hartley & Zisserman's
+  projective-basis construction).  It is defined exactly when det(M) != 0
+  and every lambda_i != 0, i.e. when every triple of the 4 points spans a
+  triangle, which the collinearity test already requires.  Scaled to unit
+  Frobenius norm it is the normalized-DLT null vector up to rounding.
+- The winner's consensus set is refit by least-squares DLT (SVD).
+
+`gv_scores` verifies a query against many candidates in blocks.  Per block,
+every set of every pair is fitted in one vectorized step and scored against
+its own pair's matches, padded to the block's widest pair and masked, in one
+pass.  GV_BLOCK_BUDGET bounds hypotheses x padded matches per block, which
+bounds its memory; a pair above the bound on its own forms a block alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,10 +46,12 @@ __all__ = [
     "mutual_nn_matches",
     "ransac_homography",
     "gv_score",
+    "gv_scores",
 ]
 
 _COLLINEAR_EPS = 1e-6   # triangle area floor on Hartley-normalized coords
 _W_EPS = 1e-12          # homogeneous scale floor when projecting
+GV_BLOCK_BUDGET = 1 << 14  # hypotheses x padded matches per block
 
 
 @dataclass(frozen=True)
@@ -150,6 +173,31 @@ def _dlt_batch(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return vt[..., -1, :].reshape(it, 3, 3)
 
 
+def _projective_basis(pts: np.ndarray):
+    """[U,4,2] -> (M, adj(M), lambda): M = [p1 p2 p3] with the homogeneous
+    points as columns, its adjugate from cross products of the columns, and
+    lambda = adj(M) p4, so that p4 ~ M lambda."""
+    h = np.concatenate([pts, np.ones(pts.shape[:2] + (1,))], axis=2)  # [U,4,3]
+    adj = np.stack(
+        [np.cross(h[:, 1], h[:, 2]), np.cross(h[:, 2], h[:, 0]), np.cross(h[:, 0], h[:, 1])],
+        axis=1,
+    )
+    lam = (adj @ h[:, 3, :, None])[..., 0]
+    return h[:, :3].transpose(0, 2, 1), adj, lam
+
+
+def _four_point_homography(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Exact homographies through 4 correspondences, [U,4,2] x2 -> [U,3,3]
+    with unit Frobenius norm.  Every row needs 4 points of which no 3 are
+    collinear on either side."""
+    _, adj_a, la = _projective_basis(pa)
+    mb, _, lb = _projective_basis(pb)
+    # diag(lambda_b / lambda_a) times lambda_a1 * lambda_a2 * lambda_a3
+    w = lb * la[:, [1, 2, 0]] * la[:, [2, 0, 1]]
+    H = (mb * w[:, None, :]) @ adj_a
+    return H / np.linalg.norm(H, axis=(1, 2), keepdims=True)
+
+
 def _noncollinear(pts: np.ndarray) -> np.ndarray:
     """[it,4,2] -> bool[it]: every triple spans a triangle of nonzero area."""
     idx = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
@@ -163,9 +211,10 @@ def _noncollinear(pts: np.ndarray) -> np.ndarray:
 
 
 def _project(H: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply homographies [it,3,3] to points [n,2] -> ([it,n,2], valid)."""
-    ph = np.concatenate([pts, np.ones((len(pts), 1))], axis=1)
-    q = np.einsum("hij,nj->hni", H, ph)
+    """Apply homographies [U,3,3] to points [U,n,2] (or [1,n,2], shared)
+    -> ([U,n,2], valid)."""
+    ph = np.concatenate([pts, np.ones(pts.shape[:2] + (1,))], axis=2)
+    q = ph @ H.transpose(0, 2, 1)
     w = q[..., 2]
     good = np.abs(w) > _W_EPS
     w = np.where(good, w, 1.0)
@@ -173,8 +222,9 @@ def _project(H: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _symmetric_errors(H: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
-    """sqrt(forward^2 + backward^2) transfer error, [it, n]; inf where the
-    homography is not invertible or the projection degenerates."""
+    """sqrt(forward^2 + backward^2) transfer error of H [U,3,3] on points
+    [U,n,2] (or [1,n,2], shared), [U, n]; inf where the homography is not
+    invertible or the projection degenerates."""
     det = np.linalg.det(H)
     invertible = np.abs(det) > 1e-12
     Hsafe = np.where(invertible[:, None, None], H, np.eye(3))
@@ -182,9 +232,85 @@ def _symmetric_errors(H: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np
 
     fwd, ok_f = _project(H, pts_a)
     bwd, ok_b = _project(Hinv, pts_b)
-    e = np.sqrt(((fwd - pts_b[None]) ** 2).sum(-1) + ((bwd - pts_a[None]) ** 2).sum(-1))
+    e = np.sqrt(((fwd - pts_b) ** 2).sum(-1) + ((bwd - pts_a) ** 2).sum(-1))
     e = np.where(ok_f & ok_b & invertible[:, None], e, np.inf)
     return e
+
+
+def _refit(best_H, best_mask, pts_a, pts_b, inlier_threshold):
+    """Least-squares DLT refit on the winning consensus set; the winning
+    hypothesis stands when the refit degenerates or keeps fewer than 4."""
+    Ta1, _, pa1, va1 = _similarity_T(pts_a[best_mask][None])
+    _, Tb1_inv, pb1, vb1 = _similarity_T(pts_b[best_mask][None])
+    if va1[0] and vb1[0]:
+        Hr = (Tb1_inv @ _dlt_batch(pa1, pb1) @ Ta1)[0]
+        if np.isfinite(Hr).all() and abs(Hr[2, 2]) > _W_EPS:
+            err = _symmetric_errors(Hr[None], pts_a[None], pts_b[None])[0]
+            mask = err < inlier_threshold
+            if mask.sum() >= 4:
+                return Hr / Hr[2, 2], int(mask.sum()), mask
+    return best_H / best_H[2, 2], int(best_mask.sum()), best_mask
+
+
+def _first_draws(draws: np.ndarray) -> np.ndarray:
+    """Indices of the draws [k, 5] (pair, 4 match indices) that are the first
+    of their pair to pick their set of 4 matches, in draw order."""
+    keys = np.concatenate([draws[:, :1], np.sort(draws[:, 1:], axis=1)], axis=1)
+    order = np.lexsort(keys.T[::-1])  # stable, so each set's draws stay in draw order
+    ranked = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[new])
+
+
+def _ransac_block(pairs, inlier_threshold: float):
+    """RANSAC over several pairs at once.  pairs: (pts_a [n,2], pts_b [n,2],
+    sample_indices [it,4]) with n >= 4 -> (H, inliers, mask) per pair."""
+    if inlier_threshold <= 0:
+        raise ValueError("inlier_threshold must be positive")
+    sizes = np.array([len(pa) for pa, _, _ in pairs])
+    width = int(sizes.max())
+    pts_a = np.zeros((len(pairs), width, 2))
+    pts_b = np.zeros((len(pairs), width, 2))
+    draws = []
+    for p, (pa, pb, samples) in enumerate(pairs):
+        pts_a[p, : len(pa)] = pa
+        pts_b[p, : len(pb)] = pb
+        draws.append(np.column_stack([np.full(len(samples), p), samples]))
+    draws = np.concatenate(draws)  # [sum it, 5]: pair, 4 sample indices
+
+    # One hypothesis per distinct (pair, set), on its first draw's ordering;
+    # rows stay in draw order, so grouped by pair.
+    first = _first_draws(draws)
+    owner, sets = draws[first, 0], draws[first, 1:]
+
+    Ta, _, pa_n, va = _similarity_T(pts_a[owner[:, None], sets])
+    _, Tb_inv, pb_n, vb = _similarity_T(pts_b[owner[:, None], sets])
+    valid = va & vb & _noncollinear(pa_n) & _noncollinear(pb_n)
+    H = Tb_inv[valid] @ _four_point_homography(pa_n[valid], pb_n[valid]) @ Ta[valid]
+    owner = owner[valid]
+    valid = np.isfinite(H).all(axis=(1, 2)) & (np.abs(H[:, 2, 2]) > _W_EPS)
+    H, owner = H[valid], owner[valid]
+
+    real = np.arange(width) < sizes[owner, None]
+    inliers = (_symmetric_errors(H, pts_a[owner], pts_b[owner]) < inlier_threshold) & real
+    counts = inliers.sum(axis=1)
+    bounds = np.searchsorted(owner, np.arange(len(pairs) + 1))
+
+    out = []
+    for p, (pa, pb, _) in enumerate(pairs):
+        lo, hi = bounds[p], bounds[p + 1]
+        best = lo + int(np.argmax(counts[lo:hi])) if hi > lo else None  # earliest of ties
+        if best is None or counts[best] < 4:
+            out.append((None, 0, np.zeros(len(pa), dtype=bool)))
+        else:
+            out.append(_refit(H[best], inliers[best, : len(pa)], pa, pb, inlier_threshold))
+    return out
+
+
+def _draw_samples(n: int, iterations: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.argsort(rng.random((iterations, n)), axis=1)[:, :4]
 
 
 def ransac_homography(
@@ -199,86 +325,66 @@ def ransac_homography(
 
     Samples 4 correspondences per iteration (all draws up front from the
     seeded generator; sample_indices overrides them for schedule-replay
-    tests), estimates H by normalized DLT, counts symmetric-transfer inliers,
-    then refits on the best consensus set by least-squares DLT.  Fewer than 4
-    matches, or a budget of entirely degenerate samples, gives (None, 0, all
-    False).  H is normalized so H[2,2] == 1.
+    tests), fits each distinct sample set in closed form, counts
+    symmetric-transfer inliers, then refits on the best consensus set by
+    least-squares DLT.  Fewer than 4 matches, or a budget of entirely
+    degenerate samples, gives (None, 0, all False).  H is normalized so
+    H[2,2] == 1.
     """
     pts_a = np.asarray(pts_a, dtype=np.float64).reshape(-1, 2)
     pts_b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 2)
     n = len(pts_a)
     if len(pts_b) != n:
         raise ValueError("point sets must align")
-    empty = np.zeros(n, dtype=bool)
     if n < 4:
-        return None, 0, empty
-    if inlier_threshold <= 0:
-        raise ValueError("inlier_threshold must be positive")
-
+        return None, 0, np.zeros(n, dtype=bool)
     if sample_indices is None:
-        rng = np.random.default_rng(seed)
-        sample_indices = np.argsort(rng.random((iterations, n)), axis=1)[:, :4]
-    samples_a = pts_a[sample_indices]  # [it, 4, 2]
-    samples_b = pts_b[sample_indices]
-
-    Ta, _, pa_n, va = _similarity_T(samples_a)
-    Tb, Tb_inv, pb_n, vb = _similarity_T(samples_b)
-    valid = va & vb & _noncollinear(pa_n) & _noncollinear(pb_n)
-    if not np.any(valid):
-        return None, 0, empty
-
-    Hn = _dlt_batch(pa_n, pb_n)
-    H = Tb_inv @ Hn @ Ta
-    finite = np.isfinite(H).all(axis=(1, 2))
-    scale_ok = np.abs(H[:, 2, 2]) > _W_EPS
-    valid &= finite & scale_ok
-    if not np.any(valid):
-        return None, 0, empty
-    H = np.where(valid[:, None, None], H, np.eye(3))
-
-    errors = _symmetric_errors(H, pts_a, pts_b)
-    inliers = errors < inlier_threshold
-    counts = np.where(valid, inliers.sum(axis=1), -1)
-    best = int(np.argmax(counts))  # ties resolve to the earliest iteration
-    if counts[best] < 4:
-        return None, 0, empty
-    best_mask = inliers[best]
-    best_H = H[best] / H[best, 2, 2]
-
-    # Least-squares refit on the winning consensus set.
-    ia = pts_a[best_mask][None]
-    ib = pts_b[best_mask][None]
-    Ta1, _, pa1, va1 = _similarity_T(ia)
-    Tb1, Tb1_inv, pb1, vb1 = _similarity_T(ib)
-    if va1[0] and vb1[0]:
-        Hr = (Tb1_inv @ _dlt_batch(pa1, pb1) @ Ta1)[0]
-        if np.isfinite(Hr).all() and abs(Hr[2, 2]) > _W_EPS:
-            err = _symmetric_errors(Hr[None], pts_a, pts_b)[0]
-            mask = err < inlier_threshold
-            if mask.sum() >= 4:
-                return Hr / Hr[2, 2], int(mask.sum()), mask
-    return best_H, int(best_mask.sum()), best_mask
+        sample_indices = _draw_samples(n, iterations, seed)
+    return _ransac_block([(pts_a, pts_b, np.asarray(sample_indices))], inlier_threshold)[0]
 
 
 def _pair_seed(base: int, qid: int, cid: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([base, qid, cid])
 
 
+def gv_scores(
+    query: ImageRecord, candidates: Sequence[ImageRecord], cfg: GVConfig
+) -> list[int]:
+    """Inlier count of a RANSAC homography over mutual-NN local matches, per
+    candidate; 0 whenever matching or estimation fails.  Deterministic per
+    (seed, query id, candidate id), independent of evaluation order and of
+    how candidates fall into blocks."""
+    scores = [0] * len(candidates)
+    la, pos_a = query.locals_matrix(), query.positions()
+    block, slots, rows, width = [], [], 0, 0
+
+    def flush():
+        for slot, (_, count, _) in zip(slots, _ransac_block(block, cfg.inlier_threshold)):
+            scores[slot] = count
+
+    for slot, cand in enumerate(candidates):
+        lb = cand.locals_matrix()
+        if la.shape[0] == 0 or lb.shape[0] == 0:
+            continue
+        matches = mutual_nn_matches(la, lb, ratio=cfg.ratio)
+        n = len(matches)
+        if n < 4:
+            continue
+        pa = pos_a[[m.a_index for m in matches]].astype(np.float64)
+        pb = cand.positions()[[m.b_index for m in matches]].astype(np.float64)
+        seed = int(_pair_seed(cfg.seed, query.id, cand.id).generate_state(1)[0])
+        hyps = min(cfg.iterations, comb(n, 4))
+        if block and (rows + hyps) * max(width, n) > GV_BLOCK_BUDGET:
+            flush()
+            block, slots, rows, width = [], [], 0, 0
+        block.append((pa, pb, _draw_samples(n, cfg.iterations, seed)))
+        slots.append(slot)
+        rows, width = rows + hyps, max(width, n)
+    if block:
+        flush()
+    return scores
+
+
 def gv_score(query: ImageRecord, candidate: ImageRecord, cfg: GVConfig) -> int:
-    """Inlier count of a RANSAC homography over mutual-NN local matches;
-    0 whenever matching or estimation fails.  Deterministic per
-    (seed, query id, candidate id), independent of evaluation order."""
-    la, lb = query.locals_matrix(), candidate.locals_matrix()
-    if la.shape[0] == 0 or lb.shape[0] == 0:
-        return 0
-    matches = mutual_nn_matches(la, lb, ratio=cfg.ratio)
-    if len(matches) < 4:
-        return 0
-    pa = query.positions()[[m.a_index for m in matches]]
-    pb = candidate.positions()[[m.b_index for m in matches]]
-    seed = int(_pair_seed(cfg.seed, query.id, candidate.id).generate_state(1)[0])
-    _, count, _ = ransac_homography(
-        pa, pb, iterations=cfg.iterations,
-        inlier_threshold=cfg.inlier_threshold, seed=seed,
-    )
-    return count
+    """gv_scores for one candidate."""
+    return gv_scores(query, [candidate], cfg)[0]

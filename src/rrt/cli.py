@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -165,7 +164,6 @@ RERANK_FLAGS = COMMON + [
     Flag("--ransac-thresh", float, 3.0, "inlier threshold in pixels"),
     Flag("--ratio", _opt_float, None, "Lowe ratio for mutual-NN matching"),
     Flag("--locals-max", _opt_int, None, "truncate each record to this many locals"),
-    Flag("--threads", int, os.cpu_count() or 1, "worker threads for pair scoring"),
 ]
 
 EVAL_FLAGS = COMMON + [
@@ -421,7 +419,7 @@ def _scorer_from_flags(cfg: dict, queries, gallery):
             ratio=cfg["ratio"],
             seed=cfg["seed"],
         )
-        return make_gv_scorer(queries, gallery, gv, threads=cfg["threads"])
+        return make_gv_scorer(queries, gallery, gv)
     if name == "oracle":
         if not cfg["parts"]:
             raise ConfigError("scorer oracle needs --parts (prototype bank .npy)")

@@ -16,6 +16,7 @@ Wire format (little-endian), file extension ``.rrtd``:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -41,6 +42,7 @@ __all__ = [
 
 MAGIC = b"RRTD"
 VERSION = 1
+U32_MAX = 0xFFFFFFFF
 
 # Extraction ladder: seven scales from 0.25 to 2.0 in sqrt(2) steps, stored
 # as exact float32 values so manifests survive the on-disk f32 encoding.
@@ -106,11 +108,15 @@ class DatasetManifest:
 
 
 def l2_normalize(vec: np.ndarray) -> np.ndarray:
-    """Unit-norm copy; a zero vector has no direction and is rejected."""
+    """Unit-norm copy.  A zero vector has no direction, and a vector whose
+    norm is not finite (a NaN or infinite entry) has no unit copy; both are
+    rejected."""
     v = np.asarray(vec)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise DataFormatError("cannot L2-normalize a zero vector")
+    if not math.isfinite(norm):
+        raise DataFormatError("cannot L2-normalize a vector with a non-finite norm")
     return (v / norm).astype(v.dtype, copy=False)
 
 
@@ -147,6 +153,9 @@ def save_dataset(records: Sequence[ImageRecord], manifest: DatasetManifest, path
             )
         if len(r.locals) > 0xFFFF:
             raise ValueError(f"record {r.id}: too many locals for the format")
+        for name, value in (("id", r.id), ("label", r.label)):
+            if not 0 <= value <= U32_MAX:
+                raise DataFormatError(f"record {r.id}: {name} {value} does not fit the format's u32")
         buf += struct.pack("<II", r.id, r.label)
         buf += g.tobytes()
         buf += struct.pack("<H", len(r.locals))

@@ -18,6 +18,7 @@ Neighbor lists serialize as JSON Lines, one object per line:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import alpha_qe_expand
-from .data import ImageRecord, l2_normalize
+from .data import U32_MAX, ImageRecord, l2_normalize
 from .errors import DataFormatError
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
 
 INDEX_MAGIC = b"RRTI"
 INDEX_VERSION = 1
-U32_MAX = 0xFFFFFFFF
 
 # scorer(query_id, candidate_ids) -> scores aligned with candidate_ids
 Scorer = Callable[[int, Sequence[int]], Sequence[float]]
@@ -267,6 +267,9 @@ def write_neighbors(path, lists: Sequence[NeighborList]) -> None:
 
 
 def read_neighbors(path) -> list[NeighborList]:
+    """Parse neighbor JSONL; a malformed line, a gallery id listed twice for
+    one query, or a non-finite score (which Python's json accepts) raises
+    DataFormatError naming the line."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -282,5 +285,12 @@ def read_neighbors(path) -> list[NeighborList]:
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataFormatError(f"bad neighbor line {lineno}: {exc}") from exc
+            seen = set()
+            for g, s in nl.entries:
+                if g in seen:
+                    raise DataFormatError(f"bad neighbor line {lineno}: gallery id {g} listed twice")
+                if not math.isfinite(s):
+                    raise DataFormatError(f"bad neighbor line {lineno}: non-finite score for gallery id {g}")
+                seen.add(g)
             out.append(nl)
     return out

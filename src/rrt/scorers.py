@@ -9,12 +9,11 @@ id), the oracle counts shared part-prototype assignments on synthetic data.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
 
-from .baselines import GVConfig, gv_score
+from .baselines import GVConfig, gv_scores
 from .data import ImageRecord
 from .model import ModelConfig, ModelParams, score_batch
 
@@ -51,15 +50,14 @@ def make_gv_scorer(
     gv_cfg: GVConfig,
     threads: int = 1,
 ):
+    """Inlier-count scorer over `gv_scores`, which verifies a query's
+    candidates in batched blocks on the calling thread.  `threads` is
+    ignored; it stays only for callers that still pass it."""
     qmap, gmap = _record_maps(queries, gallery)
 
     def scorer(query_id: int, candidate_ids: Sequence[int]) -> list[float]:
-        q = qmap[query_id]
         cands = [gmap[g] for g in candidate_ids]
-        if threads > 1 and len(cands) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return [float(s) for s in pool.map(lambda c: gv_score(q, c, gv_cfg), cands)]
-        return [float(gv_score(q, c, gv_cfg)) for c in cands]
+        return [float(s) for s in gv_scores(qmap[query_id], cands, gv_cfg)]
 
     return scorer
 

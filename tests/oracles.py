@@ -93,3 +93,158 @@ def composed_mha_forward(layer, cfg, z, mask, return_attn=False):
     if squeeze:
         out = ag.reshape(out, (T, d))
     return out, (attn.data if return_attn else None)
+
+
+# -- RANSAC homography: one normalized-DLT SVD fit per iteration -------------
+
+_COLLINEAR_EPS = 1e-6
+_W_EPS = 1e-12
+
+
+def _similarity_T(pts):
+    it = pts.shape[0]
+    c = pts.mean(axis=1, keepdims=True)
+    d = np.linalg.norm(pts - c, axis=2).mean(axis=1)
+    valid = d > 1e-9
+    s = np.sqrt(2.0) / np.maximum(d, 1e-12)
+    T = np.zeros((it, 3, 3))
+    T[:, 0, 0] = s
+    T[:, 1, 1] = s
+    T[:, 0, 2] = -s * c[:, 0, 0]
+    T[:, 1, 2] = -s * c[:, 0, 1]
+    T[:, 2, 2] = 1.0
+    Tinv = np.zeros((it, 3, 3))
+    Tinv[:, 0, 0] = 1.0 / s
+    Tinv[:, 1, 1] = 1.0 / s
+    Tinv[:, 0, 2] = c[:, 0, 0]
+    Tinv[:, 1, 2] = c[:, 0, 1]
+    Tinv[:, 2, 2] = 1.0
+    pn = (pts - c) * s[:, None, None]
+    return T, Tinv, pn, valid
+
+
+def _dlt_batch(pa, pb):
+    it, m, _ = pa.shape
+    x, y = pa[..., 0], pa[..., 1]
+    u, v = pb[..., 0], pb[..., 1]
+    zero = np.zeros_like(x)
+    one = np.ones_like(x)
+    r1 = np.stack([x, y, one, zero, zero, zero, -u * x, -u * y, -u], axis=-1)
+    r2 = np.stack([zero, zero, zero, -x, -y, -one, v * x, v * y, v], axis=-1)
+    A = np.concatenate([r1, r2], axis=1)
+    _, _, vt = np.linalg.svd(A)
+    return vt[..., -1, :].reshape(it, 3, 3)
+
+
+def _noncollinear(pts):
+    idx = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    ok = np.ones(pts.shape[0], dtype=bool)
+    for i, j, k in idx:
+        e1 = pts[:, j] - pts[:, i]
+        e2 = pts[:, k] - pts[:, i]
+        area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        ok &= area > _COLLINEAR_EPS
+    return ok
+
+
+def _project(H, pts):
+    ph = np.concatenate([pts, np.ones((len(pts), 1))], axis=1)
+    q = np.einsum("hij,nj->hni", H, ph)
+    w = q[..., 2]
+    good = np.abs(w) > _W_EPS
+    w = np.where(good, w, 1.0)
+    return q[..., :2] / w[..., None], good
+
+
+def _symmetric_errors(H, pts_a, pts_b):
+    det = np.linalg.det(H)
+    invertible = np.abs(det) > 1e-12
+    Hsafe = np.where(invertible[:, None, None], H, np.eye(3))
+    Hinv = np.linalg.inv(Hsafe)
+    fwd, ok_f = _project(H, pts_a)
+    bwd, ok_b = _project(Hinv, pts_b)
+    e = np.sqrt(((fwd - pts_b[None]) ** 2).sum(-1) + ((bwd - pts_a[None]) ** 2).sum(-1))
+    return np.where(ok_f & ok_b & invertible[:, None], e, np.inf)
+
+
+def ransac_homography_svd(
+    pts_a, pts_b, iterations=2000, inlier_threshold=3.0, seed=0, sample_indices=None
+):
+    """The per-iteration RANSAC that `rrt.baselines.ransac_homography`
+    replaced: every drawn quadruple, repeats included, is fitted by its own
+    normalized-DLT SVD and scored against every match; ties resolve to the
+    earliest iteration; the winner's consensus set is refit by least-squares
+    DLT.  Returns (H, inliers, mask) like the library function."""
+    pts_a = np.asarray(pts_a, dtype=np.float64).reshape(-1, 2)
+    pts_b = np.asarray(pts_b, dtype=np.float64).reshape(-1, 2)
+    n = len(pts_a)
+    if len(pts_b) != n:
+        raise ValueError("point sets must align")
+    empty = np.zeros(n, dtype=bool)
+    if n < 4:
+        return None, 0, empty
+    if inlier_threshold <= 0:
+        raise ValueError("inlier_threshold must be positive")
+
+    if sample_indices is None:
+        rng = np.random.default_rng(seed)
+        sample_indices = np.argsort(rng.random((iterations, n)), axis=1)[:, :4]
+    samples_a = pts_a[sample_indices]
+    samples_b = pts_b[sample_indices]
+
+    Ta, _, pa_n, va = _similarity_T(samples_a)
+    Tb, Tb_inv, pb_n, vb = _similarity_T(samples_b)
+    valid = va & vb & _noncollinear(pa_n) & _noncollinear(pb_n)
+    if not np.any(valid):
+        return None, 0, empty
+
+    Hn = _dlt_batch(pa_n, pb_n)
+    H = Tb_inv @ Hn @ Ta
+    finite = np.isfinite(H).all(axis=(1, 2))
+    scale_ok = np.abs(H[:, 2, 2]) > _W_EPS
+    valid &= finite & scale_ok
+    if not np.any(valid):
+        return None, 0, empty
+    H = np.where(valid[:, None, None], H, np.eye(3))
+
+    errors = _symmetric_errors(H, pts_a, pts_b)
+    inliers = errors < inlier_threshold
+    counts = np.where(valid, inliers.sum(axis=1), -1)
+    best = int(np.argmax(counts))
+    if counts[best] < 4:
+        return None, 0, empty
+    best_mask = inliers[best]
+    best_H = H[best] / H[best, 2, 2]
+
+    ia = pts_a[best_mask][None]
+    ib = pts_b[best_mask][None]
+    Ta1, _, pa1, va1 = _similarity_T(ia)
+    Tb1, Tb1_inv, pb1, vb1 = _similarity_T(ib)
+    if va1[0] and vb1[0]:
+        Hr = (Tb1_inv @ _dlt_batch(pa1, pb1) @ Ta1)[0]
+        if np.isfinite(Hr).all() and abs(Hr[2, 2]) > _W_EPS:
+            err = _symmetric_errors(Hr[None], pts_a, pts_b)[0]
+            mask = err < inlier_threshold
+            if mask.sum() >= 4:
+                return Hr / Hr[2, 2], int(mask.sum()), mask
+    return best_H, int(best_mask.sum()), best_mask
+
+
+def gv_score_svd(query, candidate, cfg):
+    """`rrt.baselines.gv_score` over `ransac_homography_svd`: the same
+    mutual-NN matches and per-pair seed, the reference RANSAC."""
+    from rrt.baselines import mutual_nn_matches
+
+    la, lb = query.locals_matrix(), candidate.locals_matrix()
+    if la.shape[0] == 0 or lb.shape[0] == 0:
+        return 0
+    matches = mutual_nn_matches(la, lb, ratio=cfg.ratio)
+    if len(matches) < 4:
+        return 0
+    pa = query.positions()[[m.a_index for m in matches]]
+    pb = candidate.positions()[[m.b_index for m in matches]]
+    seed = int(np.random.SeedSequence([cfg.seed, query.id, candidate.id]).generate_state(1)[0])
+    _, count, _ = ransac_homography_svd(
+        pa, pb, iterations=cfg.iterations, inlier_threshold=cfg.inlier_threshold, seed=seed
+    )
+    return count

@@ -1,21 +1,26 @@
 """Baseline reranker tests: query expansion arithmetic, mutual-NN matching
-against a quadratic oracle, RANSAC on planted homographies."""
+against a quadratic oracle, RANSAC on planted homographies and against the
+per-iteration SVD reference, block-split GV scoring."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rrt import baselines
 from rrt.baselines import (
     GVConfig,
     alpha_qe_expand,
     aqe_weights,
     gv_score,
+    gv_scores,
     mutual_nn_matches,
     ransac_homography,
 )
 from rrt.data import ImageRecord, LocalDescriptor
 
 from helpers import make_record
-from oracles import mutual_nn_brute
+from oracles import gv_score_svd, mutual_nn_brute, ransac_homography_svd
 
 
 class TestAlphaQE:
@@ -244,3 +249,100 @@ class TestGVScore:
         c = make_record(rng, 1, 0, 8, 4, 30, 3)
         cfg = GVConfig(iterations=300, seed=5)
         assert gv_score(q, c, cfg) == gv_score(q, c, cfg)
+
+
+def reference_case(seed, n, kind, iterations):
+    """Matches under a planted homography with some outliers, reshaped by
+    `kind`; returns (pts_a, pts_b, sample_indices or None)."""
+    rng = np.random.default_rng(seed)
+    H_true = planted_homography()
+    pts_a = rng.uniform(0, 1024, size=(n, 2))
+    pts_b = apply_h(H_true, pts_a)
+    n_out = int(rng.integers(0, n // 2 + 1))
+    pts_b[n - n_out:] = rng.uniform(0, 1024, size=(n_out, 2))
+    schedule = None
+    if kind == "duplicates":
+        k = int(rng.integers(1, n))
+        src, dst = rng.integers(0, n, k), rng.integers(0, n, k)
+        pts_a[dst], pts_b[dst] = pts_a[src], pts_b[src]
+    elif kind == "collinear":
+        m = int(rng.integers(3, n + 1))
+        t = rng.uniform(0, 1000, m)
+        pts_a[:m] = np.stack([t, 0.5 * t + 20.0], axis=1)
+        pts_b[:m] = apply_h(H_true, pts_a[:m])
+    elif kind == "repeated_set":
+        # one set of 4 drawn again and again in shuffled orders, among fresh draws
+        schedule = np.argsort(rng.random((iterations, n)), axis=1)[:, :4]
+        the_set = rng.permutation(n)[:4]
+        again = rng.random(iterations) < 0.5
+        schedule[again] = [rng.permutation(the_set) for _ in range(int(again.sum()))]
+    return pts_a, pts_b, schedule
+
+
+class TestRansacAgainstSVDReference:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 40),
+        kind=st.sampled_from(["planted", "duplicates", "collinear", "repeated_set"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_count_mask_and_homography(self, seed, n, kind):
+        pts_a, pts_b, schedule = reference_case(seed, n, kind, iterations=60)
+        kwargs = dict(iterations=60, inlier_threshold=3.0, seed=seed, sample_indices=schedule)
+        H, count, mask = ransac_homography(pts_a, pts_b, **kwargs)
+        H_ref, count_ref, mask_ref = ransac_homography_svd(pts_a, pts_b, **kwargs)
+        assert count == count_ref
+        np.testing.assert_array_equal(mask, mask_ref)
+        if H_ref is None:
+            assert H is None
+        else:
+            assert np.abs(H - H_ref).max() <= 1e-9 * np.abs(H_ref).max()
+
+    def test_closed_form_exact_on_four_mapped_points(self):
+        H_true = planted_homography()
+        pa = np.array([[10.0, 20.0], [900.0, 40.0], [870.0, 700.0], [30.0, 650.0]])
+        pb = apply_h(H_true, pa)
+        H = baselines._four_point_homography(pa[None], pb[None])[0]
+        np.testing.assert_allclose(H / H[2, 2], H_true, rtol=1e-9, atol=1e-12)
+
+
+def query_and_candidates(seed, n_candidates):
+    """A 16-local query and candidates sharing 0..16 of its locals, so the
+    number of matches and of inliers varies across candidates.  A shared
+    local sits under a planted homography, at its query position (H = I)
+    or anywhere.  The identity competes with the planted model, and under
+    it a zero-padded match at the origin would count as an inlier if
+    padding were not masked."""
+    rng = np.random.default_rng(seed)
+
+    def unit_rows(k):
+        v = rng.standard_normal((k, 8))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    q_vecs, q_pos = unit_rows(16), rng.uniform(0, 1024, size=(16, 2))
+    query = record_from(q_vecs, q_pos, 0)
+    cands = []
+    for i in range(n_candidates):
+        shared = rng.permutation(16)[: int(rng.integers(0, 17))]
+        k = len(shared)
+        pos = apply_h(planted_homography(), q_pos[shared])
+        motion = rng.random(k)
+        pos[motion < 0.4] = q_pos[shared][motion < 0.4]
+        pos[motion > 0.8] = rng.uniform(0, 1024, size=(int((motion > 0.8).sum()), 2))
+        vecs = np.concatenate([q_vecs[shared], unit_rows(16 - k)])
+        pos = np.concatenate([pos, rng.uniform(0, 1024, size=(16 - k, 2))])
+        cands.append(record_from(vecs, pos, i + 1))
+    return query, cands
+
+
+class TestGVScoresBlocks:
+    def test_blocks_match_one_pair_at_a_time_and_reference(self, monkeypatch):
+        query, cands = query_and_candidates(13, 100)
+        cfg = GVConfig(iterations=80, seed=3)
+        single = [gv_score(query, c, cfg) for c in cands]
+        assert single == [gv_score_svd(query, c, cfg) for c in cands]
+        assert len(set(single)) > 5  # varied counts
+        # 8 blocks of 1-15 pairs at the default bound, 3-6 pairs per block, one block
+        for budget in (baselines.GV_BLOCK_BUDGET, 4000, 1 << 30):
+            monkeypatch.setattr(baselines, "GV_BLOCK_BUDGET", budget)
+            assert gv_scores(query, cands, cfg) == single

@@ -1,7 +1,14 @@
-"""Command-line exit codes on bad descriptor data: 3, never a traceback."""
+"""Command-line exit codes on bad descriptor data: 3, never a traceback;
+config digests free of machine facts."""
+
+import importlib
+import json
+import os
+from pathlib import Path
 
 import numpy as np
 
+from rrt import cli
 from rrt.cli import main
 from rrt.data import DatasetManifest, ImageRecord, save_dataset
 
@@ -24,8 +31,38 @@ def test_retrieve_with_nan_descriptor_exits_3(tmp_path, capsys):
     index = tmp_path / "g.rrti"
     out = tmp_path / "n.jsonl"
     write_gallery(data, [[1.0, 0.0], [np.nan, 1.0]])
-    assert main(["index", "--data", str(data), "--out", str(index)]) == 0
+    assert main(["index", "--data", str(data), "--out", str(index)]) == 3
+    assert "record 1" in capsys.readouterr().err
+    assert not index.exists()
+
+    clean = tmp_path / "clean.rrtd"
+    write_gallery(clean, [[1.0, 0.0], [0.0, 1.0]])
+    assert main(["index", "--data", str(clean), "--out", str(index)]) == 0
     code = main(["retrieve", "--data", str(index), "--queries", str(data), "--k", "2", "--out", str(out)])
     assert code == 3
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "record 1" in err and "non-finite" in err
     assert not out.exists()
+
+
+def test_rerank_digest_does_not_depend_on_cpu_count(tmp_path, monkeypatch):
+    data = tmp_path / "g.rrtd"
+    index = tmp_path / "g.rrti"
+    neighbors = tmp_path / "n.jsonl"
+    out = tmp_path / "r.jsonl"
+    write_gallery(data, [[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
+    assert main(["index", "--data", str(data), "--out", str(index)]) == 0
+    assert main(["retrieve", "--data", str(index), "--queries", str(data), "--k", "3", "--out", str(neighbors)]) == 0
+    argv = ["rerank", "--data", str(neighbors), "--queries", str(data), "--gallery", str(data),
+            "--scorer", "gv", "--out", str(out)]
+    digests = []
+    try:
+        for cpus in (1, 64):
+            with monkeypatch.context() as m:
+                m.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+                # flag defaults are evaluated when the module is imported
+                assert importlib.reload(cli).main(argv) == 0
+            digests.append(json.loads(Path(str(out) + ".meta.json").read_text())["config_digest"])
+    finally:
+        importlib.reload(cli)
+    assert digests[0] == digests[1]

@@ -84,6 +84,11 @@ class TestL2Normalize:
         with pytest.raises(ValueError):
             l2_normalize(np.zeros(4))
 
+    @pytest.mark.parametrize("vec", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf, 0.0]])
+    def test_non_finite_vector_rejected(self, vec):
+        with pytest.raises(DataFormatError, match="non-finite"):
+            l2_normalize(np.array(vec, dtype=np.float32))
+
     def test_zero_descriptor_names_its_record(self):
         recs, _ = random_records(3, 3)
         recs[1] = ImageRecord(
@@ -117,6 +122,21 @@ class TestPersistence:
         loaded, m2 = load_dataset(p)
         assert records_equal_bitwise(gallery, loaded)
         assert m2 == manifest
+
+    @pytest.mark.parametrize("field, value", [("id", 2**32 + 5), ("id", -1), ("label", 2**32)])
+    def test_ids_and_labels_outside_u32_rejected_on_save(self, tmp_path, field, value):
+        recs, manifest = random_records(1, 3)
+        r = recs[1]
+        recs[1] = ImageRecord(
+            value if field == "id" else r.id,
+            value if field == "label" else r.label,
+            r.global_desc,
+            r.locals,
+        )
+        p = tmp_path / "d.rrtd"
+        with pytest.raises(DataFormatError, match=f"record {recs[1].id}: {field} {value} "):
+            save_dataset(recs, manifest, p)
+        assert not p.exists()
 
     def test_corrupted_magic_is_format_error(self, tmp_path):
         recs, manifest = random_records(1, 2)

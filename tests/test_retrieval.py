@@ -232,3 +232,20 @@ class TestPersistence:
         p.write_text('{"query": 1, "method": "global", "neighbors": [[1, 0.5]]}\n{"nope": 1}\n')
         with pytest.raises(DataFormatError, match="line 2"):
             read_neighbors(p)
+
+    @pytest.mark.parametrize(
+        "neighbors, problem",
+        [
+            ("[[5, 0.9], [5, 0.8]]", "gallery id 5 listed twice"),
+            ("[[5, 0.9], [7, NaN]]", "non-finite score for gallery id 7"),
+            ("[[5, Infinity]]", "non-finite score for gallery id 5"),
+        ],
+    )
+    def test_corrupt_list_rejected_naming_line(self, tmp_path, neighbors, problem):
+        p = tmp_path / "n.jsonl"
+        p.write_text(
+            '{"query": 1, "neighbors": [[5, 0.9]]}\n'
+            f'{{"query": 2, "neighbors": {neighbors}}}\n'
+        )
+        with pytest.raises(DataFormatError, match=f"line 2: {problem}"):
+            read_neighbors(p)
