@@ -353,11 +353,14 @@ _RECORD_ARRAYS: "weakref.WeakKeyDictionary[ImageRecord, tuple]" = weakref.WeakKe
 
 
 def _record_arrays(rec: ImageRecord):
-    """(locals matrix, scale indices, positions), cached per record; records
-    are immutable after load by contract."""
+    """(locals matrix, scale indices, positions, min scale index, max scale
+    index) of a record with locals, cached per record; records are immutable
+    after load by contract.  The cache holds facts about the record only, so
+    every model checks them against its own config."""
     got = _RECORD_ARRAYS.get(rec)
     if got is None:
-        got = (rec.locals_matrix(), rec.scale_indices(), rec.positions())
+        sidx = rec.scale_indices()
+        got = (rec.locals_matrix(), sidx, rec.positions(), int(sidx.min()), int(sidx.max()))
         _RECORD_ARRAYS[rec] = got
     return got
 
@@ -385,16 +388,16 @@ def _gather_side(cfg: ModelConfig, records: Sequence[ImageRecord], dtype):
                 )
             globals_mat[bi] = g
         if n:
-            mat, si, pos = _record_arrays(rec)
+            mat, si, pos, si_min, si_max = _record_arrays(rec)
             if mat.shape[1] != cfg.d:
                 raise ConfigError(
                     f"record {rec.id}: local dim {mat.shape[1]} but model dim is {cfg.d}"
                 )
-            if np.any(si >= cfg.n_scales) or np.any(si < 0):
+            if si_max >= cfg.n_scales or si_min < 0:
                 raise ConfigError(
                     f"record {rec.id}: scale index outside [0, {cfg.n_scales})"
                 )
-            locals_mat[bi, :n] = mat.astype(dtype)
+            locals_mat[bi, :n] = mat
             sidx[bi, :n] = si
             lmask[bi, :n] = True
             if cfg.use_pos_embed:

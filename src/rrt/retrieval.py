@@ -12,7 +12,10 @@ Index wire format (little-endian), extension ``.rrti``:
 
 Neighbor lists serialize as JSON Lines, one object per line:
 
-    {"query": <id>, "method": "<tag>", "neighbors": [[<id>, <score>], ...]}
+    {"query": <id>, "method": "<tag>", "truncated": <bool>,
+     "neighbors": [[<id>, <score>], ...]}
+
+A line without "truncated" reads as not truncated.
 """
 
 from __future__ import annotations
@@ -58,8 +61,10 @@ class GlobalIndex:
     projected: bool = False
 
     def __post_init__(self):
-        if len(set(self.ids.tolist())) != len(self.ids):
-            raise ValueError("index ids must be unique")
+        uniq, counts = np.unique(self.ids, return_counts=True)
+        if uniq.size != len(self.ids):
+            dup = int(uniq[np.argmax(counts > 1)])
+            raise DataFormatError(f"record id {dup} appears more than once; index ids must be unique")
 
 
 @dataclass
@@ -256,6 +261,7 @@ def write_neighbors(path, lists: Sequence[NeighborList]) -> None:
         obj = {
             "query": int(nl.query_id),
             "method": nl.method,
+            "truncated": bool(nl.truncated),
             "neighbors": [[int(g), float(s)] for g, s in nl.entries],
         }
         try:
@@ -267,9 +273,10 @@ def write_neighbors(path, lists: Sequence[NeighborList]) -> None:
 
 
 def read_neighbors(path) -> list[NeighborList]:
-    """Parse neighbor JSONL; a malformed line, a gallery id listed twice for
-    one query, or a non-finite score (which Python's json accepts) raises
-    DataFormatError naming the line."""
+    """Parse neighbor JSONL; a malformed line (a "truncated" that is not a
+    JSON boolean included), a gallery id listed twice for one query, or a
+    non-finite score (which Python's json accepts) raises DataFormatError
+    naming the line."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -282,7 +289,10 @@ def read_neighbors(path) -> list[NeighborList]:
                     query_id=int(obj["query"]),
                     entries=[(int(g), float(s)) for g, s in obj["neighbors"]],
                     method=str(obj.get("method", "global")),
+                    truncated=obj.get("truncated", False),
                 )
+                if not isinstance(nl.truncated, bool):
+                    raise TypeError(f"truncated must be true or false, got {nl.truncated!r}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataFormatError(f"bad neighbor line {lineno}: {exc}") from exc
             seen = set()

@@ -82,15 +82,36 @@ class PairSampler:
             by_label.setdefault(r.label, []).append(r.id)
         for r in records:
             self.same[r.id] = [i for i in by_label[r.label] if i != r.id]
-        all_ids = [r.id for r in records]
-        self.diff_by_label = {
-            lab: [i for i in all_ids if self.label_of[i] != lab] for lab in by_label
-        }
         self.neighbors = neighbor_ids
         self.neg_pool_size = neg_pool_size
+        # Built on first use: an anchor's different-label neighbors, and per
+        # label the fallback pool of every different-label id.
+        self._neg_pool: dict[int, list[int]] = {}
+        self._diff_by_label: dict[int, list[int]] = {}
+        self._ids = np.array([r.id for r in records], dtype=np.int64)
+        self._labels = np.array([r.label for r in records], dtype=np.int64)
 
     def has_positive(self, anchor_id: int) -> bool:
         return bool(self.same.get(anchor_id))
+
+    def _negatives(self, anchor_id: int) -> list[int]:
+        pool = self._neg_pool.get(anchor_id)
+        if pool is None:
+            lab = self.label_of[anchor_id]
+            pool = [
+                g
+                for g in self.neighbors.get(anchor_id, [])[: self.neg_pool_size]
+                if self.label_of[g] != lab
+            ]
+            if not pool:
+                pool = self._diff_by_label.get(lab)
+                if pool is None:
+                    pool = self._ids[self._labels != lab].tolist()
+                    self._diff_by_label[lab] = pool
+                if not pool:
+                    raise ConfigError("dataset has a single label; no negatives exist")
+            self._neg_pool[anchor_id] = pool
+        return pool
 
     def sample_pair(
         self, anchor_id: int, rng: np.random.Generator
@@ -101,16 +122,7 @@ class PairSampler:
         if not same:
             return None
         pos = same[int(rng.integers(len(same)))]
-        lab = self.label_of[anchor_id]
-        pool = [
-            g
-            for g in self.neighbors.get(anchor_id, [])[: self.neg_pool_size]
-            if self.label_of[g] != lab
-        ]
-        if not pool:
-            pool = self.diff_by_label[lab]
-            if not pool:
-                raise ConfigError("dataset has a single label; no negatives exist")
+        pool = self._negatives(anchor_id)
         neg = pool[int(rng.integers(len(pool)))]
         return PairSample(anchor_id, pos, 1), PairSample(anchor_id, neg, 0)
 
@@ -126,20 +138,55 @@ def _epoch_lr(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr * factor
 
 
+# Scores held per block of mined rows; each block also holds the same number
+# of int64 partition indices, so about 3 MB in all at 2^18.
+MINE_BLOCK_FLOATS = 1 << 18
+
+
 def mine_neighbor_ids(records: Sequence[ImageRecord], pool: int) -> dict[int, list[int]]:
     """Per-record ranked neighbor ids over the raw globals, self excluded.
 
-    One gemm over the whole gallery; ordering matches knn_search's total
-    order (score desc, id asc)."""
+    Each list holds the max(1, min(pool, n - 1)) most similar other records
+    (none for a lone record), ranked by the total order of knn_search: float32
+    inner product descending, then id ascending, so ties at the cut keep the
+    lower ids.  Rows are mined in blocks: one gemm of the block against all
+    vectors, then a partition to the cut, so memory beyond the index stays at
+    about MINE_BLOCK_FLOATS scores (under twice that) plus as many partition
+    indices, instead of an n x n similarity matrix."""
     index = build_index(records)
-    k = min(pool, len(records) - 1)
-    sims = index.vectors @ index.vectors.T
-    ids = index.ids
-    out = {}
-    take = max(k, 1) + 1  # one extra row in case self ranks inside the cut
-    for row, r in enumerate(records):
-        order = np.lexsort((ids, -sims[row].astype(np.float64)))[:take]
-        out[r.id] = [int(ids[i]) for i in order if ids[i] != r.id][: max(k, 1)]
+    vecs, ids = index.vectors, index.ids
+    n = len(ids)
+    if n < 2:
+        return {int(i): [] for i in ids}
+    k = max(min(pool, n - 1), 1)
+    # Blocks hold at least two rows: numpy computes a one-row product as a
+    # matrix-vector product, whose sums can round differently from the rows
+    # of a full product.
+    rows = max(2, MINE_BLOCK_FLOATS // n)
+    n_blocks = max(1, n // rows)
+    out: dict[int, list[int]] = dict.fromkeys(ids.tolist())
+    for b in range(n_blocks):
+        r0, r1 = n * b // n_blocks, n * (b + 1) // n_blocks
+        block_ids = ids[r0:r1].tolist()
+        sims = vecs[r0:r1] @ vecs.T
+        sims[np.arange(r1 - r0), np.arange(r0, r1)] = -np.inf  # self ranks last
+        top = np.argpartition(sims, n - k, axis=1)[:, n - k :]
+        top_sims = np.take_along_axis(sims, top, axis=1)
+        at_least_cut = sims >= top_sims[:, :1]  # column 0 holds the k-th largest
+        tied = np.count_nonzero(at_least_cut, axis=1) > k
+        # No tie at the cut: the partition's top k are the k neighbours, so
+        # these rows are ranked together in one sort.
+        clean = np.flatnonzero(~tied)
+        cand = ids[top[clean]]
+        order = np.lexsort((cand, -top_sims[clean]), axis=-1)
+        for row, ranked in zip(clean.tolist(), np.take_along_axis(cand, order, axis=1).tolist()):
+            out[block_ids[row]] = ranked
+        # A tie at the cut: the partition picked among the tied candidates
+        # arbitrarily, so rank every candidate at or above the cut instead.
+        for row in np.flatnonzero(tied).tolist():
+            cand = np.flatnonzero(at_least_cut[row])
+            order = np.lexsort((ids[cand], -sims[row, cand]))[:k]
+            out[block_ids[row]] = ids[cand[order]].tolist()
     return out
 
 

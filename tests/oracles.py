@@ -65,6 +65,24 @@ def stable_rerank_brute(entries, scores, k):
     return prefix + list(entries[m:])
 
 
+def mine_neighbor_ids_lexsort(records, pool):
+    """Per-record ranked neighbor ids over the raw globals, self excluded:
+    one full similarity matrix, then a full lexsort of every row by (score
+    desc, id asc).  The reference for train.mine_neighbor_ids."""
+    from rrt.retrieval import build_index
+
+    index = build_index(records)
+    k = min(pool, len(records) - 1)
+    sims = index.vectors @ index.vectors.T
+    ids = index.ids
+    out = {}
+    take = max(k, 1) + 1  # one extra row in case self ranks inside the cut
+    for row, r in enumerate(records):
+        order = np.lexsort((ids, -sims[row].astype(np.float64)))[:take]
+        out[r.id] = [int(ids[i]) for i in order if ids[i] != r.id][: max(k, 1)]
+    return out
+
+
 def composed_mha_forward(layer, cfg, z, mask, return_attn=False):
     """Multi-head attention composed from autograd primitives: affine, head
     split, q.k^T matmul, scale, masked softmax, P.v matmul, head merge, output

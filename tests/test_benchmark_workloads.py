@@ -1,0 +1,42 @@
+"""The benchmark's train workload (perfbench/workloads.py, loaded unchanged)
+at a tiny size: train() runs its steps, and its loss history is finite and
+the same on every call, with no failed op."""
+
+import importlib.util
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from rrt.benchmark import train_synth_config
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # its envinfo and tracer imports
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)  # dataclasses look their module up
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_train_workload_at_tiny_scale(workloads):
+    tiny = workloads.Scale(
+        setup_repeats=1,
+        train_corpus=lambda seed: replace(
+            train_synth_config(seed), n_instances=8, global_confusion_pairs=4
+        ),
+        train_steps_per_epoch=1,
+        train_min_calls=2,
+    )
+    result, report = workloads.run_workload("train", seed=3, seconds=0.0, trace=False, scale=tiny)
+    checks = report["checks"]
+    for name in ("train.steps", "train.loss_finite", "train.deterministic"):
+        assert checks[name]["ok"], (name, checks[name])
+    assert report["metrics"]["train_calls"]["value"] == 2
+    assert result["failed"] == 0 and result["correct"]
+    assert set(result["metrics"]) == {"op_ms_p50", "pass_s", "peak_rss_mb", "setup_s"}

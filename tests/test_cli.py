@@ -1,9 +1,10 @@
-"""Command-line exit codes on bad descriptor data: 3, never a traceback;
-config digests free of machine facts."""
+"""Command-line exit codes on bad descriptor data and repeated record ids:
+3, never a traceback; config digests free of machine facts."""
 
 import importlib
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,13 @@ from rrt.cli import main
 from rrt.data import DatasetManifest, ImageRecord, save_dataset
 
 
-def write_gallery(path, globals_):
-    recs = [ImageRecord(i, 0, np.asarray(g, dtype=np.float32), []) for i, g in enumerate(globals_)]
+def write_gallery(path, globals_, ids=None, labels=None):
+    ids = range(len(globals_)) if ids is None else ids
+    labels = [0] * len(globals_) if labels is None else labels
+    recs = [
+        ImageRecord(i, lab, np.asarray(g, dtype=np.float32), [])
+        for i, lab, g in zip(ids, labels, globals_)
+    ]
     manifest = DatasetManifest(d_g_raw=2, d_l=4, n_scales=1, scale_values=(1.0,), n_images=len(recs))
     save_dataset(recs, manifest, path)
 
@@ -42,6 +48,34 @@ def test_retrieve_with_nan_descriptor_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "record 1" in err and "non-finite" in err
+    assert not out.exists()
+
+
+def test_duplicate_record_id_exits_3_naming_it(tmp_path, capsys):
+    data = tmp_path / "g.rrtd"
+    write_gallery(data, [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], ids=[1, 1, 2], labels=[0, 1, 1])
+    assert main(["index", "--data", str(data), "--out", str(tmp_path / "g.rrti")]) == 3
+    assert "record id 1 appears more than once" in capsys.readouterr().err
+    train_argv = ["train", "--data", str(data), "--out", str(tmp_path / "model"),
+                  "--locals-max", "2", "--heads", "2", "--layers", "1", "--mlp-dim", "8",
+                  "--epochs", "1"]
+    assert main(train_argv) == 3
+    assert "record id 1 appears more than once" in capsys.readouterr().err
+
+
+def test_retrieve_from_index_with_duplicate_id_exits_3(tmp_path, capsys):
+    data = tmp_path / "g.rrtd"
+    index = tmp_path / "g.rrti"
+    write_gallery(data, [[1.0, 0.0], [0.0, 1.0]], ids=[7, 8])
+    assert main(["index", "--data", str(data), "--out", str(index)]) == 0
+    raw = bytearray(index.read_bytes())
+    ids_at = 4 + struct.calcsize("<IBII")
+    raw[ids_at + 4 : ids_at + 8] = struct.pack("<I", 7)  # ids 7, 7
+    index.write_bytes(bytes(raw))
+    out = tmp_path / "n.jsonl"
+    code = main(["retrieve", "--data", str(index), "--queries", str(data), "--k", "1", "--out", str(out)])
+    assert code == 3
+    assert "record id 7 appears more than once" in capsys.readouterr().err
     assert not out.exists()
 
 

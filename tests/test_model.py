@@ -188,6 +188,53 @@ def direct_mha_f64(z, mask, lp, h, dh):
     return np.concatenate(heads, axis=-1) @ wo + bo
 
 
+
+class TestBatchedRecordChecks:
+    """forward_pair_logits checks every record of the batch against the
+    model config, whichever model saw the record before."""
+
+    def batch_with(self, cfg, bad, side):
+        rng = np.random.default_rng(40)
+        ok = make_record(rng, 9, 0, cfg.d, cfg.d_g_raw, 2, cfg.n_scales)
+        return [(ok, ok), (bad, ok) if side == 0 else (ok, bad)]
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("too_many_locals", "record 5 has 5 locals but the model takes at most 4"),
+            ("global_dim", "record 5: global dim 17 but model expects 16"),
+            ("local_dim", "record 5: local dim 9 but model dim is 8"),
+            ("scale_high", r"record 5: scale index outside \[0, 3\)"),
+            ("scale_negative", r"record 5: scale index outside \[0, 3\)"),
+        ],
+    )
+    def test_bad_record_rejected(self, defect, message, side):
+        cfg = tiny_config()
+        params = init_params(cfg, seed=41)
+        rng = np.random.default_rng(41)
+        n = cfg.L + 1 if defect == "too_many_locals" else 2
+        d_g = cfg.d_g_raw + 1 if defect == "global_dim" else cfg.d_g_raw
+        bad = make_record(rng, 5, 1, cfg.d, d_g, n, cfg.n_scales)
+        if defect == "local_dim":
+            bad.locals = [LocalDescriptor(np.zeros(cfg.d + 1, dtype=np.float32), 0, 0, 0)]
+        if defect == "scale_high":
+            bad.locals[1].scale_index = cfg.n_scales
+        if defect == "scale_negative":
+            bad.locals[0].scale_index = -1
+        with pytest.raises(ConfigError, match=message):
+            forward_pair_logits(params, cfg, self.batch_with(cfg, bad, side))
+
+    def test_record_accepted_by_one_model_rejected_by_another(self):
+        wide, narrow = tiny_config(n_scales=7), tiny_config(n_scales=3)
+        rng = np.random.default_rng(42)
+        rec = make_record(rng, 6, 1, wide.d, wide.d_g_raw, 3, wide.n_scales)
+        rec.locals[2].scale_index = 5
+        forward_pair_logits(init_params(wide, seed=42), wide, self.batch_with(wide, rec, 0))
+        with pytest.raises(ConfigError, match=r"record 6: scale index outside \[0, 3\)"):
+            forward_pair_logits(init_params(narrow, seed=42), narrow, self.batch_with(narrow, rec, 1))
+
+
 class TestMHA:
     def test_single_token_attends_to_itself(self):
         cfg = tiny_config(L=1)

@@ -201,14 +201,26 @@ class TestPersistence:
         lists = [
             NeighborList(query_id=3, entries=[(1, 0.875), (2, 0.25)], method="rrt"),
             NeighborList(query_id=4, entries=[], method="global"),
+            NeighborList(query_id=5, entries=[(1, 0.5)], method="global", truncated=True),
         ]
         p = tmp_path / "n.jsonl"
         write_neighbors(p, lists)
         loaded = read_neighbors(p)
-        assert [(nl.query_id, nl.entries, nl.method) for nl in loaded] == [
-            (3, [(1, 0.875), (2, 0.25)], "rrt"),
-            (4, [], "global"),
-        ]
+        assert loaded == lists
+
+    def test_truncated_flag_defaults_false_and_must_be_boolean(self, tmp_path):
+        p = tmp_path / "n.jsonl"
+        p.write_text('{"query": 1, "method": "global", "neighbors": [[5, 0.9]]}\n')
+        assert read_neighbors(p)[0].truncated is False
+        p.write_text('{"query": 1, "truncated": "false", "neighbors": [[5, 0.9]]}\n')
+        with pytest.raises(DataFormatError, match="line 1: truncated must be true or false"):
+            read_neighbors(p)
+
+    def test_non_object_line_rejected(self, tmp_path):
+        p = tmp_path / "n.jsonl"
+        p.write_text("[1, 2]\n")
+        with pytest.raises(DataFormatError, match="line 1"):
+            read_neighbors(p)
 
     def test_scores_carry_enough_digits(self, tmp_path):
         score = float(np.float32(1.0) / np.float32(3.0))

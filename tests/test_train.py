@@ -4,10 +4,12 @@ gradient clipping."""
 import numpy as np
 import pytest
 
-from rrt.data import SynthConfig, normalize_records, synth_generate
-from rrt.errors import ConfigError, TrainingDiverged
+from rrt import train as training
+from rrt.data import ImageRecord, SynthConfig, normalize_records, synth_generate
+from rrt.errors import ConfigError, DataFormatError, TrainingDiverged
 from rrt.model import ModelConfig, init_params
 from rrt.optim import global_grad_norm
+from rrt.retrieval import build_index
 from rrt.train import (
     PairSample,
     PairSampler,
@@ -17,6 +19,8 @@ from rrt.train import (
     train,
     write_loss_history,
 )
+
+from oracles import mine_neighbor_ids_lexsort
 
 
 def small_dataset(seed=0, n_instances=4, images=4):
@@ -92,6 +96,84 @@ class TestPairSampler:
         sigma = np.sqrt(n_draws * p * (1 - p))
         for partner in sampler.same[anchor.id]:
             assert abs(counts.get(partner, 0) - n_draws * p) < 3 * sigma
+
+
+def global_only_records(globals_, seed):
+    """Records with the given global vectors, no locals, and shuffled
+    non-contiguous ids, so an id-ascending order is not the record order."""
+    rng = np.random.default_rng(seed)
+    ids = (rng.permutation(4 * len(globals_))[: len(globals_)] + 3).tolist()
+    return [ImageRecord(i, 0, np.asarray(g, dtype=np.float32), []) for i, g in zip(ids, globals_)]
+
+
+def ties_at_cut(records, pool):
+    """Whether some row's k-th best other score is also its (k+1)-th."""
+    vecs = build_index(records).vectors
+    sims = vecs @ vecs.T
+    k = max(min(pool, len(records) - 1), 1)
+    for row in range(len(records)):
+        others = np.sort(np.delete(sims[row], row))[::-1]
+        if k < len(others) and others[k - 1] == others[k]:
+            return True
+    return False
+
+
+class TestMineNeighborIds:
+    def pools(self, n):
+        return sorted({0, 1, 2, 5, n // 2, n - 2, n - 1, n, n + 7})
+
+    def test_matches_lexsort_reference_on_synth_gallery(self):
+        recs = small_dataset(n_instances=6, images=5)
+        for pool in self.pools(len(recs)):
+            assert mine_neighbor_ids(recs, pool) == mine_neighbor_ids_lexsort(recs, pool), pool
+
+    def test_exact_ties_at_cut_keep_lower_ids(self):
+        # nine distinct directions, each used by several records: every row
+        # has runs of exactly equal scores
+        rng = np.random.default_rng(11)
+        base = rng.standard_normal((9, 12))
+        base /= np.linalg.norm(base, axis=1, keepdims=True)
+        recs = global_only_records(base[rng.integers(0, 9, size=40)], seed=11)
+        pools = self.pools(len(recs))
+        assert any(ties_at_cut(recs, pool) for pool in pools)
+        for pool in pools:
+            assert mine_neighbor_ids(recs, pool) == mine_neighbor_ids_lexsort(recs, pool), pool
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_galleries(self, n):
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((n, 4))
+        recs = global_only_records(g / np.linalg.norm(g, axis=1, keepdims=True), seed=n)
+        for pool in (0, 1, 2, 5):
+            got = mine_neighbor_ids(recs, pool)
+            assert got == mine_neighbor_ids_lexsort(recs, pool)
+            assert list(got) == [r.id for r in recs]
+        if n == 1:
+            assert mine_neighbor_ids(recs, 5) == {recs[0].id: []}
+
+    def test_several_row_blocks(self, monkeypatch):
+        # Entries in {0, +-1/2} with four nonzeros: unit norm and every inner
+        # product exact, so every row block's gemm gives the full product's
+        # scores, ties included.
+        rng = np.random.default_rng(12)
+        n, d = 45, 8
+        g = np.zeros((n, d))
+        for row in g:
+            row[rng.choice(d, size=4, replace=False)] = rng.choice([-0.5, 0.5], size=4)
+        recs = global_only_records(g, seed=12)
+        pools = self.pools(n)
+        assert any(ties_at_cut(recs, pool) for pool in pools)
+        want = {pool: mine_neighbor_ids_lexsort(recs, pool) for pool in pools}
+        for budget in (2 * n, 7 * n, 20 * n):  # blocks of 2-3, 7-8 and 22-23 rows
+            monkeypatch.setattr(training, "MINE_BLOCK_FLOATS", budget)
+            for pool in pools:
+                assert mine_neighbor_ids(recs, pool) == want[pool], (budget, pool)
+
+    def test_duplicate_ids_rejected_naming_the_id(self):
+        recs = global_only_records(np.eye(3), seed=13)
+        recs[2] = ImageRecord(recs[0].id, 0, recs[2].global_desc, [])
+        with pytest.raises(DataFormatError, match=f"record id {recs[0].id} appears more than once"):
+            mine_neighbor_ids(recs, 2)
 
 
 class TestTrain:
