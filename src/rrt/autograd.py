@@ -26,6 +26,7 @@ __all__ = [
     "scale",
     "matmul",
     "affine",
+    "mlp",
     "relu",
     "sigmoid",
     "reshape",
@@ -44,10 +45,17 @@ __all__ = [
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 # Logits budget of one attention tile, in floats (1 MB in float32), so that
-# Q.K^T, the softmax passes and P.V over a tile run from cache.  At T=1004
-# a tile is one slice for any budget up to 2^20; at T=36 a 2^20 budget puts
-# a whole 100-pair batch (4 MB) in one tile and measured slower.
+# Q.K^T, the softmax passes and P.V over a tile run from cache.  A slice
+# whose T x T logits exceed it runs in blocks of query rows (at T=1004, four
+# blocks of 251 rows); at T=36 a 2^20 budget puts a whole 100-pair batch
+# (4 MB) in one tile and measured slower.
 ATTENTION_TILE_FLOATS = 1 << 18
+
+# Hidden-activation budget of one MLP row block, in floats (2048 rows at
+# d_c=1024).  At paper scale, 2048-row blocks ran the MLP in 97 ms against
+# 164 ms for whole [B*T, d_c] buffers, and 256-row blocks were about 9%
+# slower than 2048: below this size the gemms lose more than the cache wins.
+MLP_BLOCK_FLOATS = 1 << 21
 
 # Module-level switch; flipping it is not thread-safe, callers serialize.
 _grad_enabled = True
@@ -403,26 +411,93 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
+def _check_affine(x: np.ndarray, w: np.ndarray, op: str) -> None:
+    if x.ndim < 2:
+        raise ValueError(f"{op} needs a matrix input, got shape {x.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ValueError(f"{op} dimensions disagree: {x.shape} @ {w.shape}")
+
+
+def _affine_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray):
+    """(gx, gw, gb) of x @ w + b for the output gradient g."""
+    # contiguous copy of the (small) transposed weight dodges numpy's
+    # slow strided-matmul path; ditto the batched-then-reduced gw form
+    gx = g @ np.ascontiguousarray(w.T)
+    if g.ndim > 2:
+        gw = (np.swapaxes(x, -1, -2) @ g).reshape(-1, w.shape[0], g.shape[-1]).sum(axis=0)
+    else:
+        gw = np.dot(x.T, g)
+    gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
+    return gx, gw, gb
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b fused into one node (w: [in, out], b: [out])."""
-    if x.data.ndim < 2:
-        raise ValueError(f"affine needs a matrix input, got shape {x.data.shape}")
-    if x.data.shape[-1] != w.data.shape[0]:
-        raise ValueError(f"affine dimensions disagree: {x.data.shape} @ {w.data.shape}")
-    data = x.data @ w.data + b.data
+    _check_affine(x.data, w.data, "affine")
+    data = x.data @ w.data
+    data += b.data
 
     def grad_fn(g):
-        # contiguous copy of the (small) transposed weight dodges numpy's
-        # slow strided-matmul path; ditto the batched-then-reduced gw form
-        gx = g @ np.ascontiguousarray(w.data.T)
-        if g.ndim > 2:
-            gw = (np.swapaxes(x.data, -1, -2) @ g).reshape(-1, w.data.shape[0], g.shape[-1]).sum(axis=0)
-        else:
-            gw = np.dot(x.data.T, g)
-        gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
-        return gx, gw, gb
+        return _affine_grads(x.data, w.data, g)
 
     return _make(data, (x, w, b), grad_fn)
+
+
+def _row_blocks(n: int, rows: int) -> list[slice]:
+    """Slices covering range(n) in the fewest blocks of at most rows (at
+    least one row), with sizes differing by at most one, so no block is a
+    sliver.  Each output row of a blocked product gets the same arithmetic
+    as in one whole product, except that a one-row block takes BLAS's
+    matrix-vector path, whose rounding can differ."""
+    count = max(1, -(-n // max(rows, 1)))
+    cuts = [n * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _longest(blocks: list[slice]) -> int:
+    return max(s.stop - s.start for s in blocks)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 as one op (w1: [in, hidden], w2:
+    [hidden, out]), with the gradients of the composed affine, relu, affine.
+
+    The flattened rows run in blocks of at most MLP_BLOCK_FLOATS hidden
+    floats: each block's hidden activations are built, biased and rectified
+    in place, then fed to the second product while they are still in cache.
+    Without recording, one block's hidden buffer is all that exists; with
+    recording, the post-ReLU hidden is kept for the backward (h > 0 is the
+    ReLU mask, the same test as on the pre-activation).
+    """
+    _check_affine(x.data, w1.data, "mlp")
+    _check_affine(w1.data, w2.data, "mlp")
+    lead, d_in = x.data.shape[:-1], x.data.shape[-1]
+    d_c, d_out = w2.data.shape
+    xf = x.data.reshape(-1, d_in)
+    n = xf.shape[0]
+    dtype = np.result_type(x.data, w1.data, b1.data, w2.data, b2.data)
+    parents = (x, w1, b1, w2, b2)
+    recording = _records(parents)
+    blocks = _row_blocks(n, MLP_BLOCK_FLOATS // d_c)
+
+    out = np.empty((n, d_out), dtype=dtype)
+    hidden = np.empty((n if recording else _longest(blocks), d_c), dtype=dtype)
+    for rows in blocks:
+        hb = hidden[rows] if recording else hidden[: rows.stop - rows.start]
+        np.matmul(xf[rows], w1.data, out=hb)
+        hb += b1.data
+        np.maximum(hb, 0, out=hb)
+        ob = out[rows]
+        np.matmul(hb, w2.data, out=ob)
+        ob += b2.data
+
+    def grad_fn(g):
+        h = hidden.reshape(lead + (d_c,))
+        gh, gw2, gb2 = _affine_grads(h, w2.data, g)
+        gx, gw1, gb1 = _affine_grads(x.data, w1.data, gh * (h > 0))
+        return gx, gw1, gb1, gw2, gb2
+
+    return _make(out.reshape(lead + (d_out,)), parents, grad_fn)
 
 
 def embedding(table: Tensor, indices) -> Tensor:
@@ -497,7 +572,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False)
 
     The flattened B*h axis runs in tiles of consecutive slices whose logits
     stay within ATTENTION_TILE_FLOATS, never splitting a pair's heads across
-    two tiles unless one pair alone exceeds the budget.  Without recording,
+    two tiles unless one pair alone exceeds the budget.  A slice whose
+    logits alone exceed it runs in blocks of query rows.  Without recording,
     no [B, h, T, T] buffer exists; recording keeps every tile's
     probabilities for the backward.
     """
@@ -516,20 +592,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False)
         spans = [(np.s_[b : b + step], slice(None)) for b in range(0, B, step)]
     else:
         spans = [(np.s_[b : b + 1], np.s_[c : c + tile]) for b in range(B) for c in range(0, h, tile)]
+    rows = _row_blocks(T, ATTENTION_TILE_FLOATS // T)  # query rows per block
     tile_floats = min(tile, B * h) * T * T
     recording = _records((q, k, v))
 
     ctx = _head_major(q.shape, dtype)
     probs = np.empty((B, h, T, T), dtype=dtype) if (recording or return_probs) else None
-    buf = np.empty(tile_floats, dtype=dtype) if probs is None else None
+    buf = np.empty(tile_floats // T * _longest(rows), dtype=dtype) if probs is None else None
     for bs, hs in spans:
-        qt = qd[bs, hs]
-        p = _tile(buf, qt.shape[:2] + (T, T)) if probs is None else probs[bs, hs]
-        np.matmul(qt, kd[bs, hs].swapaxes(-1, -2), out=p)
-        np.multiply(p, scale, out=p)
+        kt, vt = kd[bs, hs].swapaxes(-1, -2), vd[bs, hs]
         m = kmask[bs, hs]
-        _masked_softmax_(p, None if m.all() else m[..., None, :])
-        np.matmul(p, vd[bs, hs], out=ctx[bs, hs])
+        m = None if m.all() else m[..., None, :]
+        for rs in rows:
+            qt = qd[bs, hs, rs]
+            p = _tile(buf, qt.shape[:-1] + (T,)) if probs is None else probs[bs, hs, rs]
+            np.matmul(qt, kt, out=p)
+            np.multiply(p, scale, out=p)
+            _masked_softmax_(p, m)
+            np.matmul(p, vt, out=ctx[bs, hs, rs])
 
     def grad_fn(g):
         gq, gk, gv = (_head_major(q.shape, dtype) for _ in range(3))

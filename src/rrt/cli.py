@@ -32,6 +32,7 @@ from .data import (
     load_dataset,
     normalize_records,
     part_prototypes,
+    records_by_id,
     save_dataset,
     synth_generate,
 )
@@ -432,14 +433,7 @@ def cmd_rerank(cfg: dict) -> int:
     queries, _ = _load_normalized(cfg["queries"], max_locals=cfg["locals_max"])
     gallery, _ = _load_normalized(cfg["gallery"], max_locals=cfg["locals_max"])
     neighbors = read_neighbors(cfg["data"])
-    qmap = {q.id: q for q in queries}
-    gallery_ids = {g.id for g in gallery}
-    for nl in neighbors:
-        if nl.query_id not in qmap:
-            raise DataFormatError(f"neighbor list references unknown query id {nl.query_id}")
-        for gid, _ in nl.entries:
-            if gid not in gallery_ids:
-                raise DataFormatError(f"neighbor list references unknown gallery id {gid}")
+    qmap, _ = _validate_ids(neighbors, queries, gallery)
 
     name = cfg["scorer"]
     k = cfg["k"]
@@ -474,14 +468,16 @@ def _ground_truth_from_files(cfg: dict):
 
 
 def _validate_ids(lists, queries, gallery):
-    qids = {q.id for q in queries}
-    gids = {g.id for g in gallery}
+    """(query id -> record, gallery id -> record) after checking that record
+    ids are unique per file and that every listed id has a record."""
+    qmap, gmap = records_by_id(queries), records_by_id(gallery)
     for nl in lists:
-        if nl.query_id not in qids:
+        if nl.query_id not in qmap:
             raise DataFormatError(f"neighbor file references unknown query id {nl.query_id}")
         for gid, _ in nl.entries:
-            if gid not in gids:
+            if gid not in gmap:
                 raise DataFormatError(f"neighbor file references unknown gallery id {gid}")
+    return qmap, gmap
 
 
 def cmd_eval(cfg: dict) -> int:
@@ -557,8 +553,7 @@ def cmd_correspond(cfg: dict) -> int:
     queries, _ = _load_normalized(cfg["queries"])
     gallery, _ = _load_normalized(cfg["gallery"])
     params, mcfg = load_checkpoint(cfg["checkpoint"])
-    qmap = {q.id: q for q in queries}
-    gmap = {g.id: g for g in gallery}
+    qmap, gmap = records_by_id(queries), records_by_id(gallery)
     if cfg["query_id"] not in qmap:
         raise DataFormatError(f"unknown query id {cfg['query_id']}")
     if cfg["gallery_id"] not in gmap:

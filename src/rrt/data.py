@@ -32,6 +32,7 @@ __all__ = [
     "SynthConfig",
     "l2_normalize",
     "normalize_records",
+    "records_by_id",
     "save_dataset",
     "load_dataset",
     "export_labels_tsv",
@@ -132,6 +133,17 @@ def normalize_records(records: Iterable[ImageRecord]) -> list[ImageRecord]:
             out.append(ImageRecord(r.id, r.label, l2_normalize(r.global_desc), locs))
         except DataFormatError as exc:
             raise DataFormatError(f"record {r.id}: {exc}") from None
+    return out
+
+
+def records_by_id(records: Iterable[ImageRecord]) -> dict[int, ImageRecord]:
+    """id -> record; an id carried by two records raises DataFormatError
+    naming it, since a lookup by id could only return one of them."""
+    out: dict[int, ImageRecord] = {}
+    for r in records:
+        if r.id in out:
+            raise DataFormatError(f"record id {r.id} appears more than once; record ids must be unique")
+        out[r.id] = r
     return out
 
 

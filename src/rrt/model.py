@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import struct
 import weakref
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -39,11 +39,9 @@ from .errors import ConfigError, DataFormatError, IntegrityError
 __all__ = [
     "ModelConfig",
     "ModelParams",
-    "TokenSequence",
     "init_params",
     "param_shapes",
     "param_count",
-    "assemble_input",
     "mha_forward",
     "transformer_layer",
     "forward_pair_logits",
@@ -198,13 +196,6 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
 # -- input assembly -------------------------------------------------------
 
 
-@dataclass
-class TokenSequence:
-    tokens: Tensor                       # [T, d]
-    valid_mask: np.ndarray               # bool[T]
-    kinds: list[tuple[str, Optional[int]]]  # token index -> (kind, local index)
-
-
 def _position_code(positions: np.ndarray, d: int) -> np.ndarray:
     """Fixed sinusoidal 2-D code: half the channels encode u, half encode v,
     classic sin/cos ladder with temperature 10000 on raw pixel coordinates."""
@@ -218,88 +209,6 @@ def _position_code(positions: np.ndarray, d: int) -> np.ndarray:
         out[:, base : base + quarter] = np.sin(coords)
         out[:, base + quarter : base + half] = np.cos(coords)
     return out
-
-
-def _image_tokens(params, cfg, rec: ImageRecord, barred: bool, dtype):
-    """Token block and metadata for one image inside a pair sequence."""
-    pieces: list[Tensor] = []
-    mask: list[bool] = []
-    kinds: list[tuple[str, Optional[int]]] = []
-    side = "b" if barred else "a"
-
-    if cfg.use_global_token:
-        g = np.asarray(rec.global_desc, dtype=dtype)
-        if g.shape != (cfg.d_g_raw,):
-            raise ConfigError(
-                f"record {rec.id}: global dim {g.shape[0]} but model expects {cfg.d_g_raw}"
-            )
-        seg = params[f"seg.global_{side}"]
-        proj = ag.affine(Tensor(g[None, :]), params["global_proj.w"], params["global_proj.b"])
-        pieces.append(ag.add(proj, seg))
-        mask.append(True)
-        kinds.append((f"global_{side}", None))
-
-    n_loc = len(rec.locals)
-    if n_loc > cfg.L:
-        raise ConfigError(
-            f"record {rec.id} has {n_loc} locals but the model takes at most {cfg.L}; "
-            "truncate at load time"
-        )
-    if n_loc:
-        mat = rec.locals_matrix().astype(dtype)
-        if mat.shape[1] != cfg.d:
-            raise ConfigError(
-                f"record {rec.id}: local dim {mat.shape[1]} but model dim is {cfg.d}"
-            )
-        sidx = rec.scale_indices()
-        if np.any(sidx >= cfg.n_scales) or np.any(sidx < 0):
-            raise ConfigError(
-                f"record {rec.id}: scale index outside [0, {cfg.n_scales})"
-            )
-        x = Tensor(mat)
-        if cfg.use_scale_embed:
-            x = ag.add(x, ag.embedding(params["scale_embed.table"], sidx))
-        if cfg.use_pos_embed:
-            x = ag.add(x, Tensor(_position_code(rec.positions(), cfg.d).astype(dtype)))
-        x = ag.add(x, params[f"seg.local_{side}"])
-        pieces.append(x)
-        mask.extend([True] * n_loc)
-        kinds.extend((f"local_{side}", i) for i in range(n_loc))
-    if n_loc < cfg.L:
-        pieces.append(Tensor(np.zeros((cfg.L - n_loc, cfg.d), dtype=dtype)))
-        mask.extend([False] * (cfg.L - n_loc))
-        kinds.extend(("pad", None) for _ in range(cfg.L - n_loc))
-    return pieces, mask, kinds
-
-
-def _pair_tokens(params, cfg, a: ImageRecord, b: ImageRecord, dtype):
-    d = cfg.d
-    pieces = [ag.reshape(params["tok.cls"], (1, d))]
-    mask = [True]
-    kinds: list[tuple[str, Optional[int]]] = [("cls", None)]
-
-    pa, ma, ka = _image_tokens(params, cfg, a, barred=False, dtype=dtype)
-    pieces += pa
-    mask += ma
-    kinds += ka
-
-    pieces.append(ag.reshape(params["tok.sep"], (1, d)))
-    mask.append(True)
-    kinds.append(("sep", None))
-
-    pb, mb, kb = _image_tokens(params, cfg, b, barred=True, dtype=dtype)
-    pieces += pb
-    mask += mb
-    kinds += kb
-
-    return ag.concat(pieces, axis=0), np.asarray(mask, dtype=bool), kinds
-
-
-def assemble_input(params: ModelParams, cfg: ModelConfig, a: ImageRecord, b: ImageRecord) -> TokenSequence:
-    """Build the pair token sequence for (a, b); records must be normalized."""
-    dtype = params["tok.cls"].dtype
-    tokens, mask, kinds = _pair_tokens(params, cfg, a, b, dtype)
-    return TokenSequence(tokens, mask, kinds)
 
 
 # -- transformer ----------------------------------------------------------
@@ -342,8 +251,7 @@ def transformer_layer(layer, cfg: ModelConfig, z: Tensor, mask: np.ndarray, retu
     """
     att, attn_w = mha_forward(layer, cfg, z, mask, return_attn)
     zbar = ag.layer_norm(ag.add(z, att), layer.ln1_g, layer.ln1_b, LAYERNORM_EPS)
-    hidden = ag.relu(ag.affine(zbar, layer.w1, layer.b1))
-    mlp = ag.affine(hidden, layer.w2, layer.b2)
+    mlp = ag.mlp(zbar, layer.w1, layer.b1, layer.w2, layer.b2)
     body = ag.add(zbar, mlp) if cfg.mlp_residual else mlp
     out = ag.layer_norm(body, layer.ln2_g, layer.ln2_b, LAYERNORM_EPS)
     return out, attn_w
@@ -421,8 +329,9 @@ def _tile_token(tok: Tensor, B: int, dtype) -> Tensor:
 
 
 def _assemble_batch(params: ModelParams, cfg: ModelConfig, pairs, dtype):
-    """Whole-batch token assembly: a handful of batched graph ops instead of
-    per-pair concatenation, same layout and values as assemble_input."""
+    """Token sequences [B, T, d] and key masks [B, T] of a batch of pairs,
+    built with a handful of batched graph ops; the layout is the module
+    docstring's, pads are zero tokens with a False mask entry."""
     B = len(pairs)
     la, sa, ma, ga = _gather_side(cfg, [p[0] for p in pairs], dtype)
     lb, sb, mb, gb = _gather_side(cfg, [p[1] for p in pairs], dtype)
@@ -486,10 +395,11 @@ def score_pair(params: ModelParams, cfg: ModelConfig, a: ImageRecord, b: ImageRe
 
 def _auto_chunk(cfg: ModelConfig) -> int:
     # Pairs per forward pass, sized so a [B, h, T, T] buffer holds roughly
-    # 2^26 floats.  Without grad, attention holds one tile of logits at a
-    # time and builds that buffer only when attention weights are returned,
-    # so a chunk's peak is set by its [B, T, d_c] MLP activations (66 MB
-    # each in float32 at paper scale, B=16).
+    # 2^26 floats.  Without grad, attention builds that buffer only when
+    # attention weights are returned and otherwise holds one tile of logits
+    # at a time, and the MLP holds one row block of hidden activations, so
+    # a chunk's peak is set by the handful of [B, T, d] token arrays alive
+    # in a layer (8 MB each in float32 at paper scale, B=16).
     per_pair = cfg.h * cfg.seq_len * cfg.seq_len
     return max(1, (1 << 26) // max(per_pair, 1))
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import GVConfig, gv_scores
-from .data import ImageRecord
+from .data import ImageRecord, records_by_id
 from .model import ModelConfig, ModelParams, score_batch
 
 __all__ = [
@@ -26,7 +26,7 @@ __all__ = [
 
 
 def _record_maps(queries: Sequence[ImageRecord], gallery: Sequence[ImageRecord]):
-    return {r.id: r for r in queries}, {r.id: r for r in gallery}
+    return records_by_id(queries), records_by_id(gallery)
 
 
 def make_rrt_scorer(

@@ -4,6 +4,9 @@ quadratic scans."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 
@@ -111,6 +114,107 @@ def composed_mha_forward(layer, cfg, z, mask, return_attn=False):
     if squeeze:
         out = ag.reshape(out, (T, d))
     return out, (attn.data if return_attn else None)
+
+
+# -- per-pair token assembly --------------------------------------------------
+
+
+@dataclass
+class TokenSequence:
+    tokens: object                       # Tensor [T, d]
+    valid_mask: np.ndarray               # bool[T]
+    kinds: list[tuple[str, Optional[int]]]  # token index -> (kind, local index)
+
+
+def _image_tokens(params, cfg, rec, barred, dtype):
+    """Token block and metadata for one image inside a pair sequence."""
+    from rrt import autograd as ag
+    from rrt.autograd import Tensor
+    from rrt.errors import ConfigError
+    from rrt.model import _position_code
+
+    pieces: list[Tensor] = []
+    mask: list[bool] = []
+    kinds: list[tuple[str, Optional[int]]] = []
+    side = "b" if barred else "a"
+
+    if cfg.use_global_token:
+        g = np.asarray(rec.global_desc, dtype=dtype)
+        if g.shape != (cfg.d_g_raw,):
+            raise ConfigError(
+                f"record {rec.id}: global dim {g.shape[0]} but model expects {cfg.d_g_raw}"
+            )
+        seg = params[f"seg.global_{side}"]
+        proj = ag.affine(Tensor(g[None, :]), params["global_proj.w"], params["global_proj.b"])
+        pieces.append(ag.add(proj, seg))
+        mask.append(True)
+        kinds.append((f"global_{side}", None))
+
+    n_loc = len(rec.locals)
+    if n_loc > cfg.L:
+        raise ConfigError(
+            f"record {rec.id} has {n_loc} locals but the model takes at most {cfg.L}; "
+            "truncate at load time"
+        )
+    if n_loc:
+        mat = rec.locals_matrix().astype(dtype)
+        if mat.shape[1] != cfg.d:
+            raise ConfigError(
+                f"record {rec.id}: local dim {mat.shape[1]} but model dim is {cfg.d}"
+            )
+        sidx = rec.scale_indices()
+        if np.any(sidx >= cfg.n_scales) or np.any(sidx < 0):
+            raise ConfigError(
+                f"record {rec.id}: scale index outside [0, {cfg.n_scales})"
+            )
+        x = Tensor(mat)
+        if cfg.use_scale_embed:
+            x = ag.add(x, ag.embedding(params["scale_embed.table"], sidx))
+        if cfg.use_pos_embed:
+            x = ag.add(x, Tensor(_position_code(rec.positions(), cfg.d).astype(dtype)))
+        x = ag.add(x, params[f"seg.local_{side}"])
+        pieces.append(x)
+        mask.extend([True] * n_loc)
+        kinds.extend((f"local_{side}", i) for i in range(n_loc))
+    if n_loc < cfg.L:
+        pieces.append(Tensor(np.zeros((cfg.L - n_loc, cfg.d), dtype=dtype)))
+        mask.extend([False] * (cfg.L - n_loc))
+        kinds.extend(("pad", None) for _ in range(cfg.L - n_loc))
+    return pieces, mask, kinds
+
+
+def _pair_tokens(params, cfg, a, b, dtype):
+    from rrt import autograd as ag
+
+    d = cfg.d
+    pieces = [ag.reshape(params["tok.cls"], (1, d))]
+    mask = [True]
+    kinds: list[tuple[str, Optional[int]]] = [("cls", None)]
+
+    pa, ma, ka = _image_tokens(params, cfg, a, barred=False, dtype=dtype)
+    pieces += pa
+    mask += ma
+    kinds += ka
+
+    pieces.append(ag.reshape(params["tok.sep"], (1, d)))
+    mask.append(True)
+    kinds.append(("sep", None))
+
+    pb, mb, kb = _image_tokens(params, cfg, b, barred=True, dtype=dtype)
+    pieces += pb
+    mask += mb
+    kinds += kb
+
+    return ag.concat(pieces, axis=0), np.asarray(mask, dtype=bool), kinds
+
+
+def assemble_input(params, cfg, a, b) -> TokenSequence:
+    """The pair token sequence for (a, b), built one image at a time by
+    concatenating per-token pieces; records must be normalized.  The
+    reference for rrt.model._assemble_batch, with its own record checks."""
+    dtype = params["tok.cls"].dtype
+    tokens, mask, kinds = _pair_tokens(params, cfg, a, b, dtype)
+    return TokenSequence(tokens, mask, kinds)
 
 
 # -- RANSAC homography: one normalized-DLT SVD fit per iteration -------------

@@ -1,8 +1,9 @@
 """The fused attention op: bit-identical to the composed reference path in
-float32 across tile boundaries, gradients against central differences and
-against the composed path, masked and all-masked keys, and the memory bound
-that motivates the tiling."""
+float32 across tile and query-row block boundaries, gradients against
+central differences and against the composed path, masked and all-masked
+keys, and the memory bounds that motivate the tiling."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -69,6 +70,71 @@ class TestMatchesComposedPath:
             grads.append([z.grad] + [getattr(lp, n).grad for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")])
         for fused, composed in zip(*grads):
             np.testing.assert_allclose(fused, composed, rtol=1e-10, atol=1e-12)
+
+
+class TestQueryRowBlocks:
+    """Budgets below one slice's T x T logits: every slice runs in blocks of
+    query rows.  L=6 gives T=16; at most 6 and 5 rows per block make blocks
+    of 5/5/6 and 4/4/4/4 rows."""
+
+    @pytest.mark.parametrize("block_rows", [6, 5])
+    def test_float32_bit_identical_with_probs(self, monkeypatch, block_rows):
+        cfg = tiny_config(L=6, d=12, d_h=6)
+        T = cfg.seq_len
+        monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", block_rows * T)
+        params = init_params(cfg, seed=24)
+        rng = np.random.default_rng(24)
+        B = 3
+        z = rng.standard_normal((B, T, cfg.d)).astype(np.float32)
+        mask = mixed_mask(cfg, B)
+
+        ref, ref_attn = composed_mha_forward(params.layer(0), cfg, Tensor(z), mask, return_attn=True)
+        for recording in (False, True):  # the parameters require grad
+            for return_attn in (False, True):
+                with contextlib.nullcontext() if recording else ag.no_grad():
+                    out, attn = mha_forward(params.layer(0), cfg, Tensor(z), mask, return_attn=return_attn)
+                assert out.data.tobytes() == ref.data.tobytes()
+            assert attn.tobytes() == ref_attn.tobytes()
+
+    def test_gradients_match_composed_path(self, monkeypatch):
+        cfg = tiny_config(L=6)
+        T = cfg.seq_len
+        monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", 5 * T)
+        rng = np.random.default_rng(26)
+        B = 3
+        z0 = rng.standard_normal((B, T, cfg.d))
+        readout = rng.standard_normal((B, T, cfg.d))
+        mask = mixed_mask(cfg, B)
+
+        grads = []
+        for forward in (mha_forward, composed_mha_forward):
+            params = init_params(cfg, seed=26).astype(np.float64, cfg)
+            z = Tensor(z0, requires_grad=True)
+            out, _ = forward(params.layer(0), cfg, z, mask)
+            (out * Tensor(readout)).sum().backward()
+            lp = params.layer(0)
+            grads.append([z.grad] + [getattr(lp, n).grad for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")])
+        for fused, composed in zip(*grads):
+            assert fused.dtype == np.float64
+            np.testing.assert_allclose(fused, composed, rtol=1e-10, atol=1e-12)
+
+    def test_peak_below_one_slice_of_logits_without_grad(self, monkeypatch):
+        B, h, T, dh = 2, 2, 96, 4
+        monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", 20 * T)
+        slice_bytes = T * T * 4
+        rng = np.random.default_rng(27)
+        q, k, v = (Tensor(rng.standard_normal((B, h, T, dh)).astype(np.float32)) for _ in range(3))
+        mask = np.ones((B, 1, T), dtype=bool)
+        mask[1, :, T // 3 :] = False
+
+        tracemalloc.start()
+        try:
+            with ag.no_grad():
+                ag.attention(q, k, v, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < slice_bytes
 
 
 class TestAttentionOp:

@@ -6,20 +6,24 @@ library's backward pass.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrt import autograd as ag
 from rrt.autograd import (
     Tensor,
+    affine,
     bce_with_logits,
     concat,
     embedding,
     layer_norm,
     masked_softmax_lastdim,
     matmul,
+    mlp,
     no_grad,
     relu,
     sigmoid,
@@ -328,3 +332,103 @@ class TestStructuralOps:
         sigmoid(y).sum().backward()
         s = 1 / (1 + np.exp(-x0))
         np.testing.assert_allclose(y.grad, s * (1 - s), rtol=1e-12)
+
+
+def composed_mlp(x, w1, b1, w2, b2):
+    return affine(relu(affine(x, w1, b1)), w2, b2)
+
+
+class TestMLP:
+    """The fused MLP against affine -> relu -> affine: same bits in float32
+    for any row blocking, same gradients in float64."""
+
+    D_IN, D_C, D_OUT = 8, 16, 4
+
+    def weights(self, rng, dtype, requires_grad=False):
+        shapes = [(self.D_IN, self.D_C), (self.D_C,), (self.D_C, self.D_OUT), (self.D_OUT,)]
+        return [
+            Tensor(rng.standard_normal(s).astype(dtype), requires_grad=requires_grad)
+            for s in shapes
+        ]
+
+    @pytest.mark.parametrize("lead", [(13,), (3, 7)])
+    @pytest.mark.parametrize("block_rows", [4, 5, 1000])
+    def test_float32_bit_identical_across_row_blocks(self, monkeypatch, lead, block_rows):
+        # 13 and 21 rows in blocks of at most 4 or 5 rows leave blocks of
+        # unequal sizes; 1000 is one block.
+        monkeypatch.setattr(ag, "MLP_BLOCK_FLOATS", block_rows * self.D_C)
+        rng = np.random.default_rng(40)
+        x = Tensor(rng.standard_normal(lead + (self.D_IN,)).astype(np.float32))
+        w = self.weights(rng, np.float32)
+        out = mlp(x, *w)
+        ref = composed_mlp(x, *w)
+        assert out.shape == lead + (self.D_OUT,) and out.dtype == np.float32
+        assert out.data.tobytes() == ref.data.tobytes()
+
+    @pytest.mark.parametrize("lead", [(13,), (3, 7)])
+    def test_float64_gradients_equal_composed(self, monkeypatch, lead):
+        monkeypatch.setattr(ag, "MLP_BLOCK_FLOATS", 5 * self.D_C)
+        rng = np.random.default_rng(41)
+        x0 = rng.standard_normal(lead + (self.D_IN,))
+        readout = Tensor(rng.standard_normal(lead + (self.D_OUT,)))
+        w0 = [t.data for t in self.weights(rng, np.float64)]
+        grads = []
+        for f in (mlp, composed_mlp):
+            x = Tensor(x0, requires_grad=True)
+            w = [Tensor(a, requires_grad=True) for a in w0]
+            (f(x, *w) * readout).sum().backward()
+            grads.append([x.grad] + [t.grad for t in w])
+        for fused, composed in zip(*grads):
+            assert fused.dtype == np.float64
+            np.testing.assert_array_equal(fused, composed)
+
+    def test_gradient_vs_finite_differences(self, monkeypatch):
+        monkeypatch.setattr(ag, "MLP_BLOCK_FLOATS", 2 * self.D_C)
+        rng = np.random.default_rng(42)
+        x0 = rng.standard_normal((2, 3, self.D_IN))
+        w0 = [t.data for t in self.weights(rng, np.float64)]
+        readout = rng.standard_normal((2, 3, self.D_OUT))
+        x = Tensor(x0, requires_grad=True)
+        w = [Tensor(a, requires_grad=True) for a in w0]
+        (mlp(x, *w) * Tensor(readout)).sum().backward()
+
+        args = [x0] + w0
+        for i, t in enumerate([x] + w):
+            def f(v, i=i):
+                vals = [Tensor(a) for a in args[:i] + [v] + args[i + 1 :]]
+                return float((mlp(*vals).data * readout).sum())
+
+            assert max_rel_err(t.grad, central_difference(f, args[i])) < 1e-6
+
+    def test_shape_mismatch_rejected(self):
+        w1, b1, w2, b2 = self.weights(np.random.default_rng(43), np.float64)
+        with pytest.raises(ValueError, match="mlp dimensions disagree"):
+            mlp(Tensor(np.zeros((2, self.D_IN + 1))), w1, b1, w2, b2)
+        with pytest.raises(ValueError, match="mlp dimensions disagree"):
+            mlp(Tensor(np.zeros((2, self.D_IN))), w1, b1, Tensor(np.zeros((self.D_C + 1, 2))), b2)
+
+    def test_no_full_hidden_buffer_without_grad(self, monkeypatch):
+        n, d_c = 256, 256
+        monkeypatch.setattr(ag, "MLP_BLOCK_FLOATS", 16 * d_c)
+        rng = np.random.default_rng(44)
+        x = Tensor(rng.standard_normal((4, n // 4, 8)).astype(np.float32), requires_grad=True)
+        w = [
+            Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+            for s in ((8, d_c), (d_c,), (d_c, 2), (2,))
+        ]
+        hidden_bytes = n * d_c * 4
+
+        def peak(recording):
+            tracemalloc.start()
+            try:
+                if recording:
+                    mlp(x, *w)
+                else:
+                    with no_grad():
+                        mlp(x, *w)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(recording=True) >= hidden_bytes  # the probe sees numpy buffers
+        assert peak(recording=False) < hidden_bytes // 4

@@ -1,8 +1,10 @@
-"""The benchmark's train workload (perfbench/workloads.py, loaded unchanged)
-at a tiny size: train() runs its steps, and its loss history is finite and
-the same on every call, with no failed op."""
+"""The benchmark's workloads (perfbench/workloads.py, loaded unchanged): the
+train workload at a tiny size runs its steps with a finite loss history,
+the same on every call, and no failed op; at the full paper scale (T=1004,
+where attention runs in query-row blocks), scores equal the recorded ones."""
 
 import importlib.util
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from rrt.benchmark import train_synth_config
+from rrt.model import score_batch
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,3 +43,16 @@ def test_train_workload_at_tiny_scale(workloads):
     assert report["metrics"]["train_calls"]["value"] == 2
     assert result["failed"] == 0 and result["correct"]
     assert set(result["metrics"]) == {"op_ms_p50", "pass_s", "peak_rss_mb", "setup_s"}
+
+
+def test_paper_scale_scores_match_reference(workloads):
+    ref = json.loads(workloads.PAPER_REFERENCE.read_text())
+    assert ref["inputs"] == workloads.paper_inputs_key(workloads.FULL)
+    queries, gallery, params, _ = workloads.paper_inputs(workloads.FULL)
+    query = queries[0]
+    want = ref["scores"][str(query.id)]
+    by_id = {g.id: g for g in gallery}
+    ids = [int(g) for g in want][:2]
+    got = score_batch(params, workloads.FULL.paper_model, query, [by_id[g] for g in ids])
+    for gid, score in zip(ids, got):
+        assert abs(score - want[str(gid)]) <= workloads.PAPER_SCORE_ATOL, gid

@@ -1,5 +1,6 @@
 """Command-line exit codes on bad descriptor data and repeated record ids:
-3, never a traceback; config digests free of machine facts."""
+3, never a traceback, and no output written; config digests free of machine
+facts."""
 
 import importlib
 import json
@@ -8,10 +9,13 @@ import struct
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rrt import cli
 from rrt.cli import main
 from rrt.data import DatasetManifest, ImageRecord, save_dataset
+from rrt.model import ModelConfig, init_params, save_checkpoint
+from rrt.retrieval import NeighborList, write_neighbors
 
 
 def write_gallery(path, globals_, ids=None, labels=None):
@@ -76,6 +80,43 @@ def test_retrieve_from_index_with_duplicate_id_exits_3(tmp_path, capsys):
     code = main(["retrieve", "--data", str(index), "--queries", str(data), "--k", "1", "--out", str(out)])
     assert code == 3
     assert "record id 7 appears more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+REPEATED = [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]  # ids 1, 2, 2 below
+
+
+@pytest.mark.parametrize("scorer", ["gv", "aqe"])
+@pytest.mark.parametrize("side", ["queries", "gallery"])
+def test_rerank_with_repeated_record_id_exits_3(tmp_path, capsys, scorer, side):
+    clean, repeated = tmp_path / "clean.rrtd", tmp_path / "repeated.rrtd"
+    write_gallery(clean, REPEATED, ids=[1, 2, 3])
+    write_gallery(repeated, REPEATED, ids=[1, 2, 2])
+    neighbors = tmp_path / "n.jsonl"
+    write_neighbors(neighbors, [NeighborList(2, [(1, 0.5), (2, 0.4)])])
+    files = {"queries": clean, "gallery": clean, side: repeated}
+    out = tmp_path / "r.jsonl"
+    code = main(["rerank", "--data", str(neighbors), "--queries", str(files["queries"]),
+                 "--gallery", str(files["gallery"]), "--scorer", scorer, "--out", str(out)])
+    assert code == 3
+    assert "record id 2 appears more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("side", ["queries", "gallery"])
+def test_correspond_with_repeated_record_id_exits_3(tmp_path, capsys, side):
+    clean, repeated = tmp_path / "clean.rrtd", tmp_path / "repeated.rrtd"
+    write_gallery(clean, REPEATED, ids=[1, 2, 3])
+    write_gallery(repeated, REPEATED, ids=[1, 2, 2])
+    cfg = ModelConfig(L=2, d=4, h=2, d_h=2, layers=1, d_c=8, n_scales=1, d_g_raw=2)
+    checkpoint = tmp_path / "m.rrtm"
+    save_checkpoint(init_params(cfg, seed=0), cfg, checkpoint)
+    files = {"queries": clean, "gallery": clean, side: repeated}
+    out = tmp_path / "c.json"
+    argv = ["correspond", "--queries", str(files["queries"]), "--gallery", str(files["gallery"]),
+            "--checkpoint", str(checkpoint), "--query-id", "2", "--gallery-id", "2", "--out", str(out)]
+    assert main(argv) == 3
+    assert "record id 2 appears more than once" in capsys.readouterr().err
     assert not out.exists()
 
 

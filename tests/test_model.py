@@ -12,7 +12,6 @@ from rrt.data import ImageRecord, LocalDescriptor
 from rrt.errors import ConfigError, DataFormatError, IntegrityError
 from rrt.model import (
     ModelConfig,
-    assemble_input,
     attention_correspondences,
     forward_pair_logits,
     init_params,
@@ -29,6 +28,7 @@ from rrt.model import (
 
 from gradcheck import central_difference, max_rel_err
 from helpers import make_pair, make_record, tiny_config
+from oracles import assemble_input
 
 
 def default_config():
