@@ -355,7 +355,7 @@ def gv_scores(
     (seed, query id, candidate id), independent of evaluation order and of
     how candidates fall into blocks."""
     scores = [0] * len(candidates)
-    la, pos_a = query.locals_matrix(), query.positions()
+    la, pos_a = query.vecs, query.uv
     block, slots, rows, width = [], [], 0, 0
 
     def flush():
@@ -363,7 +363,7 @@ def gv_scores(
             scores[slot] = count
 
     for slot, cand in enumerate(candidates):
-        lb = cand.locals_matrix()
+        lb = cand.vecs
         if la.shape[0] == 0 or lb.shape[0] == 0:
             continue
         matches = mutual_nn_matches(la, lb, ratio=cfg.ratio)
@@ -371,7 +371,7 @@ def gv_scores(
         if n < 4:
             continue
         pa = pos_a[[m.a_index for m in matches]].astype(np.float64)
-        pb = cand.positions()[[m.b_index for m in matches]].astype(np.float64)
+        pb = cand.uv[[m.b_index for m in matches]].astype(np.float64)
         seed = int(_pair_seed(cfg.seed, query.id, cand.id).generate_state(1)[0])
         hyps = min(cfg.iterations, comb(n, 4))
         if block and (rows + hyps) * max(width, n) > GV_BLOCK_BUDGET:

@@ -569,8 +569,8 @@ def cmd_correspond(cfg: dict) -> int:
                 "query_local": i,
                 "gallery_local": j,
                 "weight": w,
-                "query_uv": [q.locals[i].u, q.locals[i].v],
-                "gallery_uv": [g.locals[j].u, g.locals[j].v],
+                "query_uv": q.uv[i].tolist(),
+                "gallery_uv": g.uv[j].tolist(),
             }
             for i, j, w in matches
         ],

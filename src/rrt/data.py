@@ -2,8 +2,9 @@
 
 An image is a global descriptor plus up to L local descriptors, each local
 carrying a pixel position (u, v) and an index into a predefined set of
-extraction scales.  Descriptors are stored as written (pre-normalization);
-consumers normalize explicitly at index/model time via ``normalize_records``.
+extraction scales.  Records are columnar, one array per field (``ImageRecord``
+states the arrays and the checks made when a record is built).  Descriptors
+are stored as written; consumers normalize them via ``normalize_records``.
 
 Wire format (little-endian), file extension ``.rrtd``:
 
@@ -12,11 +13,14 @@ Wire format (little-endian), file extension ``.rrtd``:
     u32 n_images
     per image: u32 id | u32 label | d_g_raw x f32 global | u16 L_actual
                per local: d_l x f32 vec | f32 u | f32 v | u8 scale_index
+
+A local is one item of the packed structured dtype ``_local_dtype(d_l)``: vec
+<f4 x d_l, u <f4, v <f4, s u1, itemsize 4*d_l + 9.  A record's locals are read
+with one ``np.frombuffer`` and written with one ``tobytes``.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -26,11 +30,11 @@ import numpy as np
 from .errors import ConfigError, DataFormatError
 
 __all__ = [
-    "LocalDescriptor",
     "ImageRecord",
     "DatasetManifest",
     "SynthConfig",
     "l2_normalize",
+    "l2_normalize_rows",
     "normalize_records",
     "records_by_id",
     "save_dataset",
@@ -50,40 +54,43 @@ U32_MAX = 0xFFFFFFFF
 DEFAULT_SCALES = tuple(float(np.float32(0.25 * 2 ** (i / 2))) for i in range(7))
 
 
-@dataclass
-class LocalDescriptor:
-    vec: np.ndarray  # float32[d_l]
-    u: float
-    v: float
-    scale_index: int
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ImageRecord:
-    """One image's descriptors.  Treated as immutable once loaded or
-    generated (callers build new records instead of editing), which lets the
-    model cache derived arrays per record."""
+    """One image's descriptors, one array per field, row k being local k in
+    file order: ``vecs`` float32 [n, d_l], ``uv`` float32 [n, 2] pixel
+    positions and ``scale_idx`` uint8 [n] indices into the manifest's scales.
+    Building a record makes the three arrays read-only views of those dtypes
+    and checks that they are 2-D, 2-D and 1-D, agree on n, and that every
+    scale index is an integer that fits u8; a failure raises DataFormatError
+    naming the record.  To change a record, build a new one
+    (``dataclasses.replace`` checks it again)."""
 
     id: int
     label: int
     global_desc: np.ndarray  # float32[d_g_raw]
-    locals: list[LocalDescriptor]
+    vecs: np.ndarray
+    uv: np.ndarray
+    scale_idx: np.ndarray
 
-    def locals_matrix(self) -> np.ndarray:
-        """All local vectors stacked, shape [L_actual, d_l]."""
-        if not self.locals:
-            return np.zeros((0, self.global_desc.shape[0]), dtype=np.float32)
-        return np.stack([l.vec for l in self.locals]).astype(np.float32, copy=False)
-
-    def scale_indices(self) -> np.ndarray:
-        return np.array([l.scale_index for l in self.locals], dtype=np.int64)
-
-    def positions(self) -> np.ndarray:
-        return np.array([[l.u, l.v] for l in self.locals], dtype=np.float32).reshape(-1, 2)
+    def __post_init__(self):
+        given = np.asarray(self.scale_idx)
+        for name, dtype in (("vecs", np.float32), ("uv", np.float32), ("scale_idx", np.uint8)):
+            a = np.asarray(getattr(self, name)).astype(dtype, copy=False).view()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        n = len(self.vecs)
+        if self.vecs.ndim != 2 or self.uv.shape != (n, 2) or self.scale_idx.shape != (n,):
+            raise DataFormatError(f"record {self.id}: local arrays disagree: vecs {self.vecs.shape}, "
+                                  f"uv {self.uv.shape}, scale_idx {self.scale_idx.shape}")
+        if not np.array_equal(self.scale_idx, given):
+            raise DataFormatError(f"record {self.id}: scale indices must be integers in [0, 255]")
 
     def truncated(self, max_locals: int) -> "ImageRecord":
         """Copy keeping only the first max_locals locals (file order)."""
-        return ImageRecord(self.id, self.label, self.global_desc, self.locals[:max_locals])
+        if max_locals < 0:
+            raise ConfigError(f"max_locals must be non-negative, got {max_locals}")
+        keep = slice(max_locals)
+        return replace(self, vecs=self.vecs[keep], uv=self.uv[keep], scale_idx=self.scale_idx[keep])
 
 
 @dataclass
@@ -109,31 +116,37 @@ class DatasetManifest:
 
 
 def l2_normalize(vec: np.ndarray) -> np.ndarray:
-    """Unit-norm copy.  A zero vector has no direction, and a vector whose
-    norm is not finite (a NaN or infinite entry) has no unit copy; both are
-    rejected."""
-    v = np.asarray(vec)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise DataFormatError("cannot L2-normalize a zero vector")
-    if not math.isfinite(norm):
-        raise DataFormatError("cannot L2-normalize a vector with a non-finite norm")
-    return (v / norm).astype(v.dtype, copy=False)
+    """Unit-norm copy of one vector, as ``l2_normalize_rows`` makes of a row."""
+    return l2_normalize_rows(np.asarray(vec)[None])[0]
+
+
+def l2_normalize_rows(m: np.ndarray, ids: Sequence[int] | None = None) -> np.ndarray:
+    """Unit-norm copy of each row of a 2-D array.  A zero vector has no
+    direction and a vector whose norm is not finite (a NaN or infinite entry)
+    has no unit copy: both raise DataFormatError, naming ids[i] as row i's
+    record when ids are given.  ``np.vecdot`` gives each row the dot product
+    ``np.linalg.norm`` takes of the row alone, so the bytes do not depend on
+    the batching (``np.linalg.norm(axis=1)`` does not have that property)."""
+    norms = np.sqrt(np.vecdot(m, m))
+    bad = (norms == 0.0) | ~np.isfinite(norms)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "a zero vector" if norms[i] == 0.0 else "a vector with a non-finite norm"
+        where = "" if ids is None else f"record {ids[i]}: "
+        raise DataFormatError(f"{where}cannot L2-normalize {what}")
+    return m / norms[:, None]
 
 
 def normalize_records(records: Iterable[ImageRecord]) -> list[ImageRecord]:
     """Unit-normalize globals and locals; returns new records."""
-    out = []
-    for r in records:
-        try:
-            locs = [
-                LocalDescriptor(l2_normalize(l.vec), l.u, l.v, l.scale_index)
-                for l in r.locals
-            ]
-            out.append(ImageRecord(r.id, r.label, l2_normalize(r.global_desc), locs))
-        except DataFormatError as exc:
-            raise DataFormatError(f"record {r.id}: {exc}") from None
-    return out
+    return [
+        replace(
+            r,
+            vecs=l2_normalize_rows(r.vecs, [r.id] * len(r.vecs)),
+            global_desc=l2_normalize_rows(r.global_desc[None], [r.id])[0],
+        )
+        for r in records
+    ]
 
 
 def records_by_id(records: Iterable[ImageRecord]) -> dict[int, ImageRecord]:
@@ -150,6 +163,10 @@ def records_by_id(records: Iterable[ImageRecord]) -> dict[int, ImageRecord]:
 # -- persistence ---------------------------------------------------------
 
 
+def _local_dtype(d_l: int) -> np.dtype:
+    return np.dtype([("vec", "<f4", (d_l,)), ("u", "<f4"), ("v", "<f4"), ("s", "u1")])
+
+
 def save_dataset(records: Sequence[ImageRecord], manifest: DatasetManifest, path) -> None:
     buf = bytearray()
     buf += MAGIC
@@ -163,26 +180,23 @@ def save_dataset(records: Sequence[ImageRecord], manifest: DatasetManifest, path
             raise ValueError(
                 f"record {r.id}: global has shape {g.shape}, manifest says {manifest.d_g_raw}"
             )
-        if len(r.locals) > 0xFFFF:
+        n = len(r.vecs)
+        if n > 0xFFFF:
             raise ValueError(f"record {r.id}: too many locals for the format")
         for name, value in (("id", r.id), ("label", r.label)):
             if not 0 <= value <= U32_MAX:
                 raise DataFormatError(f"record {r.id}: {name} {value} does not fit the format's u32")
+        if n and r.vecs.shape[1] != manifest.d_l:
+            raise ValueError(f"record {r.id}: local dim {r.vecs.shape[1]}, manifest says {manifest.d_l}")
+        if n and r.scale_idx.max() >= manifest.n_scales:
+            raise ValueError(f"record {r.id}: scale index outside [0, {manifest.n_scales})")
         buf += struct.pack("<II", r.id, r.label)
         buf += g.tobytes()
-        buf += struct.pack("<H", len(r.locals))
-        for l in r.locals:
-            v = np.asarray(l.vec, dtype="<f4")
-            if v.shape != (manifest.d_l,):
-                raise ValueError(
-                    f"record {r.id}: local has dim {v.shape}, manifest says {manifest.d_l}"
-                )
-            if not 0 <= l.scale_index < manifest.n_scales:
-                raise ValueError(
-                    f"record {r.id}: scale index {l.scale_index} outside [0, {manifest.n_scales})"
-                )
-            buf += v.tobytes()
-            buf += struct.pack("<ffB", l.u, l.v, l.scale_index)
+        buf += struct.pack("<H", n)
+        if n:
+            locs = np.empty(n, dtype=_local_dtype(manifest.d_l))
+            locs["vec"], locs["u"], locs["v"], locs["s"] = r.vecs, r.uv[:, 0], r.uv[:, 1], r.scale_idx
+            buf += locs.tobytes()
     with open(path, "wb") as fh:
         fh.write(buf)
 
@@ -210,12 +224,24 @@ class _Cursor:
     def floats(self, n: int) -> np.ndarray:
         return np.frombuffer(self.take(4 * n), dtype="<f4").copy()
 
+    def items(self, dtype: np.dtype, n: int) -> np.ndarray:
+        """Up to n packed items of a structured dtype, as one read-only view:
+        fewer when the data ends first, the cursor then at the cut item."""
+        n = min(n, (len(self.data) - self.off) // dtype.itemsize)
+        out = np.frombuffer(self.data, dtype=dtype, count=n, offset=self.off)
+        self.off += n * dtype.itemsize
+        return out
+
 
 def load_dataset(path, max_locals: int | None = None) -> tuple[list[ImageRecord], DatasetManifest]:
     """Read a descriptor file byte-exactly (no normalization applied).
 
-    max_locals truncates each image's local list by file order.
+    max_locals truncates each image's locals by file order.  Errors report
+    the byte offset a local-by-local read would fail at: the first bad scale
+    byte, or the start of the first incomplete field (vec, or u v s).
     """
+    if max_locals is not None and max_locals < 0:
+        raise ConfigError(f"max_locals must be non-negative, got {max_locals}")
     with open(path, "rb") as fh:
         cur = _Cursor(fh.read())
     magic = cur.take(4)
@@ -234,23 +260,26 @@ def load_dataset(path, max_locals: int | None = None) -> tuple[list[ImageRecord]
         scale_values=scale_values,
         n_images=n_images,
     )
+    local_dt = _local_dtype(d_l)
     records = []
     for _ in range(n_images):
         rid, label = cur.unpack("<II")
         g = cur.floats(d_g_raw)
         (n_loc,) = cur.unpack("<H")
-        locs = []
-        for _ in range(n_loc):
-            vec = cur.floats(d_l)
-            u, v, sidx = cur.unpack("<ffB")
-            if sidx >= n_scales:
-                raise DataFormatError(
-                    f"scale index {sidx} outside [0, {n_scales})", offset=cur.off - 1
-                )
-            locs.append(LocalDescriptor(vec, u, v, sidx))
-        if max_locals is not None:
-            locs = locs[:max_locals]
-        records.append(ImageRecord(rid, label, g, locs))
+        start = cur.off
+        locs = cur.items(local_dt, n_loc)
+        bad = np.flatnonzero(locs["s"] >= n_scales)
+        if bad.size:
+            raise DataFormatError(
+                f"scale index {locs['s'][bad[0]]} outside [0, {n_scales})",
+                offset=start + (int(bad[0]) + 1) * local_dt.itemsize - 1,
+            )
+        if len(locs) < n_loc:  # the file ends inside this local
+            cur.take(4 * d_l)
+            cur.take(9)
+        locs = locs[:max_locals]
+        uv = np.stack([locs["u"], locs["v"]], axis=1)
+        records.append(ImageRecord(rid, label, g, locs["vec"].copy(), uv, locs["s"].copy()))
     if cur.off != len(cur.data):
         raise DataFormatError(
             f"{len(cur.data) - cur.off} trailing bytes after the last record",
@@ -417,17 +446,11 @@ def synth_generate(
 
             uv = rng.uniform(0.0, cfg.canvas, size=(cfg.locals_per_image, 2))
             sidx = rng.integers(0, cfg.n_scales, size=cfg.locals_per_image)
-            locs = [
-                LocalDescriptor(
-                    vecs[k].astype(np.float32), float(uv[k, 0]), float(uv[k, 1]), int(sidx[k])
-                )
-                for k in range(cfg.locals_per_image)
-            ]
 
             g = global_protos[inst] + cfg.global_noise * rng.standard_normal(cfg.d_g_raw)
             g = (g / np.linalg.norm(g)).astype(np.float32)
 
-            rec = ImageRecord(next_id, inst, g, locs)
+            rec = ImageRecord(next_id, inst, g, vecs, uv, sidx)
             next_id += 1
             if j < cfg.queries_per_instance:
                 queries.append(rec)
@@ -453,4 +476,4 @@ def grid_dedup_count(record: ImageRecord, stride: int) -> int:
     by the record's locals, ignoring scale."""
     if stride <= 0:
         raise ValueError("stride must be positive")
-    return len({(int(l.u // stride), int(l.v // stride)) for l in record.locals})
+    return len(np.unique(np.floor_divide(record.uv, stride, dtype=np.float64), axis=0))

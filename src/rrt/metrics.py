@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .data import ImageRecord, grid_dedup_count
+from .errors import ConfigError
 from .retrieval import NeighborList
 
 __all__ = [
@@ -214,9 +215,13 @@ def ablation_locals_sweep(
     retrieval stage is unaffected (globals do not change), the scorer returned
     by make_scorer(truncated queries, truncated gallery) reranks the top k.
     Each row also carries mean locals kept and mean distinct stride-grid cells
-    as duplicate-location statistics.
+    as duplicate-location statistics.  A negative count or a stride below 1
+    raises ConfigError before anything is scored.
     """
     from .retrieval import build_index, knn_search, query_vector, rerank_topk
+
+    if stride <= 0 or min(counts, default=0) < 0:
+        raise ConfigError(f"want counts >= 0 and stride > 0, got counts {list(counts)}, stride {stride}")
 
     gt = build_ground_truth(queries, gallery)
     index = build_index(gallery)
@@ -241,7 +246,7 @@ def ablation_locals_sweep(
             {
                 "count": int(c),
                 "map": float(np.mean(aps)),
-                "mean_locals": float(np.mean([len(r.locals) for r in everything])),
+                "mean_locals": float(np.mean([len(r.vecs) for r in everything])),
                 "mean_distinct_cells": float(
                     np.mean([grid_dedup_count(r, stride) for r in everything])
                 ),

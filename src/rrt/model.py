@@ -24,7 +24,6 @@ Checkpoint wire format (little-endian), extension ``.rrtm``:
 from __future__ import annotations
 
 import struct
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,8 +82,7 @@ class ModelConfig:
 
     @property
     def seq_len(self) -> int:
-        per_image = self.L + (1 if self.use_global_token else 0)
-        return 2 + 2 * per_image
+        return sum(width for _, _, _, width in _segments(self))
 
 
 def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], tuple]]:
@@ -257,22 +255,6 @@ def transformer_layer(layer, cfg: ModelConfig, z: Tensor, mask: np.ndarray, retu
     return out, attn_w
 
 
-_RECORD_ARRAYS: "weakref.WeakKeyDictionary[ImageRecord, tuple]" = weakref.WeakKeyDictionary()
-
-
-def _record_arrays(rec: ImageRecord):
-    """(locals matrix, scale indices, positions, min scale index, max scale
-    index) of a record with locals, cached per record; records are immutable
-    after load by contract.  The cache holds facts about the record only, so
-    every model checks them against its own config."""
-    got = _RECORD_ARRAYS.get(rec)
-    if got is None:
-        sidx = rec.scale_indices()
-        got = (rec.locals_matrix(), sidx, rec.positions(), int(sidx.min()), int(sidx.max()))
-        _RECORD_ARRAYS[rec] = got
-    return got
-
-
 def _gather_side(cfg: ModelConfig, records: Sequence[ImageRecord], dtype):
     """Stacked raw inputs for one side of the batch: padded local matrices,
     scale indices (0 at pads), local valid mask, raw globals."""
@@ -282,7 +264,7 @@ def _gather_side(cfg: ModelConfig, records: Sequence[ImageRecord], dtype):
     lmask = np.zeros((B, L), dtype=bool)
     globals_mat = np.zeros((B, cfg.d_g_raw), dtype=dtype)
     for bi, rec in enumerate(records):
-        n = len(rec.locals)
+        n = len(rec.vecs)
         if n > cfg.L:
             raise ConfigError(
                 f"record {rec.id} has {n} locals but the model takes at most {cfg.L}; "
@@ -296,20 +278,20 @@ def _gather_side(cfg: ModelConfig, records: Sequence[ImageRecord], dtype):
                 )
             globals_mat[bi] = g
         if n:
-            mat, si, pos, si_min, si_max = _record_arrays(rec)
-            if mat.shape[1] != cfg.d:
+            if rec.vecs.shape[1] != cfg.d:
                 raise ConfigError(
-                    f"record {rec.id}: local dim {mat.shape[1]} but model dim is {cfg.d}"
+                    f"record {rec.id}: local dim {rec.vecs.shape[1]} but model dim is {cfg.d}"
                 )
-            if si_max >= cfg.n_scales or si_min < 0:
-                raise ConfigError(
-                    f"record {rec.id}: scale index outside [0, {cfg.n_scales})"
-                )
-            locals_mat[bi, :n] = mat
-            sidx[bi, :n] = si
+            locals_mat[bi, :n] = rec.vecs
+            sidx[bi, :n] = rec.scale_idx
             lmask[bi, :n] = True
             if cfg.use_pos_embed:
-                locals_mat[bi, :n] += _position_code(pos, cfg.d).astype(dtype)
+                locals_mat[bi, :n] += _position_code(rec.uv, cfg.d).astype(dtype)
+    bad = sidx.max(axis=1) >= cfg.n_scales
+    if bad.any():
+        raise ConfigError(
+            f"record {records[int(np.argmax(bad))].id}: scale index outside [0, {cfg.n_scales})"
+        )
     return locals_mat, sidx, lmask, globals_mat
 
 
@@ -328,32 +310,38 @@ def _tile_token(tok: Tensor, B: int, dtype) -> Tensor:
     return ag.add(Tensor(np.zeros((B, 1, d), dtype=dtype)), ag.reshape(tok, (1, 1, d)))
 
 
+def _segments(cfg: ModelConfig) -> list[tuple[str, str, int, int]]:
+    """(kind, side, first token, width) of each block of a pair's token
+    sequence, in sequence order: the module docstring's layout."""
+    out, pos = [], 0
+    for side, lead in (("a", "cls"), ("b", "sep")):
+        for kind, width in ((lead, 1), ("global", 1), ("locals", cfg.L)):
+            if kind != "global" or cfg.use_global_token:
+                out.append((kind, side, pos, width))
+                pos += width
+    return out
+
+
 def _assemble_batch(params: ModelParams, cfg: ModelConfig, pairs, dtype):
     """Token sequences [B, T, d] and key masks [B, T] of a batch of pairs,
-    built with a handful of batched graph ops; the layout is the module
-    docstring's, pads are zero tokens with a False mask entry."""
+    built with a handful of batched graph ops in ``_segments`` order; pads
+    are zero tokens with a False mask entry."""
     B = len(pairs)
-    la, sa, ma, ga = _gather_side(cfg, [p[0] for p in pairs], dtype)
-    lb, sb, mb, gb = _gather_side(cfg, [p[1] for p in pairs], dtype)
-
-    blocks = [_tile_token(params["tok.cls"], B, dtype)]
-    mask_cols = [np.ones((B, 1), dtype=bool)]
-    if cfg.use_global_token:
-        proj_a = ag.affine(Tensor(ga), params["global_proj.w"], params["global_proj.b"])
-        blocks.append(ag.reshape(ag.add(proj_a, params["seg.global_a"]), (B, 1, cfg.d)))
-        mask_cols.append(np.ones((B, 1), dtype=bool))
-    blocks.append(_local_block(params, cfg, "a", la, sa, ma))
-    mask_cols.append(ma)
-
-    blocks.append(_tile_token(params["tok.sep"], B, dtype))
-    mask_cols.append(np.ones((B, 1), dtype=bool))
-    if cfg.use_global_token:
-        proj_b = ag.affine(Tensor(gb), params["global_proj.w"], params["global_proj.b"])
-        blocks.append(ag.reshape(ag.add(proj_b, params["seg.global_b"]), (B, 1, cfg.d)))
-        mask_cols.append(np.ones((B, 1), dtype=bool))
-    blocks.append(_local_block(params, cfg, "b", lb, sb, mb))
-    mask_cols.append(mb)
-
+    sides = {s: _gather_side(cfg, [p[i] for p in pairs], dtype) for i, s in enumerate("ab")}
+    one = np.ones((B, 1), dtype=bool)
+    blocks, mask_cols = [], []
+    for kind, side, _, _ in _segments(cfg):
+        locals_mat, sidx, lmask, globals_mat = sides[side]
+        if kind == "locals":
+            blocks.append(_local_block(params, cfg, side, locals_mat, sidx, lmask))
+            mask_cols.append(lmask)
+            continue
+        if kind == "global":
+            proj = ag.affine(Tensor(globals_mat), params["global_proj.w"], params["global_proj.b"])
+            blocks.append(ag.reshape(ag.add(proj, params[f"seg.global_{side}"]), (B, 1, cfg.d)))
+        else:
+            blocks.append(_tile_token(params[f"tok.{kind}"], B, dtype))
+        mask_cols.append(one)
     return ag.concat(blocks, axis=1), np.concatenate(mask_cols, axis=1)
 
 
@@ -440,21 +428,17 @@ def attention_correspondences(
 
     Head-averaged post-softmax attention from a's local tokens (rows) to b's
     local tokens (columns) is used as the affinity of an exact maximum-weight
-    assignment.  Returns (index in a.locals, index in b.locals, affinity),
+    assignment.  Returns (local index in a, local index in b, affinity),
     sorted by the first index; empty if either image has no locals.
     """
-    na, nb = len(a.locals), len(b.locals)
+    na, nb = len(a.vecs), len(b.vecs)
     if na == 0 or nb == 0:
         return []
     with ag.no_grad():
         _, attn = forward_pair_logits(params, cfg, [(a, b)], collect_attention=True)
     m = attn[0].mean(axis=0)  # [T, T]
-    g = 1 if cfg.use_global_token else 0
-    base_a = 1 + g
-    base_b = 1 + g + cfg.L + 1 + g
-    rows = np.arange(base_a, base_a + na)
-    cols = np.arange(base_b, base_b + nb)
-    affinity = m[np.ix_(rows, cols)]
+    a0, b0 = (pos for kind, _, pos, _ in _segments(cfg) if kind == "locals")
+    affinity = m[a0 : a0 + na, b0 : b0 + nb]
     return [(i, j, float(affinity[i, j])) for i, j in max_weight_assignment(affinity)]
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import alpha_qe_expand
-from .data import U32_MAX, ImageRecord, l2_normalize
+from .data import U32_MAX, ImageRecord, l2_normalize, l2_normalize_rows
 from .errors import DataFormatError
 
 __all__ = [
@@ -85,27 +85,14 @@ def build_index(
     cfg=None,
 ) -> GlobalIndex:
     """Index over raw globals, or over the model's projected globals."""
+    if projected and (params is None or cfg is None):
+        raise ValueError("projected index needs model params and config")
     ids = np.array([r.id for r in records], dtype=np.int64)
+    mat = np.stack([r.global_desc.astype(np.float32) for r in records])
     if projected:
-        if params is None or cfg is None:
-            raise ValueError("projected index needs model params and config")
-        raw = _unit_rows([r.global_desc.astype(np.float32) for r in records], ids)
-        mat = raw @ params["global_proj.w"].data + params["global_proj.b"].data
-    else:
-        mat = np.stack([r.global_desc.astype(np.float32) for r in records])
-    mat = _unit_rows(mat, ids).astype(np.float32)
+        mat = l2_normalize_rows(mat, ids) @ params["global_proj.w"].data + params["global_proj.b"].data
+    mat = l2_normalize_rows(mat, ids).astype(np.float32)
     return GlobalIndex(ids=ids, vectors=mat, projected=projected)
-
-
-def _unit_rows(rows, ids) -> np.ndarray:
-    """Stacked l2_normalize of each row; a failure names the record id."""
-    out = []
-    for rec_id, row in zip(ids, rows):
-        try:
-            out.append(l2_normalize(row))
-        except DataFormatError as exc:
-            raise DataFormatError(f"record {rec_id}: {exc}") from None
-    return np.stack(out)
 
 
 def query_vector(index: GlobalIndex, record: ImageRecord, params=None, cfg=None) -> np.ndarray:

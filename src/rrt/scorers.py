@@ -68,10 +68,10 @@ def oracle_part_ids(
     """Nearest-prototype assignment of a record's locals over the generator's
     part bank [n_instances, parts_per_instance, d_l]; locals whose best cosine
     falls below the threshold (distractors) are dropped."""
-    if not record.locals:
+    if not len(record.vecs):
         return frozenset()
     flat = part_bank.reshape(-1, part_bank.shape[-1]).astype(np.float32)
-    sims = record.locals_matrix() @ flat.T
+    sims = record.vecs @ flat.T
     best = sims.argmax(axis=1)
     keep = sims[np.arange(len(best)), best] >= threshold
     return frozenset(int(b) for b in best[keep])

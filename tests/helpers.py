@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from rrt.data import ImageRecord, LocalDescriptor
+from rrt.data import ImageRecord
 from rrt.model import ModelConfig
 
 
@@ -16,21 +16,28 @@ def tiny_config(**overrides) -> ModelConfig:
 
 def make_record(rng, rec_id, label, d_l, d_g, n_locals, n_scales, canvas=1024.0):
     """Unit-normalized random record."""
-    locs = []
+    vecs, uv, sidx = [], [], []
     for _ in range(n_locals):
         v = rng.standard_normal(d_l)
         v /= np.linalg.norm(v)
-        locs.append(
-            LocalDescriptor(
-                v.astype(np.float32),
-                float(rng.uniform(0, canvas)),
-                float(rng.uniform(0, canvas)),
-                int(rng.integers(0, n_scales)),
-            )
-        )
+        vecs.append(v.astype(np.float32))
+        uv.append((rng.uniform(0, canvas), rng.uniform(0, canvas)))
+        sidx.append(int(rng.integers(0, n_scales)))
     g = rng.standard_normal(d_g)
     g /= np.linalg.norm(g)
-    return ImageRecord(rec_id, label, g.astype(np.float32), locs)
+    return ImageRecord(
+        rec_id,
+        label,
+        g.astype(np.float32),
+        np.reshape(vecs, (n_locals, d_l)),
+        np.reshape(uv, (n_locals, 2)),
+        sidx,
+    )
+
+
+def no_locals():
+    """The (vecs, uv, scale_idx) arrays of a record without locals."""
+    return np.zeros((0, 0), np.float32), np.zeros((0, 2), np.float32), np.zeros(0, np.uint8)
 
 
 def make_pair(rng, cfg, n_a=None, n_b=None):

@@ -150,19 +150,19 @@ def _image_tokens(params, cfg, rec, barred, dtype):
         mask.append(True)
         kinds.append((f"global_{side}", None))
 
-    n_loc = len(rec.locals)
+    n_loc = len(rec.vecs)
     if n_loc > cfg.L:
         raise ConfigError(
             f"record {rec.id} has {n_loc} locals but the model takes at most {cfg.L}; "
             "truncate at load time"
         )
     if n_loc:
-        mat = rec.locals_matrix().astype(dtype)
+        mat = rec.vecs.astype(dtype)
         if mat.shape[1] != cfg.d:
             raise ConfigError(
                 f"record {rec.id}: local dim {mat.shape[1]} but model dim is {cfg.d}"
             )
-        sidx = rec.scale_indices()
+        sidx = rec.scale_idx.astype(np.int64)
         if np.any(sidx >= cfg.n_scales) or np.any(sidx < 0):
             raise ConfigError(
                 f"record {rec.id}: scale index outside [0, {cfg.n_scales})"
@@ -171,7 +171,7 @@ def _image_tokens(params, cfg, rec, barred, dtype):
         if cfg.use_scale_embed:
             x = ag.add(x, ag.embedding(params["scale_embed.table"], sidx))
         if cfg.use_pos_embed:
-            x = ag.add(x, Tensor(_position_code(rec.positions(), cfg.d).astype(dtype)))
+            x = ag.add(x, Tensor(_position_code(rec.uv, cfg.d).astype(dtype)))
         x = ag.add(x, params[f"seg.local_{side}"])
         pieces.append(x)
         mask.extend([True] * n_loc)
@@ -357,16 +357,151 @@ def gv_score_svd(query, candidate, cfg):
     mutual-NN matches and per-pair seed, the reference RANSAC."""
     from rrt.baselines import mutual_nn_matches
 
-    la, lb = query.locals_matrix(), candidate.locals_matrix()
+    la, lb = query.vecs, candidate.vecs
     if la.shape[0] == 0 or lb.shape[0] == 0:
         return 0
     matches = mutual_nn_matches(la, lb, ratio=cfg.ratio)
     if len(matches) < 4:
         return 0
-    pa = query.positions()[[m.a_index for m in matches]]
-    pb = candidate.positions()[[m.b_index for m in matches]]
+    pa = query.uv[[m.a_index for m in matches]]
+    pb = candidate.uv[[m.b_index for m in matches]]
     seed = int(np.random.SeedSequence([cfg.seed, query.id, candidate.id]).generate_state(1)[0])
     _, count, _ = ransac_homography_svd(
         pa, pb, iterations=cfg.iterations, inlier_threshold=cfg.inlier_threshold, seed=seed
     )
     return count
+
+
+# -- per-local descriptor records ------------------------------------------
+#
+# The data path from before records were columnar: one (vec, u, v, scale
+# index) tuple per local, parsed, generated and normalized one local at a
+# time.  The reference for rrt.data's one-array-per-field code.
+
+
+def load_dataset_per_local(path, max_locals=None):
+    """Parse a `.rrtd` file one field at a time.  Returns (records,
+    (d_g_raw, d_l, n_scales, scale_values)), a record being (id, label,
+    global, [(vec, u, v, scale_index), ...]); raises DataFormatError at the
+    offset of the first field that is cut short or of the first bad scale
+    byte."""
+    import struct
+
+    from rrt.errors import DataFormatError
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    off = 0
+
+    def take(n):
+        nonlocal off
+        if off + n > len(data):
+            raise DataFormatError(
+                f"truncated file: wanted {n} bytes, {len(data) - off} left", offset=off
+            )
+        off += n
+        return data[off - n : off]
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    def floats(n):
+        return np.frombuffer(take(4 * n), dtype="<f4").copy()
+
+    if take(4) != b"RRTD":
+        raise DataFormatError("bad magic", offset=0)
+    if unpack("<I")[0] != 1:
+        raise DataFormatError("unsupported version", offset=4)
+    d_g_raw, d_l, n_scales = unpack("<IHB")
+    scale_values = tuple(float(x) for x in floats(n_scales))
+    (n_images,) = unpack("<I")
+    records = []
+    for _ in range(n_images):
+        rid, label = unpack("<II")
+        g = floats(d_g_raw)
+        (n_loc,) = unpack("<H")
+        locs = []
+        for _ in range(n_loc):
+            vec = floats(d_l)
+            u, v, sidx = unpack("<ffB")
+            if sidx >= n_scales:
+                raise DataFormatError(
+                    f"scale index {sidx} outside [0, {n_scales})", offset=off - 1
+                )
+            locs.append((vec, u, v, sidx))
+        if max_locals is not None:
+            locs = locs[:max_locals]
+        records.append((rid, label, g, locs))
+    if off != len(data):
+        raise DataFormatError(f"{len(data) - off} trailing bytes after the last record", offset=off)
+    return records, (d_g_raw, d_l, n_scales, scale_values)
+
+
+def synth_generate_per_local(cfg):
+    """rrt.data.synth_generate drawing the same random stream, building each
+    local as its own (vec, u, v, scale index) tuple.  Returns (queries,
+    gallery) in the record tuple form of load_dataset_per_local."""
+    from rrt.data import _draw_part_prototypes, _unit_rows
+
+    cfg.validate()
+    rng = np.random.default_rng(cfg.seed)
+    parts = _draw_part_prototypes(cfg, rng)
+    global_protos = np.empty((cfg.n_instances, cfg.d_g_raw))
+    for i in range(cfg.n_instances):
+        if i % 2 == 1 and i < 2 * cfg.global_confusion_pairs:
+            global_protos[i] = global_protos[i - 1]
+        else:
+            global_protos[i] = _unit_rows(rng, cfg.d_g_raw)
+    queries, gallery = [], []
+    next_id = 0
+    for inst in range(cfg.n_instances):
+        for j in range(cfg.images_per_instance):
+            part_ids = rng.choice(cfg.parts_per_instance, size=cfg.parts_per_image, replace=False)
+            true_locals = parts[inst, part_ids].astype(np.float64)
+            n_distract = cfg.locals_per_image - cfg.parts_per_image
+            distract = (
+                _unit_rows(rng, (n_distract, cfg.d_l)) if n_distract else np.zeros((0, cfg.d_l))
+            )
+            vecs = np.concatenate([true_locals, distract], axis=0)
+            vecs = vecs + cfg.local_noise * rng.standard_normal(vecs.shape)
+            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+            vecs = vecs[rng.permutation(cfg.locals_per_image)]
+            uv = rng.uniform(0.0, cfg.canvas, size=(cfg.locals_per_image, 2))
+            sidx = rng.integers(0, cfg.n_scales, size=cfg.locals_per_image)
+            locs = [
+                (vecs[k].astype(np.float32), float(uv[k, 0]), float(uv[k, 1]), int(sidx[k]))
+                for k in range(cfg.locals_per_image)
+            ]
+            g = global_protos[inst] + cfg.global_noise * rng.standard_normal(cfg.d_g_raw)
+            g = (g / np.linalg.norm(g)).astype(np.float32)
+            (queries if j < cfg.queries_per_instance else gallery).append((next_id, inst, g, locs))
+            next_id += 1
+    return queries, gallery
+
+
+def l2_normalize_one(vec):
+    """Unit-norm copy of one vector by its own np.linalg.norm, the per-vector
+    normalization rrt.data.l2_normalize_rows must reproduce byte for byte."""
+    v = np.asarray(vec)
+    return (v / float(np.linalg.norm(v))).astype(v.dtype, copy=False)
+
+
+def normalize_per_local(records):
+    """Normalize every local and global, one vector at a time."""
+    return [
+        (rid, label, l2_normalize_one(g), [(l2_normalize_one(vec), u, v, s) for vec, u, v, s in locs])
+        for rid, label, g, locs in records
+    ]
+
+
+def per_local_columns(record):
+    """(vecs, uv, scale_idx) of a per-local record tuple, in the dtypes of
+    rrt.data.ImageRecord, for byte comparison."""
+    _, _, _, locs = record
+    n = len(locs)
+    d_l = len(locs[0][0]) if n else 0
+    return (
+        np.array([vec for vec, _, _, _ in locs], dtype=np.float32).reshape(n, d_l),
+        np.array([[u, v] for _, u, v, _ in locs], dtype=np.float32).reshape(n, 2),
+        np.array([s for _, _, _, s in locs], dtype=np.uint8),
+    )

@@ -17,7 +17,7 @@ from rrt.baselines import (
     mutual_nn_matches,
     ransac_homography,
 )
-from rrt.data import ImageRecord, LocalDescriptor
+from rrt.data import ImageRecord
 
 from helpers import make_record
 from oracles import gv_score_svd, mutual_nn_brute, ransac_homography_svd
@@ -194,13 +194,9 @@ class TestRansacHomography:
 
 
 def record_from(vecs, coords, rec_id=0, label=0):
-    locs = [
-        LocalDescriptor(v.astype(np.float32), float(u), float(w), 0)
-        for v, (u, w) in zip(vecs, coords)
-    ]
     g = np.zeros(4, dtype=np.float32)
     g[0] = 1.0
-    return ImageRecord(rec_id, label, g, locs)
+    return ImageRecord(rec_id, label, g, vecs, coords, np.zeros(len(vecs), np.uint8))
 
 
 class TestGVScore:

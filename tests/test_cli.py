@@ -17,12 +17,14 @@ from rrt.data import DatasetManifest, ImageRecord, save_dataset
 from rrt.model import ModelConfig, init_params, save_checkpoint
 from rrt.retrieval import NeighborList, write_neighbors
 
+from helpers import no_locals
+
 
 def write_gallery(path, globals_, ids=None, labels=None):
     ids = range(len(globals_)) if ids is None else ids
     labels = [0] * len(globals_) if labels is None else labels
     recs = [
-        ImageRecord(i, lab, np.asarray(g, dtype=np.float32), [])
+        ImageRecord(i, lab, np.asarray(g, dtype=np.float32), *no_locals())
         for i, lab, g in zip(ids, labels, globals_)
     ]
     manifest = DatasetManifest(d_g_raw=2, d_l=4, n_scales=1, scale_values=(1.0,), n_images=len(recs))
@@ -141,3 +143,37 @@ def test_rerank_digest_does_not_depend_on_cpu_count(tmp_path, monkeypatch):
     finally:
         importlib.reload(cli)
     assert digests[0] == digests[1]
+
+
+def test_rerank_with_negative_locals_budget_exits_2(tmp_path, capsys):
+    data, neighbors, out = tmp_path / "g.rrtd", tmp_path / "n.jsonl", tmp_path / "r.jsonl"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    write_neighbors(neighbors, [NeighborList(2, [(1, 0.5), (3, 0.4)])])
+    code = main(["rerank", "--data", str(neighbors), "--queries", str(data), "--gallery", str(data),
+                 "--scorer", "gv", "--locals-max", "-3", "--out", str(out)])
+    assert code == 2
+    assert "max_locals must be non-negative, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--stride", "0"], "got counts [0, 2, 4, 8, 16], stride 0"),
+        (["--counts", "0,-1,4"], "got counts [0, -1, 4], stride 16"),
+    ],
+)
+def test_ablate_with_bad_budget_exits_2_before_scoring(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    data, out = tmp_path / "g.rrtd", tmp_path / "a.tsv"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    cfg = ModelConfig(L=2, d=4, h=2, d_h=2, layers=1, d_c=8, n_scales=1, d_g_raw=2)
+    checkpoint = tmp_path / "m.rrtm"
+    save_checkpoint(init_params(cfg, seed=0), cfg, checkpoint)
+    monkeypatch.setattr(cli, "make_rrt_scorer", lambda *a: pytest.fail("scored before the check"))
+    code = main(["ablate", "--queries", str(data), "--gallery", str(data),
+                 "--checkpoint", str(checkpoint), "--k", "2", "--out", str(out), *flags])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -1,6 +1,8 @@
 """Descriptor store tests: normalization, binary round trips, the synthetic
 generator's planted structure, grid dedup counts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,10 @@ from hypothesis import strategies as st
 from rrt.data import (
     DatasetManifest,
     ImageRecord,
-    LocalDescriptor,
     SynthConfig,
     grid_dedup_count,
     l2_normalize,
+    l2_normalize_rows,
     load_dataset,
     normalize_records,
     part_prototypes,
@@ -20,6 +22,14 @@ from rrt.data import (
     synth_generate,
 )
 from rrt.errors import ConfigError, DataFormatError
+
+from oracles import (
+    l2_normalize_one,
+    load_dataset_per_local,
+    normalize_per_local,
+    per_local_columns,
+    synth_generate_per_local,
+)
 
 
 def records_equal_bitwise(a, b):
@@ -30,16 +40,9 @@ def records_equal_bitwise(a, b):
             return False
         if ra.global_desc.tobytes() != rb.global_desc.tobytes():
             return False
-        if len(ra.locals) != len(rb.locals):
-            return False
-        for la, lb in zip(ra.locals, rb.locals):
-            if la.vec.tobytes() != lb.vec.tobytes():
-                return False
-            if (
-                np.float32(la.u).tobytes() != np.float32(lb.u).tobytes()
-                or np.float32(la.v).tobytes() != np.float32(lb.v).tobytes()
-                or la.scale_index != lb.scale_index
-            ):
+        for name in ("vecs", "uv", "scale_idx"):
+            x, y = getattr(ra, name), getattr(rb, name)
+            if len(x) != len(y) or x.tobytes() != y.tobytes():
                 return False
     return True
 
@@ -48,20 +51,20 @@ def random_records(seed, n_images, d_g=8, d_l=4, n_scales=3, max_locals=5):
     rng = np.random.default_rng(seed)
     recs = []
     for i in range(n_images):
-        locs = [
-            LocalDescriptor(
-                rng.standard_normal(d_l).astype(np.float32),
-                float(rng.uniform(0, 1024)),
-                float(rng.uniform(0, 1024)),
-                int(rng.integers(0, n_scales)),
-            )
-            for _ in range(rng.integers(0, max_locals + 1))
-        ]
-        recs.append(
-            ImageRecord(i, int(rng.integers(0, 4)), rng.standard_normal(d_g).astype(np.float32), locs)
-        )
+        n = int(rng.integers(0, max_locals + 1))
+        vecs, uv, sidx = np.zeros((n, d_l), np.float32), np.zeros((n, 2)), np.zeros(n, np.uint8)
+        for k in range(n):
+            vecs[k] = rng.standard_normal(d_l)
+            uv[k] = rng.uniform(0, 1024), rng.uniform(0, 1024)
+            sidx[k] = rng.integers(0, n_scales)
+        label, g = int(rng.integers(0, 4)), rng.standard_normal(d_g).astype(np.float32)
+        recs.append(ImageRecord(i, label, g, vecs, uv, sidx))
     manifest = DatasetManifest(
-        d_g_raw=d_g, d_l=d_l, n_scales=n_scales, scale_values=(0.5, 1.0, 2.0), n_images=n_images
+        d_g_raw=d_g,
+        d_l=d_l,
+        n_scales=n_scales,
+        scale_values=(0.5, 1.0, 2.0, 4.0)[:n_scales],
+        n_images=n_images,
     )
     return recs, manifest
 
@@ -91,12 +94,7 @@ class TestL2Normalize:
 
     def test_zero_descriptor_names_its_record(self):
         recs, _ = random_records(3, 3)
-        recs[1] = ImageRecord(
-            recs[1].id,
-            recs[1].label,
-            recs[1].global_desc,
-            [LocalDescriptor(np.zeros(4, dtype=np.float32), 1.0, 2.0, 0)],
-        )
+        recs[1] = replace(recs[1], vecs=np.zeros((1, 4)), uv=[[1.0, 2.0]], scale_idx=[0])
         with pytest.raises(DataFormatError, match=f"record {recs[1].id}: .*zero vector"):
             normalize_records(recs)
 
@@ -126,13 +124,7 @@ class TestPersistence:
     @pytest.mark.parametrize("field, value", [("id", 2**32 + 5), ("id", -1), ("label", 2**32)])
     def test_ids_and_labels_outside_u32_rejected_on_save(self, tmp_path, field, value):
         recs, manifest = random_records(1, 3)
-        r = recs[1]
-        recs[1] = ImageRecord(
-            value if field == "id" else r.id,
-            value if field == "label" else r.label,
-            r.global_desc,
-            r.locals,
-        )
+        recs[1] = replace(recs[1], **{field: value})
         p = tmp_path / "d.rrtd"
         with pytest.raises(DataFormatError, match=f"record {recs[1].id}: {field} {value} "):
             save_dataset(recs, manifest, p)
@@ -170,9 +162,8 @@ class TestPersistence:
         save_dataset(recs, manifest, p)
         loaded, _ = load_dataset(p, max_locals=1)
         for orig, got in zip(recs, loaded):
-            assert len(got.locals) == min(1, len(orig.locals))
-            if got.locals:
-                assert got.locals[0].vec.tobytes() == orig.locals[0].vec.tobytes()
+            assert len(got.vecs) == len(got.uv) == len(got.scale_idx) == min(1, len(orig.vecs))
+            assert got.vecs.tobytes() == orig.vecs[:1].tobytes()
 
     @given(seed=st.integers(0, 2**32 - 1), n_images=st.integers(0, 6))
     @settings(max_examples=30, deadline=None)
@@ -211,11 +202,10 @@ class TestSynthGenerate:
             labels.setdefault(r.label, 0)
             labels[r.label] += 1
             assert abs(np.linalg.norm(r.global_desc) - 1.0) < 1e-5
-            assert len(r.locals) == cfg.locals_per_image
-            for l in r.locals:
-                assert abs(np.linalg.norm(l.vec) - 1.0) < 1e-5
-                assert 0 <= l.scale_index < cfg.n_scales
-                assert 0 <= l.u < cfg.canvas and 0 <= l.v < cfg.canvas
+            assert r.vecs.shape == (cfg.locals_per_image, cfg.d_l)
+            assert np.all(np.abs(np.linalg.norm(r.vecs, axis=1) - 1.0) < 1e-5)
+            assert np.all(r.scale_idx < cfg.n_scales)
+            assert np.all((0 <= r.uv) & (r.uv < cfg.canvas))
         assert labels == {i: cfg.images_per_instance for i in range(cfg.n_instances)}
 
     def test_confused_pairs_share_global_direction(self):
@@ -243,7 +233,7 @@ class TestSynthGenerate:
         # its own instance exactly (up to renormalization in float32).
         for r in g:
             own = protos[r.label]
-            best = np.max(r.locals_matrix() @ own.T, axis=1)
+            best = np.max(r.vecs @ own.T, axis=1)
             assert np.sum(best > 0.999) >= cfg.parts_per_image
 
     def test_invalid_configs_rejected(self):
@@ -257,23 +247,20 @@ class TestSynthGenerate:
 
 class TestNormalizeRecords:
     def test_normalizes_globals_and_locals(self):
-        rec = ImageRecord(
-            0, 0, np.array([3.0, 4.0], dtype=np.float32),
-            [LocalDescriptor(np.array([0.0, 2.0], dtype=np.float32), 1.0, 2.0, 0)],
-        )
+        g = np.array([3.0, 4.0], dtype=np.float32)
+        rec = ImageRecord(0, 0, g, [[0.0, 2.0]], [[1.0, 2.0]], [0])
         (out,) = normalize_records([rec])
         np.testing.assert_allclose(out.global_desc, [0.6, 0.8], rtol=1e-6)
-        np.testing.assert_allclose(out.locals[0].vec, [0.0, 1.0], rtol=1e-6)
+        np.testing.assert_allclose(out.vecs[0], [0.0, 1.0], rtol=1e-6)
         # source untouched
         np.testing.assert_allclose(rec.global_desc, [3.0, 4.0])
 
 
 class TestGridDedup:
     def _rec(self, coords):
-        locs = [
-            LocalDescriptor(np.zeros(2, dtype=np.float32), u, v, 0) for u, v in coords
-        ]
-        return ImageRecord(0, 0, np.zeros(2, dtype=np.float32), locs)
+        n = len(coords)
+        uv = np.reshape(coords, (n, 2))
+        return ImageRecord(0, 0, np.zeros(2, np.float32), np.zeros((n, 2)), uv, np.zeros(n, np.uint8))
 
     def test_shared_cell_counted_once(self):
         assert grid_dedup_count(self._rec([(0, 0), (5, 5), (20, 0)]), 16) == 2
@@ -294,3 +281,162 @@ class TestGridDedup:
         rng = np.random.default_rng(seed)
         coords = [(float(u), float(v)) for u, v in rng.uniform(0, 512, size=(n, 2))]
         assert grid_dedup_count(self._rec(coords), stride) <= n
+
+
+class TestImageRecord:
+    def test_arrays_converted_and_read_only(self):
+        rec = ImageRecord(3, 0, np.zeros(2, np.float32), np.ones((2, 4)), [[1, 2], [3, 4]], [0, 6])
+        assert rec.vecs.dtype == np.float32 and rec.vecs.shape == (2, 4)
+        assert rec.uv.dtype == np.float32 and rec.uv.shape == (2, 2)
+        assert rec.scale_idx.dtype == np.uint8 and rec.scale_idx.tolist() == [0, 6]
+        for a in (rec.vecs, rec.uv, rec.scale_idx):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
+    def test_callers_array_stays_writable(self):
+        vecs = np.ones((1, 4), np.float32)
+        ImageRecord(0, 0, np.zeros(2, np.float32), vecs, np.zeros((1, 2), np.float32), [0])
+        vecs[0, 0] = 2.0
+
+    @pytest.mark.parametrize(
+        "vecs, uv, sidx",
+        [
+            (np.zeros((2, 4)), np.zeros((3, 2)), [0, 0]),
+            (np.zeros((2, 4)), np.zeros((2, 2)), [0]),
+            (np.zeros(4), np.zeros((1, 2)), [0]),
+            (np.zeros((2, 4)), np.zeros((2, 3)), [0, 0]),
+            (np.zeros((2, 4)), np.zeros((2, 2)), np.zeros((2, 1), np.uint8)),
+        ],
+    )
+    def test_disagreeing_arrays_rejected_naming_record(self, vecs, uv, sidx):
+        with pytest.raises(DataFormatError, match="record 7: local arrays disagree"):
+            ImageRecord(7, 0, np.zeros(2, np.float32), vecs, uv, sidx)
+
+    @pytest.mark.parametrize("sidx", [[0, 256], [-1, 0], [0.0, 1.5], np.array([3, 2**32 + 1])])
+    def test_scale_index_must_fit_u8(self, sidx):
+        with pytest.raises(DataFormatError, match=r"record 7: scale indices must be integers in \[0, 255"):
+            ImageRecord(7, 0, np.zeros(2, np.float32), np.zeros((2, 4)), np.zeros((2, 2)), sidx)
+
+    def test_truncated_slices_every_array(self):
+        (rec,), _ = random_records(5, 1, max_locals=0)
+        vecs, uv = np.arange(12.0).reshape(3, 4), np.arange(6.0).reshape(3, 2)
+        rec = replace(rec, vecs=vecs, uv=uv, scale_idx=[0, 1, 2])
+        for k in (0, 1, 3, 9):
+            t = rec.truncated(k)
+            assert t.vecs.tobytes() == rec.vecs[:k].tobytes()
+            assert t.uv.tobytes() == rec.uv[:k].tobytes()
+            assert t.scale_idx.tolist() == rec.scale_idx[:k].tolist()
+            assert (t.id, t.label, t.global_desc is rec.global_desc) == (rec.id, rec.label, True)
+
+    def test_negative_budget_is_config_error(self, tmp_path):
+        recs, manifest = random_records(6, 2)
+        with pytest.raises(ConfigError, match="non-negative"):
+            recs[0].truncated(-1)
+        p = tmp_path / "d.rrtd"
+        save_dataset(recs, manifest, p)
+        with pytest.raises(ConfigError, match="non-negative"):
+            load_dataset(p, max_locals=-3)
+
+
+class TestL2NormalizeRows:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40), d=st.integers(1, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_equal_per_row_l2_normalize(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        m = (rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3, (n, 1))).astype(np.float32)
+        expect = np.array([l2_normalize_one(row) for row in m], dtype=np.float32).reshape(n, d)
+        assert l2_normalize_rows(m, list(range(n))).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1, 0], [0, 0], [np.nan, 1]], "record 11: cannot L2-normalize a zero vector"),
+            ([[1, 0], [np.inf, 1], [0, 0]], "record 11: cannot L2-normalize a vector with a non-finite"),
+        ],
+    )
+    def test_first_bad_row_named(self, rows, message):
+        with pytest.raises(DataFormatError, match=message):
+            l2_normalize_rows(np.array(rows, np.float32), [10, 11, 12])
+
+
+def _dataset_bytes(recs, manifest, path):
+    save_dataset(recs, manifest, path)
+    return path.read_bytes()
+
+
+def _load_error(reader, path):
+    try:
+        reader(path)
+    except DataFormatError as exc:
+        return str(exc), exc.offset
+    return None
+
+
+class TestReaderParity:
+    """The columnar reader against the per-local reference parser."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_images=st.integers(0, 3),
+        d_l=st.integers(1, 8),
+        max_locals=st.sampled_from([None, 0, 1, "n"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_reader_round_trip_truncation_and_bad_scale(
+        self, tmp_path_factory, seed, n_images, d_l, max_locals
+    ):
+        recs, manifest = random_records(seed, n_images, d_g=3, d_l=d_l, max_locals=6)
+        if max_locals == "n":
+            max_locals = max((len(r.vecs) for r in recs), default=0)
+        tmp = tmp_path_factory.mktemp("parity")
+        raw = _dataset_bytes(recs, manifest, tmp / "d.rrtd")
+
+        got, m = load_dataset(tmp / "d.rrtd", max_locals=max_locals)
+        ref, (d_g_raw, ref_d_l, n_scales, scale_values) = load_dataset_per_local(
+            tmp / "d.rrtd", max_locals=max_locals
+        )
+        got_header = (m.d_g_raw, m.d_l, m.n_scales, m.scale_values)
+        assert got_header == (d_g_raw, ref_d_l, n_scales, scale_values)
+        assert len(got) == len(ref)
+        for r, want in zip(got, ref):
+            assert (r.id, r.label, r.global_desc.tobytes()) == (want[0], want[1], want[2].tobytes())
+            for col, ref_col in zip((r.vecs, r.uv, r.scale_idx), per_local_columns(want)):
+                assert (len(col), col.tobytes()) == (len(ref_col), ref_col.tobytes())
+
+        loaded, _ = load_dataset(tmp / "d.rrtd")
+        assert _dataset_bytes(loaded, manifest, tmp / "again.rrtd") == raw
+
+        cut = tmp / "cut.rrtd"
+        for end in range(len(raw)):
+            cut.write_bytes(raw[:end])
+            want = _load_error(load_dataset_per_local, cut)
+            assert want is not None and want[1] is not None
+            assert _load_error(load_dataset, cut) == want
+
+        item = 4 * d_l + 9
+        pos = 4 + 4 + 7 + 4 * manifest.n_scales + 4
+        bad = tmp / "bad.rrtd"
+        for r in recs:
+            pos += 8 + 4 * 3 + 2
+            for k in range(len(r.vecs)):
+                flipped = bytearray(raw)
+                flipped[pos + (k + 1) * item - 1] = manifest.n_scales + k
+                bad.write_bytes(bytes(flipped))
+                want = _load_error(load_dataset_per_local, bad)
+                assert want[1] == pos + (k + 1) * item - 1
+                assert _load_error(load_dataset, bad) == want
+            pos += len(r.vecs) * item
+
+
+def test_synth_and_normalize_bytes_equal_per_local_path():
+    from rrt.benchmark import eval_synth_config
+
+    cfg = eval_synth_config(1)
+    queries, gallery, _ = synth_generate(cfg)
+    ref_q, ref_g = synth_generate_per_local(cfg)
+    for got, ref in ((queries, ref_q), (gallery, ref_g)):
+        for r, want in zip(normalize_records(got), normalize_per_local(ref), strict=True):
+            assert (r.id, r.label) == want[:2]
+            assert r.global_desc.tobytes() == want[2].tobytes()
+            for col, ref_col in zip((r.vecs, r.uv, r.scale_idx), per_local_columns(want)):
+                assert col.shape == ref_col.shape and col.tobytes() == ref_col.tobytes()

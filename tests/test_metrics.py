@@ -1,6 +1,7 @@
 """Metric tests against hand-worked values and the brute-force oracle suite."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,9 +200,9 @@ class TestAblationSweep:
         gmap = {r.id: r for r in gallery}
 
         def scorer(qid, gids):
-            qset = {v.vec.tobytes() for v in qmap[qid].locals}
+            qset = {v.tobytes() for v in qmap[qid].vecs}
             return [
-                float(len(qset & {v.vec.tobytes() for v in gmap[g].locals}))
+                float(len(qset & {v.tobytes() for v in gmap[g].vecs}))
                 for g in gids
             ]
 
@@ -213,7 +214,8 @@ class TestAblationSweep:
         queries = []
         for qid, src in ((0, gallery[0]), (1, gallery[1])):
             q = make_record(rng, qid, src.label, 4, 8, 0, 3)
-            q.locals = [l for l in src.locals]  # copies the planted evidence
+            # copies the planted evidence
+            q = replace(q, vecs=src.vecs, uv=src.uv, scale_idx=src.scale_idx)
             queries.append(q)
         return queries, gallery
 

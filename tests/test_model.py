@@ -3,12 +3,12 @@ a direct 64-bit reimplementation, scoring invariances, correspondence
 extraction, checkpoint round trips."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rrt.autograd import Tensor
-from rrt.data import ImageRecord, LocalDescriptor
 from rrt.errors import ConfigError, DataFormatError, IntegrityError
 from rrt.model import (
     ModelConfig,
@@ -132,7 +132,7 @@ class TestAssembleInput:
         params = init_params(cfg, seed=4)
         rng = np.random.default_rng(4)
         a, b = make_pair(rng, cfg, n_a=1, n_b=1)
-        a.locals[0].scale_index = cfg.n_scales
+        a = replace(a, scale_idx=[cfg.n_scales])
         with pytest.raises(ConfigError, match="scale index"):
             assemble_input(params, cfg, a, b)
 
@@ -141,7 +141,7 @@ class TestAssembleInput:
         params = init_params(cfg, seed=5)
         rng = np.random.default_rng(5)
         a, b = make_pair(rng, cfg, n_a=1, n_b=1)
-        a.locals[0] = LocalDescriptor(np.zeros(cfg.d + 1, dtype=np.float32), 0, 0, 0)
+        a = replace(a, vecs=np.zeros((1, cfg.d + 1), dtype=np.float32))
         with pytest.raises(ConfigError, match="local dim"):
             assemble_input(params, cfg, a, b)
 
@@ -152,6 +152,18 @@ class TestAssembleInput:
         a, b = make_pair(rng, cfg, n_a=cfg.L + 1, n_b=1)
         with pytest.raises(ConfigError, match="at most"):
             assemble_input(params, cfg, a, b)
+
+    @pytest.mark.parametrize("use_global_token", [True, False])
+    def test_segments_match_per_pair_layout(self, use_global_token):
+        from rrt.model import _segments
+
+        cfg = tiny_config(use_global_token=use_global_token)
+        params = init_params(cfg, seed=31)
+        a, b = make_pair(np.random.default_rng(31), cfg, n_a=2, n_b=3)
+        kinds = [k for k, _ in assemble_input(params, cfg, a, b).kinds]
+        starts = {side: pos for kind, side, pos, _ in _segments(cfg) if kind == "locals"}
+        assert starts == {"a": kinds.index("local_a"), "b": kinds.index("local_b")}
+        assert cfg.seq_len == len(kinds)
 
     def test_batched_assembly_matches_per_pair_path(self):
         from rrt.model import _assemble_batch
@@ -217,11 +229,15 @@ class TestBatchedRecordChecks:
         d_g = cfg.d_g_raw + 1 if defect == "global_dim" else cfg.d_g_raw
         bad = make_record(rng, 5, 1, cfg.d, d_g, n, cfg.n_scales)
         if defect == "local_dim":
-            bad.locals = [LocalDescriptor(np.zeros(cfg.d + 1, dtype=np.float32), 0, 0, 0)]
+            bad = replace(bad, vecs=np.zeros((2, cfg.d + 1), dtype=np.float32))
         if defect == "scale_high":
-            bad.locals[1].scale_index = cfg.n_scales
+            bad = replace(bad, scale_idx=[bad.scale_idx[0], cfg.n_scales])
         if defect == "scale_negative":
-            bad.locals[0].scale_index = -1
+            # Scale indices are stored as u8, so -1 never reaches the model:
+            # building the record rejects it, naming the record.
+            with pytest.raises(DataFormatError, match=r"record 5: scale indices must be integers"):
+                replace(bad, scale_idx=[-1, bad.scale_idx[1]])
+            return
         with pytest.raises(ConfigError, match=message):
             forward_pair_logits(params, cfg, self.batch_with(cfg, bad, side))
 
@@ -229,7 +245,7 @@ class TestBatchedRecordChecks:
         wide, narrow = tiny_config(n_scales=7), tiny_config(n_scales=3)
         rng = np.random.default_rng(42)
         rec = make_record(rng, 6, 1, wide.d, wide.d_g_raw, 3, wide.n_scales)
-        rec.locals[2].scale_index = 5
+        rec = replace(rec, scale_idx=[*rec.scale_idx[:2], 5])
         forward_pair_logits(init_params(wide, seed=42), wide, self.batch_with(wide, rec, 0))
         with pytest.raises(ConfigError, match=r"record 6: scale index outside \[0, 3\)"):
             forward_pair_logits(init_params(narrow, seed=42), narrow, self.batch_with(narrow, rec, 1))
@@ -333,7 +349,7 @@ class TestScoring:
         a, b = make_pair(rng, cfg, n_a=4, n_b=4)
         base, _ = score_pair(params, cfg, a, b)
         for perm in ([3, 1, 0, 2], [1, 0, 3, 2]):
-            b2 = ImageRecord(b.id, b.label, b.global_desc, [b.locals[i] for i in perm])
+            b2 = replace(b, vecs=b.vecs[perm], uv=b.uv[perm], scale_idx=b.scale_idx[perm])
             permuted, _ = score_pair(params, cfg, a, b2)
             assert abs(permuted - base) < 1e-4
 

@@ -20,6 +20,7 @@ from rrt.train import (
     write_loss_history,
 )
 
+from helpers import no_locals
 from oracles import mine_neighbor_ids_lexsort
 
 
@@ -103,7 +104,9 @@ def global_only_records(globals_, seed):
     non-contiguous ids, so an id-ascending order is not the record order."""
     rng = np.random.default_rng(seed)
     ids = (rng.permutation(4 * len(globals_))[: len(globals_)] + 3).tolist()
-    return [ImageRecord(i, 0, np.asarray(g, dtype=np.float32), []) for i, g in zip(ids, globals_)]
+    return [
+        ImageRecord(i, 0, np.asarray(g, dtype=np.float32), *no_locals()) for i, g in zip(ids, globals_)
+    ]
 
 
 def ties_at_cut(records, pool):
@@ -171,7 +174,7 @@ class TestMineNeighborIds:
 
     def test_duplicate_ids_rejected_naming_the_id(self):
         recs = global_only_records(np.eye(3), seed=13)
-        recs[2] = ImageRecord(recs[0].id, 0, recs[2].global_desc, [])
+        recs[2] = ImageRecord(recs[0].id, 0, recs[2].global_desc, *no_locals())
         with pytest.raises(DataFormatError, match=f"record id {recs[0].id} appears more than once"):
             mine_neighbor_ids(recs, 2)
 
