@@ -27,12 +27,9 @@ __all__ = [
     "matmul",
     "affine",
     "mlp",
-    "relu",
-    "sigmoid",
     "reshape",
     "swapaxes",
     "concat",
-    "stack",
     "tsum",
     "tmean",
     "embedding",
@@ -321,15 +318,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), grad_fn)
 
 
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0)
-
-    def grad_fn(g):
-        return (g * (a.data > 0),)
-
-    return _make(data, (a,), grad_fn)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -337,15 +325,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid(a.data)
-
-    def grad_fn(g):
-        return (g * s * (1.0 - s),)
-
-    return _make(s, (a,), grad_fn)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -374,16 +353,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def grad_fn(g):
         return tuple(np.split(g, offsets, axis=axis))
-
-    return _make(data, tuple(tensors), grad_fn)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def grad_fn(g):
-        return tuple(np.moveaxis(g, axis, 0))
 
     return _make(data, tuple(tensors), grad_fn)
 

@@ -45,7 +45,6 @@ __all__ = [
     "alpha_qe_expand",
     "mutual_nn_matches",
     "ransac_homography",
-    "gv_score",
     "gv_scores",
 ]
 
@@ -383,8 +382,3 @@ def gv_scores(
     if block:
         flush()
     return scores
-
-
-def gv_score(query: ImageRecord, candidate: ImageRecord, cfg: GVConfig) -> int:
-    """gv_scores for one candidate."""
-    return gv_scores(query, [candidate], cfg)[0]

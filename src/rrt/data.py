@@ -6,7 +6,8 @@ extraction scales.  Records are columnar, one array per field (``ImageRecord``
 states the arrays and the checks made when a record is built).  Descriptors
 are stored as written; consumers normalize them via ``normalize_records``.
 
-Wire format (little-endian), file extension ``.rrtd``:
+Wire format, file extension ``.rrtd``, read by ``rrt.wire.Reader`` (header
+and error policy there):
 
     magic "RRTD" | u32 version=1
     u32 d_g_raw | u16 d_l | u8 n_scales | n_scales x f32 scale_values
@@ -28,6 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
+from .wire import Reader
 
 __all__ = [
     "ImageRecord",
@@ -56,28 +58,36 @@ DEFAULT_SCALES = tuple(float(np.float32(0.25 * 2 ** (i / 2))) for i in range(7))
 
 @dataclass(frozen=True, eq=False)
 class ImageRecord:
-    """One image's descriptors, one array per field, row k being local k in
-    file order: ``vecs`` float32 [n, d_l], ``uv`` float32 [n, 2] pixel
-    positions and ``scale_idx`` uint8 [n] indices into the manifest's scales.
-    Building a record makes the three arrays read-only views of those dtypes
-    and checks that they are 2-D, 2-D and 1-D, agree on n, and that every
-    scale index is an integer that fits u8; a failure raises DataFormatError
-    naming the record.  To change a record, build a new one
-    (``dataclasses.replace`` checks it again)."""
+    """One image's descriptors, one array per field: ``global_desc`` float32
+    [d_g_raw], and, row k being local k in file order, ``vecs`` float32 [n,
+    d_l], ``uv`` float32 [n, 2] pixel positions and ``scale_idx`` uint8 [n]
+    indices into the manifest's scales.  Building a record makes the four
+    arrays read-only arrays of those dtypes (views, so the caller's arrays
+    stay writable) and checks that they are 1-D, 2-D, 2-D and 1-D, that the
+    locals agree on n, and that every scale index is an integer that fits u8;
+    a failure raises DataFormatError naming the record.  To change a record,
+    build a new one (``dataclasses.replace`` checks it again)."""
 
     id: int
     label: int
-    global_desc: np.ndarray  # float32[d_g_raw]
+    global_desc: np.ndarray
     vecs: np.ndarray
     uv: np.ndarray
     scale_idx: np.ndarray
 
     def __post_init__(self):
         given = np.asarray(self.scale_idx)
-        for name, dtype in (("vecs", np.float32), ("uv", np.float32), ("scale_idx", np.uint8)):
-            a = np.asarray(getattr(self, name)).astype(dtype, copy=False).view()
-            a.flags.writeable = False
+        for name, dtype in (
+            ("global_desc", np.float32), ("vecs", np.float32), ("uv", np.float32), ("scale_idx", np.uint8)
+        ):
+            a = np.asarray(getattr(self, name)).astype(dtype, copy=False)
+            if a.flags.writeable:
+                a = a.view()
+                a.flags.writeable = False
             object.__setattr__(self, name, a)
+        if self.global_desc.ndim != 1:
+            raise DataFormatError(f"record {self.id}: global descriptor has shape "
+                                  f"{self.global_desc.shape}, expected 1-D")
         n = len(self.vecs)
         if self.vecs.ndim != 2 or self.uv.shape != (n, 2) or self.scale_idx.shape != (n,):
             raise DataFormatError(f"record {self.id}: local arrays disagree: vecs {self.vecs.shape}, "
@@ -201,38 +211,6 @@ def save_dataset(records: Sequence[ImageRecord], manifest: DatasetManifest, path
         fh.write(buf)
 
 
-class _Cursor:
-    """Byte reader that reports the failing offset on truncation."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise DataFormatError(
-                f"truncated file: wanted {n} bytes, {len(self.data) - self.off} left",
-                offset=self.off,
-            )
-        out = self.data[self.off : self.off + n]
-        self.off += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def floats(self, n: int) -> np.ndarray:
-        return np.frombuffer(self.take(4 * n), dtype="<f4").copy()
-
-    def items(self, dtype: np.dtype, n: int) -> np.ndarray:
-        """Up to n packed items of a structured dtype, as one read-only view:
-        fewer when the data ends first, the cursor then at the cut item."""
-        n = min(n, (len(self.data) - self.off) // dtype.itemsize)
-        out = np.frombuffer(self.data, dtype=dtype, count=n, offset=self.off)
-        self.off += n * dtype.itemsize
-        return out
-
-
 def load_dataset(path, max_locals: int | None = None) -> tuple[list[ImageRecord], DatasetManifest]:
     """Read a descriptor file byte-exactly (no normalization applied).
 
@@ -242,16 +220,9 @@ def load_dataset(path, max_locals: int | None = None) -> tuple[list[ImageRecord]
     """
     if max_locals is not None and max_locals < 0:
         raise ConfigError(f"max_locals must be non-negative, got {max_locals}")
-    with open(path, "rb") as fh:
-        cur = _Cursor(fh.read())
-    magic = cur.take(4)
-    if magic != MAGIC:
-        raise DataFormatError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-    (version,) = cur.unpack("<I")
-    if version != VERSION:
-        raise DataFormatError(f"unsupported version {version}", offset=4)
+    cur = Reader(path, MAGIC, VERSION)
     d_g_raw, d_l, n_scales = cur.unpack("<IHB")
-    scale_values = tuple(float(x) for x in cur.floats(n_scales))
+    scale_values = tuple(float(x) for x in cur.array("<f4", n_scales))
     (n_images,) = cur.unpack("<I")
     manifest = DatasetManifest(
         d_g_raw=d_g_raw,
@@ -264,7 +235,7 @@ def load_dataset(path, max_locals: int | None = None) -> tuple[list[ImageRecord]
     records = []
     for _ in range(n_images):
         rid, label = cur.unpack("<II")
-        g = cur.floats(d_g_raw)
+        g = cur.array("<f4", d_g_raw)
         (n_loc,) = cur.unpack("<H")
         start = cur.off
         locs = cur.items(local_dt, n_loc)
@@ -280,11 +251,7 @@ def load_dataset(path, max_locals: int | None = None) -> tuple[list[ImageRecord]
         locs = locs[:max_locals]
         uv = np.stack([locs["u"], locs["v"]], axis=1)
         records.append(ImageRecord(rid, label, g, locs["vec"].copy(), uv, locs["s"].copy()))
-    if cur.off != len(cur.data):
-        raise DataFormatError(
-            f"{len(cur.data) - cur.off} trailing bytes after the last record",
-            offset=cur.off,
-        )
+    cur.end("the last record")
     return records, manifest
 
 

@@ -2,6 +2,12 @@
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataFormatError and
 IntegrityError -> 3, TrainingDiverged -> 4.
+
+Unreadable bytes in a persisted artifact raise DataFormatError, carrying the
+offset of the first failing byte in the binary formats (``rrt.wire``); so do
+records and neighbour lists with unusable values.  A file that parses but
+disagrees with its own config, such as a checkpoint whose tensor table does
+not match the config's layout, raises IntegrityError.
 """
 
 

@@ -11,7 +11,8 @@ code).  Images with fewer than L locals are padded with zero tokens excluded
 via the attention mask.  The sequence runs through C identical transformer
 layers; a linear head on the final CLS row yields the match logit.
 
-Checkpoint wire format (little-endian), extension ``.rrtm``:
+Checkpoint wire format, extension ``.rrtm``, read by ``rrt.wire.Reader``
+(header and error policy there):
 
     magic "RRTM" | u32 version=1
     config: u32 L | u16 d | u8 h | u8 d_h | u8 C | u16 d_c | u8 n_scales
@@ -23,6 +24,7 @@ Checkpoint wire format (little-endian), extension ``.rrtm``:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,6 +36,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .data import ImageRecord
 from .errors import ConfigError, DataFormatError, IntegrityError
+from .wire import Reader
 
 __all__ = [
     "ModelConfig",
@@ -44,7 +47,6 @@ __all__ = [
     "mha_forward",
     "transformer_layer",
     "forward_pair_logits",
-    "score_pair",
     "score_batch",
     "attention_correspondences",
     "save_checkpoint",
@@ -374,13 +376,6 @@ def forward_pair_logits(
     return logits, attn
 
 
-def score_pair(params: ModelParams, cfg: ModelConfig, a: ImageRecord, b: ImageRecord) -> tuple[float, float]:
-    """(logit, sigmoid similarity) for one ordered pair; inference mode."""
-    with ag.no_grad():
-        logits, _ = forward_pair_logits(params, cfg, [(a, b)])
-    return float(logits.data[0]), float(ag._sigmoid(logits.data)[0])
-
-
 def _auto_chunk(cfg: ModelConfig) -> int:
     # Pairs per forward pass, sized so a [B, h, T, T] buffer holds roughly
     # 2^26 floats.  Without grad, attention builds that buffer only when
@@ -399,8 +394,9 @@ def score_batch(
     candidates: Sequence[ImageRecord],
     chunk: int | None = None,
 ) -> list[float]:
-    """Similarity of (query, c) for every candidate; equals mapping
-    score_pair within float tolerance.  Chunked to bound peak memory."""
+    """Similarity of (query, c) for every candidate; equals scoring each
+    pair in a batch of its own within float tolerance.  Chunked to bound
+    peak memory."""
     if not candidates:
         return []
     if chunk is None:
@@ -480,38 +476,14 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    off = 0
-
-    def take(n):
-        nonlocal off
-        if off + n > len(raw):
-            raise IntegrityError(
-                f"truncated checkpoint: wanted {n} bytes at offset {off}, "
-                f"{len(raw) - off} left"
-            )
-        out = raw[off : off + n]
-        off += n
-        return out
-
-    if take(4) != CKPT_MAGIC:
-        raise DataFormatError(f"bad checkpoint magic, expected {CKPT_MAGIC!r}", offset=0)
-    (version,) = struct.unpack("<I", take(4))
-    if version != CKPT_VERSION:
-        raise DataFormatError(f"unsupported checkpoint version {version}", offset=4)
-    L, d, h, d_h, layers, d_c, n_scales, d_g_raw, flags = struct.unpack(
-        _CFG_STRUCT, take(struct.calcsize(_CFG_STRUCT))
-    )
-    cfg = ModelConfig(
-        L=L, d=d, h=h, d_h=d_h, layers=layers, d_c=d_c,
-        n_scales=n_scales, d_g_raw=d_g_raw,
-        use_pos_embed=bool(flags & 1),
-        use_global_token=bool(flags & 2),
-        use_scale_embed=bool(flags & 4),
-        mlp_residual=bool(flags & 8),
-    )
-    (count,) = struct.unpack("<H", take(2))
+    cur = Reader(path, CKPT_MAGIC, CKPT_VERSION)
+    *sizes, flags = cur.unpack(_CFG_STRUCT)  # sizes in ModelConfig's field order
+    try:
+        cfg = ModelConfig(*sizes, use_pos_embed=bool(flags & 1), use_global_token=bool(flags & 2),
+                          use_scale_embed=bool(flags & 4), mlp_residual=bool(flags & 8))
+    except ConfigError as exc:
+        raise DataFormatError(f"bad model config: {exc}", offset=8) from None
+    (count,) = cur.unpack("<H")
     expected = param_shapes(cfg)
     if count != len(expected):
         raise IntegrityError(
@@ -519,17 +491,16 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
         )
     tensors: dict[str, Tensor] = {}
     for exp_name, exp_shape, _ in expected:
-        (nlen,) = struct.unpack("<B", take(1))
-        name = take(nlen).decode("ascii")
-        (ndim,) = struct.unpack("<B", take(1))
-        dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        data = np.frombuffer(take(4 * int(np.prod(dims))), dtype="<f4").reshape(dims).copy()
-        if name != exp_name or tuple(dims) != exp_shape:
+        (nlen,) = cur.unpack("<B")
+        name = cur.take(nlen)
+        (ndim,) = cur.unpack("<B")
+        dims = cur.unpack(f"<{ndim}I")
+        if name != exp_name.encode("ascii") or dims != exp_shape:
             raise IntegrityError(
-                f"tensor {name} with shape {tuple(dims)} does not match the "
+                f"tensor {name!r} with shape {dims} does not match the "
                 f"config's layout entry {exp_name} {exp_shape}"
             )
-        tensors[name] = Tensor(data, requires_grad=True)
-    if off != len(raw):
-        raise IntegrityError(f"{len(raw) - off} trailing bytes after the tensor table")
+        data = cur.array("<f4", math.prod(exp_shape)).reshape(exp_shape)
+        tensors[exp_name] = Tensor(data, requires_grad=True)
+    cur.end("the tensor table")
     return ModelParams(cfg, tensors), cfg

@@ -5,7 +5,8 @@ reranker comparisons free of approximation noise.  All orderings use the
 total order (score desc, prior rank asc, id asc) so results are reproducible
 regardless of internal evaluation order.
 
-Index wire format (little-endian), extension ``.rrti``:
+Index wire format, extension ``.rrti``, read by ``rrt.wire.Reader`` (header
+and error policy there):
 
     magic "RRTI" | u32 version=1 | u8 projected | u32 n | u32 dim
     | n x u32 ids | n*dim x f32 row-major vectors
@@ -31,6 +32,7 @@ import numpy as np
 from .baselines import alpha_qe_expand
 from .data import U32_MAX, ImageRecord, l2_normalize, l2_normalize_rows
 from .errors import DataFormatError
+from .wire import Reader
 
 __all__ = [
     "GlobalIndex",
@@ -88,7 +90,7 @@ def build_index(
     if projected and (params is None or cfg is None):
         raise ValueError("projected index needs model params and config")
     ids = np.array([r.id for r in records], dtype=np.int64)
-    mat = np.stack([r.global_desc.astype(np.float32) for r in records])
+    mat = np.stack([r.global_desc for r in records])
     if projected:
         mat = l2_normalize_rows(mat, ids) @ params["global_proj.w"].data + params["global_proj.b"].data
     mat = l2_normalize_rows(mat, ids).astype(np.float32)
@@ -97,7 +99,7 @@ def build_index(
 
 def query_vector(index: GlobalIndex, record: ImageRecord, params=None, cfg=None) -> np.ndarray:
     """The record's global descriptor in the index's space, unit-norm."""
-    v = l2_normalize(record.global_desc.astype(np.float32))
+    v = l2_normalize(record.global_desc)
     if index.projected:
         if params is None:
             raise ValueError("projected index needs model params to embed queries")
@@ -119,28 +121,11 @@ def save_index(index: GlobalIndex, path) -> None:
 
 
 def load_index(path) -> GlobalIndex:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != INDEX_MAGIC:
-        raise DataFormatError(f"bad index magic, expected {INDEX_MAGIC!r}", offset=0)
-    header = struct.calcsize("<IBII")
-    if len(raw) < 4 + header:
-        raise DataFormatError("truncated index header", offset=len(raw))
-    version, projected, n, dim = struct.unpack("<IBII", raw[4 : 4 + header])
-    if version != INDEX_VERSION:
-        raise DataFormatError(f"unsupported index version {version}", offset=4)
-    off = 4 + header
-    need = n * 4 + n * dim * 4
-    if len(raw) != off + need:
-        raise DataFormatError(
-            f"index payload is {len(raw) - off} bytes, expected {need}", offset=off
-        )
-    ids = np.frombuffer(raw, dtype="<u4", count=n, offset=off).astype(np.int64)
-    vecs = (
-        np.frombuffer(raw, dtype="<f4", count=n * dim, offset=off + n * 4)
-        .reshape(n, dim)
-        .copy()
-    )
+    cur = Reader(path, INDEX_MAGIC, INDEX_VERSION)
+    projected, n, dim = cur.unpack("<BII")
+    ids = cur.array("<u4", n).astype(np.int64)
+    vecs = cur.array("<f4", n * dim).reshape(n, dim)
+    cur.end("the vectors")
     return GlobalIndex(ids=ids, vectors=vecs, projected=bool(projected))
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "PairSample",
     "PairSampler",
     "train",
-    "evaluate_loss",
     "write_loss_history",
 ]
 
@@ -266,33 +265,6 @@ def train(
         save_checkpoint(params, model_cfg, out_path / "model.rrtm")
         write_loss_history(out_path / "loss_history.csv", history)
     return params, history
-
-
-def evaluate_loss(
-    records: Sequence[ImageRecord],
-    params: ModelParams,
-    model_cfg: ModelConfig,
-    pairs: Sequence[PairSample],
-    chunk: int = 256,
-) -> float:
-    """Mean binary cross entropy over a fixed pair list; no mutation."""
-    if not pairs:
-        raise ValueError("evaluate_loss needs at least one pair")
-    by_id = {r.id: r for r in records}
-    from .autograd import no_grad
-
-    total = 0.0
-    with no_grad():
-        for start in range(0, len(pairs), chunk):
-            block = pairs[start : start + chunk]
-            rec_pairs = [(by_id[p.anchor_id], by_id[p.partner_id]) for p in block]
-            t = np.array([float(p.label) for p in block])
-            logits, _ = forward_pair_logits(params, model_cfg, rec_pairs)
-            z = logits.data.astype(np.float64)
-            total += float(
-                (np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))).sum()
-            )
-    return total / len(pairs)
 
 
 def write_loss_history(path, history: Sequence[dict]) -> None:

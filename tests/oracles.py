@@ -353,7 +353,7 @@ def ransac_homography_svd(
 
 
 def gv_score_svd(query, candidate, cfg):
-    """`rrt.baselines.gv_score` over `ransac_homography_svd`: the same
+    """`gv_score` (below) over `ransac_homography_svd`: the same
     mutual-NN matches and per-pair seed, the reference RANSAC."""
     from rrt.baselines import mutual_nn_matches
 
@@ -505,3 +505,80 @@ def per_local_columns(record):
         np.array([[u, v] for _, u, v, _ in locs], dtype=np.float32).reshape(n, 2),
         np.array([s for _, _, _, s in locs], dtype=np.uint8),
     )
+
+
+# -- single-item forms of batched library code -----------------------------
+#
+# Entry points no library caller needs: one pair, one candidate, or an
+# autograd op the model does not use.  Tests check the batched code against
+# them and gradcheck them like any other op.
+
+
+def relu(a):
+    from rrt.autograd import _make
+
+    def grad_fn(g):
+        return (g * (a.data > 0),)
+
+    return _make(np.maximum(a.data, 0), (a,), grad_fn)
+
+
+def sigmoid(a):
+    from rrt.autograd import _make, _sigmoid
+
+    s = _sigmoid(a.data)
+
+    def grad_fn(g):
+        return (g * s * (1.0 - s),)
+
+    return _make(s, (a,), grad_fn)
+
+
+def stack(tensors, axis=0):
+    from rrt.autograd import _make
+
+    tensors = list(tensors)
+
+    def grad_fn(g):
+        return tuple(np.moveaxis(g, axis, 0))
+
+    return _make(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), grad_fn)
+
+
+def score_pair(params, cfg, a, b):
+    """(logit, sigmoid similarity) of one ordered pair, scored in a batch of
+    its own without grad."""
+    from rrt import autograd as ag
+    from rrt.model import forward_pair_logits
+
+    with ag.no_grad():
+        logits, _ = forward_pair_logits(params, cfg, [(a, b)])
+    return float(logits.data[0]), float(ag._sigmoid(logits.data)[0])
+
+
+def evaluate_loss(records, params, model_cfg, pairs, chunk=256):
+    """Mean binary cross entropy of the model's logits over a fixed pair
+    list, in float64; changes nothing."""
+    from rrt import autograd as ag
+    from rrt.model import forward_pair_logits
+
+    if not pairs:
+        raise ValueError("evaluate_loss needs at least one pair")
+    by_id = {r.id: r for r in records}
+    total = 0.0
+    with ag.no_grad():
+        for start in range(0, len(pairs), chunk):
+            block = pairs[start : start + chunk]
+            rec_pairs = [(by_id[p.anchor_id], by_id[p.partner_id]) for p in block]
+            t = np.array([float(p.label) for p in block])
+            logits, _ = forward_pair_logits(params, model_cfg, rec_pairs)
+            z = logits.data.astype(np.float64)
+            total += float((np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))).sum())
+    return total / len(pairs)
+
+
+def gv_score(query, candidate, cfg):
+    """rrt.baselines.gv_scores for one candidate."""
+    from rrt.baselines import gv_scores
+
+    return gv_scores(query, [candidate], cfg)[0]

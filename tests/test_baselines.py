@@ -12,7 +12,6 @@ from rrt.baselines import (
     GVConfig,
     alpha_qe_expand,
     aqe_weights,
-    gv_score,
     gv_scores,
     mutual_nn_matches,
     ransac_homography,
@@ -20,7 +19,7 @@ from rrt.baselines import (
 from rrt.data import ImageRecord
 
 from helpers import make_record
-from oracles import gv_score_svd, mutual_nn_brute, ransac_homography_svd
+from oracles import gv_score, gv_score_svd, mutual_nn_brute, ransac_homography_svd
 
 
 class TestAlphaQE:

@@ -1,6 +1,6 @@
-"""Command-line exit codes on bad descriptor data and repeated record ids:
-3, never a traceback, and no output written; config digests free of machine
-facts."""
+"""Command-line exit codes on bad descriptor data, corrupt checkpoints and
+repeated record ids: 3, never a traceback, and no output written; config
+digests free of machine facts."""
 
 import importlib
 import json
@@ -175,5 +175,43 @@ def test_ablate_with_bad_budget_exits_2_before_scoring(
     code = main(["ablate", "--queries", str(data), "--gallery", str(data),
                  "--checkpoint", str(checkpoint), "--k", "2", "--out", str(out), *flags])
     assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _bad_name(raw):
+    raw[28] = 0xFF  # first byte of the first tensor's name, "layers.0.wq"
+
+
+def _huge_dims(raw):
+    raw[39:48] = bytes([4]) + struct.pack("<4I", *(65536,) * 4)  # ndim and dims of layers.0.wq
+
+
+def _zero_model_dim(raw):
+    raw[12:14] = struct.pack("<H", 0)  # the config's d
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_bad_name, "does not match the config's layout entry layers.0.wq"),
+        (_huge_dims, "with shape (65536, 65536, 65536, 65536) does not match"),
+        (_zero_model_dim, "bad model config: h*d_h = 4 must equal d = 0 (at byte offset 8)"),
+    ],
+    ids=["name_byte_0xff", "dims_65536x4", "zero_model_dim"],
+)
+def test_correspond_with_corrupt_checkpoint_exits_3(tmp_path, capsys, corrupt, message):
+    data = tmp_path / "g.rrtd"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    cfg = ModelConfig(L=2, d=4, h=2, d_h=2, layers=1, d_c=8, n_scales=1, d_g_raw=2)
+    checkpoint = tmp_path / "m.rrtm"
+    save_checkpoint(init_params(cfg, seed=0), cfg, checkpoint)
+    raw = bytearray(checkpoint.read_bytes())
+    corrupt(raw)
+    checkpoint.write_bytes(bytes(raw))
+    out = tmp_path / "c.json"
+    argv = ["correspond", "--queries", str(data), "--gallery", str(data),
+            "--checkpoint", str(checkpoint), "--query-id", "1", "--gallery-id", "2", "--out", str(out)]
+    assert main(argv) == 3
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -30,6 +30,7 @@ from oracles import (
     per_local_columns,
     synth_generate_per_local,
 )
+from helpers import no_locals
 
 
 def records_equal_bitwise(a, b):
@@ -285,18 +286,24 @@ class TestGridDedup:
 
 class TestImageRecord:
     def test_arrays_converted_and_read_only(self):
-        rec = ImageRecord(3, 0, np.zeros(2, np.float32), np.ones((2, 4)), [[1, 2], [3, 4]], [0, 6])
+        rec = ImageRecord(3, 0, [0.5, 2.0], np.ones((2, 4)), [[1, 2], [3, 4]], [0, 6])
+        assert rec.global_desc.dtype == np.float32 and rec.global_desc.tolist() == [0.5, 2.0]
         assert rec.vecs.dtype == np.float32 and rec.vecs.shape == (2, 4)
         assert rec.uv.dtype == np.float32 and rec.uv.shape == (2, 2)
         assert rec.scale_idx.dtype == np.uint8 and rec.scale_idx.tolist() == [0, 6]
-        for a in (rec.vecs, rec.uv, rec.scale_idx):
+        for a in (rec.global_desc, rec.vecs, rec.uv, rec.scale_idx):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1
 
     def test_callers_array_stays_writable(self):
-        vecs = np.ones((1, 4), np.float32)
-        ImageRecord(0, 0, np.zeros(2, np.float32), vecs, np.zeros((1, 2), np.float32), [0])
-        vecs[0, 0] = 2.0
+        g, vecs = np.zeros(2, np.float32), np.ones((1, 4), np.float32)
+        ImageRecord(0, 0, g, vecs, np.zeros((1, 2), np.float32), [0])
+        g[0], vecs[0, 0] = 1.0, 2.0
+
+    @pytest.mark.parametrize("global_desc", [np.zeros((2, 3)), np.float32(1.0)])
+    def test_global_must_be_1d_naming_record(self, global_desc):
+        with pytest.raises(DataFormatError, match="record 7: global descriptor has shape"):
+            ImageRecord(7, 0, global_desc, *no_locals())
 
     @pytest.mark.parametrize(
         "vecs, uv, sidx",

@@ -22,13 +22,12 @@ from rrt.model import (
     param_shapes,
     save_checkpoint,
     score_batch,
-    score_pair,
     transformer_layer,
 )
 
 from gradcheck import central_difference, max_rel_err
 from helpers import make_pair, make_record, tiny_config
-from oracles import assemble_input
+from oracles import assemble_input, score_pair
 
 
 def default_config():
@@ -475,15 +474,19 @@ class TestCheckpoint:
         for (n1, t1), (n2, t2) in zip(params.named(), loaded.named()):
             assert n1 == n2
             assert t1.data.tobytes() == t2.data.tobytes()
+            assert t2.data.flags.writeable  # the optimizer updates tensors in place
         assert score_pair(loaded, cfg2, a, b) == before
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         cfg = tiny_config()
         p = tmp_path / "m.rrtm"
         save_checkpoint(init_params(cfg, seed=26), cfg, p)
-        p.write_bytes(p.read_bytes()[:-20])
-        with pytest.raises(IntegrityError, match="truncated"):
+        raw = p.read_bytes()
+        p.write_bytes(raw[:-20])
+        with pytest.raises(DataFormatError, match="truncated") as exc:
             load_checkpoint(p)
+        # the cut falls in the data of the last tensor, scale_embed.table
+        assert exc.value.offset == len(raw) - 4 * cfg.n_scales * cfg.d
 
     def test_shape_mismatch_rejected(self, tmp_path):
         cfg = tiny_config()

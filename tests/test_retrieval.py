@@ -1,6 +1,8 @@
 """Retrieval engine tests: exact search vs a full-sort oracle, the rerank
 contract, query-expansion composition, persistence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from rrt.data import l2_normalize
 from rrt.errors import DataFormatError
+from rrt.model import init_params
 from rrt.retrieval import (
     GlobalIndex,
     NeighborList,
@@ -22,7 +25,7 @@ from rrt.retrieval import (
     write_neighbors,
 )
 
-from helpers import make_record
+from helpers import make_record, tiny_config
 from oracles import knn_brute, stable_rerank_brute
 
 
@@ -176,6 +179,19 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.ids, index.ids)
         assert loaded.vectors.tobytes() == index.vectors.tobytes()
 
+    def test_projected_index_round_trip_gives_writable_copies(self, tmp_path):
+        cfg = tiny_config()
+        rng = np.random.default_rng(11)
+        recs = [make_record(rng, i, 0, cfg.d, cfg.d_g_raw, 0, cfg.n_scales) for i in range(4)]
+        index = build_index(recs, projected=True, params=init_params(cfg, seed=11), cfg=cfg)
+        p = tmp_path / "g.rrti"
+        save_index(index, p)
+        loaded = load_index(p)
+        assert loaded.projected
+        assert (loaded.ids.dtype, loaded.ids.tolist()) == (np.int64, index.ids.tolist())
+        assert loaded.vectors.tobytes() == index.vectors.tobytes()
+        assert loaded.ids.flags.writeable and loaded.vectors.flags.writeable
+
     @pytest.mark.parametrize("bad_id", [2**32 + 5, -1])
     def test_ids_outside_u32_rejected_on_save(self, tmp_path, bad_id):
         index = GlobalIndex(ids=np.array([0, bad_id], dtype=np.int64), vectors=np.eye(2, dtype=np.float32))
@@ -187,7 +203,7 @@ class TestPersistence:
     def test_zero_global_names_its_record(self):
         rng = np.random.default_rng(10)
         recs = [make_record(rng, i, 0, 8, 16, 2, 3) for i in range(3)]
-        recs[2].global_desc[:] = 0.0
+        recs[2] = replace(recs[2], global_desc=np.zeros_like(recs[2].global_desc))
         with pytest.raises(DataFormatError, match="record 2"):
             build_index(recs)
 

@@ -14,14 +14,13 @@ from rrt.train import (
     PairSample,
     PairSampler,
     TrainConfig,
-    evaluate_loss,
     mine_neighbor_ids,
     train,
     write_loss_history,
 )
 
 from helpers import no_locals
-from oracles import mine_neighbor_ids_lexsort
+from oracles import evaluate_loss, mine_neighbor_ids_lexsort, score_pair
 
 
 def small_dataset(seed=0, n_instances=4, images=4):
@@ -276,8 +275,6 @@ class TestEvaluateLoss:
             evaluate_loss(recs, init_params(small_model(), 0), small_model(), [])
 
     def test_matches_composed_bce_over_score_pair(self):
-        from rrt.model import score_pair
-
         recs = small_dataset()
         mcfg = small_model()
         params = init_params(mcfg, seed=5)
