@@ -14,7 +14,7 @@ forward passes over shared tensors are safe; anything that writes ``grad`` or
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -533,41 +533,50 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False)
     """Masked scaled dot-product attention, softmax(q.k^T / sqrt(d_h)).v, as
     one op with a hand-written backward.
 
-    q, k, v are [B, h, T, d_h] of one shape; mask is bool, broadcastable to
-    [B, h, T], and marks the valid keys of each slice.  Returns (context
-    [B, h, T, d_h], probabilities [B, h, T, T] or None); the probabilities
-    are built only when return_probs is set.  Context and gradients are
-    views of [B, T, h, d_h] buffers.
+    q is [B, h, Tq, d_h] and k, v are [B, h, T, d_h] with Tq <= T: the
+    queries are any Tq rows (a caller that needs only the leading rows of a
+    self-attention passes just those), the keys and values every token.
+    mask is bool, broadcastable to [B, h, T], and marks the valid keys of
+    each slice.  Returns (context [B, h, Tq, d_h], probabilities [B, h, Tq,
+    T] or None); the probabilities are built only when return_probs is set.
+    Context and gradients are views of [B, Tq or T, h, d_h] buffers.
 
-    The flattened B*h axis runs in tiles of consecutive slices whose logits
-    stay within ATTENTION_TILE_FLOATS, never splitting a pair's heads across
-    two tiles unless one pair alone exceeds the budget.  A slice whose
+    The flattened B*h axis runs in tiles of consecutive slices whose Tq x T
+    logits stay within ATTENTION_TILE_FLOATS, never splitting a pair's heads
+    across two tiles unless one pair alone exceeds the budget.  A slice whose
     logits alone exceed it runs in blocks of query rows.  Without recording,
-    no [B, h, T, T] buffer exists; recording keeps every tile's
+    no [B, h, Tq, T] buffer exists; recording keeps every tile's
     probabilities for the backward.
     """
-    if not (q.shape == k.shape == v.shape) or q.ndim != 4:
+    if not (
+        q.ndim == 4
+        and k.shape == v.shape
+        and k.shape[:2] + k.shape[3:] == q.shape[:2] + q.shape[3:]
+        and q.shape[2] <= k.shape[2]
+    ):
         raise ValueError(
-            f"attention needs q, k, v of one [B, h, T, d_h] shape, got {q.shape}, {k.shape}, {v.shape}"
+            "attention needs q [B, h, Tq, d_h] and k, v of one [B, h, T, d_h] shape "
+            f"with Tq <= T, got {q.shape}, {k.shape}, {v.shape}"
         )
-    B, h, T, dh = q.shape
+    B, h, Tq, dh = q.shape
+    T = k.shape[2]
     dtype = q.dtype
     scale = dtype.type(1.0 / np.sqrt(dh))
     qd, kd, vd = q.data, k.data, v.data
     kmask = np.broadcast_to(np.asarray(mask, dtype=bool), (B, h, T))
-    tile = max(1, ATTENTION_TILE_FLOATS // (T * T))  # slices per tile
+    tile = max(1, ATTENTION_TILE_FLOATS // (Tq * T))  # slices per tile
     if tile >= h:
         step = tile // h
         spans = [(np.s_[b : b + step], slice(None)) for b in range(0, B, step)]
     else:
         spans = [(np.s_[b : b + 1], np.s_[c : c + tile]) for b in range(B) for c in range(0, h, tile)]
-    rows = _row_blocks(T, ATTENTION_TILE_FLOATS // T)  # query rows per block
-    tile_floats = min(tile, B * h) * T * T
+    rows = _row_blocks(Tq, ATTENTION_TILE_FLOATS // T)  # query rows per block
+    tile_floats = min(tile, B * h) * Tq * T
     recording = _records((q, k, v))
 
     ctx = _head_major(q.shape, dtype)
-    probs = np.empty((B, h, T, T), dtype=dtype) if (recording or return_probs) else None
-    buf = np.empty(tile_floats // T * _longest(rows), dtype=dtype) if probs is None else None
+    probs = np.empty((B, h, Tq, T), dtype=dtype) if (recording or return_probs) else None
+    buf = np.empty(tile_floats // Tq * _longest(rows), dtype=dtype) if probs is None else None
     for bs, hs in spans:
         kt, vt = kd[bs, hs].swapaxes(-1, -2), vd[bs, hs]
         m = kmask[bs, hs]
@@ -581,7 +590,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False)
             np.matmul(p, vt, out=ctx[bs, hs, rs])
 
     def grad_fn(g):
-        gq, gk, gv = (_head_major(q.shape, dtype) for _ in range(3))
+        gq = _head_major(q.shape, dtype)
+        gk, gv = (_head_major(k.shape, dtype) for _ in range(2))
         buf = np.empty(tile_floats, dtype=dtype)
         for bs, hs in spans:
             p, gt = probs[bs, hs], g[bs, hs]

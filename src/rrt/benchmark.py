@@ -20,7 +20,6 @@ run converge inside the desk-scale time budget.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
 from .baselines import GVConfig
 from .data import SynthConfig, normalize_records, part_prototypes, synth_generate

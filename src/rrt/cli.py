@@ -26,7 +26,6 @@ import numpy as np
 
 from .baselines import GVConfig
 from .data import (
-    DatasetManifest,
     SynthConfig,
     export_labels_tsv,
     load_dataset,

@@ -9,7 +9,10 @@ embedding, and every local token is the local descriptor plus its scale
 embedding and a segment embedding (plus an optional fixed sinusoidal position
 code).  Images with fewer than L locals are padded with zero tokens excluded
 via the attention mask.  The sequence runs through C identical transformer
-layers; a linear head on the final CLS row yields the match logit.
+layers; a linear head on the final CLS row yields the match logit.  Since
+nothing else reads the last layer's output, that layer runs its queries,
+residual, LayerNorms and MLP on the CLS row alone (Tq = 1 query row against
+all T keys and values), unless the caller collects its attention map.
 
 Checkpoint wire format, extension ``.rrtm``, read by ``rrt.wire.Reader``
 (header and error policy there):
@@ -17,7 +20,8 @@ Checkpoint wire format, extension ``.rrtm``, read by ``rrt.wire.Reader``
     magic "RRTM" | u32 version=1
     config: u32 L | u16 d | u8 h | u8 d_h | u8 C | u16 d_c | u8 n_scales
             | u32 d_g_raw | u8 flags (bit0 pos_embed, bit1 global_token,
-                                      bit2 scale_embed, bit3 mlp_residual)
+                                      bit2 scale_embed, bit3 mlp_residual,
+                                      bits 4-7 zero)
     u16 tensor count, then per tensor:
             u8 name_len | name (ASCII) | u8 ndim | ndim x u32 dims | f32 data
 """
@@ -214,42 +218,58 @@ def _position_code(positions: np.ndarray, d: int) -> np.ndarray:
 # -- transformer ----------------------------------------------------------
 
 
-def mha_forward(layer, cfg: ModelConfig, z: Tensor, mask: np.ndarray, return_attn: bool = False):
+def mha_forward(
+    layer, cfg: ModelConfig, z: Tensor, mask: np.ndarray, return_attn: bool = False,
+    query_rows: int | None = None,
+):
     """Multi-head self-attention; mask marks valid key positions.
 
-    z is [T, d] or [B, T, d].  Returns (output, attention or None); the
-    attention array is [B, h, T, T], post-softmax, built only when asked.
+    z is [T, d] or [B, T, d].  Keys and values come from all T tokens;
+    queries from the leading query_rows tokens (Tq <= T, default all), so
+    the output is [Tq, d] or [B, Tq, d].  Returns (output, attention or
+    None); the attention array is [B, h, Tq, T], post-softmax, built only
+    when asked.
     """
     squeeze = z.ndim == 2
     if squeeze:
         z = ag.reshape(z, (1,) + tuple(z.shape))
         mask = np.asarray(mask, dtype=bool)[None, :]
     B, T, d = z.shape
+    Tq = T if query_rows is None else query_rows
     h, dh = cfg.h, cfg.d_h
     rows = ag.reshape(z, (B * T, d))  # projections run as 2-D gemms
+    q_rows = rows if Tq == T else ag.reshape(z[:, :Tq], (B * Tq, d))
 
-    def heads(w, b):
-        return ag.swapaxes(ag.reshape(ag.affine(rows, w, b), (B, T, h, dh)), 1, 2)  # [B,h,T,dh]
+    def heads(x, n, w, b):
+        return ag.swapaxes(ag.reshape(ag.affine(x, w, b), (B, n, h, dh)), 1, 2)  # [B,h,n,dh]
 
     ctx, attn = ag.attention(
-        heads(layer.wq, layer.bq),
-        heads(layer.wk, layer.bk),
-        heads(layer.wv, layer.bv),
+        heads(q_rows, Tq, layer.wq, layer.bq),
+        heads(rows, T, layer.wk, layer.bk),
+        heads(rows, T, layer.wv, layer.bv),
         mask[:, None, :],
         return_probs=return_attn,
     )
-    ctx = ag.reshape(ag.swapaxes(ctx, 1, 2), (B * T, d))
-    out = ag.reshape(ag.affine(ctx, layer.wo, layer.bo), (T, d) if squeeze else (B, T, d))
+    ctx = ag.reshape(ag.swapaxes(ctx, 1, 2), (B * Tq, d))
+    out = ag.reshape(ag.affine(ctx, layer.wo, layer.bo), (Tq, d) if squeeze else (B, Tq, d))
     return out, attn
 
 
-def transformer_layer(layer, cfg: ModelConfig, z: Tensor, mask: np.ndarray, return_attn: bool = False):
+def transformer_layer(
+    layer, cfg: ModelConfig, z: Tensor, mask: np.ndarray, return_attn: bool = False,
+    query_rows: int | None = None,
+):
     """One block: post-norm attention, then a two-layer MLP.
 
-    The MLP has no residual connection by default; set mlp_residual for the
+    Only the leading query_rows tokens (default all) are carried through:
+    they attend over every token, and the residual, both LayerNorms and the
+    MLP run on those rows alone, so the output is [.., query_rows, d].  The
+    MLP has no residual connection by default; set mlp_residual for the
     conventional variant.
     """
-    att, attn_w = mha_forward(layer, cfg, z, mask, return_attn)
+    att, attn_w = mha_forward(layer, cfg, z, mask, return_attn, query_rows)
+    if att.shape[-2] != z.shape[-2]:
+        z = z[..., : att.shape[-2], :]
     zbar = ag.layer_norm(ag.add(z, att), layer.ln1_g, layer.ln1_b, LAYERNORM_EPS)
     mlp = ag.mlp(zbar, layer.w1, layer.b1, layer.w2, layer.b2)
     body = ag.add(zbar, mlp) if cfg.mlp_residual else mlp
@@ -356,19 +376,22 @@ def forward_pair_logits(
     """Logits for a batch of record pairs in one forward pass.
 
     Returns (logits Tensor [B], attention of the last layer or None).
-    Gradients flow if recording is enabled.
+    The last layer computes only the CLS row the head reads, unless
+    collect_attention asks for its full [B, h, T, T] attention.  Gradients
+    flow if recording is enabled.
     """
     if not pairs:
         raise ValueError("forward_pair_logits needs at least one pair")
     dtype = params["tok.cls"].dtype
     z, mask = _assemble_batch(params, cfg, pairs, dtype)
 
-    attn = None
-    for i in range(cfg.layers):
-        want = collect_attention and i == cfg.layers - 1
-        z, a = transformer_layer(params.layer(i), cfg, z, mask, return_attn=want)
-        if want:
-            attn = a
+    last = cfg.layers - 1
+    for i in range(last):
+        z, _ = transformer_layer(params.layer(i), cfg, z, mask)
+    z, attn = transformer_layer(
+        params.layer(last), cfg, z, mask, return_attn=collect_attention,
+        query_rows=None if collect_attention else 1,
+    )
 
     cls = z[:, 0, :]
     head = ag.reshape(params["head.w"], (cfg.d, 1))
@@ -478,6 +501,8 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path) -> None:
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     cur = Reader(path, CKPT_MAGIC, CKPT_VERSION)
     *sizes, flags = cur.unpack(_CFG_STRUCT)  # sizes in ModelConfig's field order
+    if flags & ~0xF:
+        raise DataFormatError(f"unknown model flag bits {flags:#04x}", offset=cur.off - 1)
     try:
         cfg = ModelConfig(*sizes, use_pos_embed=bool(flags & 1), use_global_token=bool(flags & 2),
                           use_scale_embed=bool(flags & 4), mlp_residual=bool(flags & 8))

@@ -8,7 +8,7 @@ regardless of internal evaluation order.
 Index wire format, extension ``.rrti``, read by ``rrt.wire.Reader`` (header
 and error policy there):
 
-    magic "RRTI" | u32 version=1 | u8 projected | u32 n | u32 dim
+    magic "RRTI" | u32 version=1 | u8 projected (0 or 1) | u32 n | u32 dim
     | n x u32 ids | n*dim x f32 row-major vectors
 
 Neighbor lists serialize as JSON Lines, one object per line:
@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -123,6 +123,8 @@ def save_index(index: GlobalIndex, path) -> None:
 def load_index(path) -> GlobalIndex:
     cur = Reader(path, INDEX_MAGIC, INDEX_VERSION)
     projected, n, dim = cur.unpack("<BII")
+    if projected > 1:
+        raise DataFormatError(f"projected byte {projected} is neither 0 nor 1", offset=8)
     ids = cur.array("<u4", n).astype(np.int64)
     vecs = cur.array("<f4", n * dim).reshape(n, dim)
     cur.end("the vectors")

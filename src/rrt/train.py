@@ -25,7 +25,7 @@ from .data import ImageRecord
 from .errors import ConfigError, TrainingDiverged
 from .model import ModelConfig, ModelParams, forward_pair_logits, init_params, save_checkpoint
 from .optim import AdamW, clip_global_grad_norm, global_grad_norm
-from .retrieval import build_index, knn_search, query_vector
+from .retrieval import build_index
 
 __all__ = [
     "TrainConfig",

@@ -1,7 +1,8 @@
 """The fused attention op: bit-identical to the composed reference path in
-float32 across tile and query-row block boundaries, gradients against
-central differences and against the composed path, masked and all-masked
-keys, and the memory bounds that motivate the tiling."""
+float32 across tile and query-row block boundaries, fewer queries than keys
+equal to the full op's leading rows, gradients against central differences
+and against the composed path, masked and all-masked keys, and the memory
+bounds that motivate the tiling."""
 
 import contextlib
 import tracemalloc
@@ -137,36 +138,94 @@ class TestQueryRowBlocks:
         assert peak < slice_bytes
 
 
+class TestLeadingQueryRows:
+    """q holds Tq < T query rows against all T keys and values: the result
+    equals the first Tq rows of the full op, in context and probabilities."""
+
+    @pytest.mark.parametrize("Tq", [1, 3, 15])
+    @pytest.mark.parametrize("budget_rows", [None, 4, 1])  # whole slices, 4-row blocks, 1-row blocks
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_rows_match_full_op(self, monkeypatch, Tq, budget_rows, masked):
+        B, h, T, dh = 3, 2, 16, 6
+        if budget_rows is not None:
+            monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", budget_rows * T)
+        rng = np.random.default_rng(28)
+        q, k, v = (rng.standard_normal((B, h, T, dh)).astype(np.float32) for _ in range(3))
+        mask = np.ones((B, 1, T), dtype=bool)
+        if masked:
+            mask[1, :, T // 2 :] = False
+            mask[2] = False  # no valid key at all
+        full, full_probs = ag.attention(Tensor(q), Tensor(k), Tensor(v), mask, return_probs=True)
+        for return_probs in (False, True):
+            out, probs = ag.attention(Tensor(q[:, :, :Tq]), Tensor(k), Tensor(v), mask, return_probs=return_probs)
+            assert out.shape == (B, h, Tq, dh)
+            np.testing.assert_allclose(out.data, full.data[:, :, :Tq], rtol=1e-6, atol=1e-6)
+        assert probs.shape == (B, h, Tq, T)
+        np.testing.assert_allclose(probs, full_probs[:, :, :Tq], rtol=1e-6, atol=1e-7)
+        if masked:
+            assert not out.data[2].any() and not probs[2].any()
+
+    @pytest.mark.parametrize(
+        "q_shape, kv_shapes",
+        [
+            ((1, 2, 3, 4), [(1, 2, 5, 4), (1, 2, 4, 4)]),  # k and v disagree on T
+            ((1, 2, 3, 4), [(1, 2, 5, 4), (1, 2, 5, 3)]),  # k and v disagree on d_h
+            ((1, 2, 3, 4), [(1, 2, 5, 3), (1, 2, 5, 3)]),  # q and k, v disagree on d_h
+            ((1, 2, 3, 4), [(1, 1, 5, 4), (1, 1, 5, 4)]),  # heads disagree
+            ((2, 2, 3, 4), [(1, 2, 5, 4), (1, 2, 5, 4)]),  # batch disagrees
+            ((1, 2, 6, 4), [(1, 2, 5, 4), (1, 2, 5, 4)]),  # more queries than keys
+            ((2, 3, 4), [(2, 3, 4), (2, 3, 4)]),  # not [B, h, T, d_h]
+        ],
+    )
+    def test_shape_mismatch_rejected(self, q_shape, kv_shapes):
+        k_shape, v_shape = kv_shapes
+        with pytest.raises(ValueError, match="Tq <= T"):
+            ag.attention(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape)), True)
+
+
+def check_gradients(q_shape, kv_shape, seed):
+    """The op's gradients in float64 against central differences, with one
+    pair's keys partly masked, one's all masked (inert: zero output, zero
+    gradients) and one's all valid."""
+    rng = np.random.default_rng(seed)
+    q0 = rng.standard_normal(q_shape)
+    k0, v0 = (rng.standard_normal(kv_shape) for _ in range(2))
+    mask = np.array(
+        [[True, False, True, True, False], [False] * 5, [True] * 5]
+    )[:, None, :]
+    readout = rng.standard_normal(q_shape)
+
+    def f(q, k, v):
+        out, _ = ag.attention(Tensor(q), Tensor(k), Tensor(v), mask)
+        return float((out.data * readout).sum())
+
+    q, k, v = (Tensor(x, requires_grad=True) for x in (q0, k0, v0))
+    out, probs = ag.attention(q, k, v, mask)
+    assert probs is None
+    np.testing.assert_array_equal(out.data[1], 0.0)  # no valid key: inert, not NaN
+    (out * Tensor(readout)).sum().backward()
+
+    numeric = [
+        central_difference(lambda x: f(x, k0, v0), q0),
+        central_difference(lambda x: f(q0, x, v0), k0),
+        central_difference(lambda x: f(q0, k0, x), v0),
+    ]
+    for t, n in zip((q, k, v), numeric):
+        assert t.grad.shape == t.shape
+        assert np.all(np.isfinite(t.grad))
+        np.testing.assert_array_equal(t.grad[1], 0.0)
+        assert max_rel_err(t.grad, n) < 1e-6
+
+
 class TestAttentionOp:
     def test_gradcheck_with_masked_and_all_masked_keys(self, monkeypatch):
         monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", 5 * 5)  # one slice per tile
-        rng = np.random.default_rng(23)
-        shape = (3, 2, 5, 3)  # [B, h, T, d_h]
-        q0, k0, v0 = (rng.standard_normal(shape) for _ in range(3))
-        mask = np.array(
-            [[True, False, True, True, False], [False] * 5, [True] * 5]
-        )[:, None, :]
-        readout = rng.standard_normal(shape)
+        check_gradients((3, 2, 5, 3), (3, 2, 5, 3), seed=23)  # [B, h, T, d_h]
 
-        def f(q, k, v):
-            out, _ = ag.attention(Tensor(q), Tensor(k), Tensor(v), mask)
-            return float((out.data * readout).sum())
-
-        q, k, v = (Tensor(x, requires_grad=True) for x in (q0, k0, v0))
-        out, probs = ag.attention(q, k, v, mask)
-        assert probs is None
-        np.testing.assert_array_equal(out.data[1], 0.0)  # no valid key: inert, not NaN
-        (out * Tensor(readout)).sum().backward()
-
-        numeric = [
-            central_difference(lambda x: f(x, k0, v0), q0),
-            central_difference(lambda x: f(q0, x, v0), k0),
-            central_difference(lambda x: f(q0, k0, x), v0),
-        ]
-        for t, n in zip((q, k, v), numeric):
-            assert np.all(np.isfinite(t.grad))
-            np.testing.assert_array_equal(t.grad[1], 0.0)
-            assert max_rel_err(t.grad, n) < 1e-6
+    @pytest.mark.parametrize("budget", [2 * 5, 1 << 18], ids=["row_blocks", "one_tile"])
+    def test_gradcheck_with_fewer_queries_than_keys(self, monkeypatch, budget):
+        monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", budget)
+        check_gradients((3, 2, 2, 3), (3, 2, 5, 3), seed=29)  # Tq=2 queries, T=5 keys
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="one"):

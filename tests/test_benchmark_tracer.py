@@ -65,7 +65,8 @@ def test_traced_forward_and_backward_count_model_spans():
     assert t.calls["model.forward_pair_logits"] == 1
     assert t.calls["model.transformer_layer"] == cfg.layers
     assert t.calls["model.mha_forward"] == cfg.layers
-    assert t.bytes_out["model.mha_forward"] == cfg.layers * cfg.seq_len * cfg.d * 4
+    # every layer but the last outputs all seq_len rows; the last, the CLS row
+    assert t.bytes_out["model.mha_forward"] == ((cfg.layers - 1) * cfg.seq_len + 1) * cfg.d * 4
     assert t.calls["autograd.backward"] == 1
 
 

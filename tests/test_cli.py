@@ -191,14 +191,19 @@ def _zero_model_dim(raw):
     raw[12:14] = struct.pack("<H", 0)  # the config's d
 
 
+def _unknown_flag(raw):
+    raw[24] |= 0x10  # bit 4 of the config's flags byte
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         (_bad_name, "does not match the config's layout entry layers.0.wq"),
         (_huge_dims, "with shape (65536, 65536, 65536, 65536) does not match"),
         (_zero_model_dim, "bad model config: h*d_h = 4 must equal d = 0 (at byte offset 8)"),
+        (_unknown_flag, "unknown model flag bits 0x16 (at byte offset 24)"),
     ],
-    ids=["name_byte_0xff", "dims_65536x4", "zero_model_dim"],
+    ids=["name_byte_0xff", "dims_65536x4", "zero_model_dim", "flag_bit_4"],
 )
 def test_correspond_with_corrupt_checkpoint_exits_3(tmp_path, capsys, corrupt, message):
     data = tmp_path / "g.rrtd"

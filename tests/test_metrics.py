@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrt.metrics import (
-    EvalReport,
     ablation_locals_sweep,
     ap_at_k,
     average_precision,

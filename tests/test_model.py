@@ -313,6 +313,21 @@ class TestTransformerLayer:
         out2, _ = transformer_layer(params.layer(0), cfg, Tensor(z2), mask)
         assert np.max(np.abs(out1.data[0] - out2.data[0])) < 1e-6
 
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("query_rows", [1, 3])
+    def test_leading_query_rows_match_full_layer(self, batched, query_rows):
+        cfg = tiny_config(mlp_residual=True)
+        params = init_params(cfg, seed=13)
+        rng = np.random.default_rng(13)
+        z = rng.standard_normal((2, 6, cfg.d) if batched else (6, cfg.d)).astype(np.float32)
+        mask = np.array([[True] * 4 + [False] * 2, [True] * 6]) if batched else np.array([True] * 5 + [False])
+        full, full_attn = transformer_layer(params.layer(0), cfg, Tensor(z), mask, return_attn=True)
+        out, attn = transformer_layer(params.layer(0), cfg, Tensor(z), mask, return_attn=True, query_rows=query_rows)
+        assert out.shape == z.shape[:-2] + (query_rows, cfg.d)
+        np.testing.assert_allclose(out.data, full.data[..., :query_rows, :], rtol=1e-5, atol=1e-6)
+        assert attn.shape == full_attn.shape[:2] + (query_rows, 6)
+        np.testing.assert_allclose(attn, full_attn[:, :, :query_rows], rtol=1e-5, atol=1e-7)
+
     def test_zero_mlp_erases_input_content(self):
         cfg = tiny_config()
         params = init_params(cfg, seed=12)
@@ -406,6 +421,55 @@ class TestScoring:
         _, sab = score_pair(params, cfg, a, b)
         _, sba = score_pair(params, cfg, b, a)
         assert 0.0 < sab < 1.0 and 0.0 < sba < 1.0
+
+
+def mixed_pairs(cfg, seed):
+    """Five pairs with random local counts in [0, cfg.L] per side, then one
+    with no locals against a full side: padded and full sequences mixed."""
+    rng = np.random.default_rng(seed)
+    return [
+        make_pair(rng, cfg, n_a=int(rng.integers(0, cfg.L + 1)), n_b=int(rng.integers(0, cfg.L + 1)))
+        for _ in range(5)
+    ] + [make_pair(rng, cfg, n_a=0, n_b=cfg.L)]
+
+
+class TestClsOnlyLastLayer:
+    """The last layer computes only the CLS row unless its attention is
+    collected; collecting runs the full layer, so it is the reference."""
+
+    @pytest.mark.parametrize("use_global_token", [True, False])
+    @pytest.mark.parametrize("mlp_residual", [False, True])
+    def test_logits_match_full_last_layer(self, use_global_token, mlp_residual):
+        cfg = tiny_config(use_global_token=use_global_token, mlp_residual=mlp_residual)
+        params = init_params(cfg, seed=50)
+        pairs = mixed_pairs(cfg, seed=50)
+        cls_only, attn = forward_pair_logits(params, cfg, pairs)
+        full, _ = forward_pair_logits(params, cfg, pairs, collect_attention=True)
+        assert attn is None
+        assert cls_only.data.dtype == np.float32
+        np.testing.assert_allclose(cls_only.data, full.data, rtol=1e-5, atol=1e-6)
+
+    def test_gradients_match_full_last_layer(self):
+        cfg = tiny_config(layers=3, mlp_residual=True)
+        pairs = mixed_pairs(cfg, seed=51)
+        readout = Tensor(np.random.default_rng(51).standard_normal(len(pairs)))
+        grads = []
+        for collect in (False, True):
+            params = init_params(cfg, seed=51).astype(np.float64, cfg)
+            logits, _ = forward_pair_logits(params, cfg, pairs, collect_attention=collect)
+            (logits * readout).sum().backward()
+            grads.append({name: t.grad for name, t in params.named()})
+        for name, g in grads[0].items():
+            np.testing.assert_allclose(g, grads[1][name], rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_collect_attention_returns_full_map(self):
+        cfg = tiny_config()
+        params = init_params(cfg, seed=52)
+        pairs = mixed_pairs(cfg, seed=52)
+        _, attn = forward_pair_logits(params, cfg, pairs, collect_attention=True)
+        T = cfg.seq_len
+        assert attn.shape == (len(pairs), cfg.h, T, T)
+        np.testing.assert_allclose(attn.sum(axis=-1), 1.0, rtol=1e-5)
 
 
 class TestAssignment:

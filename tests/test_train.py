@@ -16,7 +16,6 @@ from rrt.train import (
     TrainConfig,
     mine_neighbor_ids,
     train,
-    write_loss_history,
 )
 
 from helpers import no_locals

@@ -86,3 +86,23 @@ def test_trailing_magic_and_version_faults_report_their_offset(tmp_path, fmt):
         path.write_bytes(bad)
         err = _offset_error(load, path)
         assert (err.offset, message in str(err)) == (offset, True)
+
+
+@pytest.mark.parametrize(
+    "fmt, offset, written, bad, message",
+    [
+        ("rrtm", 24, 0x06, 0x16, "unknown model flag bits 0x16"),  # flags: bit 4 set
+        ("rrtm", 24, 0x06, 0x86, "unknown model flag bits 0x86"),  # flags: bit 7 set
+        ("rrti_raw", 8, 0, 7, "projected byte 7 is neither 0 nor 1"),
+        ("rrti_projected", 8, 1, 2, "projected byte 2 is neither 0 nor 1"),
+    ],
+)
+def test_byte_no_writer_produces_reports_its_offset(tmp_path, fmt, offset, written, bad, message):
+    path = tmp_path / "f"
+    load, _ = FORMATS[fmt](path)
+    raw = bytearray(path.read_bytes())
+    assert raw[offset] == written
+    raw[offset] = bad
+    path.write_bytes(bytes(raw))
+    err = _offset_error(load, path)
+    assert (err.offset, message in str(err)) == (offset, True)
