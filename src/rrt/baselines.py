@@ -19,24 +19,40 @@ the result is a pure function of (matches, config, seed).
   and every lambda_i != 0, i.e. when every triple of the 4 points spans a
   triangle, which the collinearity test already requires.  Scaled to unit
   Frobenius norm it is the normalized-DLT null vector up to rounding.
-- The winner's consensus set is refit by least-squares DLT (SVD).
+- The winner's consensus set is refit by least-squares DLT (SVD), the
+  local optimisation step of LO-RANSAC (Chum, Matas & Kittler, 2003).  The
+  winner stands when the refit degenerates or keeps fewer than 4.
 
-`gv_scores` verifies a query against many candidates in blocks.  Per block,
-every set of every pair is fitted in one vectorized step and scored against
-its own pair's matches, padded to the block's widest pair and masked, in one
-pass.  GV_BLOCK_BUDGET bounds hypotheses x padded matches per block, which
-bounds its memory; a pair above the bound on its own forms a block alone.
+`gv_scores` verifies a query against many candidates in blocks, and every
+step runs once per block, not once per pair:
+
+- Dedup.  Each draw's sorted set packs into one int64 in base w, the
+  block's widest pair, and one stable sort finds each set's first draw.
+  The keys fit while w**4 <= 2**63, i.e. w <= 55,108 (_PACK_MAX_WIDTH,
+  checked); one pair that wide would first need a 24 GB mutual-NN matrix.
+- Hypotheses.  Every set of every pair is fitted in one vectorized step and
+  scored against its own pair's matches, padded to w and masked, in one
+  pass.  Points are projected with elementwise ufuncs per hypothesis, so a
+  point's error does not depend on the padding or on the other points.
+- Refits.  Winners are grouped by consensus size, with one normalization
+  and one stacked SVD per size.  LAPACK factors each matrix on its own, so
+  each refit has the bits it would have alone.  All refits of the block are
+  then scored in one padded, masked pass.
+
+GV_BLOCK_BUDGET bounds hypotheses x padded matches per block, which bounds
+its memory; a pair above the bound on its own forms a block alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import ImageRecord, l2_normalize
+from .errors import ConfigError
 
 __all__ = [
     "Match",
@@ -66,6 +82,16 @@ class GVConfig:
     inlier_threshold: float = 3.0  # pixels, symmetric transfer
     ratio: Optional[float] = None  # Lowe ratio test, off by default
     seed: int = 0
+
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ConfigError(f"GV iterations must be at least 1, got {self.iterations}")
+        if not (isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
+            raise ConfigError(
+                f"GV inlier threshold must be finite and positive, got {self.inlier_threshold}"
+            )
+        if self.ratio is not None and not (isfinite(self.ratio) and self.ratio > 0):
+            raise ConfigError(f"GV ratio must be finite and positive, got {self.ratio}")
 
 
 def aqe_weights(sims: np.ndarray, alpha: float) -> np.ndarray:
@@ -209,15 +235,18 @@ def _noncollinear(pts: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _project(H: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply homographies [U,3,3] to points [U,n,2] (or [1,n,2], shared)
-    -> ([U,n,2], valid)."""
-    ph = np.concatenate([pts, np.ones(pts.shape[:2] + (1,))], axis=2)
-    q = ph @ H.transpose(0, 2, 1)
-    w = q[..., 2]
+def _project(H: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Apply homographies [U,3,3] to points with coordinates x, y [U,n] (or
+    [1,n], shared) -> (x', y', valid), each [U,n].  Elementwise per
+    hypothesis, so a point's result does not depend on the other points or
+    on padding."""
+    h = H[:, :, :, None]  # each entry a [U,1] column, broadcast over points
+    px = h[:, 0, 0] * x + h[:, 0, 1] * y + h[:, 0, 2]
+    py = h[:, 1, 0] * x + h[:, 1, 1] * y + h[:, 1, 2]
+    w = h[:, 2, 0] * x + h[:, 2, 1] * y + h[:, 2, 2]
     good = np.abs(w) > _W_EPS
     w = np.where(good, w, 1.0)
-    return q[..., :2] / w[..., None], good
+    return px / w, py / w, good
 
 
 def _symmetric_errors(H: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
@@ -229,44 +258,67 @@ def _symmetric_errors(H: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np
     Hsafe = np.where(invertible[:, None, None], H, np.eye(3))
     Hinv = np.linalg.inv(Hsafe)
 
-    fwd, ok_f = _project(H, pts_a)
-    bwd, ok_b = _project(Hinv, pts_b)
-    e = np.sqrt(((fwd - pts_b) ** 2).sum(-1) + ((bwd - pts_a) ** 2).sum(-1))
-    e = np.where(ok_f & ok_b & invertible[:, None], e, np.inf)
-    return e
+    xa, ya = pts_a[..., 0], pts_a[..., 1]
+    xb, yb = pts_b[..., 0], pts_b[..., 1]
+    fx, fy, ok_f = _project(H, xa, ya)
+    bx, by, ok_b = _project(Hinv, xb, yb)
+    fx -= xb
+    fy -= yb
+    bx -= xa
+    by -= ya
+    e = np.sqrt((fx * fx + fy * fy) + (bx * bx + by * by))
+    return np.where(ok_f & ok_b & invertible[:, None], e, np.inf)
 
 
-def _refit(best_H, best_mask, pts_a, pts_b, inlier_threshold):
-    """Least-squares DLT refit on the winning consensus set; the winning
-    hypothesis stands when the refit degenerates or keeps fewer than 4."""
-    Ta1, _, pa1, va1 = _similarity_T(pts_a[best_mask][None])
-    _, Tb1_inv, pb1, vb1 = _similarity_T(pts_b[best_mask][None])
-    if va1[0] and vb1[0]:
-        Hr = (Tb1_inv @ _dlt_batch(pa1, pb1) @ Ta1)[0]
-        if np.isfinite(Hr).all() and abs(Hr[2, 2]) > _W_EPS:
-            err = _symmetric_errors(Hr[None], pts_a[None], pts_b[None])[0]
-            mask = err < inlier_threshold
-            if mask.sum() >= 4:
-                return Hr / Hr[2, 2], int(mask.sum()), mask
-    return best_H / best_H[2, 2], int(best_mask.sum()), best_mask
+def _refit(inliers, owner, pts_a, pts_b, real, inlier_threshold):
+    """Least-squares DLT refits of the winners' consensus sets inliers
+    [W,width], with pair owner [W] of the padded points [P,width,2] ->
+    (refit H [W,3,3], mask [W,width], ok [W]).  ok is False where the refit
+    degenerates or keeps fewer than 4, and the winner stands.  Refits of
+    one consensus size share one normalization and one stacked SVD, which
+    runs LAPACK per matrix, so each keeps its bits."""
+    sizes = inliers.sum(axis=1)
+    Hr = np.zeros((len(inliers), 3, 3))  # a row left zero fails the H[2,2] test
+    for size in np.unique(sizes):
+        g = np.flatnonzero(sizes == size)
+        cols = np.nonzero(inliers[g])[1].reshape(len(g), size)
+        Ta, _, pa, va = _similarity_T(pts_a[owner[g, None], cols])
+        _, Tb_inv, pb, vb = _similarity_T(pts_b[owner[g, None], cols])
+        ok = va & vb
+        if ok.any():
+            Hr[g[ok]] = Tb_inv[ok] @ _dlt_batch(pa[ok], pb[ok]) @ Ta[ok]
+    fit = np.isfinite(Hr).all(axis=(1, 2)) & (np.abs(Hr[:, 2, 2]) > _W_EPS)
+    mask = np.zeros_like(inliers)
+    f = owner[fit]
+    mask[fit] = (_symmetric_errors(Hr[fit], pts_a[f], pts_b[f]) < inlier_threshold) & real[f]
+    return Hr, mask, mask.sum(axis=1) >= 4
 
 
-def _first_draws(draws: np.ndarray) -> np.ndarray:
-    """Indices of the draws [k, 5] (pair, 4 match indices) that are the first
-    of their pair to pick their set of 4 matches, in draw order."""
-    keys = np.concatenate([draws[:, :1], np.sort(draws[:, 1:], axis=1)], axis=1)
-    order = np.lexsort(keys.T[::-1])  # stable, so each set's draws stay in draw order
-    ranked = keys[order]
+_PACK_MAX_WIDTH = 55_108  # largest w with w**4 <= 2**63: packed dedup keys fit int64
+
+
+def _first_draws(draws: np.ndarray, width: int) -> np.ndarray:
+    """Indices of the draws [k, 5] (pair, 4 match indices below width) that
+    are the first of their pair to pick their set of 4 matches, in draw
+    order.  The key is the packed sorted set; the pair needs no key bits,
+    because draws arrive grouped by pair and the sort is stable, so the
+    draws of one set stay ordered by pair and then by draw."""
+    if width > _PACK_MAX_WIDTH:
+        raise ValueError(f"block width {width} exceeds the dedup packing bound {_PACK_MAX_WIDTH}")
+    s = np.sort(draws[:, 1:], axis=1).astype(np.int64, copy=False)
+    key = ((s[:, 0] * width + s[:, 1]) * width + s[:, 2]) * width + s[:, 3]
+    order = np.argsort(key, kind="stable")
+    ranked, pair = key[order], draws[order, 0]
     new = np.ones(len(order), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    return np.sort(order[new])
+    new[1:] = (ranked[1:] != ranked[:-1]) | (pair[1:] != pair[:-1])
+    first = np.zeros(len(order), dtype=bool)
+    first[order[new]] = True
+    return np.flatnonzero(first)
 
 
 def _ransac_block(pairs, inlier_threshold: float):
     """RANSAC over several pairs at once.  pairs: (pts_a [n,2], pts_b [n,2],
     sample_indices [it,4]) with n >= 4 -> (H, inliers, mask) per pair."""
-    if inlier_threshold <= 0:
-        raise ValueError("inlier_threshold must be positive")
     sizes = np.array([len(pa) for pa, _, _ in pairs])
     width = int(sizes.max())
     pts_a = np.zeros((len(pairs), width, 2))
@@ -277,10 +329,11 @@ def _ransac_block(pairs, inlier_threshold: float):
         pts_b[p, : len(pb)] = pb
         draws.append(np.column_stack([np.full(len(samples), p), samples]))
     draws = np.concatenate(draws)  # [sum it, 5]: pair, 4 sample indices
+    real = np.arange(width) < sizes[:, None]
 
     # One hypothesis per distinct (pair, set), on its first draw's ordering;
     # rows stay in draw order, so grouped by pair.
-    first = _first_draws(draws)
+    first = _first_draws(draws, width)
     owner, sets = draws[first, 0], draws[first, 1:]
 
     Ta, _, pa_n, va = _similarity_T(pts_a[owner[:, None], sets])
@@ -291,19 +344,24 @@ def _ransac_block(pairs, inlier_threshold: float):
     valid = np.isfinite(H).all(axis=(1, 2)) & (np.abs(H[:, 2, 2]) > _W_EPS)
     H, owner = H[valid], owner[valid]
 
-    real = np.arange(width) < sizes[owner, None]
-    inliers = (_symmetric_errors(H, pts_a[owner], pts_b[owner]) < inlier_threshold) & real
+    inliers = (_symmetric_errors(H, pts_a[owner], pts_b[owner]) < inlier_threshold) & real[owner]
     counts = inliers.sum(axis=1)
-    bounds = np.searchsorted(owner, np.arange(len(pairs) + 1))
 
-    out = []
-    for p, (pa, pb, _) in enumerate(pairs):
-        lo, hi = bounds[p], bounds[p + 1]
-        best = lo + int(np.argmax(counts[lo:hi])) if hi > lo else None  # earliest of ties
-        if best is None or counts[best] < 4:
-            out.append((None, 0, np.zeros(len(pa), dtype=bool)))
-        else:
-            out.append(_refit(H[best], inliers[best, : len(pa)], pa, pb, inlier_threshold))
+    # Each pair's winner is its earliest hypothesis with the top count.
+    bounds = np.searchsorted(owner, np.arange(len(pairs) + 1))
+    win = np.array(
+        [lo + np.argmax(counts[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo],
+        dtype=np.int64,
+    )
+    win = win[counts[win] >= 4]
+    best_H, best_mask = H[win] / H[win, 2:, 2:], inliers[win]
+    Hr, mask, ok = _refit(best_mask, owner[win], pts_a, pts_b, real, inlier_threshold)
+    best_H[ok] = Hr[ok] / Hr[ok, 2:, 2:]
+    best_mask[ok] = mask[ok]
+
+    out = [(None, 0, np.zeros(n, dtype=bool)) for n in sizes]
+    for p, Hp, m in zip(owner[win], best_H, best_mask):
+        out[p] = (Hp, int(m.sum()), m[: sizes[p]])
     return out
 
 
@@ -335,6 +393,8 @@ def ransac_homography(
     n = len(pts_a)
     if len(pts_b) != n:
         raise ValueError("point sets must align")
+    if not (isfinite(inlier_threshold) and inlier_threshold > 0):
+        raise ValueError("inlier_threshold must be finite and positive")
     if n < 4:
         return None, 0, np.zeros(n, dtype=bool)
     if sample_indices is None:

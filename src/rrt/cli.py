@@ -146,7 +146,7 @@ TRAIN_FLAGS = COMMON + [
     Flag("--neg-pool", int, 100, "negatives come from this many top global neighbors"),
     Flag("--grad-clip", _opt_float, None, "global gradient-norm clip (e.g. 0.1)"),
     Flag("--steps-per-epoch", _opt_int, None, "cap on steps per epoch"),
-    Flag("--lr-schedule", "bool", False, "drop lr x0.1 after 60% and 80% of epochs"),
+    Flag("--lr-schedule", "bool", False, "drop lr x0.1 after 60 and 80 percent of epochs"),
 ]
 
 RERANK_FLAGS = COMMON + [

@@ -47,7 +47,6 @@ __all__ = [
     "ModelParams",
     "init_params",
     "param_shapes",
-    "param_count",
     "mha_forward",
     "transformer_layer",
     "forward_pair_logits",
@@ -123,11 +122,6 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], tuple]]:
     if cfg.use_scale_embed:
         out.append(("scale_embed.table", (cfg.n_scales, cfg.d), ("normal", 0.02)))
     return out
-
-
-def param_count(cfg: ModelConfig) -> int:
-    """Exact learnable-scalar count for a configuration."""
-    return sum(int(np.prod(shape)) for _, shape, _ in param_shapes(cfg))
 
 
 class _LayerView:

@@ -352,6 +352,19 @@ def ransac_homography_svd(
     return best_H, int(best_mask.sum()), best_mask
 
 
+def first_draws_lexsort(draws):
+    """Indices of the draws [k, 5] (pair, 4 match indices) that are the first
+    of their pair to pick their set of 4 matches, in draw order: a stable
+    5-key lexsort of (pair, sorted set), the reference for the packed-key
+    `rrt.baselines._first_draws`."""
+    keys = np.concatenate([draws[:, :1], np.sort(draws[:, 1:], axis=1)], axis=1)
+    order = np.lexsort(keys.T[::-1])  # stable, so each set's draws stay in draw order
+    ranked = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[new])
+
+
 def gv_score_svd(query, candidate, cfg):
     """`gv_score` (below) over `ransac_homography_svd`: the same
     mutual-NN matches and per-pair seed, the reference RANSAC."""
@@ -512,6 +525,13 @@ def per_local_columns(record):
 # Entry points no library caller needs: one pair, one candidate, or an
 # autograd op the model does not use.  Tests check the batched code against
 # them and gradcheck them like any other op.
+
+
+def param_count(cfg):
+    """Exact learnable-scalar count for a configuration."""
+    from rrt.model import param_shapes
+
+    return sum(int(np.prod(shape)) for _, shape, _ in param_shapes(cfg))
 
 
 def relu(a):

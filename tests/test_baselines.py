@@ -1,6 +1,7 @@
 """Baseline reranker tests: query expansion arithmetic, mutual-NN matching
 against a quadratic oracle, RANSAC on planted homographies and against the
-per-iteration SVD reference, block-split GV scoring."""
+per-iteration SVD reference, the packed-key draw dedup against a lexsort,
+block-split GV scoring with and without refit fallbacks, GV config checks."""
 
 import numpy as np
 import pytest
@@ -17,9 +18,17 @@ from rrt.baselines import (
     ransac_homography,
 )
 from rrt.data import ImageRecord
+from rrt.errors import ConfigError
 
+from check_gv_reference import check_seed
 from helpers import make_record
-from oracles import gv_score, gv_score_svd, mutual_nn_brute, ransac_homography_svd
+from oracles import (
+    first_draws_lexsort,
+    gv_score,
+    gv_score_svd,
+    mutual_nn_brute,
+    ransac_homography_svd,
+)
 
 
 class TestAlphaQE:
@@ -341,3 +350,162 @@ class TestGVScoresBlocks:
         for budget in (baselines.GV_BLOCK_BUDGET, 4000, 1 << 30):
             monkeypatch.setattr(baselines, "GV_BLOCK_BUDGET", budget)
             assert gv_scores(query, cands, cfg) == single
+
+
+def random_draws(rng, n_pairs, width, iterations):
+    """Draws [k, 5] as _ransac_block builds them: per pair, in pair order,
+    rows of (pair, 4 distinct match indices below that pair's size).  Up to
+    width 64 sizes vary and small pairs repeat their sets often; wider
+    pairs pick from a few indices just below width, so that sets repeat
+    within and across pairs."""
+    rows = []
+    for p in range(n_pairs):
+        if width > 64:
+            pool = width - 1 - rng.permutation(8)[:6]
+            picks = np.stack([rng.choice(pool, 4, replace=False) for _ in range(iterations)])
+        else:
+            n = int(rng.integers(4, width + 1)) if p else width
+            picks = np.argsort(rng.random((iterations, n)), axis=1)[:, :4]
+        rows.append(np.column_stack([np.full(iterations, p), picks]))
+    return np.concatenate(rows)
+
+
+class TestFirstDraws:
+    @pytest.mark.parametrize("width", [4, 5, 9, 40, baselines._PACK_MAX_WIDTH])
+    def test_same_rows_as_lexsort(self, width):
+        rng = np.random.default_rng(width)
+        dropped = 0
+        for _ in range(5):
+            draws = random_draws(rng, int(rng.integers(1, 7)), width, int(rng.integers(1, 120)))
+            got = baselines._first_draws(draws, width)
+            np.testing.assert_array_equal(got, first_draws_lexsort(draws))
+            dropped += len(draws) - len(got)
+        assert dropped > 0  # repeated sets were there to drop
+
+    def test_packing_bound(self):
+        # The largest packed key, the set (w-4, w-3, w-2, w-1), must fit int64.
+        w = baselines._PACK_MAX_WIDTH
+        assert w**4 <= 2**63 < (w + 1) ** 4
+        draws = np.array([[0, w - 1, w - 2, w - 3, w - 4], [1, w - 4, w - 3, w - 2, w - 1]])
+        np.testing.assert_array_equal(baselines._first_draws(draws, w), [0, 1])
+        with pytest.raises(ValueError, match="packing bound"):
+            baselines._first_draws(draws, w + 1)
+
+
+PERSPECTIVE = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.001, 0.0, 1.0]])  # vanishing line x = -1000
+
+
+def fallback_query_and_candidates(seed, n_fallback=4, n_planted=30):
+    """A 16-local query and candidates of two kinds, shuffled.
+
+    Fallback candidates share the query's first 7 locals under PERSPECTIVE:
+    4 near its vanishing line, mapped exactly, and 3 far from it with half
+    a pixel of noise.  The exact 4 give a winner with all 7 as consensus.
+    The least-squares refit follows the noisy 3, whose algebraic errors
+    weigh more, and misses the 4 by more than the threshold, so it keeps
+    fewer than 4 and the winner stands.  The other candidates share 0-9 of
+    the query's other locals under the planted homography with outliers,
+    so consensus sizes vary."""
+    rng = np.random.default_rng(seed)
+
+    def unit_rows(k):
+        v = rng.standard_normal((k, 8))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    q_vecs, q_pos = unit_rows(16), rng.uniform(0, 1024, size=(16, 2))
+    q_pos[:4] = [[-990.0, 100.0], [-985.0, 900.0], [-982.0, 300.0], [-988.0, 600.0]]
+    query = record_from(q_vecs, q_pos, 0)
+    cands = []
+    for i in range(n_fallback + n_planted):
+        if i < n_fallback:
+            shared = np.arange(7)
+            pos = apply_h(PERSPECTIVE, q_pos[:7])
+            pos[4:] += rng.normal(0, 0.5, size=(3, 2))
+        else:
+            shared = 7 + rng.permutation(9)[: int(rng.integers(0, 10))]
+            pos = apply_h(planted_homography(), q_pos[shared])
+            moved = rng.random(len(shared)) > 0.7
+            pos[moved] = rng.uniform(0, 1024, size=(int(moved.sum()), 2))
+        k = len(shared)
+        vecs = np.concatenate([q_vecs[shared], unit_rows(16 - k)])
+        pos = np.concatenate([pos, rng.uniform(0, 1024, size=(16 - k, 2))])
+        cands.append(record_from(vecs, pos, i + 1))
+    return query, [cands[j] for j in rng.permutation(len(cands))]
+
+
+class TestGVScoresRefitFallback:
+    def test_blocks_match_reference_per_pair(self, monkeypatch):
+        query, cands = fallback_query_and_candidates(1)
+        cfg = GVConfig(iterations=80, seed=3)
+        blocks, refits = [], []
+        ransac_block, refit = baselines._ransac_block, baselines._refit
+
+        def spy_block(pairs, inlier_threshold):
+            out = ransac_block(pairs, inlier_threshold)
+            blocks.append((pairs, out))
+            return out
+
+        def spy_refit(inliers, *rest):
+            Hr, mask, ok = refit(inliers, *rest)
+            refits.append((inliers.sum(axis=1), ok))
+            return Hr, mask, ok
+
+        monkeypatch.setattr(baselines, "_ransac_block", spy_block)
+        monkeypatch.setattr(baselines, "_refit", spy_refit)
+        for budget in (baselines.GV_BLOCK_BUDGET, 4000, 1 << 30):
+            monkeypatch.setattr(baselines, "GV_BLOCK_BUDGET", budget)
+            blocks.clear()
+            refits.clear()
+            gv_scores(query, cands, cfg)
+            for pairs, out in blocks:
+                for (pa, pb, samples), (H, count, mask) in zip(pairs, out):
+                    H_ref, count_ref, mask_ref = ransac_homography_svd(
+                        pa, pb, inlier_threshold=cfg.inlier_threshold, sample_indices=samples
+                    )
+                    assert count == count_ref
+                    np.testing.assert_array_equal(mask, mask_ref)
+                    if H_ref is None:
+                        assert H is None
+                    else:
+                        assert np.abs(H - H_ref).max() <= 1e-9 * np.abs(H_ref).max()
+            # Some block mixes fallbacks with kept refits of other sizes.
+            assert any((~ok).any() and set(sizes[ok]) - set(sizes[~ok]) for sizes, ok in refits)
+            sizes = np.concatenate([s for s, _ in refits])
+            ok = np.concatenate([k for _, k in refits])
+            assert (~ok).sum() >= 2 and len(set(sizes[ok])) >= 3
+
+
+def test_frozen_eval_pairs_match_reference():
+    # The first 2 queries of the seed-1 frozen eval set, top-100 each, at the
+    # benchmark's 500 iterations; tests/check_gv_reference.py runs them all.
+    assert check_seed(1, max_queries=2) == (200, 0)
+
+
+class TestGVConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(iterations=-5), "iterations must be at least 1, got -5"),
+            (dict(iterations=0), "iterations must be at least 1, got 0"),
+            (dict(inlier_threshold=0.0), "finite and positive, got 0.0"),
+            (dict(inlier_threshold=-1.0), "finite and positive, got -1.0"),
+            (dict(inlier_threshold=float("nan")), "finite and positive, got nan"),
+            (dict(inlier_threshold=float("inf")), "finite and positive, got inf"),
+            (dict(ratio=-1.0), "ratio must be finite and positive, got -1.0"),
+            (dict(ratio=0.0), "ratio must be finite and positive, got 0.0"),
+            (dict(ratio=float("nan")), "ratio must be finite and positive, got nan"),
+        ],
+    )
+    def test_bad_values_raise_config_error(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            GVConfig(**kwargs)
+
+    def test_good_values_build(self):
+        GVConfig(iterations=1, inlier_threshold=1e-3, ratio=0.8)
+        GVConfig(ratio=None)
+
+    @pytest.mark.parametrize("threshold", [0.0, float("nan")])
+    def test_ransac_homography_checks_its_threshold(self, threshold):
+        pts = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="inlier_threshold"):
+            ransac_homography(pts, pts, inlier_threshold=threshold)

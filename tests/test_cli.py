@@ -1,6 +1,7 @@
 """Command-line exit codes on bad descriptor data, corrupt checkpoints and
-repeated record ids: 3, never a traceback, and no output written; config
-digests free of machine facts."""
+repeated record ids: 3, never a traceback, and no output written; bad GV
+settings exit 2; every command prints its help; config digests free of
+machine facts."""
 
 import importlib
 import json
@@ -154,6 +155,35 @@ def test_rerank_with_negative_locals_budget_exits_2(tmp_path, capsys):
     assert code == 2
     assert "max_locals must be non-negative, got -3" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--ransac-iters", "-5"], "GV iterations must be at least 1, got -5"),
+        (["--ransac-thresh", "0"], "GV inlier threshold must be finite and positive, got 0.0"),
+        (["--ransac-thresh", "nan"], "GV inlier threshold must be finite and positive, got nan"),
+        (["--ratio", "-1.0"], "GV ratio must be finite and positive, got -1.0"),
+    ],
+    ids=["iterations_-5", "threshold_0", "threshold_nan", "ratio_-1"],
+)
+def test_rerank_with_bad_gv_setting_exits_2(tmp_path, capsys, flags, message):
+    data, neighbors, out = tmp_path / "g.rrtd", tmp_path / "n.jsonl", tmp_path / "r.jsonl"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    write_neighbors(neighbors, [NeighborList(2, [(1, 0.5), (3, 0.4)])])
+    code = main(["rerank", "--data", str(neighbors), "--queries", str(data), "--gallery", str(data),
+                 "--scorer", "gv", "--out", str(out), *flags])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_help_prints_for_every_command(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from rrt.model import (
     load_checkpoint,
     max_weight_assignment,
     mha_forward,
-    param_count,
     param_shapes,
     save_checkpoint,
     score_batch,
@@ -27,7 +26,7 @@ from rrt.model import (
 
 from gradcheck import central_difference, max_rel_err
 from helpers import make_pair, make_record, tiny_config
-from oracles import assemble_input, score_pair
+from oracles import assemble_input, param_count, score_pair
 
 
 def default_config():
