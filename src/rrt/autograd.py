@@ -9,11 +9,14 @@ of their inputs).
 Thread-safety contract: tensors are immutable after creation except for
 gradient accumulation and in-place optimizer updates, so concurrent read-only
 forward passes over shared tensors are safe; anything that writes ``grad`` or
-``data`` needs exclusive access.
+``data`` needs exclusive access.  The grad mode is per thread: ``no_grad``
+switches recording off for the calling thread only, so worker threads may
+enter and leave it in any interleaving.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -54,22 +57,26 @@ ATTENTION_TILE_FLOATS = 1 << 18
 # slower than 2048: below this size the gemms lose more than the cache wins.
 MLP_BLOCK_FLOATS = 1 << 21
 
-# Module-level switch; flipping it is not thread-safe, callers serialize.
-_grad_enabled = True
+class _GradMode(threading.local):
+    """Whether ops record on the tape; every thread starts with it on."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 class no_grad:
-    """Context manager that disables tape recording (inference fast path)."""
+    """Context manager that disables tape recording in the calling thread
+    (inference fast path); other threads keep their own mode."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._prev = _grad_mode.enabled
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_mode.enabled = self._prev
         return False
 
 
@@ -234,7 +241,7 @@ def _as_tensor(x, dtype) -> Tensor:
 
 def _records(parents: tuple) -> bool:
     """Whether an op over these parents is recorded on the tape."""
-    return _grad_enabled and any(p.requires_grad or p._grad_fn is not None for p in parents)
+    return _grad_mode.enabled and any(p.requires_grad or p._grad_fn is not None for p in parents)
 
 
 def _make(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:

@@ -4,9 +4,13 @@ Stages communicate via files so every step is independently re-runnable and
 diffable: synth -> index -> retrieve -> train -> rerank -> eval / compare,
 plus the ablation sweep and a correspondence dump.  Every command is
 deterministic given its flags and seed, echoes a digest of its effective
-configuration into its outputs (reports embed it; other artifacts get a
-``<out>.meta.json`` sidecar), and exits 0 on success, 2 on configuration
-errors, 3 on data/format errors, 4 on a numerical abort.
+configuration into its outputs (reports embed it; other artifacts, and the
+``eval`` report too, get a ``<out>.meta.json`` sidecar), and exits 0 on
+success, 2 on configuration errors, 3 on data/format errors, 4 on a
+numerical abort.  The ``rerank`` and ``eval`` sidecars also record
+``"environment": {"workers": N}``, the threads a multi-chunk ``score_batch``
+uses on this machine; it is a machine fact, so it stays out of the config
+and its digest.
 
 Flags may also come from a ``key=value`` config file (--config); command-line
 flags win, unknown keys are rejected.
@@ -47,6 +51,7 @@ from .model import (
     ModelConfig,
     attention_correspondences,
     load_checkpoint,
+    score_workers,
 )
 from .retrieval import (
     aqe_requery,
@@ -270,9 +275,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_meta(out_path, command: str, cfg: dict) -> str:
+def _write_meta(out_path, command: str, cfg: dict, environment: dict | None = None) -> str:
+    """Write ``<out_path>.meta.json``; machine facts go in `environment`,
+    outside the config and its digest."""
     digest = config_digest({"command": command, **cfg})
     meta = {"command": command, "config_digest": digest, "config": cfg}
+    if environment is not None:
+        meta["environment"] = environment
     with open(str(out_path) + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
@@ -455,7 +464,7 @@ def cmd_rerank(cfg: dict) -> int:
         scorer = _scorer_from_flags(cfg, queries, gallery)
         out_lists = [rerank_topk(nl, scorer, k, method=name) for nl in neighbors]
     write_neighbors(cfg["out"], out_lists)
-    _write_meta(cfg["out"], "rerank", cfg)
+    _write_meta(cfg["out"], "rerank", cfg, {"workers": score_workers()})
     print(f"reranked {len(out_lists)} lists with scorer {name} (k={k}) -> {cfg['out']}")
     return 0
 
@@ -490,6 +499,7 @@ def cmd_eval(cfg: dict) -> int:
         digest=digest, wallclock_s=round(time.time() - t0, 6),
     )
     emit_report(report, cfg["out"], cfg["format"])
+    _write_meta(cfg["out"], "eval", cfg, {"workers": score_workers()})
     print(f"{report.method or 'ranking'}: mAP={report.map:.4f} "
           + " ".join(f"mAP@{k}={v:.4f}" for k, v in report.map_at.items())
           + " " + " ".join(f"R@{k}={v:.4f}" for k, v in report.recall_at.items()))

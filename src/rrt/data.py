@@ -132,16 +132,23 @@ def l2_normalize(vec: np.ndarray) -> np.ndarray:
 
 def l2_normalize_rows(m: np.ndarray, ids: Sequence[int] | None = None) -> np.ndarray:
     """Unit-norm copy of each row of a 2-D array.  A zero vector has no
-    direction and a vector whose norm is not finite (a NaN or infinite entry)
-    has no unit copy: both raise DataFormatError, naming ids[i] as row i's
-    record when ids are given.  ``np.vecdot`` gives each row the dot product
-    ``np.linalg.norm`` takes of the row alone, so the bytes do not depend on
-    the batching (``np.linalg.norm(axis=1)`` does not have that property)."""
-    norms = np.sqrt(np.vecdot(m, m))
+    direction and a vector whose norm is not finite (a NaN or infinite entry,
+    or finite entries whose squared norm overflows) has no unit copy: all
+    raise DataFormatError, naming ids[i] as row i's record when ids are
+    given.  ``np.vecdot`` gives each row the dot product ``np.linalg.norm``
+    takes of the row alone, so the bytes do not depend on the batching
+    (``np.linalg.norm(axis=1)`` does not have that property)."""
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        norms = np.sqrt(np.vecdot(m, m))
     bad = (norms == 0.0) | ~np.isfinite(norms)
     if bad.any():
         i = int(np.argmax(bad))
-        what = "a zero vector" if norms[i] == 0.0 else "a vector with a non-finite norm"
+        if norms[i] == 0.0:
+            what = "a zero vector"
+        elif np.isfinite(m[i]).all():
+            what = "a vector whose norm overflows"
+        else:
+            what = "a vector with a non-finite norm"
         where = "" if ids is None else f"record {ids[i]}: "
         raise DataFormatError(f"{where}cannot L2-normalize {what}")
     return m / norms[:, None]

@@ -29,7 +29,9 @@ Checkpoint wire format, extension ``.rrtm``, read by ``rrt.wire.Reader``
 from __future__ import annotations
 
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,6 +53,7 @@ __all__ = [
     "transformer_layer",
     "forward_pair_logits",
     "score_batch",
+    "score_workers",
     "attention_correspondences",
     "save_checkpoint",
     "load_checkpoint",
@@ -394,14 +397,49 @@ def forward_pair_logits(
 
 
 def _auto_chunk(cfg: ModelConfig) -> int:
-    # Pairs per forward pass, sized so a [B, h, T, T] buffer holds roughly
-    # 2^26 floats.  Without grad, attention builds that buffer only when
-    # attention weights are returned and otherwise holds one tile of logits
-    # at a time, and the MLP holds one row block of hidden activations, so
-    # a chunk's peak is set by the handful of [B, T, d] token arrays alive
-    # in a layer (8 MB each in float32 at paper scale, B=16).
+    # Pairs in flight at once, sized as if a [B, h, T, T] buffer held
+    # roughly 2^26 floats (16 pairs at paper scale).  Inference never builds
+    # that buffer: attention holds one tile of logits at a time and the MLP
+    # one row block of hidden activations, so the peak is set by the handful
+    # of [B, T, d] token arrays alive in a layer (0.5 MB per pair in float32
+    # at paper scale).  score_batch scores chunks of a SCORE_CHUNK_SHARE-th
+    # of this budget, at most MAX_SCORE_WORKERS of them at once.
     per_pair = cfg.h * cfg.seq_len * cfg.seq_len
     return max(1, (1 << 26) // max(per_pair, 1))
+
+
+# Threads that score the chunks of one score_batch call.  numpy releases the
+# GIL in the gemms and ufuncs that dominate a paper-scale forward pass, so two
+# threads overlap on two cores.
+MAX_SCORE_WORKERS = 2
+
+# A chunk holds 1/SCORE_CHUNK_SHARE of the _auto_chunk budget (2 pairs at
+# paper scale, the whole top 100 at T = 36).  Each worker thread allocates
+# from its own malloc arena, which keeps the buffers that thread freed: at
+# paper scale, two workers over chunks of 8 peaked about 40 MB (18%) above
+# the serial path, chunks of 4 about 20 MB, chunks of 2 at the serial peak.
+SCORE_CHUNK_SHARE = 8
+
+
+def score_workers() -> int:
+    """Threads score_batch uses for a call of more than one chunk: one per
+    CPU this process may run on, at most MAX_SCORE_WORKERS."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity call outside Linux
+        cpus = os.cpu_count() or 1
+    return min(MAX_SCORE_WORKERS, cpus)
+
+
+def _partition(n: int, size: int) -> list[slice]:
+    """Consecutive slices of `size` (>= 2) over n candidates, a trailing
+    single candidate joining the slice before it: a one-pair batch takes
+    other BLAS paths (one-row gemms), so its bytes could differ from the
+    same pair scored in a larger batch."""
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def score_batch(
@@ -409,22 +447,31 @@ def score_batch(
     cfg: ModelConfig,
     query: ImageRecord,
     candidates: Sequence[ImageRecord],
-    chunk: int | None = None,
 ) -> list[float]:
     """Similarity of (query, c) for every candidate; equals scoring each
-    pair in a batch of its own within float tolerance.  Chunked to bound
-    peak memory."""
-    if not candidates:
-        return []
-    if chunk is None:
-        chunk = _auto_chunk(cfg)
-    sims: list[float] = []
-    with ag.no_grad():
-        for start in range(0, len(candidates), chunk):
-            batch = [(query, c) for c in candidates[start : start + chunk]]
-            logits, _ = forward_pair_logits(params, cfg, batch)
-            sims.extend(float(s) for s in ag._sigmoid(logits.data))
-    return sims
+    pair in a batch of its own within float tolerance.
+
+    Candidates are split into a fixed partition of chunks of
+    _auto_chunk / SCORE_CHUNK_SHARE pairs (at least 2) to bound peak
+    memory.  A single chunk is scored on the calling thread; several run
+    on up to score_workers() threads.  The partition does not depend on the worker
+    count, so neither do the score bytes.  A chunk's error is raised as
+    the serial loop would raise it: the first failing chunk's, in order.
+    """
+    chunks = _partition(len(candidates), max(2, _auto_chunk(cfg) // SCORE_CHUNK_SHARE))
+
+    def score(chunk: slice) -> list[float]:
+        with ag.no_grad():
+            logits, _ = forward_pair_logits(params, cfg, [(query, c) for c in candidates[chunk]])
+        return [float(s) for s in ag._sigmoid(logits.data)]
+
+    workers = min(score_workers(), len(chunks))
+    if workers <= 1:
+        parts = [score(chunk) for chunk in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(score, chunks))  # results, and errors, in chunk order
+    return [s for part in parts for s in part]
 
 
 def max_weight_assignment(affinity: np.ndarray) -> list[tuple[int, int]]:

@@ -1,7 +1,10 @@
 """Shared fixtures-in-code for the test suite."""
 
+import threading
+
 import numpy as np
 
+from rrt import model
 from rrt.data import ImageRecord
 from rrt.model import ModelConfig
 
@@ -46,3 +49,17 @@ def make_pair(rng, cfg, n_a=None, n_b=None):
     a = make_record(rng, 0, 0, cfg.d, cfg.d_g_raw, n_a, cfg.n_scales)
     b = make_record(rng, 1, 1, cfg.d, cfg.d_g_raw, n_b, cfg.n_scales)
     return a, b
+
+
+def spy_forward_passes(monkeypatch):
+    """Record (batch size, ran on the main thread) for every
+    forward_pair_logits call that score_batch makes."""
+    calls = []
+    forward = model.forward_pair_logits
+
+    def spy(params, cfg, pairs, *args, **kwargs):
+        calls.append((len(pairs), threading.current_thread() is threading.main_thread()))
+        return forward(params, cfg, pairs, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward_pair_logits", spy)
+    return calls

@@ -6,6 +6,7 @@ library's backward pass.
 """
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -277,6 +278,44 @@ class TestBackward:
         assert loss._grad_fn is None
         with pytest.raises(RuntimeError):
             loss.backward()
+
+    def test_no_grad_is_per_thread(self):
+        # A enters, B enters, A exits, B exits.  With one process-wide switch,
+        # B's exit would restore the False it saw on entry, for every thread.
+        def records():
+            w = Tensor([1.0], requires_grad=True)
+            return (w * w)._grad_fn is not None
+
+        a_in, b_in, a_out, b_out = (threading.Event() for _ in range(4))
+        seen = {}
+
+        def thread_a():
+            with no_grad():
+                seen["A inside"] = records()
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+            b_out.wait(10)
+            seen["A after"] = records()
+
+        def thread_b():
+            a_in.wait(10)
+            with no_grad():
+                seen["B inside"] = records()
+                b_in.set()
+                a_out.wait(10)
+            b_out.set()
+            seen["B after"] = records()
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert not any(t.is_alive() for t in threads)
+        assert all(e.is_set() for e in (a_in, b_in, a_out, b_out))
+        assert seen == {"A inside": False, "B inside": False, "A after": True, "B after": True}
+        assert records()
 
     def test_shared_subexpression(self):
         # d/dw of (w*w + w*w) = 4w

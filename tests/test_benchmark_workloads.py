@@ -1,10 +1,12 @@
 """The benchmark's workloads (perfbench/workloads.py, loaded unchanged): the
 train workload at a tiny size runs its steps with a finite loss history,
 the same on every call, and no failed op; at the full paper scale (T=1004,
-where attention runs in query-row blocks), scores equal the recorded ones."""
+where attention runs in query-row blocks), scores equal the recorded ones,
+and chunks give the same bytes on the calling thread and on two workers."""
 
 import importlib.util
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +15,8 @@ import pytest
 
 from rrt.benchmark import train_synth_config
 from rrt.model import score_batch
+
+from helpers import spy_forward_passes
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -55,4 +59,25 @@ def test_paper_scale_scores_match_reference(workloads):
     ids = [int(g) for g in want][:2]
     got = score_batch(params, workloads.FULL.paper_model, query, [by_id[g] for g in ids])
     for gid, score in zip(ids, got):
+        assert abs(score - want[str(gid)]) <= workloads.PAPER_SCORE_ATOL, gid
+
+
+def test_paper_scale_chunks_give_equal_bytes_on_one_and_two_workers(workloads, monkeypatch):
+    # 8 recorded candidates run as four chunks of 2, on the calling thread
+    # and on two workers: the same bytes, within tolerance of the record.
+    ref = json.loads(workloads.PAPER_REFERENCE.read_text())
+    queries, gallery, params, _ = workloads.paper_inputs(workloads.FULL)
+    query = queries[0]
+    want = ref["scores"][str(query.id)]
+    by_id = {g.id: g for g in gallery}
+    ids = [int(g) for g in want][:8]
+    cands = [by_id[g] for g in ids]
+    batches = spy_forward_passes(monkeypatch)
+    got = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        got[cpus] = score_batch(params, workloads.FULL.paper_model, query, cands)
+    assert batches == [(2, True)] * 4 + [(2, False)] * 4
+    assert got[1] == got[2]
+    for gid, score in zip(ids, got[2]):
         assert abs(score - want[str(gid)]) <= workloads.PAPER_SCORE_ATOL, gid

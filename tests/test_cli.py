@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from rrt import cli
+from rrt import model as rrt_model
 from rrt.cli import main
 from rrt.data import DatasetManifest, ImageRecord, save_dataset
 from rrt.model import ModelConfig, init_params, save_checkpoint
@@ -127,23 +128,59 @@ def test_rerank_digest_does_not_depend_on_cpu_count(tmp_path, monkeypatch):
     data = tmp_path / "g.rrtd"
     index = tmp_path / "g.rrti"
     neighbors = tmp_path / "n.jsonl"
-    out = tmp_path / "r.jsonl"
+    out, report = tmp_path / "r.jsonl", tmp_path / "e.json"
     write_gallery(data, [[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
     assert main(["index", "--data", str(data), "--out", str(index)]) == 0
     assert main(["retrieve", "--data", str(index), "--queries", str(data), "--k", "3", "--out", str(neighbors)]) == 0
-    argv = ["rerank", "--data", str(neighbors), "--queries", str(data), "--gallery", str(data),
-            "--scorer", "gv", "--out", str(out)]
-    digests = []
+    argvs = {
+        out: ["rerank", "--data", str(neighbors), "--queries", str(data), "--gallery", str(data),
+              "--scorer", "gv", "--out", str(out)],
+        report: ["eval", "--data", str(out), "--queries", str(data), "--gallery", str(data),
+                 "--out", str(report)],
+    }
+    metas = []
     try:
         for cpus in (1, 64):
             with monkeypatch.context() as m:
                 m.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+                m.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
                 # flag defaults are evaluated when the module is imported
-                assert importlib.reload(cli).main(argv) == 0
-            digests.append(json.loads(Path(str(out) + ".meta.json").read_text())["config_digest"])
+                reloaded = importlib.reload(cli)
+                for path, argv in argvs.items():
+                    assert reloaded.main(argv) == 0
+                    metas.append(json.loads(Path(str(path) + ".meta.json").read_text()))
     finally:
         importlib.reload(cli)
-    assert digests[0] == digests[1]
+    assert [m["environment"] for m in metas] == [{"workers": w} for w in (1, 1, 2, 2)]
+    assert metas[0]["config_digest"] == metas[2]["config_digest"]
+    assert metas[1]["config_digest"] == metas[3]["config_digest"]
+    assert json.loads(report.read_text())["config_digest"] == metas[1]["config_digest"]
+
+
+def test_rerank_rrt_with_model_rejected_record_in_later_chunk_exits_2(tmp_path, capsys, monkeypatch):
+    # Six candidates in chunks of two on two workers; the third chunk holds
+    # a record with more locals than the model takes.
+    cfg = ModelConfig(L=2, d=4, h=2, d_h=2, layers=1, d_c=8, n_scales=1, d_g_raw=2)
+    checkpoint = tmp_path / "m.rrtm"
+    save_checkpoint(init_params(cfg, seed=0), cfg, checkpoint)
+    rng = np.random.default_rng(0)
+    recs = []
+    for i in range(1, 8):
+        n = 3 if i == 6 else 2
+        vecs = rng.standard_normal((n, 4)).astype(np.float32)
+        uv = rng.uniform(0, 64, (n, 2)).astype(np.float32)
+        recs.append(ImageRecord(i, 0, rng.standard_normal(2).astype(np.float32), vecs, uv, np.zeros(n, np.uint8)))
+    data = tmp_path / "g.rrtd"
+    save_dataset(recs, DatasetManifest(d_g_raw=2, d_l=4, n_scales=1, scale_values=(1.0,), n_images=7), data)
+    neighbors, out = tmp_path / "n.jsonl", tmp_path / "r.jsonl"
+    write_neighbors(neighbors, [NeighborList(1, [(g, 1.0 - g / 10) for g in range(2, 8)])])
+    monkeypatch.setattr(rrt_model, "_auto_chunk", lambda cfg: 2 * rrt_model.SCORE_CHUNK_SHARE)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    code = main(["rerank", "--data", str(neighbors), "--queries", str(data), "--gallery", str(data),
+                 "--scorer", "rrt", "--checkpoint", str(checkpoint), "--out", str(out)])
+    assert code == 2
+    assert "record 6 has 3 locals but the model takes at most 2" in capsys.readouterr().err
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
 
 
 def test_rerank_with_negative_locals_budget_exits_2(tmp_path, capsys):

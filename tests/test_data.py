@@ -1,6 +1,7 @@
 """Descriptor store tests: normalization, binary round trips, the synthetic
 generator's planted structure, grid dedup counts."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -364,6 +365,15 @@ class TestL2NormalizeRows:
     def test_first_bad_row_named(self, rows, message):
         with pytest.raises(DataFormatError, match=message):
             l2_normalize_rows(np.array(rows, np.float32), [10, 11, 12])
+
+    def test_overflowing_norm_named_without_a_warning(self):
+        rows = np.array([[1, 0], [1e30, 1e30], [np.inf, 0]], np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="record 11: cannot L2-normalize a vector whose norm overflows"):
+                l2_normalize_rows(rows, [10, 11, 12])
+            with pytest.raises(DataFormatError, match="record 12: cannot L2-normalize a vector with a non-finite norm"):
+                l2_normalize_rows(rows[[0, 2]], [10, 12])
 
 
 def _dataset_bytes(recs, manifest, path):

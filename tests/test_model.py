@@ -3,11 +3,15 @@ a direct 64-bit reimplementation, scoring invariances, correspondence
 extraction, checkpoint round trips."""
 
 import itertools
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rrt import model
 from rrt.autograd import Tensor
 from rrt.errors import ConfigError, DataFormatError, IntegrityError
 from rrt.model import (
@@ -25,7 +29,7 @@ from rrt.model import (
 )
 
 from gradcheck import central_difference, max_rel_err
-from helpers import make_pair, make_record, tiny_config
+from helpers import make_pair, make_record, spy_forward_passes, tiny_config
 from oracles import assemble_input, param_count, score_pair
 
 
@@ -420,6 +424,105 @@ class TestScoring:
         _, sab = score_pair(params, cfg, a, b)
         _, sba = score_pair(params, cfg, b, a)
         assert 0.0 < sab < 1.0 and 0.0 < sba < 1.0
+
+
+def force_chunking(monkeypatch, size, cpus):
+    """score_batch chunks of `size` pairs on a machine of `cpus` CPUs; returns
+    the list of (batch size, ran on the calling thread) per forward pass."""
+    monkeypatch.setattr(model, "_auto_chunk", lambda cfg: size * model.SCORE_CHUNK_SHARE)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return spy_forward_passes(monkeypatch)
+
+
+def chunk_inputs(cfg, seed, n):
+    rng = np.random.default_rng(seed)
+    q = make_record(rng, 0, 0, cfg.d, cfg.d_g_raw, 3, cfg.n_scales)
+    cands = [
+        make_record(rng, i + 1, 1, cfg.d, cfg.d_g_raw, int(rng.integers(0, cfg.L + 1)), cfg.n_scales)
+        for i in range(n)
+    ]
+    return q, cands
+
+
+class TestChunkedScoring:
+    """score_batch splits candidates into a fixed partition; the chunks run
+    on the calling thread or on a small pool with the same bytes."""
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 7, 8, 16])
+    def test_partition_covers_in_order_without_lone_pairs(self, size):
+        for n in range(1, 201):
+            chunks = model._partition(n, size)
+            assert [i for c in chunks for i in range(n)[c]] == list(range(n)), (n, size)
+            widths = [c.stop - c.start for c in chunks]
+            assert all(w <= size + 1 for w in widths), (n, size)
+            assert n == 1 or min(widths) >= 2, (n, size, widths)
+
+    def test_one_and_two_workers_give_equal_bytes(self, monkeypatch):
+        cfg = tiny_config()
+        params = init_params(cfg, seed=50)
+        q, cands = chunk_inputs(cfg, 50, 11)
+        got = {}
+        for cpus in (1, 2):
+            calls = force_chunking(monkeypatch, 2, cpus)
+            got[cpus] = score_batch(params, cfg, q, cands)
+            assert [b for b, _ in calls] == [2, 2, 2, 2, 3]
+            assert {main for _, main in calls} == {cpus == 1}
+        assert np.array(got[1]).tobytes() == np.array(got[2]).tobytes()
+        single = [score_pair(params, cfg, q, c)[1] for c in cands]
+        np.testing.assert_allclose(got[2], single, atol=1e-5)
+
+    def test_single_chunk_runs_on_calling_thread(self, monkeypatch):
+        cfg = tiny_config()
+        q, cands = chunk_inputs(cfg, 51, 3)
+        calls = force_chunking(monkeypatch, 2, 2)
+        score_batch(init_params(cfg, seed=51), cfg, q, cands)
+        assert calls == [(3, True)]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_failing_chunk_raises_its_error(self, monkeypatch, cpus):
+        cfg = tiny_config()
+        params = init_params(cfg, seed=52)
+        rng = np.random.default_rng(52)
+        q, cands = chunk_inputs(cfg, 52, 8)
+        cands[5] = make_record(rng, 6, 1, cfg.d, cfg.d_g_raw, cfg.L + 1, cfg.n_scales)
+        cands[7] = make_record(rng, 8, 1, cfg.d, cfg.d_g_raw + 1, 2, cfg.n_scales)
+        force_chunking(monkeypatch, 2, cpus)
+        with pytest.raises(ConfigError) as exc:
+            score_batch(params, cfg, q, cands)
+        assert str(exc.value) == (
+            f"record 6 has {cfg.L + 1} locals but the model takes at most {cfg.L}; "
+            "truncate at load time"
+        )
+
+    def test_concurrent_calls_give_serial_bytes(self, monkeypatch):
+        # More callers than cores, each running its own two-worker pool, with
+        # thread switches forced often: scores and grad mode stay untouched.
+        cfg = tiny_config()
+        params = init_params(cfg, seed=53)
+        q, cands = chunk_inputs(cfg, 53, 9)
+        force_chunking(monkeypatch, 2, 1)
+        want = np.array(score_batch(params, cfg, q, cands)).tobytes()
+        force_chunking(monkeypatch, 2, 2)
+        got = []
+
+        def caller():
+            for _ in range(5):
+                got.append(np.array(score_batch(params, cfg, q, cands)).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 20
+        w = Tensor([1.0], requires_grad=True)
+        assert (w * w)._grad_fn is not None
 
 
 def mixed_pairs(cfg, seed):
