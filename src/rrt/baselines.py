@@ -38,6 +38,11 @@ step runs once per block, not once per pair:
   and one stacked SVD per size.  LAPACK factors each matrix on its own, so
   each refit has the bits it would have alone.  All refits of the block are
   then scored in one padded, masked pass.
+- Inverses.  The backward transfer error needs every hypothesis's inverse.
+  It is adj(H) / det(H), elementwise over the stack: the columns of adj(H)
+  are cross products of H's rows, and det(H) is their dot product with the
+  first row.  Dividing by det, rather than projecting with adj(H), keeps
+  the projection's _W_EPS guard on the scale of the true inverse.
 
 GV_BLOCK_BUDGET bounds hypotheses x padded matches per block, which bounds
 its memory; a pair above the bound on its own forms a block alone.
@@ -149,12 +154,10 @@ def mutual_nn_matches(
             two = np.partition(dist, 1, axis=0)[:2, :]
             ok_b = two[0, :] <= ratio * two[1, :]
 
-    out = []
-    for i in range(len(a)):
-        j = int(nn_b[i])
-        if int(nn_a[j]) == i and ok_a[i] and ok_b[j]:
-            out.append(Match(i, j, float(dist[i, j])))
-    return out
+    keep = (nn_a[nn_b] == np.arange(len(a))) & ok_a & ok_b[nn_b]
+    i = np.flatnonzero(keep)
+    j = nn_b[i]
+    return [Match(*m) for m in zip(i.tolist(), j.tolist(), dist[i, j].tolist())]
 
 
 def _similarity_T(pts: np.ndarray):
@@ -198,15 +201,18 @@ def _dlt_batch(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return vt[..., -1, :].reshape(it, 3, 3)
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u x v over the last axis of [..., 3] arrays: np.cross's formulas,
+    so the same bits, without its per-call overhead."""
+    return u[..., [1, 2, 0]] * v[..., [2, 0, 1]] - u[..., [2, 0, 1]] * v[..., [1, 2, 0]]
+
+
 def _projective_basis(pts: np.ndarray):
     """[U,4,2] -> (M, adj(M), lambda): M = [p1 p2 p3] with the homogeneous
     points as columns, its adjugate from cross products of the columns, and
     lambda = adj(M) p4, so that p4 ~ M lambda."""
     h = np.concatenate([pts, np.ones(pts.shape[:2] + (1,))], axis=2)  # [U,4,3]
-    adj = np.stack(
-        [np.cross(h[:, 1], h[:, 2]), np.cross(h[:, 2], h[:, 0]), np.cross(h[:, 0], h[:, 1])],
-        axis=1,
-    )
+    adj = np.stack([_cross(h[:, 1], h[:, 2]), _cross(h[:, 2], h[:, 0]), _cross(h[:, 0], h[:, 1])], axis=1)
     lam = (adj @ h[:, 3, :, None])[..., 0]
     return h[:, :3].transpose(0, 2, 1), adj, lam
 
@@ -252,11 +258,13 @@ def _project(H: np.ndarray, x: np.ndarray, y: np.ndarray):
 def _symmetric_errors(H: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
     """sqrt(forward^2 + backward^2) transfer error of H [U,3,3] on points
     [U,n,2] (or [1,n,2], shared), [U, n]; inf where the homography is not
-    invertible or the projection degenerates."""
-    det = np.linalg.det(H)
+    invertible or the projection degenerates.  The inverse is adj(H) / det(H),
+    elementwise (module docstring)."""
+    r0, r1, r2 = H[:, 0], H[:, 1], H[:, 2]
+    adj = np.stack([_cross(r1, r2), _cross(r2, r0), _cross(r0, r1)], axis=2)
+    det = (r0 * adj[:, :, 0]).sum(axis=1)
     invertible = np.abs(det) > 1e-12
-    Hsafe = np.where(invertible[:, None, None], H, np.eye(3))
-    Hinv = np.linalg.inv(Hsafe)
+    Hinv = adj / np.where(invertible, det, 1.0)[:, None, None]
 
     xa, ya = pts_a[..., 0], pts_a[..., 1]
     xb, yb = pts_b[..., 0], pts_b[..., 1]

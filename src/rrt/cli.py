@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -288,6 +289,13 @@ def _write_meta(out_path, command: str, cfg: dict, environment: dict | None = No
     return digest
 
 
+def _require(ok: bool, flag: str, rule: str, value) -> None:
+    """Reject a flag value, naming the flag, before anything is read or
+    written."""
+    if not ok:
+        raise ConfigError(f"{flag} must be {rule}, got {value}")
+
+
 def _load_normalized(path, max_locals=None):
     records, manifest = load_dataset(path, max_locals=max_locals)
     return normalize_records(records), manifest
@@ -354,6 +362,7 @@ def cmd_index(cfg: dict) -> int:
 
 
 def cmd_retrieve(cfg: dict) -> int:
+    _require(cfg["k"] >= 1, "--k", "at least 1", cfg["k"])
     index = load_index(cfg["data"])
     params = mcfg = None
     if index.projected:
@@ -438,6 +447,10 @@ def _scorer_from_flags(cfg: dict, queries, gallery):
 
 
 def cmd_rerank(cfg: dict) -> int:
+    _require(cfg["k"] >= 0, "--k", "non-negative", cfg["k"])
+    _require(cfg["nqe"] >= 0, "--nqe", "non-negative", cfg["nqe"])
+    alpha = cfg["alpha"]
+    _require(math.isfinite(alpha) and alpha >= 0, "--alpha", "finite and non-negative", alpha)
     queries, _ = _load_normalized(cfg["queries"], max_locals=cfg["locals_max"])
     gallery, _ = _load_normalized(cfg["gallery"], max_locals=cfg["locals_max"])
     neighbors = read_neighbors(cfg["data"])
@@ -535,6 +548,7 @@ def cmd_compare(cfg: dict) -> int:
 
 
 def cmd_ablate(cfg: dict) -> int:
+    _require(cfg["k"] >= 0, "--k", "non-negative", cfg["k"])
     queries, _ = _load_normalized(cfg["queries"])
     gallery, _ = _load_normalized(cfg["gallery"])
     params, mcfg = load_checkpoint(cfg["checkpoint"])

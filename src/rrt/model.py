@@ -54,6 +54,8 @@ __all__ = [
     "forward_pair_logits",
     "score_batch",
     "score_workers",
+    "score_chunks",
+    "map_in_order",
     "attention_correspondences",
     "save_checkpoint",
     "load_checkpoint",
@@ -402,28 +404,31 @@ def _auto_chunk(cfg: ModelConfig) -> int:
     # that buffer: attention holds one tile of logits at a time and the MLP
     # one row block of hidden activations, so the peak is set by the handful
     # of [B, T, d] token arrays alive in a layer (0.5 MB per pair in float32
-    # at paper scale).  score_batch scores chunks of a SCORE_CHUNK_SHARE-th
-    # of this budget, at most MAX_SCORE_WORKERS of them at once.
+    # at paper scale).  score_batch scores chunks of at most a
+    # SCORE_CHUNK_SHARE-th of this budget, at most MAX_SCORE_WORKERS of them
+    # at once.
     per_pair = cfg.h * cfg.seq_len * cfg.seq_len
     return max(1, (1 << 26) // max(per_pair, 1))
 
 
-# Threads that score the chunks of one score_batch call.  numpy releases the
-# GIL in the gemms and ufuncs that dominate a paper-scale forward pass, so two
-# threads overlap on two cores.
+# Threads that score the chunks of one call.  numpy releases the GIL in the
+# gemms and ufuncs that dominate a paper-scale forward pass, so two threads
+# overlap on two cores.
 MAX_SCORE_WORKERS = 2
 
-# A chunk holds 1/SCORE_CHUNK_SHARE of the _auto_chunk budget (2 pairs at
-# paper scale, the whole top 100 at T = 36).  Each worker thread allocates
-# from its own malloc arena, which keeps the buffers that thread freed: at
-# paper scale, two workers over chunks of 8 peaked about 40 MB (18%) above
-# the serial path, chunks of 4 about 20 MB, chunks of 2 at the serial peak.
+# A chunk holds at most 1/SCORE_CHUNK_SHARE of the _auto_chunk budget: 2
+# pairs at paper scale, and at T = 36 a cap of 1,618 that a top 100 never
+# reaches, so there it splits into MAX_SCORE_WORKERS halves.  Each worker
+# thread allocates from its own malloc arena, which keeps the buffers that
+# thread freed: at paper scale, two workers over chunks of 8 peaked about
+# 40 MB (18%) above the serial path, chunks of 4 about 20 MB, chunks of 2 at
+# the serial peak.
 SCORE_CHUNK_SHARE = 8
 
 
 def score_workers() -> int:
-    """Threads score_batch uses for a call of more than one chunk: one per
-    CPU this process may run on, at most MAX_SCORE_WORKERS."""
+    """Threads map_in_order uses for more than one chunk: one per CPU this
+    process may run on, at most MAX_SCORE_WORKERS."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # no affinity call outside Linux
@@ -442,6 +447,25 @@ def _partition(n: int, size: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+def score_chunks(n: int, cap: int | None = None) -> list[slice]:
+    """The fixed partition of n candidates that a scorer splits over
+    map_in_order: ceil(n / MAX_SCORE_WORKERS) candidates per chunk, at most
+    `cap` and at least 2.  It does not depend on the worker count."""
+    share = -(-n // MAX_SCORE_WORKERS)
+    return _partition(n, max(2, share if cap is None else min(cap, share)))
+
+
+def map_in_order(fn, items: Sequence) -> list:
+    """[fn(x) for x in items]: a single item on the calling thread, several
+    on up to score_workers() threads.  Results, and the first error, come
+    in item order, as the serial loop gives them."""
+    workers = min(score_workers(), len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def score_batch(
     params: ModelParams,
     cfg: ModelConfig,
@@ -451,27 +475,19 @@ def score_batch(
     """Similarity of (query, c) for every candidate; equals scoring each
     pair in a batch of its own within float tolerance.
 
-    Candidates are split into a fixed partition of chunks of
-    _auto_chunk / SCORE_CHUNK_SHARE pairs (at least 2) to bound peak
-    memory.  A single chunk is scored on the calling thread; several run
-    on up to score_workers() threads.  The partition does not depend on the worker
-    count, so neither do the score bytes.  A chunk's error is raised as
-    the serial loop would raise it: the first failing chunk's, in order.
+    Candidates are split by score_chunks, capped at
+    _auto_chunk / SCORE_CHUNK_SHARE pairs per chunk to bound peak memory,
+    and the chunks are scored by map_in_order.  The partition does not
+    depend on the worker count, so neither do the score bytes.
     """
-    chunks = _partition(len(candidates), max(2, _auto_chunk(cfg) // SCORE_CHUNK_SHARE))
 
     def score(chunk: slice) -> list[float]:
         with ag.no_grad():
             logits, _ = forward_pair_logits(params, cfg, [(query, c) for c in candidates[chunk]])
         return [float(s) for s in ag._sigmoid(logits.data)]
 
-    workers = min(score_workers(), len(chunks))
-    if workers <= 1:
-        parts = [score(chunk) for chunk in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(score, chunks))  # results, and errors, in chunk order
-    return [s for part in parts for s in part]
+    chunks = score_chunks(len(candidates), _auto_chunk(cfg) // SCORE_CHUNK_SHARE)
+    return [s for part in map_in_order(score, chunks) for s in part]
 
 
 def max_weight_assignment(affinity: np.ndarray) -> list[tuple[int, int]]:

@@ -365,19 +365,44 @@ def first_draws_lexsort(draws):
     return np.sort(order[new])
 
 
-def gv_score_svd(query, candidate, cfg):
-    """`gv_score` (below) over `ransac_homography_svd`: the same
-    mutual-NN matches and per-pair seed, the reference RANSAC."""
-    from rrt.baselines import mutual_nn_matches
+def mutual_nn_matches_loop(locals_a, locals_b, ratio=None):
+    """The per-local loop that `rrt.baselines.mutual_nn_matches` replaced:
+    (i, j, distance) for every i whose nearest j in B has i as its nearest
+    in A, both passing the ratio test when one is given, sorted by i."""
+    a = np.asarray(locals_a, dtype=np.float64)
+    b = np.asarray(locals_b, dtype=np.float64)
+    d2 = (a * a).sum(1, keepdims=True) + (b * b).sum(1, keepdims=True).T - 2.0 * (a @ b.T)
+    dist = np.sqrt(np.maximum(d2, 0.0))
+    nn_b = dist.argmin(axis=1)
+    nn_a = dist.argmin(axis=0)
+    ok_a = np.ones(len(a), dtype=bool)
+    ok_b = np.ones(len(b), dtype=bool)
+    if ratio is not None:
+        if dist.shape[1] > 1:
+            two = np.partition(dist, 1, axis=1)[:, :2]
+            ok_a = two[:, 0] <= ratio * two[:, 1]
+        if dist.shape[0] > 1:
+            two = np.partition(dist, 1, axis=0)[:2, :]
+            ok_b = two[0, :] <= ratio * two[1, :]
+    out = []
+    for i in range(len(a)):
+        j = int(nn_b[i])
+        if int(nn_a[j]) == i and ok_a[i] and ok_b[j]:
+            out.append((i, j, float(dist[i, j])))
+    return out
 
+
+def gv_score_svd(query, candidate, cfg):
+    """`gv_score` (below) over `ransac_homography_svd`: the per-local loop
+    matcher, the same per-pair seed and the reference RANSAC."""
     la, lb = query.vecs, candidate.vecs
     if la.shape[0] == 0 or lb.shape[0] == 0:
         return 0
-    matches = mutual_nn_matches(la, lb, ratio=cfg.ratio)
+    matches = mutual_nn_matches_loop(la, lb, ratio=cfg.ratio)
     if len(matches) < 4:
         return 0
-    pa = query.uv[[m.a_index for m in matches]]
-    pb = candidate.uv[[m.b_index for m in matches]]
+    pa = query.uv[[i for i, _, _ in matches]]
+    pb = candidate.uv[[j for _, j, _ in matches]]
     seed = int(np.random.SeedSequence([cfg.seed, query.id, candidate.id]).generate_state(1)[0])
     _, count, _ = ransac_homography_svd(
         pa, pb, iterations=cfg.iterations, inlier_threshold=cfg.inlier_threshold, seed=seed

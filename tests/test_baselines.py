@@ -5,7 +5,7 @@ block-split GV scoring with and without refit fallbacks, GV config checks."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrt import baselines
@@ -22,11 +22,13 @@ from rrt.errors import ConfigError
 
 from check_gv_reference import check_seed
 from helpers import make_record
+import oracles
 from oracles import (
     first_draws_lexsort,
     gv_score,
     gv_score_svd,
     mutual_nn_brute,
+    mutual_nn_matches_loop,
     ransac_homography_svd,
 )
 
@@ -117,6 +119,29 @@ class TestMutualNN:
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError):
             mutual_nn_matches(np.zeros((0, 3)), np.ones((2, 3)))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_a=st.integers(1, 12),
+        n_b=st.integers(1, 12),
+        dim=st.integers(1, 4),
+        repeats=st.integers(0, 6),
+        ratio=st.sampled_from([None, 0.8]),
+    )
+    @example(seed=0, n_a=1, n_b=1, dim=3, repeats=0, ratio=None)
+    @example(seed=0, n_a=1, n_b=1, dim=3, repeats=0, ratio=0.8)
+    @settings(max_examples=120, deadline=None)
+    def test_same_matches_as_per_local_loop(self, seed, n_a, n_b, dim, repeats, ratio):
+        # Small integer coordinates tie distances often; repeated rows copy
+        # descriptors within A, within B and from A into B.
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-2, 3, (n_a, dim)).astype(np.float64)
+        b = rng.integers(-2, 3, (n_b, dim)).astype(np.float64)
+        for _ in range(repeats):
+            src, dst = (a, a) if rng.random() < 0.4 else (b, b) if rng.random() < 0.5 else (a, b)
+            dst[rng.integers(len(dst))] = src[rng.integers(len(src))]
+        got = [(m.a_index, m.b_index, m.distance) for m in mutual_nn_matches(a, b, ratio)]
+        assert got == mutual_nn_matches_loop(a, b, ratio)
 
 
 def planted_homography():
@@ -308,6 +333,91 @@ class TestRansacAgainstSVDReference:
         pb = apply_h(H_true, pa)
         H = baselines._four_point_homography(pa[None], pb[None])[0]
         np.testing.assert_allclose(H / H[2, 2], H_true, rtol=1e-9, atol=1e-12)
+
+
+def singular_homographies():
+    """Rank-2 and rank-1 matrices with small integer entries, whose
+    determinant is exactly 0 under either inverse."""
+    return np.array([
+        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [5.0, 7.0, 9.0]],
+        [[2.0, 0.0, 1.0], [4.0, 0.0, 2.0], [1.0, 3.0, 1.0]],
+        [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [3.0, 3.0, 3.0]],
+        [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [0.0, 1.0, 1.0]],
+        np.zeros((3, 3)),
+    ])
+
+
+def near_singular_homographies(rng, k):
+    """The rank-2 singular matrices plus a 1e-6 perturbation: det about
+    1e-6 on O(1) entries."""
+    base = singular_homographies()[rng.choice([0, 1, 3], k)]
+    return base + 1e-6 * rng.standard_normal((k, 3, 3))
+
+
+def well_conditioned_homographies(rng, k):
+    """Planted-like homographies: a similarity with mild perspective, at
+    pixel scale as RANSAC fits them."""
+    out = []
+    for _ in range(k):
+        t = rng.uniform(-np.pi, np.pi)
+        s = rng.uniform(0.5, 2.0)
+        H = np.array([
+            [s * np.cos(t), -s * np.sin(t), rng.uniform(-200, 200)],
+            [s * np.sin(t), s * np.cos(t), rng.uniform(-200, 200)],
+            [rng.uniform(-1e-4, 1e-4), rng.uniform(-1e-4, 1e-4), 1.0],
+        ])
+        out.append(H * rng.uniform(0.1, 10.0))
+    return np.array(out)
+
+
+class TestAdjugateInverse:
+    """_symmetric_errors inverts H as adj(H) / det(H); the oracle's copy
+    uses np.linalg.det and np.linalg.inv.  Same inf pattern, and the same
+    errors within 1e-9 relative where finite."""
+
+    @pytest.mark.parametrize("kind", ["well_conditioned", "near_singular", "singular"])
+    def test_errors_match_linalg_inverse(self, kind):
+        rng = np.random.default_rng(["well_conditioned", "near_singular", "singular"].index(kind))
+        H = {
+            "well_conditioned": lambda: well_conditioned_homographies(rng, 64),
+            "near_singular": lambda: near_singular_homographies(rng, 64),
+            "singular": singular_homographies,
+        }[kind]()
+        pts_a = rng.uniform(0, 1024, (40, 2))
+        pts_b = rng.uniform(0, 1024, (40, 2))
+        got = baselines._symmetric_errors(H, pts_a[None], pts_b[None])
+        want = oracles._symmetric_errors(H, pts_a, pts_b)
+        np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+        finite = np.isfinite(want)
+        if kind == "singular":
+            assert not finite.any()
+        else:
+            assert finite.all()
+        rel = np.abs(got[finite] - want[finite]) / np.maximum(np.abs(want[finite]), 1e-300)
+        assert rel.max(initial=0.0) <= 1e-9
+
+    def test_guard_sees_the_inverse_not_the_adjugate(self):
+        # H = 1000 [[1,0,0],[0,1,0],[1e-3,0,1]] has det 1e9.  H^-1 sends
+        # x = 1000 - 1e-7 to w ~ 1e-13, below _W_EPS; adj(H) = 1e9 H^-1
+        # would give w ~ 1e-4 and a finite error.
+        H = 1000.0 * np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e-3, 0.0, 1.0]]])
+        pts_a = np.array([[10.0, 20.0], [30.0, 40.0]])
+        pts_b = np.array([[1000.0 - 1e-7, 5.0], [100.0, 5.0]])
+        got = baselines._symmetric_errors(H, pts_a[None], pts_b[None])
+        want = oracles._symmetric_errors(H, pts_a, pts_b)
+        assert np.isinf(got[0, 0]) and np.isfinite(got[0, 1])
+        np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+
+    def test_cross_has_numpy_bits(self):
+        rng = np.random.default_rng(5)
+        u, v = rng.uniform(-1e3, 1e3, (2, 50, 4, 3))
+        assert baselines._cross(u, v).tobytes() == np.cross(u, v).tobytes()
+
+    def test_inverse_undoes_planted_homography(self):
+        H = planted_homography()
+        pts_a = np.random.default_rng(4).uniform(0, 1024, (20, 2))
+        err = baselines._symmetric_errors(H[None], pts_a[None], apply_h(H, pts_a)[None])
+        assert err.max() < 1e-9
 
 
 def query_and_candidates(seed, n_candidates):

@@ -1,8 +1,10 @@
 """The benchmark's workloads (perfbench/workloads.py, loaded unchanged): the
 train workload at a tiny size runs its steps with a finite loss history,
-the same on every call, and no failed op; at the full paper scale (T=1004,
-where attention runs in query-row blocks), scores equal the recorded ones,
-and chunks give the same bytes on the calling thread and on two workers."""
+the same on every call, and no failed op; the rerank workload at a tiny
+size passes its determinism checks and gates on one CPU and on two; at the
+full paper scale (T=1004, where attention runs in query-row blocks), scores
+equal the recorded ones, and chunks give the same bytes on the calling
+thread and on two workers."""
 
 import importlib.util
 import json
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from rrt.benchmark import train_synth_config
+from rrt.benchmark import eval_synth_config, train_synth_config
 from rrt.model import score_batch
 
 from helpers import spy_forward_passes
@@ -46,6 +48,27 @@ def test_train_workload_at_tiny_scale(workloads):
         assert checks[name]["ok"], (name, checks[name])
     assert report["metrics"]["train_calls"]["value"] == 2
     assert result["failed"] == 0 and result["correct"]
+    assert set(result["metrics"]) == {"op_ms_p50", "pass_s", "peak_rss_mb", "setup_s"}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_rerank_workload_at_tiny_scale(workloads, monkeypatch, cpus):
+    # 12 queries over a 36-image gallery: each top 100 is the whole gallery,
+    # 18 candidates per chunk.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    tiny = workloads.Scale(
+        setup_repeats=1,
+        eval_set=lambda seed: replace(
+            eval_synth_config(seed), n_instances=6, global_confusion_pairs=3
+        ),
+        gv_iterations=50,
+        rrt_min_passes=1,
+    )
+    result, report = workloads.run_workload("rerank", seed=1, seconds=0.0, trace=False, scale=tiny)
+    checks = report["checks"]
+    for name in ("rerank.rrt_deterministic", "rerank.gv_deterministic"):
+        assert checks[name]["ok"], (name, checks[name])
+    assert result["failed"] == 0 and result["correct"], checks
     assert set(result["metrics"]) == {"op_ms_p50", "pass_s", "peak_rss_mb", "setup_s"}
 
 

@@ -1,7 +1,8 @@
 """Command-line exit codes on bad descriptor data, corrupt checkpoints and
 repeated record ids: 3, never a traceback, and no output written; bad GV
-settings exit 2; every command prints its help; config digests free of
-machine facts."""
+settings and bad --k, --nqe and --alpha values exit 2, the latter naming
+the flag; every command prints its help; config digests free of machine
+facts."""
 
 import importlib
 import json
@@ -213,6 +214,41 @@ def test_rerank_with_bad_gv_setting_exits_2(tmp_path, capsys, flags, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("retrieve", ["--k", "0"], "--k must be at least 1, got 0"),
+        ("retrieve", ["--k", "-1"], "--k must be at least 1, got -1"),
+        ("rerank", ["--scorer", "gv", "--k", "-1"], "--k must be non-negative, got -1"),
+        ("rerank", ["--scorer", "aqe", "--nqe", "-1"], "--nqe must be non-negative, got -1"),
+        ("rerank", ["--scorer", "aqe", "--alpha", "nan"], "--alpha must be finite and non-negative, got nan"),
+        ("rerank", ["--scorer", "aqe", "--alpha", "-0.5"], "--alpha must be finite and non-negative, got -0.5"),
+        ("ablate", ["--k", "-1"], "--k must be non-negative, got -1"),
+    ],
+    ids=["retrieve_k_0", "retrieve_k_-1", "rerank_k_-1", "rerank_nqe_-1", "rerank_alpha_nan",
+         "rerank_alpha_-0.5", "ablate_k_-1"],
+)
+def test_bad_flag_value_exits_2_naming_it_without_output(tmp_path, capsys, command, flags, message):
+    data, index, neighbors = tmp_path / "g.rrtd", tmp_path / "g.rrti", tmp_path / "n.jsonl"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    assert main(["index", "--data", str(data), "--out", str(index)]) == 0
+    write_neighbors(neighbors, [NeighborList(2, [(1, 0.5), (3, 0.4)])])
+    cfg = ModelConfig(L=2, d=4, h=2, d_h=2, layers=1, d_c=8, n_scales=1, d_g_raw=2)
+    checkpoint = tmp_path / "m.rrtm"
+    save_checkpoint(init_params(cfg, seed=0), cfg, checkpoint)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {
+        "retrieve": ["--data", str(index), "--queries", str(data)],
+        "rerank": ["--data", str(neighbors), "--queries", str(data), "--gallery", str(data)],
+        "ablate": ["--queries", str(data), "--gallery", str(data), "--checkpoint", str(checkpoint)],
+    }[command]
+    assert main([command, *argv, "--out", str(out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))

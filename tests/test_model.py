@@ -13,6 +13,7 @@ import pytest
 
 from rrt import model
 from rrt.autograd import Tensor
+from rrt.benchmark import benchmark_model_config
 from rrt.errors import ConfigError, DataFormatError, IntegrityError
 from rrt.model import (
     ModelConfig,
@@ -493,6 +494,46 @@ class TestChunkedScoring:
             f"record 6 has {cfg.L + 1} locals but the model takes at most {cfg.L}; "
             "truncate at load time"
         )
+
+    @pytest.mark.parametrize(
+        "cfg, widths",
+        [(benchmark_model_config(), [50, 50]), (ModelConfig(), [2] * 50)],
+        ids=["frozen_T36", "paper_T1004"],
+    )
+    def test_top100_partition(self, monkeypatch, cfg, widths):
+        # The forward pass is replaced, so the paper-scale case costs nothing.
+        calls = []
+
+        def fake_forward(params, cfg, pairs):
+            calls.append(len(pairs))
+            return Tensor(np.zeros(len(pairs), np.float32)), None
+
+        monkeypatch.setattr(model, "forward_pair_logits", fake_forward)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert score_batch(None, cfg, object(), [object()] * 100) == [0.5] * 100
+        assert calls == widths
+
+    def test_map_in_order_raises_first_chunk_error_when_a_later_chunk_fails_first(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        later_failed = threading.Event()
+        threads = []
+
+        def fn(i):
+            threads.append(threading.current_thread())
+            if i == 1:
+                later_failed.set()
+                raise ValueError("chunk 1")
+            if i == 0:
+                assert later_failed.wait(10)
+                raise ValueError("chunk 0")
+            return i
+
+        with pytest.raises(ValueError, match="chunk 0"):
+            model.map_in_order(fn, [0, 1, 2, 3])
+        assert later_failed.is_set()
+        assert threading.main_thread() not in threads
 
     def test_concurrent_calls_give_serial_bytes(self, monkeypatch):
         # More callers than cores, each running its own two-worker pool, with
