@@ -7,7 +7,11 @@ deterministic given its flags and seed, echoes a digest of its effective
 configuration into its outputs (reports embed it; other artifacts, and the
 ``eval`` report too, get a ``<out>.meta.json`` sidecar), and exits 0 on
 success, 2 on configuration errors, 3 on data/format errors, 4 on a
-numerical abort.  The ``rerank`` and ``eval`` sidecars also record
+numerical abort.  Input is checked where it enters: flag values and the
+config objects built from them (which check themselves) before any output is
+written, and records against the model once per command, when the scorer is
+built or training starts, so a record the model cannot take exits 2 wherever
+it sits in the gallery.  The ``rerank`` and ``eval`` sidecars also record
 ``"environment": {"workers": N}``, the threads a multi-chunk ``score_batch``
 uses on this machine; it is a machine fact, so it stays out of the config
 and its digest.
@@ -305,8 +309,6 @@ def _load_normalized(path, max_locals=None):
 
 
 def cmd_synth(cfg: dict) -> int:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     synth = SynthConfig(
         n_instances=cfg["instances"],
         images_per_instance=cfg["images_per_instance"],
@@ -322,6 +324,8 @@ def cmd_synth(cfg: dict) -> int:
         part_codebook_size=cfg["codebook"],
         seed=cfg["seed"],
     )
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
     queries, gallery, manifest = synth_generate(synth)
     save_dataset(queries, replace(manifest, n_images=len(queries)), out / "queries.rrtd")
     save_dataset(gallery, replace(manifest, n_images=len(gallery)), out / "gallery.rrtd")
@@ -351,8 +355,8 @@ def cmd_index(cfg: dict) -> int:
     if cfg["projected"]:
         if not cfg["checkpoint"]:
             raise ConfigError("--projected needs --checkpoint")
-        params, mcfg = load_checkpoint(cfg["checkpoint"])
-        index = build_index(records, projected=True, params=params, cfg=mcfg)
+        params, _ = load_checkpoint(cfg["checkpoint"])
+        index = build_index(records, projected=True, params=params)
     else:
         index = build_index(records)
     save_index(index, cfg["out"])
@@ -364,14 +368,14 @@ def cmd_index(cfg: dict) -> int:
 def cmd_retrieve(cfg: dict) -> int:
     _require(cfg["k"] >= 1, "--k", "at least 1", cfg["k"])
     index = load_index(cfg["data"])
-    params = mcfg = None
+    params = None
     if index.projected:
         if not cfg["checkpoint"]:
             raise ConfigError("projected index needs --checkpoint to embed queries")
-        params, mcfg = load_checkpoint(cfg["checkpoint"])
+        params, _ = load_checkpoint(cfg["checkpoint"])
     queries, _ = _load_normalized(cfg["queries"])
     lists = [
-        knn_search(index, query_vector(index, q, params, mcfg), k=cfg["k"], query_id=q.id)
+        knn_search(index, query_vector(index, q, params), k=cfg["k"], query_id=q.id)
         for q in queries
     ]
     write_neighbors(cfg["out"], lists)
@@ -384,8 +388,9 @@ def cmd_retrieve(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
-    records, manifest = _load_normalized(cfg["data"], max_locals=cfg["locals_max"])
     heads = cfg["heads"]
+    _require(heads >= 1, "--heads", "at least 1", heads)
+    records, manifest = _load_normalized(cfg["data"], max_locals=cfg["locals_max"])
     d = manifest.d_l
     if d % heads != 0:
         raise ConfigError(f"model dim {d} (from data) not divisible by --heads {heads}")
@@ -482,6 +487,11 @@ def cmd_rerank(cfg: dict) -> int:
     return 0
 
 
+def _require_cutoffs(cfg: dict) -> None:
+    for flag, ks in (("--map-ks", cfg["map_ks"]), ("--recall-ks", cfg["recall_ks"])):
+        _require(all(k >= 1 for k in ks), flag, "positive integers", ks)
+
+
 def _ground_truth_from_files(cfg: dict):
     queries, _ = _load_normalized(cfg["queries"])
     gallery, _ = _load_normalized(cfg["gallery"])
@@ -501,11 +511,21 @@ def _validate_ids(lists, queries, gallery):
     return qmap, gmap
 
 
+def _require_relevant(lists, gt, path) -> None:
+    """A file in which no query has a relevant gallery item has no AP to
+    average."""
+    if not any(gt.get(nl.query_id) for nl in lists):
+        raise DataFormatError(f"{path}: no query has a relevant gallery item")
+
+
 def cmd_eval(cfg: dict) -> int:
+    _require(cfg["format"] in ("json", "csv"), "--format", "json or csv", cfg["format"])
+    _require_cutoffs(cfg)
     t0 = time.time()
     queries, gallery, gt = _ground_truth_from_files(cfg)
     lists = read_neighbors(cfg["data"])
     _validate_ids(lists, queries, gallery)
+    _require_relevant(lists, gt, cfg["data"])
     digest = config_digest({"command": "eval", **cfg})
     report = evaluate_neighbors(
         lists, gt, map_ks=cfg["map_ks"], recall_ks=cfg["recall_ks"],
@@ -520,12 +540,14 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_compare(cfg: dict) -> int:
+    _require_cutoffs(cfg)
     queries, gallery, gt = _ground_truth_from_files(cfg)
     digest = config_digest({"command": "compare", **cfg})
     rows = []
     for path in cfg["data"]:
         lists = read_neighbors(path)
         _validate_ids(lists, queries, gallery)
+        _require_relevant(lists, gt, path)
         rep = evaluate_neighbors(lists, gt, map_ks=cfg["map_ks"], recall_ks=cfg["recall_ks"], digest=digest)
         rows.append((Path(path).name, rep))
     header = ["file", "method", "map"]

@@ -22,6 +22,7 @@ with one ``np.frombuffer`` and written with one ``tobytes``.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -280,7 +281,9 @@ class SynthConfig:
     global prototype.  Instances in a confusion pair share the global
     prototype direction (their image globals are near-duplicates) but have
     their own part sets, so only local evidence can tell them apart.  Pairing
-    is (0,1), (2,3), ... up to global_confusion_pairs.
+    is (0,1), (2,3), ... up to global_confusion_pairs.  Building a config
+    checks it and raises ConfigError on a bad value (``dataclasses.replace``
+    checks again), so a config that exists is valid.
     """
 
     n_instances: int = 16
@@ -304,7 +307,14 @@ class SynthConfig:
     part_codebook_size: int | None = None
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
+        for name in ("d_l", "d_g_raw"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("global_noise", "local_noise"):
+            sigma = getattr(self, name)
+            if not (math.isfinite(sigma) and sigma >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {sigma}")
         if self.parts_per_image > self.parts_per_instance:
             raise ConfigError(
                 f"parts_per_image {self.parts_per_image} exceeds "
@@ -375,7 +385,6 @@ def part_prototypes(cfg: SynthConfig) -> np.ndarray:
     Regenerated deterministically from the config seed; parts are drawn first
     in the generator's RNG stream, so this matches what synth_generate used.
     """
-    cfg.validate()
     return _draw_part_prototypes(cfg, np.random.default_rng(cfg.seed))
 
 
@@ -387,7 +396,6 @@ def synth_generate(
     Deterministic per seed.  The first queries_per_instance images of each
     instance become queries; ids are globally unique across both lists.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
 
     parts = _draw_part_prototypes(cfg, rng)

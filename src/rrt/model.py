@@ -33,7 +33,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -48,6 +48,7 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "init_params",
+    "check_records",
     "param_shapes",
     "mha_forward",
     "transformer_layer",
@@ -173,9 +174,6 @@ class ModelParams:
             cfg, {k: v.astype(dtype) for k, v in self.tensors.items()}
         )
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(t.data)) for t in self.tensors.values())
-
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     """Fresh parameters: uniform(+-1/sqrt(fan_in)) weights, zero biases, unit
@@ -276,9 +274,35 @@ def transformer_layer(
     return out, attn_w
 
 
+def check_records(cfg: ModelConfig, records: Iterable[ImageRecord]) -> None:
+    """Raise ConfigError naming the first record the model cannot take: more
+    than L locals, a global descriptor whose dimension is not d_g_raw (when
+    the model reads globals), locals whose dimension is not d, or a scale
+    index outside [0, n_scales).  Every entry point that takes records runs
+    this once per call; the forward pass then takes them unchecked."""
+    for rec in records:
+        n = len(rec.vecs)
+        if n > cfg.L:
+            raise ConfigError(
+                f"record {rec.id} has {n} locals but the model takes at most {cfg.L}; "
+                "truncate at load time"
+            )
+        if cfg.use_global_token and rec.global_desc.shape != (cfg.d_g_raw,):
+            raise ConfigError(
+                f"record {rec.id}: global dim {rec.global_desc.shape[0]} but model expects {cfg.d_g_raw}"
+            )
+        if n and rec.vecs.shape[1] != cfg.d:
+            raise ConfigError(
+                f"record {rec.id}: local dim {rec.vecs.shape[1]} but model dim is {cfg.d}"
+            )
+        if n and rec.scale_idx.max() >= cfg.n_scales:
+            raise ConfigError(f"record {rec.id}: scale index outside [0, {cfg.n_scales})")
+
+
 def _gather_side(cfg: ModelConfig, records: Sequence[ImageRecord], dtype):
     """Stacked raw inputs for one side of the batch: padded local matrices,
-    scale indices (0 at pads), local valid mask, raw globals."""
+    scale indices (0 at pads), local valid mask, raw globals.  The records
+    have passed check_records."""
     B, L = len(records), cfg.L
     locals_mat = np.zeros((B, L, cfg.d), dtype=dtype)
     sidx = np.zeros((B, L), dtype=np.intp)
@@ -286,33 +310,14 @@ def _gather_side(cfg: ModelConfig, records: Sequence[ImageRecord], dtype):
     globals_mat = np.zeros((B, cfg.d_g_raw), dtype=dtype)
     for bi, rec in enumerate(records):
         n = len(rec.vecs)
-        if n > cfg.L:
-            raise ConfigError(
-                f"record {rec.id} has {n} locals but the model takes at most {cfg.L}; "
-                "truncate at load time"
-            )
         if cfg.use_global_token:
-            g = np.asarray(rec.global_desc, dtype=dtype)
-            if g.shape != (cfg.d_g_raw,):
-                raise ConfigError(
-                    f"record {rec.id}: global dim {g.shape[0]} but model expects {cfg.d_g_raw}"
-                )
-            globals_mat[bi] = g
+            globals_mat[bi] = rec.global_desc
         if n:
-            if rec.vecs.shape[1] != cfg.d:
-                raise ConfigError(
-                    f"record {rec.id}: local dim {rec.vecs.shape[1]} but model dim is {cfg.d}"
-                )
             locals_mat[bi, :n] = rec.vecs
             sidx[bi, :n] = rec.scale_idx
             lmask[bi, :n] = True
             if cfg.use_pos_embed:
                 locals_mat[bi, :n] += _position_code(rec.uv, cfg.d).astype(dtype)
-    bad = sidx.max(axis=1) >= cfg.n_scales
-    if bad.any():
-        raise ConfigError(
-            f"record {records[int(np.argmax(bad))].id}: scale index outside [0, {cfg.n_scales})"
-        )
     return locals_mat, sidx, lmask, globals_mat
 
 
@@ -372,7 +377,8 @@ def forward_pair_logits(
     pairs: Sequence[tuple[ImageRecord, ImageRecord]],
     collect_attention: bool = False,
 ):
-    """Logits for a batch of record pairs in one forward pass.
+    """Logits for a batch of record pairs in one forward pass.  Every record
+    has passed check_records; none is checked here.
 
     Returns (logits Tensor [B], attention of the last layer or None).
     The last layer computes only the CLS row the head reads, unless
@@ -398,32 +404,22 @@ def forward_pair_logits(
     return logits, attn
 
 
-def _auto_chunk(cfg: ModelConfig) -> int:
-    # Pairs in flight at once, sized as if a [B, h, T, T] buffer held
-    # roughly 2^26 floats (16 pairs at paper scale).  Inference never builds
-    # that buffer: attention holds one tile of logits at a time and the MLP
-    # one row block of hidden activations, so the peak is set by the handful
-    # of [B, T, d] token arrays alive in a layer (0.5 MB per pair in float32
-    # at paper scale).  score_batch scores chunks of at most a
-    # SCORE_CHUNK_SHARE-th of this budget, at most MAX_SCORE_WORKERS of them
-    # at once.
-    per_pair = cfg.h * cfg.seq_len * cfg.seq_len
-    return max(1, (1 << 26) // max(per_pair, 1))
-
-
 # Threads that score the chunks of one call.  numpy releases the GIL in the
 # gemms and ufuncs that dominate a paper-scale forward pass, so two threads
 # overlap on two cores.
 MAX_SCORE_WORKERS = 2
 
-# A chunk holds at most 1/SCORE_CHUNK_SHARE of the _auto_chunk budget: 2
-# pairs at paper scale, and at T = 36 a cap of 1,618 that a top 100 never
+# Token floats (seq_len x d per pair) that one score_batch chunk may hold.
+# Without grad, attention keeps one tile of logits and the MLP one row block
+# of hidden activations, so the peak is set by the handful of [B, T, d] token
+# arrays alive in a layer.  This gives 2 pairs at paper scale (128,512 floats
+# per pair), and at T = 36 (2,304 per pair) a cap of 113 that a top 100 never
 # reaches, so there it splits into MAX_SCORE_WORKERS halves.  Each worker
 # thread allocates from its own malloc arena, which keeps the buffers that
 # thread freed: at paper scale, two workers over chunks of 8 peaked about
 # 40 MB (18%) above the serial path, chunks of 4 about 20 MB, chunks of 2 at
 # the serial peak.
-SCORE_CHUNK_SHARE = 8
+SCORE_CHUNK_FLOATS = 1 << 18
 
 
 def score_workers() -> int:
@@ -436,23 +432,20 @@ def score_workers() -> int:
     return min(MAX_SCORE_WORKERS, cpus)
 
 
-def _partition(n: int, size: int) -> list[slice]:
-    """Consecutive slices of `size` (>= 2) over n candidates, a trailing
-    single candidate joining the slice before it: a one-pair batch takes
-    other BLAS paths (one-row gemms), so its bytes could differ from the
-    same pair scored in a larger batch."""
+def score_chunks(n: int, cap: int | None = None) -> list[slice]:
+    """The fixed partition of n candidates that a scorer splits over
+    map_in_order: consecutive chunks of ceil(n / MAX_SCORE_WORKERS)
+    candidates, at most `cap` and at least 2, with a trailing single
+    candidate joining the chunk before it.  A one-pair batch takes other
+    BLAS paths (one-row gemms), so its bytes could differ from the same pair
+    scored in a larger batch.  The partition does not depend on the worker
+    count."""
+    share = -(-n // MAX_SCORE_WORKERS)
+    size = max(2, share if cap is None else min(cap, share))
     starts = list(range(0, n, size))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-
-
-def score_chunks(n: int, cap: int | None = None) -> list[slice]:
-    """The fixed partition of n candidates that a scorer splits over
-    map_in_order: ceil(n / MAX_SCORE_WORKERS) candidates per chunk, at most
-    `cap` and at least 2.  It does not depend on the worker count."""
-    share = -(-n // MAX_SCORE_WORKERS)
-    return _partition(n, max(2, share if cap is None else min(cap, share)))
 
 
 def map_in_order(fn, items: Sequence) -> list:
@@ -473,12 +466,13 @@ def score_batch(
     candidates: Sequence[ImageRecord],
 ) -> list[float]:
     """Similarity of (query, c) for every candidate; equals scoring each
-    pair in a batch of its own within float tolerance.
+    pair in a batch of its own within float tolerance.  The query and the
+    candidates have passed check_records.
 
-    Candidates are split by score_chunks, capped at
-    _auto_chunk / SCORE_CHUNK_SHARE pairs per chunk to bound peak memory,
-    and the chunks are scored by map_in_order.  The partition does not
-    depend on the worker count, so neither do the score bytes.
+    Candidates are split by score_chunks, capped at SCORE_CHUNK_FLOATS token
+    floats per chunk to bound peak memory, and the chunks are scored by
+    map_in_order.  The partition does not depend on the worker count, so
+    neither do the score bytes.
     """
 
     def score(chunk: slice) -> list[float]:
@@ -486,7 +480,7 @@ def score_batch(
             logits, _ = forward_pair_logits(params, cfg, [(query, c) for c in candidates[chunk]])
         return [float(s) for s in ag._sigmoid(logits.data)]
 
-    chunks = score_chunks(len(candidates), _auto_chunk(cfg) // SCORE_CHUNK_SHARE)
+    chunks = score_chunks(len(candidates), SCORE_CHUNK_FLOATS // (cfg.seq_len * cfg.d))
     return [s for part in map_in_order(score, chunks) for s in part]
 
 
@@ -505,8 +499,10 @@ def attention_correspondences(
     Head-averaged post-softmax attention from a's local tokens (rows) to b's
     local tokens (columns) is used as the affinity of an exact maximum-weight
     assignment.  Returns (local index in a, local index in b, affinity),
-    sorted by the first index; empty if either image has no locals.
+    sorted by the first index; empty if either image has no locals.  Both
+    records go through check_records first.
     """
+    check_records(cfg, (a, b))
     na, nb = len(a.vecs), len(b.vecs)
     if na == 0 or nb == 0:
         return []

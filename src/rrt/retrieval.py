@@ -84,11 +84,10 @@ def build_index(
     records: Sequence[ImageRecord],
     projected: bool = False,
     params=None,
-    cfg=None,
 ) -> GlobalIndex:
     """Index over raw globals, or over the model's projected globals."""
-    if projected and (params is None or cfg is None):
-        raise ValueError("projected index needs model params and config")
+    if projected and params is None:
+        raise ValueError("projected index needs model params")
     ids = np.array([r.id for r in records], dtype=np.int64)
     mat = np.stack([r.global_desc for r in records])
     if projected:
@@ -97,7 +96,7 @@ def build_index(
     return GlobalIndex(ids=ids, vectors=mat, projected=projected)
 
 
-def query_vector(index: GlobalIndex, record: ImageRecord, params=None, cfg=None) -> np.ndarray:
+def query_vector(index: GlobalIndex, record: ImageRecord, params=None) -> np.ndarray:
     """The record's global descriptor in the index's space, unit-norm."""
     v = l2_normalize(record.global_desc)
     if index.projected:

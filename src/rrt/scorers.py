@@ -19,7 +19,14 @@ import numpy as np
 
 from .baselines import GVConfig, gv_scores
 from .data import ImageRecord, records_by_id
-from .model import ModelConfig, ModelParams, map_in_order, score_batch, score_chunks
+from .model import (
+    ModelConfig,
+    ModelParams,
+    check_records,
+    map_in_order,
+    score_batch,
+    score_chunks,
+)
 
 __all__ = [
     "make_rrt_scorer",
@@ -29,17 +36,18 @@ __all__ = [
 ]
 
 
-def _record_maps(queries: Sequence[ImageRecord], gallery: Sequence[ImageRecord]):
-    return records_by_id(queries), records_by_id(gallery)
-
-
 def make_rrt_scorer(
     params: ModelParams,
     cfg: ModelConfig,
     queries: Sequence[ImageRecord],
     gallery: Sequence[ImageRecord],
 ):
-    qmap, gmap = _record_maps(queries, gallery)
+    """Pair-probability scorer over `score_batch`.  Every query and gallery
+    record is checked against the model once, here (`check_records`), so a
+    record the model cannot take fails when the scorer is built, whether or
+    not it is ever retrieved."""
+    qmap, gmap = records_by_id(queries), records_by_id(gallery)
+    check_records(cfg, [*queries, *gallery])
 
     def scorer(query_id: int, candidate_ids: Sequence[int]) -> list[float]:
         q = qmap[query_id]
@@ -60,7 +68,7 @@ def make_gv_scorer(
     blocks, so the scores equal one `gv_scores` call over all of them.
     `threads` is ignored; it stays accepted because the benchmark's
     workloads still pass it."""
-    qmap, gmap = _record_maps(queries, gallery)
+    qmap, gmap = records_by_id(queries), records_by_id(gallery)
 
     def scorer(query_id: int, candidate_ids: Sequence[int]) -> list[float]:
         q = qmap[query_id]
@@ -96,7 +104,7 @@ def make_oracle_scorer(
 ):
     """Shared-part-count scorer: the planted upper bound for reranking on
     synthetic data."""
-    qmap, gmap = _record_maps(queries, gallery)
+    qmap, gmap = records_by_id(queries), records_by_id(gallery)
     cache: dict[int, frozenset[int]] = {}
 
     def ids_of(rec: ImageRecord) -> frozenset[int]:

@@ -14,6 +14,7 @@ Training is single-threaded with a single seeded generator, so a given
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -23,7 +24,14 @@ import numpy as np
 from .autograd import bce_with_logits
 from .data import ImageRecord
 from .errors import ConfigError, TrainingDiverged
-from .model import ModelConfig, ModelParams, forward_pair_logits, init_params, save_checkpoint
+from .model import (
+    ModelConfig,
+    ModelParams,
+    check_records,
+    forward_pair_logits,
+    init_params,
+    save_checkpoint,
+)
 from .optim import AdamW, clip_global_grad_norm, global_grad_norm
 from .retrieval import build_index
 
@@ -38,6 +46,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Optimiser and sampling knobs.  Building a config checks it and raises
+    ConfigError on a bad value (``dataclasses.replace`` checks again)."""
+
     lr: float = 1e-4
     weight_decay: float = 4e-4
     epochs: int = 15
@@ -48,14 +59,19 @@ class TrainConfig:
     steps_per_epoch: Optional[int] = None
     lr_step_schedule: bool = False  # x0.1 after 60% and 80% of the epochs
 
-    def validate(self):
-        if self.lr < 0 or self.weight_decay < 0:
-            raise ConfigError("lr and weight_decay must be non-negative")
+    def __post_init__(self):
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         for name in ("epochs", "batch_size", "neg_pool_size"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
-            raise ConfigError("grad_clip_norm must be positive when set")
+        if self.steps_per_epoch is not None and self.steps_per_epoch <= 0:
+            raise ConfigError(f"steps_per_epoch must be positive when set, got {self.steps_per_epoch}")
+        clip = self.grad_clip_norm
+        if clip is not None and not (math.isfinite(clip) and clip > 0):
+            raise ConfigError(f"grad_clip_norm must be finite and positive when set, got {clip}")
 
 
 @dataclass(frozen=True)
@@ -201,11 +217,12 @@ def train(
     Records should be unit-normalized (see data.normalize_records).  When
     out_dir is given, a checkpoint lands there after every epoch plus a final
     model.rrtm and loss_history.csv.  A non-finite loss aborts with
-    diagnostics before any parameter update is applied.
+    diagnostics before any parameter update is applied.  Every record is
+    checked against the model once, before mining (``check_records``).
     """
-    cfg.validate()
     if len({r.label for r in records}) < 2:
         raise ConfigError("training needs at least two distinct labels")
+    check_records(model_cfg, records)
     rng = np.random.default_rng(cfg.seed)
     if params is None:
         params = init_params(model_cfg, seed=cfg.seed)

@@ -481,7 +481,6 @@ def synth_generate_per_local(cfg):
     gallery) in the record tuple form of load_dataset_per_local."""
     from rrt.data import _draw_part_prototypes, _unit_rows
 
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     parts = _draw_part_prototypes(cfg, rng)
     global_protos = np.empty((cfg.n_instances, cfg.d_g_raw))

@@ -1,7 +1,8 @@
-"""Command-line exit codes on bad descriptor data, corrupt checkpoints and
-repeated record ids: 3, never a traceback, and no output written; bad GV
-settings and bad --k, --nqe and --alpha values exit 2, the latter naming
-the flag; every command prints its help; config digests free of machine
+"""Command-line exit codes on bad descriptor data, corrupt checkpoints,
+repeated record ids and label sets with nothing to score: 3, never a
+traceback, and no output written; bad GV settings, bad flag and config
+values and records the model cannot take exit 2, naming the flag, field or
+record; every command prints its help; config digests free of machine
 facts."""
 
 import importlib
@@ -158,29 +159,61 @@ def test_rerank_digest_does_not_depend_on_cpu_count(tmp_path, monkeypatch):
     assert json.loads(report.read_text())["config_digest"] == metas[1]["config_digest"]
 
 
-def test_rerank_rrt_with_model_rejected_record_in_later_chunk_exits_2(tmp_path, capsys, monkeypatch):
-    # Six candidates in chunks of two on two workers; the third chunk holds
-    # a record with more locals than the model takes.
+def write_rrt_inputs(tmp_path, bad_id):
+    """A checkpoint at L=2 and a descriptor file of records 1..7 with two
+    locals each, except record `bad_id`, which has three."""
     cfg = ModelConfig(L=2, d=4, h=2, d_h=2, layers=1, d_c=8, n_scales=1, d_g_raw=2)
     checkpoint = tmp_path / "m.rrtm"
     save_checkpoint(init_params(cfg, seed=0), cfg, checkpoint)
     rng = np.random.default_rng(0)
     recs = []
     for i in range(1, 8):
-        n = 3 if i == 6 else 2
+        n = 3 if i == bad_id else 2
         vecs = rng.standard_normal((n, 4)).astype(np.float32)
         uv = rng.uniform(0, 64, (n, 2)).astype(np.float32)
         recs.append(ImageRecord(i, 0, rng.standard_normal(2).astype(np.float32), vecs, uv, np.zeros(n, np.uint8)))
     data = tmp_path / "g.rrtd"
     save_dataset(recs, DatasetManifest(d_g_raw=2, d_l=4, n_scales=1, scale_values=(1.0,), n_images=7), data)
+    return cfg, checkpoint, data
+
+
+def test_rerank_rrt_with_model_rejected_record_in_later_chunk_exits_2(tmp_path, capsys, monkeypatch):
+    # Six candidates in chunks of two on two workers; the third chunk holds
+    # a record with more locals than the model takes.  The scorer checks
+    # every record when it is built, so no chunk is scored.
+    cfg, checkpoint, data = write_rrt_inputs(tmp_path, bad_id=6)
     neighbors, out = tmp_path / "n.jsonl", tmp_path / "r.jsonl"
     write_neighbors(neighbors, [NeighborList(1, [(g, 1.0 - g / 10) for g in range(2, 8)])])
-    monkeypatch.setattr(rrt_model, "_auto_chunk", lambda cfg: 2 * rrt_model.SCORE_CHUNK_SHARE)
+    monkeypatch.setattr(rrt_model, "SCORE_CHUNK_FLOATS", 2 * cfg.seq_len * cfg.d)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     code = main(["rerank", "--data", str(neighbors), "--queries", str(data), "--gallery", str(data),
                  "--scorer", "rrt", "--checkpoint", str(checkpoint), "--out", str(out)])
     assert code == 2
     assert "record 6 has 3 locals but the model takes at most 2" in capsys.readouterr().err
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
+def test_rerank_rrt_with_model_rejected_record_never_retrieved_exits_2(tmp_path, capsys):
+    # Record 7 is in no neighbour list, so no forward pass would reach it.
+    _, checkpoint, data = write_rrt_inputs(tmp_path, bad_id=7)
+    neighbors, out = tmp_path / "n.jsonl", tmp_path / "r.jsonl"
+    write_neighbors(neighbors, [NeighborList(1, [(g, 1.0 - g / 10) for g in range(2, 7)])])
+    code = main(["rerank", "--data", str(neighbors), "--queries", str(data), "--gallery", str(data),
+                 "--scorer", "rrt", "--checkpoint", str(checkpoint), "--out", str(out)])
+    assert code == 2
+    assert "record 7 has 3 locals but the model takes at most 2" in capsys.readouterr().err
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_evaluating_queries_without_relevant_items_exits_3(tmp_path, capsys, command):
+    data, neighbors, out = tmp_path / "g.rrtd", tmp_path / "n.jsonl", tmp_path / "e.out"
+    write_gallery(data, REPEATED, ids=[1, 2, 3], labels=[0, 1, 2])  # every label once
+    write_neighbors(neighbors, [NeighborList(2, [(1, 0.5), (3, 0.4)])])
+    code = main([command, "--data", str(neighbors), "--queries", str(data), "--gallery", str(data),
+                 "--out", str(out)])
+    assert code == 3
+    assert f"{neighbors}: no query has a relevant gallery item" in capsys.readouterr().err
     assert not out.exists() and not Path(str(out) + ".meta.json").exists()
 
 
@@ -226,9 +259,26 @@ def test_rerank_with_bad_gv_setting_exits_2(tmp_path, capsys, flags, message):
         ("rerank", ["--scorer", "aqe", "--alpha", "nan"], "--alpha must be finite and non-negative, got nan"),
         ("rerank", ["--scorer", "aqe", "--alpha", "-0.5"], "--alpha must be finite and non-negative, got -0.5"),
         ("ablate", ["--k", "-1"], "--k must be non-negative, got -1"),
+        ("train", ["--heads", "0"], "--heads must be at least 1, got 0"),
+        ("train", ["--grad-clip", "nan"], "grad_clip_norm must be finite and positive when set, got nan"),
+        ("train", ["--lr", "nan"], "lr must be finite and non-negative, got nan"),
+        ("train", ["--weight-decay", "inf"], "weight_decay must be finite and non-negative, got inf"),
+        ("train", ["--steps-per-epoch", "0"], "steps_per_epoch must be positive when set, got 0"),
+        ("synth", ["--global-noise", "nan"], "global_noise must be finite and non-negative, got nan"),
+        ("synth", ["--local-noise", "inf"], "local_noise must be finite and non-negative, got inf"),
+        ("synth", ["--dim-local", "0"], "d_l must be positive, got 0"),
+        ("synth", ["--dim-global", "0"], "d_g_raw must be positive, got 0"),
+        ("eval", ["--format", "xml"], "--format must be json or csv, got xml"),
+        ("eval", ["--map-ks", "0"], "--map-ks must be positive integers, got [0]"),
+        ("eval", ["--recall-ks", "-1"], "--recall-ks must be positive integers, got [-1]"),
+        ("compare", ["--map-ks", "0"], "--map-ks must be positive integers, got [0]"),
+        ("compare", ["--recall-ks", "-1"], "--recall-ks must be positive integers, got [-1]"),
     ],
     ids=["retrieve_k_0", "retrieve_k_-1", "rerank_k_-1", "rerank_nqe_-1", "rerank_alpha_nan",
-         "rerank_alpha_-0.5", "ablate_k_-1"],
+         "rerank_alpha_-0.5", "ablate_k_-1", "train_heads_0", "train_grad_clip_nan", "train_lr_nan",
+         "train_weight_decay_inf", "train_steps_per_epoch_0", "synth_global_noise_nan",
+         "synth_local_noise_inf", "synth_dim_local_0", "synth_dim_global_0", "eval_format_xml",
+         "eval_map_ks_0", "eval_recall_ks_-1", "compare_map_ks_0", "compare_recall_ks_-1"],
 )
 def test_bad_flag_value_exits_2_naming_it_without_output(tmp_path, capsys, command, flags, message):
     data, index, neighbors = tmp_path / "g.rrtd", tmp_path / "g.rrti", tmp_path / "n.jsonl"
@@ -240,10 +290,15 @@ def test_bad_flag_value_exits_2_naming_it_without_output(tmp_path, capsys, comma
     save_checkpoint(init_params(cfg, seed=0), cfg, checkpoint)
     capsys.readouterr()
     out = tmp_path / "out"
+    labels = ["--queries", str(data), "--gallery", str(data)]
     argv = {
         "retrieve": ["--data", str(index), "--queries", str(data)],
-        "rerank": ["--data", str(neighbors), "--queries", str(data), "--gallery", str(data)],
-        "ablate": ["--queries", str(data), "--gallery", str(data), "--checkpoint", str(checkpoint)],
+        "rerank": ["--data", str(neighbors), *labels],
+        "ablate": [*labels, "--checkpoint", str(checkpoint)],
+        "train": ["--data", str(data)],
+        "synth": [],
+        "eval": ["--data", str(neighbors), *labels],
+        "compare": ["--data", str(neighbors), *labels],
     }[command]
     assert main([command, *argv, "--out", str(out), *flags]) == 2
     captured = capsys.readouterr()

@@ -240,11 +240,13 @@ class TestSynthGenerate:
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
-            SynthConfig(parts_per_image=9, parts_per_instance=4).validate()
+            SynthConfig(parts_per_image=9, parts_per_instance=4)
         with pytest.raises(ConfigError):
-            SynthConfig(locals_per_image=2, parts_per_image=4).validate()
+            SynthConfig(locals_per_image=2, parts_per_image=4)
         with pytest.raises(ConfigError):
-            SynthConfig(n_instances=4, global_confusion_pairs=3).validate()
+            SynthConfig(n_instances=4, global_confusion_pairs=3)
+        with pytest.raises(ConfigError):
+            replace(SynthConfig(), d_l=0)
 
 
 class TestNormalizeRecords:

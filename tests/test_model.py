@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from rrt import model
+from rrt import train as rrt_train
 from rrt.autograd import Tensor
 from rrt.benchmark import benchmark_model_config
 from rrt.errors import ConfigError, DataFormatError, IntegrityError
 from rrt.model import (
     ModelConfig,
     attention_correspondences,
+    check_records,
     forward_pair_logits,
     init_params,
     load_checkpoint,
@@ -28,6 +30,7 @@ from rrt.model import (
     score_batch,
     transformer_layer,
 )
+from rrt.scorers import make_rrt_scorer
 
 from gradcheck import central_difference, max_rel_err
 from helpers import make_pair, make_record, spy_forward_passes, tiny_config
@@ -205,13 +208,14 @@ def direct_mha_f64(z, mask, lp, h, dh):
 
 
 class TestBatchedRecordChecks:
-    """forward_pair_logits checks every record of the batch against the
-    model config, whichever model saw the record before."""
+    """check_records checks every record of a list against the model
+    config, whichever model saw the record before; the entry points that
+    take records run it once per call, before any forward pass."""
 
-    def batch_with(self, cfg, bad, side):
+    def records_with(self, cfg, bad, side):
         rng = np.random.default_rng(40)
         ok = make_record(rng, 9, 0, cfg.d, cfg.d_g_raw, 2, cfg.n_scales)
-        return [(ok, ok), (bad, ok) if side == 0 else (ok, bad)]
+        return [bad, ok] if side == 0 else [ok, bad]
 
     @pytest.mark.parametrize("side", [0, 1])
     @pytest.mark.parametrize(
@@ -226,7 +230,6 @@ class TestBatchedRecordChecks:
     )
     def test_bad_record_rejected(self, defect, message, side):
         cfg = tiny_config()
-        params = init_params(cfg, seed=41)
         rng = np.random.default_rng(41)
         n = cfg.L + 1 if defect == "too_many_locals" else 2
         d_g = cfg.d_g_raw + 1 if defect == "global_dim" else cfg.d_g_raw
@@ -242,16 +245,40 @@ class TestBatchedRecordChecks:
                 replace(bad, scale_idx=[-1, bad.scale_idx[1]])
             return
         with pytest.raises(ConfigError, match=message):
-            forward_pair_logits(params, cfg, self.batch_with(cfg, bad, side))
+            check_records(cfg, self.records_with(cfg, bad, side))
 
     def test_record_accepted_by_one_model_rejected_by_another(self):
         wide, narrow = tiny_config(n_scales=7), tiny_config(n_scales=3)
         rng = np.random.default_rng(42)
         rec = make_record(rng, 6, 1, wide.d, wide.d_g_raw, 3, wide.n_scales)
         rec = replace(rec, scale_idx=[*rec.scale_idx[:2], 5])
-        forward_pair_logits(init_params(wide, seed=42), wide, self.batch_with(wide, rec, 0))
+        check_records(wide, self.records_with(wide, rec, 0))
         with pytest.raises(ConfigError, match=r"record 6: scale index outside \[0, 3\)"):
-            forward_pair_logits(init_params(narrow, seed=42), narrow, self.batch_with(narrow, rec, 1))
+            check_records(narrow, self.records_with(narrow, rec, 1))
+
+    def test_global_dim_unchecked_without_global_token(self):
+        cfg = tiny_config(use_global_token=False)
+        rng = np.random.default_rng(43)
+        check_records(cfg, [make_record(rng, 5, 1, cfg.d, cfg.d_g_raw + 1, 2, cfg.n_scales)])
+
+    def test_entry_points_reject_before_any_forward_pass(self, monkeypatch):
+        cfg = tiny_config()
+        params = init_params(cfg, seed=44)
+        rng = np.random.default_rng(44)
+        good = [make_record(rng, i, i % 2, cfg.d, cfg.d_g_raw, 2, cfg.n_scales) for i in range(4)]
+        bad = make_record(rng, 7, 1, cfg.d, cfg.d_g_raw, cfg.L + 1, cfg.n_scales)
+        calls = spy_forward_passes(monkeypatch)
+        monkeypatch.setattr(rrt_train, "forward_pair_logits", model.forward_pair_logits)
+        message = "record 7 has 5 locals but the model takes at most 4"
+        with pytest.raises(ConfigError, match=message):
+            make_rrt_scorer(params, cfg, good[:1], [*good[1:], bad])
+        with pytest.raises(ConfigError, match=message):
+            make_rrt_scorer(params, cfg, [bad], good)
+        with pytest.raises(ConfigError, match=message):
+            rrt_train.train([*good, bad], cfg, rrt_train.TrainConfig(epochs=1), params=params)
+        with pytest.raises(ConfigError, match=message):
+            attention_correspondences(params, cfg, good[0], bad)
+        assert calls == []
 
 
 class TestMHA:
@@ -428,9 +455,11 @@ class TestScoring:
 
 
 def force_chunking(monkeypatch, size, cpus):
-    """score_batch chunks of `size` pairs on a machine of `cpus` CPUs; returns
-    the list of (batch size, ran on the calling thread) per forward pass."""
-    monkeypatch.setattr(model, "_auto_chunk", lambda cfg: size * model.SCORE_CHUNK_SHARE)
+    """score_batch chunks of `size` pairs at tiny_config() on a machine of
+    `cpus` CPUs; returns the list of (batch size, ran on the calling thread)
+    per forward pass."""
+    cfg = tiny_config()
+    monkeypatch.setattr(model, "SCORE_CHUNK_FLOATS", size * cfg.seq_len * cfg.d)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     return spy_forward_passes(monkeypatch)
 
@@ -452,7 +481,7 @@ class TestChunkedScoring:
     @pytest.mark.parametrize("size", [2, 3, 4, 7, 8, 16])
     def test_partition_covers_in_order_without_lone_pairs(self, size):
         for n in range(1, 201):
-            chunks = model._partition(n, size)
+            chunks = model.score_chunks(n, size)
             assert [i for c in chunks for i in range(n)[c]] == list(range(n)), (n, size)
             widths = [c.stop - c.start for c in chunks]
             assert all(w <= size + 1 for w in widths), (n, size)
@@ -481,19 +510,24 @@ class TestChunkedScoring:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_first_failing_chunk_raises_its_error(self, monkeypatch, cpus):
+        # Chunks of two over candidates 1..8: the forward pass fails in the
+        # third chunk (candidate 6) and in the fourth (candidate 8).
         cfg = tiny_config()
         params = init_params(cfg, seed=52)
-        rng = np.random.default_rng(52)
         q, cands = chunk_inputs(cfg, 52, 8)
-        cands[5] = make_record(rng, 6, 1, cfg.d, cfg.d_g_raw, cfg.L + 1, cfg.n_scales)
-        cands[7] = make_record(rng, 8, 1, cfg.d, cfg.d_g_raw + 1, 2, cfg.n_scales)
         force_chunking(monkeypatch, 2, cpus)
-        with pytest.raises(ConfigError) as exc:
+        forward = model.forward_pair_logits
+
+        def failing(params, cfg, pairs, *args, **kwargs):
+            bad = [c.id for _, c in pairs if c.id in (6, 8)]
+            if bad:
+                raise ValueError(f"candidate {bad[0]} failed")
+            return forward(params, cfg, pairs, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_pair_logits", failing)
+        with pytest.raises(ValueError) as exc:
             score_batch(params, cfg, q, cands)
-        assert str(exc.value) == (
-            f"record 6 has {cfg.L + 1} locals but the model takes at most {cfg.L}; "
-            "truncate at load time"
-        )
+        assert str(exc.value) == "candidate 6 failed"
 
     @pytest.mark.parametrize(
         "cfg, widths",

@@ -183,7 +183,7 @@ class TestPersistence:
         cfg = tiny_config()
         rng = np.random.default_rng(11)
         recs = [make_record(rng, i, 0, cfg.d, cfg.d_g_raw, 0, cfg.n_scales) for i in range(4)]
-        index = build_index(recs, projected=True, params=init_params(cfg, seed=11), cfg=cfg)
+        index = build_index(recs, projected=True, params=init_params(cfg, seed=11))
         p = tmp_path / "g.rrti"
         save_index(index, p)
         loaded = load_index(p)
