@@ -8,7 +8,4 @@ datasets.
 
 __version__ = "0.1.0"
 
-from .autograd import Tensor, no_grad
-from .optim import AdamW, clip_global_grad_norm
-
-__all__ = ["Tensor", "no_grad", "AdamW", "clip_global_grad_norm", "__version__"]
+__all__ = ["__version__"]

@@ -4,7 +4,8 @@ Define-by-run tape on top of numpy buffers: every op records its parents and
 a closure mapping the output gradient to parent gradients.  Graphs are single
 use; ``backward`` frees the tape as it walks it.  float32 is the working
 precision, float64 is available for verification runs (ops inherit the dtype
-of their inputs).
+of their inputs).  The ops are the ones the model and its training loop
+run; the loss, ``bce_with_logits``, returns the batch mean directly.
 
 Thread-safety contract: tensors are immutable after creation except for
 gradient accumulation and in-place optimizer updates, so concurrent read-only
@@ -26,15 +27,12 @@ __all__ = [
     "no_grad",
     "add",
     "mul",
-    "scale",
     "matmul",
     "affine",
     "mlp",
     "reshape",
     "swapaxes",
     "concat",
-    "tsum",
-    "tmean",
     "embedding",
     "masked_softmax_lastdim",
     "attention",
@@ -83,8 +81,8 @@ class no_grad:
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_consumed")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data = arr
@@ -108,29 +106,11 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         grad = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}{grad})"
 
     # -- graph management ----------------------------------------------
-
-    def detach(self) -> "Tensor":
-        """Leaf view of the same buffer, cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
-    def astype(self, dtype) -> "Tensor":
-        """Leaf copy in another precision (keeps requires_grad)."""
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         """Accumulate gradients into every requires_grad leaf below self.
@@ -186,30 +166,7 @@ class Tensor:
             node._parents = ()
             node._consumed = True
 
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other, self.dtype), -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+    # -- indexing ------------------------------------------------------
 
     def __getitem__(self, idx):
         out = self.data[idx]
@@ -220,23 +177,6 @@ class Tensor:
             return (full,)
 
         return _make(out, (self,), grad_fn)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-
-def _as_tensor(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _records(parents: tuple) -> bool:
@@ -296,15 +236,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), grad_fn)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    data = a.data * a.data.dtype.type(s)
-
-    def grad_fn(g):
-        return (g * a.data.dtype.type(s),)
-
-    return _make(data, (a,), grad_fn)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; operands must have ndim >= 2, batch dims broadcast."""
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -362,29 +293,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.split(g, offsets, axis=axis))
 
     return _make(data, tuple(tensors), grad_fn)
-
-
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=True),)
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=True),)
-
-    return _make(data, (a,), grad_fn)
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    else:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([a.data.shape[i] for i in ax]))
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def _check_affine(x: np.ndarray, w: np.ndarray, op: str) -> None:
@@ -644,18 +552,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def bce_with_logits(logit: Tensor, target) -> Tensor:
-    """Binary cross entropy on a logit, in the stable log-sum-exp form.
-
-    Elementwise; reduce with .mean() for batches.  target entries must be
-    0 or 1.
-    """
+    """Batch-mean binary cross entropy on logits, in the stable log-sum-exp
+    form: a scalar, the sum of the per-element losses times 1/n.  target
+    entries must be 0 or 1.  The gradient of logit i is (sigma(z_i) - t_i)
+    / n, with the output gradient scaled by 1/n first, as the per-element
+    loss followed by a sum and a 1/n scale would give it."""
     t = np.asarray(target, dtype=logit.data.dtype)
     if not np.all((t == 0) | (t == 1)):
         raise ValueError("bce_with_logits targets must be 0 or 1")
     z = logit.data
-    data = np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))
+    per = np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))
+    inv_n = z.dtype.type(1.0 / per.size)
 
     def grad_fn(g):
-        return (_unbroadcast(g * (_sigmoid(z) - t), logit.data.shape),)
+        return (_unbroadcast((g * inv_n) * (_sigmoid(z) - t), z.shape),)
 
-    return _make(data, (logit,), grad_fn)
+    return _make(per.sum() * inv_n, (logit,), grad_fn)

@@ -60,9 +60,7 @@ from .data import ImageRecord, l2_normalize
 from .errors import ConfigError
 
 __all__ = [
-    "Match",
     "GVConfig",
-    "aqe_weights",
     "alpha_qe_expand",
     "mutual_nn_matches",
     "ransac_homography",
@@ -72,13 +70,6 @@ __all__ = [
 _COLLINEAR_EPS = 1e-6   # triangle area floor on Hartley-normalized coords
 _W_EPS = 1e-12          # homogeneous scale floor when projecting
 GV_BLOCK_BUDGET = 1 << 14  # hypotheses x padded matches per block
-
-
-@dataclass(frozen=True)
-class Match:
-    a_index: int
-    b_index: int
-    distance: float
 
 
 @dataclass(frozen=True)
@@ -126,11 +117,12 @@ def alpha_qe_expand(
 
 def mutual_nn_matches(
     locals_a: np.ndarray, locals_b: np.ndarray, ratio: Optional[float] = None
-) -> list[Match]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairs (i, j) where j is i's Euclidean nearest neighbor in B and i is
     j's nearest in A.  With a ratio r, both directions must also pass
     d1 <= r * d2 against their second-nearest, keeping the match set
-    symmetric.  Returned sorted by the A index."""
+    symmetric.  Returns the arrays (i, j, distance), one entry per match,
+    sorted by the A index i."""
     a = np.asarray(locals_a, dtype=np.float64)
     b = np.asarray(locals_b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
@@ -157,7 +149,7 @@ def mutual_nn_matches(
     keep = (nn_a[nn_b] == np.arange(len(a))) & ok_a & ok_b[nn_b]
     i = np.flatnonzero(keep)
     j = nn_b[i]
-    return [Match(*m) for m in zip(i.tolist(), j.tolist(), dist[i, j].tolist())]
+    return i, j, dist[i, j]
 
 
 def _similarity_T(pts: np.ndarray):
@@ -433,12 +425,12 @@ def gv_scores(
         lb = cand.vecs
         if la.shape[0] == 0 or lb.shape[0] == 0:
             continue
-        matches = mutual_nn_matches(la, lb, ratio=cfg.ratio)
-        n = len(matches)
+        ia, ib, _ = mutual_nn_matches(la, lb, ratio=cfg.ratio)
+        n = len(ia)
         if n < 4:
             continue
-        pa = pos_a[[m.a_index for m in matches]].astype(np.float64)
-        pb = cand.uv[[m.b_index for m in matches]].astype(np.float64)
+        pa = pos_a[ia].astype(np.float64)
+        pb = cand.uv[ib].astype(np.float64)
         seed = int(_pair_seed(cfg.seed, query.id, cand.id).generate_state(1)[0])
         hyps = min(cfg.iterations, comb(n, 4))
         if block and (rows + hyps) * max(width, n) > GV_BLOCK_BUDGET:

@@ -11,7 +11,9 @@ numerical abort.  Input is checked where it enters: flag values and the
 config objects built from them (which check themselves) before any output is
 written, and records against the model once per command, when the scorer is
 built or training starts, so a record the model cannot take exits 2 wherever
-it sits in the gallery.  The ``rerank`` and ``eval`` sidecars also record
+it sits in the gallery; a projected ``index`` or ``retrieve`` checks its
+checkpoint's global projection against the data and the index the same
+way.  The ``rerank`` and ``eval`` sidecars also record
 ``"environment": {"workers": N}``, the threads a multi-chunk ``score_batch``
 uses on this machine; it is a machine fact, so it stays out of the config
 and its digest.
@@ -350,12 +352,25 @@ def cmd_synth(cfg: dict) -> int:
     return 0
 
 
+def _projection_params(path, d_g_raw: int):
+    """Params of the checkpoint at path, which must hold a global projection
+    from d_g_raw dimensions; ConfigError otherwise."""
+    params, mcfg = load_checkpoint(path)
+    if not mcfg.use_global_token:
+        raise ConfigError(f"--checkpoint {path} has no global projection (trained with --no-global-token)")
+    if mcfg.d_g_raw != d_g_raw:
+        raise ConfigError(
+            f"--checkpoint {path} projects {mcfg.d_g_raw}-dim globals, but the data's are {d_g_raw}-dim"
+        )
+    return params
+
+
 def cmd_index(cfg: dict) -> int:
-    records, _ = _load_normalized(cfg["data"])
+    records, manifest = _load_normalized(cfg["data"])
     if cfg["projected"]:
         if not cfg["checkpoint"]:
             raise ConfigError("--projected needs --checkpoint")
-        params, _ = load_checkpoint(cfg["checkpoint"])
+        params = _projection_params(cfg["checkpoint"], manifest.d_g_raw)
         index = build_index(records, projected=True, params=params)
     else:
         index = build_index(records)
@@ -368,12 +383,18 @@ def cmd_index(cfg: dict) -> int:
 def cmd_retrieve(cfg: dict) -> int:
     _require(cfg["k"] >= 1, "--k", "at least 1", cfg["k"])
     index = load_index(cfg["data"])
+    queries, manifest = _load_normalized(cfg["queries"])
     params = None
     if index.projected:
         if not cfg["checkpoint"]:
             raise ConfigError("projected index needs --checkpoint to embed queries")
-        params, _ = load_checkpoint(cfg["checkpoint"])
-    queries, _ = _load_normalized(cfg["queries"])
+        params = _projection_params(cfg["checkpoint"], manifest.d_g_raw)
+        dim = params["global_proj.w"].shape[1]
+        if dim != index.vectors.shape[1]:
+            raise ConfigError(
+                f"--checkpoint {cfg['checkpoint']} projects to {dim} dims, but the index holds "
+                f"{index.vectors.shape[1]}-dim vectors"
+            )
     lists = [
         knn_search(index, query_vector(index, q, params), k=cfg["k"], query_id=q.id)
         for q in queries

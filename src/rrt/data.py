@@ -34,7 +34,6 @@ from .wire import Reader
 
 __all__ = [
     "ImageRecord",
-    "DatasetManifest",
     "SynthConfig",
     "l2_normalize",
     "l2_normalize_rows",
@@ -308,9 +307,13 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("d_l", "d_g_raw"):
+        for name in ("n_instances", "images_per_instance", "n_scales", "d_l", "d_g_raw"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("queries_per_instance", "parts_per_instance", "parts_per_image",
+                     "locals_per_image", "global_confusion_pairs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         for name in ("global_noise", "local_noise"):
             sigma = getattr(self, name)
             if not (math.isfinite(sigma) and sigma >= 0):

@@ -19,15 +19,9 @@ import numpy as np
 
 from .data import ImageRecord, grid_dedup_count
 from .errors import ConfigError
-from .retrieval import NeighborList
+from .retrieval import NeighborList, build_index, knn_search, query_vector, rerank_topk
 
 __all__ = [
-    "EvalReport",
-    "average_precision",
-    "ap_at_k",
-    "map_at_k",
-    "recall_at_k",
-    "first_relevant_rank",
     "build_ground_truth",
     "evaluate_neighbors",
     "emit_report",
@@ -218,8 +212,6 @@ def ablation_locals_sweep(
     as duplicate-location statistics.  A negative count or a stride below 1
     raises ConfigError before anything is scored.
     """
-    from .retrieval import build_index, knn_search, query_vector, rerank_topk
-
     if stride <= 0 or min(counts, default=0) < 0:
         raise ConfigError(f"want counts >= 0 and stride > 0, got counts {list(counts)}, stride {stride}")
 

@@ -49,7 +49,6 @@ __all__ = [
     "ModelParams",
     "init_params",
     "check_records",
-    "param_shapes",
     "mha_forward",
     "transformer_layer",
     "forward_pair_logits",
@@ -143,17 +142,11 @@ class _LayerView:
 
 
 class ModelParams:
-    """All learnable tensors, keyed by dotted names in a fixed order."""
+    """All learnable tensors, keyed by dotted names in param_shapes order.
+    Built only by init_params, from that table, and by load_checkpoint,
+    which checks every name and shape against it."""
 
     def __init__(self, cfg: ModelConfig, tensors: dict[str, Tensor]):
-        expected = [name for name, _, _ in param_shapes(cfg)]
-        if list(tensors.keys()) != expected:
-            raise IntegrityError("parameter names do not match the config's layout")
-        for name, shape, _ in param_shapes(cfg):
-            if tuple(tensors[name].shape) != shape:
-                raise IntegrityError(
-                    f"tensor {name} has shape {tuple(tensors[name].shape)}, config implies {shape}"
-                )
         self.tensors = tensors
         self._layers = [_LayerView(tensors, i) for i in range(cfg.layers)]
 
@@ -168,11 +161,6 @@ class ModelParams:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
-
-    def astype(self, dtype, cfg: ModelConfig) -> "ModelParams":
-        return ModelParams(
-            cfg, {k: v.astype(dtype) for k, v in self.tensors.items()}
-        )
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
@@ -219,18 +207,13 @@ def mha_forward(
     layer, cfg: ModelConfig, z: Tensor, mask: np.ndarray, return_attn: bool = False,
     query_rows: int | None = None,
 ):
-    """Multi-head self-attention; mask marks valid key positions.
+    """Multi-head self-attention; mask [B, T] marks valid key positions.
 
-    z is [T, d] or [B, T, d].  Keys and values come from all T tokens;
-    queries from the leading query_rows tokens (Tq <= T, default all), so
-    the output is [Tq, d] or [B, Tq, d].  Returns (output, attention or
-    None); the attention array is [B, h, Tq, T], post-softmax, built only
-    when asked.
+    z is [B, T, d].  Keys and values come from all T tokens; queries from
+    the leading query_rows tokens (Tq <= T, default all), so the output is
+    [B, Tq, d].  Returns (output, attention or None); the attention array is
+    [B, h, Tq, T], post-softmax, built only when asked.
     """
-    squeeze = z.ndim == 2
-    if squeeze:
-        z = ag.reshape(z, (1,) + tuple(z.shape))
-        mask = np.asarray(mask, dtype=bool)[None, :]
     B, T, d = z.shape
     Tq = T if query_rows is None else query_rows
     h, dh = cfg.h, cfg.d_h
@@ -248,7 +231,7 @@ def mha_forward(
         return_probs=return_attn,
     )
     ctx = ag.reshape(ag.swapaxes(ctx, 1, 2), (B * Tq, d))
-    out = ag.reshape(ag.affine(ctx, layer.wo, layer.bo), (Tq, d) if squeeze else (B, Tq, d))
+    out = ag.reshape(ag.affine(ctx, layer.wo, layer.bo), (B, Tq, d))
     return out, attn
 
 
@@ -265,8 +248,8 @@ def transformer_layer(
     conventional variant.
     """
     att, attn_w = mha_forward(layer, cfg, z, mask, return_attn, query_rows)
-    if att.shape[-2] != z.shape[-2]:
-        z = z[..., : att.shape[-2], :]
+    if att.shape[1] != z.shape[1]:
+        z = z[:, : att.shape[1]]
     zbar = ag.layer_norm(ag.add(z, att), layer.ln1_g, layer.ln1_b, LAYERNORM_EPS)
     mlp = ag.mlp(zbar, layer.w1, layer.b1, layer.w2, layer.b2)
     body = ag.add(zbar, mlp) if cfg.mlp_residual else mlp

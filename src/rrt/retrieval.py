@@ -35,7 +35,6 @@ from .errors import DataFormatError
 from .wire import Reader
 
 __all__ = [
-    "GlobalIndex",
     "NeighborList",
     "build_index",
     "save_index",
@@ -85,7 +84,10 @@ def build_index(
     projected: bool = False,
     params=None,
 ) -> GlobalIndex:
-    """Index over raw globals, or over the model's projected globals."""
+    """Index over raw globals, or over the model's projected globals.  An
+    empty record list raises DataFormatError."""
+    if not records:
+        raise DataFormatError("no records to index")
     if projected and params is None:
         raise ValueError("projected index needs model params")
     ids = np.array([r.id for r in records], dtype=np.int64)

@@ -32,7 +32,6 @@ __all__ = [
     "make_rrt_scorer",
     "make_gv_scorer",
     "make_oracle_scorer",
-    "oracle_part_ids",
 ]
 
 

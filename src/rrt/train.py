@@ -37,10 +37,8 @@ from .retrieval import build_index
 
 __all__ = [
     "TrainConfig",
-    "PairSample",
     "PairSampler",
     "train",
-    "write_loss_history",
 ]
 
 
@@ -260,7 +258,7 @@ def train(
             if not pairs:
                 continue
             logits, _ = forward_pair_logits(params, model_cfg, pairs)
-            loss = bce_with_logits(logits, np.array(targets, dtype=logits.dtype)).mean()
+            loss = bce_with_logits(logits, np.array(targets, dtype=logits.dtype))
             loss_val = float(loss.data)
             opt.zero_grad()
             loss.backward()

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 
 from rrt import model
+from rrt.autograd import Tensor
 from rrt.data import ImageRecord
 from rrt.model import ModelConfig
 
@@ -15,6 +16,14 @@ def tiny_config(**overrides) -> ModelConfig:
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def params_astype(params, cfg: ModelConfig, dtype) -> model.ModelParams:
+    """Leaf copies of every parameter in another precision, each keeping
+    its requires_grad."""
+    return model.ModelParams(
+        cfg, {k: Tensor(t.data.astype(dtype), requires_grad=t.requires_grad) for k, t in params.named()}
+    )
 
 
 def make_record(rng, rec_id, label, d_l, d_g, n_locals, n_scales, canvas=1024.0):

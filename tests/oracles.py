@@ -93,10 +93,6 @@ def composed_mha_forward(layer, cfg, z, mask, return_attn=False):
     so float32 outputs must match it bit for bit."""
     from rrt import autograd as ag
 
-    squeeze = z.ndim == 2
-    if squeeze:
-        z = ag.reshape(z, (1,) + tuple(z.shape))
-        mask = np.asarray(mask, dtype=bool)[None, :]
     B, T, d = z.shape
     h, dh = cfg.h, cfg.d_h
 
@@ -107,12 +103,10 @@ def composed_mha_forward(layer, cfg, z, mask, return_attn=False):
     k = heads(ag.affine(z, layer.wk, layer.bk))
     v = heads(ag.affine(z, layer.wv, layer.bv))
 
-    logits = ag.scale(ag.matmul(q, ag.swapaxes(k, 2, 3)), 1.0 / np.sqrt(dh))
+    logits = scale(ag.matmul(q, ag.swapaxes(k, 2, 3)), 1.0 / np.sqrt(dh))
     attn = ag.masked_softmax_lastdim(logits, mask[:, None, None, :])
     ctx = ag.reshape(ag.swapaxes(ag.matmul(attn, v), 1, 2), (B, T, d))
     out = ag.affine(ctx, layer.wo, layer.bo)
-    if squeeze:
-        out = ag.reshape(out, (T, d))
     return out, (attn.data if return_attn else None)
 
 
@@ -556,6 +550,56 @@ def param_count(cfg):
     from rrt.model import param_shapes
 
     return sum(int(np.prod(shape)) for _, shape, _ in param_shapes(cfg))
+
+
+def scale(a, s):
+    """a times the constant s, cast to a's dtype."""
+    from rrt.autograd import _make
+
+    c = a.data.dtype.type(s)
+
+    def grad_fn(g):
+        return (g * c,)
+
+    return _make(a.data * c, (a,), grad_fn)
+
+
+def tsum(a):
+    """Sum of every element, as a scalar tensor."""
+    from rrt.autograd import _make
+
+    def grad_fn(g):
+        return (np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=True),)
+
+    return _make(a.data.sum(), (a,), grad_fn)
+
+
+def tmean(a):
+    """tsum, then a 1/n scale: the reduction order rrt.autograd.bce_with_logits
+    must reproduce byte for byte."""
+    return scale(tsum(a), 1.0 / a.data.size)
+
+
+def readout(out, w):
+    """sum(out * w) for a fixed array w: a scalar loss whose gradient in out
+    is w, to backpropagate a tensor that is not itself a loss."""
+    from rrt.autograd import Tensor, mul
+
+    return tsum(mul(out, Tensor(w)))
+
+
+def bce_per_element(logit, target):
+    """Per-element binary cross entropy on logits, in the stable log-sum-exp
+    form; tmean of it is the reference for rrt.autograd.bce_with_logits."""
+    from rrt.autograd import _make, _sigmoid
+
+    t = np.asarray(target, dtype=logit.data.dtype)
+    z = logit.data
+
+    def grad_fn(g):
+        return (g * (_sigmoid(z) - t),)
+
+    return _make(np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z))), (logit,), grad_fn)
 
 
 def relu(a):

@@ -15,8 +15,8 @@ from rrt.autograd import Tensor
 from rrt.model import init_params, mha_forward
 
 from gradcheck import central_difference, max_rel_err
-from helpers import tiny_config
-from oracles import composed_mha_forward
+from helpers import params_astype, tiny_config
+from oracles import composed_mha_forward, readout
 
 
 def mixed_mask(cfg, B):
@@ -58,15 +58,15 @@ class TestMatchesComposedPath:
         rng = np.random.default_rng(22)
         B = 3
         z0 = rng.standard_normal((B, T, cfg.d))
-        readout = rng.standard_normal((B, T, cfg.d))
+        r = rng.standard_normal((B, T, cfg.d))
         mask = mixed_mask(cfg, B)
 
         grads = []
         for forward in (mha_forward, composed_mha_forward):
-            params = init_params(cfg, seed=22).astype(np.float64, cfg)
+            params = params_astype(init_params(cfg, seed=22), cfg, np.float64)
             z = Tensor(z0, requires_grad=True)
             out, _ = forward(params.layer(0), cfg, z, mask)
-            (out * Tensor(readout)).sum().backward()
+            readout(out, r).backward()
             lp = params.layer(0)
             grads.append([z.grad] + [getattr(lp, n).grad for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")])
         for fused, composed in zip(*grads):
@@ -104,15 +104,15 @@ class TestQueryRowBlocks:
         rng = np.random.default_rng(26)
         B = 3
         z0 = rng.standard_normal((B, T, cfg.d))
-        readout = rng.standard_normal((B, T, cfg.d))
+        r = rng.standard_normal((B, T, cfg.d))
         mask = mixed_mask(cfg, B)
 
         grads = []
         for forward in (mha_forward, composed_mha_forward):
-            params = init_params(cfg, seed=26).astype(np.float64, cfg)
+            params = params_astype(init_params(cfg, seed=26), cfg, np.float64)
             z = Tensor(z0, requires_grad=True)
             out, _ = forward(params.layer(0), cfg, z, mask)
-            (out * Tensor(readout)).sum().backward()
+            readout(out, r).backward()
             lp = params.layer(0)
             grads.append([z.grad] + [getattr(lp, n).grad for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")])
         for fused, composed in zip(*grads):
@@ -193,17 +193,17 @@ def check_gradients(q_shape, kv_shape, seed):
     mask = np.array(
         [[True, False, True, True, False], [False] * 5, [True] * 5]
     )[:, None, :]
-    readout = rng.standard_normal(q_shape)
+    r = rng.standard_normal(q_shape)
 
     def f(q, k, v):
         out, _ = ag.attention(Tensor(q), Tensor(k), Tensor(v), mask)
-        return float((out.data * readout).sum())
+        return float((out.data * r).sum())
 
     q, k, v = (Tensor(x, requires_grad=True) for x in (q0, k0, v0))
     out, probs = ag.attention(q, k, v, mask)
     assert probs is None
     np.testing.assert_array_equal(out.data[1], 0.0)  # no valid key: inert, not NaN
-    (out * Tensor(readout)).sum().backward()
+    readout(out, r).backward()
 
     numeric = [
         central_difference(lambda x: f(x, k0, v0), q0),

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from rrt import autograd as ag
 from rrt.autograd import (
     Tensor,
+    add,
     affine,
     bce_with_logits,
     concat,
@@ -25,12 +26,13 @@ from rrt.autograd import (
     masked_softmax_lastdim,
     matmul,
     mlp,
+    mul,
     no_grad,
     swapaxes,
 )
 
 from gradcheck import central_difference, max_rel_err
-from oracles import relu, sigmoid, stack
+from oracles import bce_per_element, readout, relu, sigmoid, stack, tmean, tsum
 
 
 class TestMatmul:
@@ -53,9 +55,9 @@ class TestMatmul:
         a0 = rng.standard_normal((3, 4))
         b0 = rng.standard_normal((4, 2))
 
-        a = Tensor(a0, requires_grad=True, dtype=np.float64)
-        b = Tensor(b0, requires_grad=True, dtype=np.float64)
-        matmul(a, b).sum().backward()
+        a = Tensor(a0, requires_grad=True)
+        b = Tensor(b0, requires_grad=True)
+        tsum(matmul(a, b)).backward()
 
         na = central_difference(lambda x: float((x @ b0).sum()), a0)
         nb = central_difference(lambda x: float((a0 @ x).sum()), b0)
@@ -66,9 +68,9 @@ class TestMatmul:
         rng = np.random.default_rng(1)
         a0 = rng.standard_normal((2, 3, 4))
         b0 = rng.standard_normal((4, 5))
-        a = Tensor(a0, requires_grad=True, dtype=np.float64)
-        b = Tensor(b0, requires_grad=True, dtype=np.float64)
-        matmul(a, b).sum().backward()
+        a = Tensor(a0, requires_grad=True)
+        b = Tensor(b0, requires_grad=True)
+        tsum(matmul(a, b)).backward()
         na = central_difference(lambda x: float((x @ b0).sum()), a0)
         nb = central_difference(lambda x: float((a0 @ x).sum()), b0)
         assert max_rel_err(a.grad, na) < 1e-5
@@ -87,7 +89,7 @@ class TestMaskedSoftmax:
 
     def test_against_direct_formula(self):
         x = np.array([1.0, 2.0, 3.0])
-        out = masked_softmax_lastdim(Tensor(x, dtype=np.float64), [True] * 3)
+        out = masked_softmax_lastdim(Tensor(x), [True] * 3)
         expected = np.exp(x) / np.exp(x).sum()
         assert max_rel_err(out.data, expected) < 1e-6
 
@@ -115,8 +117,8 @@ class TestMaskedSoftmax:
         mask = np.array([[True, True, False, True, True]] * 2)
         w = rng.standard_normal((2, 5))  # fixed readout to make a scalar
 
-        x = Tensor(x0, requires_grad=True, dtype=np.float64)
-        (masked_softmax_lastdim(x, mask) * Tensor(w, dtype=np.float64)).sum().backward()
+        x = Tensor(x0, requires_grad=True)
+        readout(masked_softmax_lastdim(x, mask), w).backward()
 
         def f(v):
             shifted = np.where(mask, v, -np.inf)
@@ -144,9 +146,7 @@ class TestLayerNorm:
         g = rng.standard_normal(4)
         b = rng.standard_normal(4)
         eps = 1e-5
-        out = layer_norm(
-            Tensor(x, dtype=np.float64), Tensor(g, dtype=np.float64), Tensor(b, dtype=np.float64), eps
-        )
+        out = layer_norm(Tensor(x), Tensor(g), Tensor(b), eps)
         expected = (x - x.mean()) / np.sqrt(x.var() + eps) * g + b
         assert max_rel_err(out.data, expected) < 1e-6
 
@@ -158,12 +158,7 @@ class TestLayerNorm:
     @settings(max_examples=100, deadline=None)
     def test_standardizes_nonconstant_vectors(self, xs):
         d = len(xs)
-        out = layer_norm(
-            Tensor(xs, dtype=np.float64),
-            Tensor(np.ones(d), dtype=np.float64),
-            Tensor(np.zeros(d), dtype=np.float64),
-            eps=1e-10,
-        ).data
+        out = layer_norm(Tensor(xs), Tensor(np.ones(d)), Tensor(np.zeros(d)), eps=1e-10).data
         assert abs(out.mean()) < 1e-6
         assert abs(out.var() - 1.0) < 1e-4
 
@@ -172,13 +167,13 @@ class TestLayerNorm:
         x0 = rng.standard_normal((3, 6))
         g0 = rng.standard_normal(6)
         b0 = rng.standard_normal(6)
-        readout = rng.standard_normal((3, 6))
+        w = rng.standard_normal((3, 6))
         eps = 1e-5
 
-        x = Tensor(x0, requires_grad=True, dtype=np.float64)
-        g = Tensor(g0, requires_grad=True, dtype=np.float64)
-        b = Tensor(b0, requires_grad=True, dtype=np.float64)
-        (layer_norm(x, g, b, eps) * Tensor(readout, dtype=np.float64)).sum().backward()
+        x = Tensor(x0, requires_grad=True)
+        g = Tensor(g0, requires_grad=True)
+        b = Tensor(b0, requires_grad=True)
+        readout(layer_norm(x, g, b, eps), w).backward()
 
         def f_of(which):
             def f(v):
@@ -192,7 +187,7 @@ class TestLayerNorm:
                 mu = xx.mean(axis=-1, keepdims=True)
                 var = ((xx - mu) ** 2).mean(axis=-1, keepdims=True)
                 y = (xx - mu) / np.sqrt(var + eps) * gg + bb
-                return float((y * readout).sum())
+                return float((y * w).sum())
 
             return f
 
@@ -201,16 +196,21 @@ class TestLayerNorm:
         assert max_rel_err(b.grad, central_difference(f_of("b"), b0)) < 1e-4
 
 
+def single_losses(z):
+    """bce_with_logits of each logit alone, target 1: the mean of one."""
+    return np.array([float(bce_with_logits(Tensor(v), 1.0).data) for v in z])
+
+
 class TestBCEWithLogits:
     def test_zero_logit_both_targets(self):
         for t in (0.0, 1.0):
             out = bce_with_logits(Tensor(0.0), t)
-            assert abs(out.item() - math.log(2)) < 1e-6
+            assert abs(float(out.data) - math.log(2)) < 1e-6
 
     def test_against_direct_formula(self):
-        out = bce_with_logits(Tensor(2.5, dtype=np.float64), 1.0)
+        out = bce_with_logits(Tensor(2.5), 1.0)
         expected = -math.log(1.0 / (1.0 + math.exp(-2.5)))
-        assert abs(out.item() - expected) / expected < 1e-7
+        assert abs(float(out.data) - expected) / expected < 1e-7
 
     def test_rejects_nonbinary_target(self):
         with pytest.raises(ValueError):
@@ -218,63 +218,80 @@ class TestBCEWithLogits:
 
     def test_finite_over_wide_logit_range(self):
         z = np.linspace(-80, 80, 321)
-        out = bce_with_logits(Tensor(z, dtype=np.float64), np.ones_like(z))
-        assert np.all(np.isfinite(out.data))
+        assert np.all(np.isfinite(single_losses(z)))
+        assert np.isfinite(bce_with_logits(Tensor(z), np.ones_like(z)).data)
 
     def test_monotone_decreasing_in_logit_for_positive_target(self):
-        z = np.linspace(-40, 40, 201)
-        out = bce_with_logits(Tensor(z, dtype=np.float64), np.ones_like(z)).data
-        assert np.all(np.diff(out) < 0)
+        assert np.all(np.diff(single_losses(np.linspace(-40, 40, 201))) < 0)
 
     def test_gradient_vs_finite_differences(self):
         z0 = np.array([-3.0, -0.2, 0.0, 1.7, 4.0])
         t = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
-        z = Tensor(z0, requires_grad=True, dtype=np.float64)
-        bce_with_logits(z, t).sum().backward()
+        z = Tensor(z0, requires_grad=True)
+        loss = bce_with_logits(z, t)
+        assert loss.shape == ()
+        loss.backward()
 
         def f(v):
             return float(
-                (np.maximum(v, 0) - v * t + np.log1p(np.exp(-np.abs(v)))).sum()
+                (np.maximum(v, 0) - v * t + np.log1p(np.exp(-np.abs(v)))).mean()
             )
 
         assert max_rel_err(z.grad, central_difference(f, z0)) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 7, 32, 100])
+    def test_bits_equal_per_element_loss_then_mean(self, dtype, n):
+        # The fused mean must keep the composed loss's reduction order: sum,
+        # then one 1/n scale; and its gradient (g/n) * (sigmoid(z) - t).
+        rng = np.random.default_rng(n)
+        z0 = (3 * rng.standard_normal(n)).astype(dtype)
+        t = (rng.random(n) < 0.5).astype(dtype)
+        runs = []
+        for loss_fn in (bce_with_logits, lambda z, t: tmean(bce_per_element(z, t))):
+            z = Tensor(z0, requires_grad=True)
+            loss = loss_fn(z, t)
+            loss.backward()
+            assert loss.dtype == dtype and z.grad.dtype == dtype
+            runs.append((loss.data.tobytes(), z.grad.tobytes()))
+        assert runs[0] == runs[1]
 
 
 class TestBackward:
     def test_quadratic(self):
         w = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        (w * w).sum().backward()
+        tsum(mul(w, w)).backward()
         np.testing.assert_allclose(w.grad, [2.0, 4.0, 6.0])
 
     def test_detached_leaf_gets_no_grad(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
-        d = w.detach()
-        (w * d).sum().backward()
+        d = Tensor(w.data)  # a leaf over the same buffer
+        tsum(mul(w, d)).backward()
         np.testing.assert_allclose(w.grad, d.data)
         assert d.grad is None
 
     def test_backward_requires_scalar(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ValueError):
-            (w * w).backward()
+            mul(w, w).backward()
 
     def test_double_backward_without_reforward_errors(self):
         w = Tensor([1.0], requires_grad=True)
-        loss = (w * w).sum()
+        loss = tsum(mul(w, w))
         loss.backward()
         with pytest.raises(RuntimeError):
             loss.backward()
 
     def test_grad_accumulates_across_graphs(self):
         w = Tensor([1.0], requires_grad=True)
-        (w * w).sum().backward()
-        (w * w).sum().backward()
+        tsum(mul(w, w)).backward()
+        tsum(mul(w, w)).backward()
         np.testing.assert_allclose(w.grad, [4.0])
 
     def test_no_grad_suppresses_recording(self):
         w = Tensor([1.0], requires_grad=True)
         with no_grad():
-            loss = (w * w).sum()
+            loss = tsum(mul(w, w))
         assert loss._grad_fn is None
         with pytest.raises(RuntimeError):
             loss.backward()
@@ -284,7 +301,7 @@ class TestBackward:
         # B's exit would restore the False it saw on entry, for every thread.
         def records():
             w = Tensor([1.0], requires_grad=True)
-            return (w * w)._grad_fn is not None
+            return mul(w, w)._grad_fn is not None
 
         a_in, b_in, a_out, b_out = (threading.Event() for _ in range(4))
         seen = {}
@@ -319,9 +336,9 @@ class TestBackward:
 
     def test_shared_subexpression(self):
         # d/dw of (w*w + w*w) = 4w
-        w = Tensor([3.0], requires_grad=True, dtype=np.float64)
-        y = w * w
-        (y + y).sum().backward()
+        w = Tensor([3.0], requires_grad=True)
+        y = mul(w, w)
+        tsum(add(y, y)).backward()
         np.testing.assert_allclose(w.grad, [12.0])
 
 
@@ -330,7 +347,7 @@ class TestStructuralOps:
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         b = Tensor(np.ones((3, 2)), requires_grad=True)
         out = concat([a, b], axis=0)
-        (out * Tensor(np.arange(10, dtype=np.float32).reshape(5, 2))).sum().backward()
+        readout(out, np.arange(10, dtype=np.float32).reshape(5, 2)).backward()
         np.testing.assert_allclose(a.grad, [[0, 1], [2, 3]])
         np.testing.assert_allclose(b.grad, [[4, 5], [6, 7], [8, 9]])
 
@@ -338,7 +355,7 @@ class TestStructuralOps:
         a = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0, 4.0], requires_grad=True)
         s = stack([a, b], axis=0)
-        s[1].sum().backward()
+        tsum(s[1]).backward()
         np.testing.assert_allclose(a.grad, [0.0, 0.0])
         np.testing.assert_allclose(b.grad, [1.0, 1.0])
 
@@ -346,8 +363,8 @@ class TestStructuralOps:
         rng = np.random.default_rng(5)
         x0 = rng.standard_normal((2, 3, 4))
         w = rng.standard_normal((2, 4, 3))
-        x = Tensor(x0, requires_grad=True, dtype=np.float64)
-        (swapaxes(x, 1, 2) * Tensor(w, dtype=np.float64)).sum().backward()
+        x = Tensor(x0, requires_grad=True)
+        readout(swapaxes(x, 1, 2), w).backward()
         numeric = central_difference(
             lambda v: float((np.swapaxes(v, 1, 2) * w).sum()), x0
         )
@@ -356,17 +373,17 @@ class TestStructuralOps:
     def test_embedding_scatter_adds_duplicates(self):
         table = Tensor(np.zeros((3, 2)), requires_grad=True)
         out = embedding(table, [0, 2, 0])
-        out.sum().backward()
+        tsum(out).backward()
         np.testing.assert_allclose(table.grad, [[2, 2], [0, 0], [1, 1]])
 
     def test_relu_and_sigmoid_grads(self):
         x0 = np.array([-2.0, -0.5, 0.5, 2.0])
-        x = Tensor(x0, requires_grad=True, dtype=np.float64)
-        relu(x).sum().backward()
+        x = Tensor(x0, requires_grad=True)
+        tsum(relu(x)).backward()
         np.testing.assert_allclose(x.grad, [0, 0, 1, 1])
 
-        y = Tensor(x0, requires_grad=True, dtype=np.float64)
-        sigmoid(y).sum().backward()
+        y = Tensor(x0, requires_grad=True)
+        tsum(sigmoid(y)).backward()
         s = 1 / (1 + np.exp(-x0))
         np.testing.assert_allclose(y.grad, s * (1 - s), rtol=1e-12)
 
@@ -407,13 +424,13 @@ class TestMLP:
         monkeypatch.setattr(ag, "MLP_BLOCK_FLOATS", 5 * self.D_C)
         rng = np.random.default_rng(41)
         x0 = rng.standard_normal(lead + (self.D_IN,))
-        readout = Tensor(rng.standard_normal(lead + (self.D_OUT,)))
+        r = rng.standard_normal(lead + (self.D_OUT,))
         w0 = [t.data for t in self.weights(rng, np.float64)]
         grads = []
         for f in (mlp, composed_mlp):
             x = Tensor(x0, requires_grad=True)
             w = [Tensor(a, requires_grad=True) for a in w0]
-            (f(x, *w) * readout).sum().backward()
+            readout(f(x, *w), r).backward()
             grads.append([x.grad] + [t.grad for t in w])
         for fused, composed in zip(*grads):
             assert fused.dtype == np.float64
@@ -424,16 +441,16 @@ class TestMLP:
         rng = np.random.default_rng(42)
         x0 = rng.standard_normal((2, 3, self.D_IN))
         w0 = [t.data for t in self.weights(rng, np.float64)]
-        readout = rng.standard_normal((2, 3, self.D_OUT))
+        r = rng.standard_normal((2, 3, self.D_OUT))
         x = Tensor(x0, requires_grad=True)
         w = [Tensor(a, requires_grad=True) for a in w0]
-        (mlp(x, *w) * Tensor(readout)).sum().backward()
+        readout(mlp(x, *w), r).backward()
 
         args = [x0] + w0
         for i, t in enumerate([x] + w):
             def f(v, i=i):
                 vals = [Tensor(a) for a in args[:i] + [v] + args[i + 1 :]]
-                return float((mlp(*vals).data * readout).sum())
+                return float((mlp(*vals).data * r).sum())
 
             assert max_rel_err(t.grad, central_difference(f, args[i])) < 1e-6
 

@@ -81,22 +81,26 @@ class TestAlphaQE:
         assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
 
 
+def matched(a, b, ratio=None):
+    """mutual_nn_matches as a list of (i, j, distance) tuples."""
+    i, j, dist = mutual_nn_matches(a, b, ratio)
+    return list(zip(i.tolist(), j.tolist(), dist.tolist()))
+
+
 class TestMutualNN:
     def test_permuted_identical_sets_match_perfectly(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((8, 4))
         perm = rng.permutation(8)
         b = a[perm]
-        matches = mutual_nn_matches(a, b)
+        matches = matched(a, b)
         assert len(matches) == 8
-        for m in matches:
-            assert perm[m.b_index] == m.a_index
-            assert m.distance < 1e-6  # cancellation noise in the Gram expansion
+        for i, j, dist in matches:
+            assert perm[j] == i
+            assert dist < 1e-6  # cancellation noise in the Gram expansion
 
     def test_one_vs_one_always_matches(self):
-        matches = mutual_nn_matches(np.ones((1, 3)), np.zeros((1, 3)))
-        assert len(matches) == 1
-        assert (matches[0].a_index, matches[0].b_index) == (0, 0)
+        assert [(i, j) for i, j, _ in matched(np.ones((1, 3)), np.zeros((1, 3)))] == [(0, 0)]
 
     def test_against_quadratic_oracle(self):
         rng = np.random.default_rng(2)
@@ -104,7 +108,7 @@ class TestMutualNN:
         a /= np.linalg.norm(a, axis=1, keepdims=True)
         b = rng.standard_normal((20, 8))
         b /= np.linalg.norm(b, axis=1, keepdims=True)
-        got = [(m.a_index, m.b_index) for m in mutual_nn_matches(a, b)]
+        got = [(i, j) for i, j, _ in matched(a, b)]
         assert got == mutual_nn_brute(a, b)
 
     def test_symmetry_with_and_without_ratio(self):
@@ -112,8 +116,8 @@ class TestMutualNN:
         a = rng.standard_normal((12, 6))
         b = rng.standard_normal((9, 6))
         for ratio in (None, 0.95):
-            ab = {(m.a_index, m.b_index) for m in mutual_nn_matches(a, b, ratio)}
-            ba = {(m.b_index, m.a_index) for m in mutual_nn_matches(b, a, ratio)}
+            ab = {(i, j) for i, j, _ in matched(a, b, ratio)}
+            ba = {(i, j) for j, i, _ in matched(b, a, ratio)}
             assert ab == ba
 
     def test_empty_side_rejected(self):
@@ -140,8 +144,10 @@ class TestMutualNN:
         for _ in range(repeats):
             src, dst = (a, a) if rng.random() < 0.4 else (b, b) if rng.random() < 0.5 else (a, b)
             dst[rng.integers(len(dst))] = src[rng.integers(len(src))]
-        got = [(m.a_index, m.b_index, m.distance) for m in mutual_nn_matches(a, b, ratio)]
-        assert got == mutual_nn_matches_loop(a, b, ratio)
+        i, j, dist = mutual_nn_matches(a, b, ratio)
+        assert i.dtype.kind == j.dtype.kind == "i" and dist.dtype == np.float64
+        assert len(i) == len(j) == len(dist)
+        assert matched(a, b, ratio) == mutual_nn_matches_loop(a, b, ratio)
 
 
 def planted_homography():

@@ -13,6 +13,7 @@ from rrt import model
 from rrt.autograd import Tensor
 
 from helpers import make_pair, tiny_config
+from oracles import tsum
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -59,7 +60,7 @@ def test_traced_forward_and_backward_count_model_spans():
     t.install()
     try:
         logits, _ = model.forward_pair_logits(params, cfg, pairs)
-        logits.sum().backward()
+        tsum(logits).backward()
     finally:
         t.uninstall()
     assert t.calls["model.forward_pair_logits"] == 1
@@ -73,10 +74,10 @@ def test_traced_forward_and_backward_count_model_spans():
 def test_mha_forward_returns_output_and_optional_attention():
     cfg = tiny_config()
     params = model.init_params(cfg, seed=27)
-    z = Tensor(np.random.default_rng(27).standard_normal((cfg.seq_len, cfg.d)).astype(np.float32))
-    mask = np.ones(cfg.seq_len, dtype=bool)
+    z = Tensor(np.random.default_rng(27).standard_normal((1, cfg.seq_len, cfg.d)).astype(np.float32))
+    mask = np.ones((1, cfg.seq_len), dtype=bool)
     out, attn = model.mha_forward(params.layer(0), cfg, z, mask)
-    assert isinstance(out, Tensor) and out.shape == (cfg.seq_len, cfg.d)
+    assert isinstance(out, Tensor) and out.shape == (1, cfg.seq_len, cfg.d)
     assert attn is None
     _, attn = model.mha_forward(params.layer(0), cfg, z, mask, return_attn=True)
     assert attn.shape == (1, cfg.h, cfg.seq_len, cfg.seq_len)

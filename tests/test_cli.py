@@ -42,6 +42,80 @@ def test_index_with_zero_global_exits_3_naming_record(tmp_path, capsys):
     assert "record 1" in capsys.readouterr().err
 
 
+def test_index_of_empty_gallery_exits_3(tmp_path, capsys):
+    data, out = tmp_path / "g.rrtd", tmp_path / "g.rrti"
+    write_gallery(data, [])
+    assert main(["index", "--data", str(data), "--out", str(out)]) == 3
+    assert "no records to index" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_projected_index_and_retrieve_need_a_global_projection(tmp_path, capsys):
+    # synth, then train without the global token: the model has no
+    # global_proj tensors to embed the gallery or the queries with.
+    data, trained = tmp_path / "d", tmp_path / "m"
+    assert main(["synth", "--out", str(data), "--instances", "4", "--confusion-pairs", "2"]) == 0
+    assert main(["train", "--data", str(data / "gallery.rrtd"), "--out", str(trained), "--epochs", "1",
+                 "--locals-max", "16", "--layers", "1", "--mlp-dim", "16", "--no-global-token"]) == 0
+    checkpoint = trained / "model.rrtm"
+    capsys.readouterr()
+    index = tmp_path / "g.rrti"
+    assert main(["index", "--data", str(data / "gallery.rrtd"), "--out", str(index),
+                 "--projected", "--checkpoint", str(checkpoint)]) == 2
+    message = f"--checkpoint {checkpoint} has no global projection (trained with --no-global-token)"
+    assert message in capsys.readouterr().err
+    assert not index.exists() and not Path(str(index) + ".meta.json").exists()
+
+    cfg = ModelConfig(L=2, d=4, h=2, d_h=2, layers=1, d_c=8, n_scales=1, d_g_raw=128)
+    projector = tmp_path / "p.rrtm"
+    save_checkpoint(init_params(cfg, seed=0), cfg, projector)
+    assert main(["index", "--data", str(data / "gallery.rrtd"), "--out", str(index),
+                 "--projected", "--checkpoint", str(projector)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "n.jsonl"
+    assert main(["retrieve", "--data", str(index), "--queries", str(data / "queries.rrtd"),
+                 "--checkpoint", str(checkpoint), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["index", "retrieve"])
+def test_projection_checkpoint_of_other_global_dim_exits_2(tmp_path, capsys, command):
+    data, index, out = tmp_path / "g.rrtd", tmp_path / "g.rrti", tmp_path / "out"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    checkpoints = []
+    for d_g_raw in (2, 3):
+        cfg = ModelConfig(L=2, d=4, h=2, d_h=2, layers=1, d_c=8, n_scales=1, d_g_raw=d_g_raw)
+        checkpoints.append(tmp_path / f"m{d_g_raw}.rrtm")
+        save_checkpoint(init_params(cfg, seed=0), cfg, checkpoints[-1])
+    projected = ["--projected", "--checkpoint", str(checkpoints[0])]
+    assert main(["index", "--data", str(data), "--out", str(index), *projected]) == 0
+    capsys.readouterr()
+    argv = {
+        "index": ["--data", str(data), "--projected"],
+        "retrieve": ["--data", str(index), "--queries", str(data)],
+    }[command]
+    assert main([command, *argv, "--checkpoint", str(checkpoints[1]), "--out", str(out)]) == 2
+    assert f"--checkpoint {checkpoints[1]} projects 3-dim globals, but the data's are 2-dim" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_retrieve_with_checkpoint_of_other_model_dim_exits_2(tmp_path, capsys):
+    data, index, out = tmp_path / "g.rrtd", tmp_path / "g.rrti", tmp_path / "n.jsonl"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    checkpoints = []
+    for d in (4, 8):
+        cfg = ModelConfig(L=2, d=d, h=2, d_h=d // 2, layers=1, d_c=8, n_scales=1, d_g_raw=2)
+        checkpoints.append(tmp_path / f"m{d}.rrtm")
+        save_checkpoint(init_params(cfg, seed=0), cfg, checkpoints[-1])
+    assert main(["index", "--data", str(data), "--out", str(index), "--projected", "--checkpoint", str(checkpoints[0])]) == 0
+    capsys.readouterr()
+    assert main(["retrieve", "--data", str(index), "--queries", str(data), "--checkpoint", str(checkpoints[1]),
+                 "--out", str(out)]) == 2
+    assert f"--checkpoint {checkpoints[1]} projects to 8 dims, but the index holds 4-dim vectors" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_retrieve_with_nan_descriptor_exits_3(tmp_path, capsys):
     data = tmp_path / "g.rrtd"
     index = tmp_path / "g.rrti"
@@ -268,6 +342,13 @@ def test_rerank_with_bad_gv_setting_exits_2(tmp_path, capsys, flags, message):
         ("synth", ["--local-noise", "inf"], "local_noise must be finite and non-negative, got inf"),
         ("synth", ["--dim-local", "0"], "d_l must be positive, got 0"),
         ("synth", ["--dim-global", "0"], "d_g_raw must be positive, got 0"),
+        ("synth", ["--instances", "0", "--confusion-pairs", "0"], "n_instances must be positive, got 0"),
+        ("synth", ["--images-per-instance", "0", "--queries-per-instance", "0"],
+         "images_per_instance must be positive, got 0"),
+        ("synth", ["--parts-per-image", "-2", "--locals-per-image", "-1"],
+         "parts_per_image must be non-negative, got -2"),
+        ("synth", ["--queries-per-instance", "-1"], "queries_per_instance must be non-negative, got -1"),
+        ("synth", ["--confusion-pairs", "-1"], "global_confusion_pairs must be non-negative, got -1"),
         ("eval", ["--format", "xml"], "--format must be json or csv, got xml"),
         ("eval", ["--map-ks", "0"], "--map-ks must be positive integers, got [0]"),
         ("eval", ["--recall-ks", "-1"], "--recall-ks must be positive integers, got [-1]"),
@@ -277,7 +358,9 @@ def test_rerank_with_bad_gv_setting_exits_2(tmp_path, capsys, flags, message):
     ids=["retrieve_k_0", "retrieve_k_-1", "rerank_k_-1", "rerank_nqe_-1", "rerank_alpha_nan",
          "rerank_alpha_-0.5", "ablate_k_-1", "train_heads_0", "train_grad_clip_nan", "train_lr_nan",
          "train_weight_decay_inf", "train_steps_per_epoch_0", "synth_global_noise_nan",
-         "synth_local_noise_inf", "synth_dim_local_0", "synth_dim_global_0", "eval_format_xml",
+         "synth_local_noise_inf", "synth_dim_local_0", "synth_dim_global_0", "synth_instances_0",
+         "synth_images_per_instance_0", "synth_parts_per_image_-2", "synth_queries_per_instance_-1",
+         "synth_confusion_pairs_-1", "eval_format_xml",
          "eval_map_ks_0", "eval_recall_ks_-1", "compare_map_ks_0", "compare_recall_ks_-1"],
 )
 def test_bad_flag_value_exits_2_naming_it_without_output(tmp_path, capsys, command, flags, message):

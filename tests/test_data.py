@@ -247,6 +247,10 @@ class TestSynthGenerate:
             SynthConfig(n_instances=4, global_confusion_pairs=3)
         with pytest.raises(ConfigError):
             replace(SynthConfig(), d_l=0)
+        with pytest.raises(ConfigError, match="n_scales must be positive, got 0"):
+            SynthConfig(n_scales=0, scale_values=())
+        with pytest.raises(ConfigError, match="parts_per_instance must be non-negative, got -1"):
+            SynthConfig(parts_per_instance=-1, parts_per_image=-1, locals_per_image=-1)
 
 
 class TestNormalizeRecords:

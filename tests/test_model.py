@@ -13,7 +13,7 @@ import pytest
 
 from rrt import model
 from rrt import train as rrt_train
-from rrt.autograd import Tensor
+from rrt.autograd import Tensor, mul
 from rrt.benchmark import benchmark_model_config
 from rrt.errors import ConfigError, DataFormatError, IntegrityError
 from rrt.model import (
@@ -33,8 +33,8 @@ from rrt.model import (
 from rrt.scorers import make_rrt_scorer
 
 from gradcheck import central_difference, max_rel_err
-from helpers import make_pair, make_record, spy_forward_passes, tiny_config
-from oracles import assemble_input, param_count, score_pair
+from helpers import make_pair, make_record, params_astype, spy_forward_passes, tiny_config
+from oracles import assemble_input, param_count, readout, score_pair
 
 
 def default_config():
@@ -80,7 +80,7 @@ class TestParamCount:
     def test_count_equals_sum_of_tensor_sizes(self):
         cfg = tiny_config()
         params = init_params(cfg, seed=0)
-        assert param_count(cfg) == sum(t.size for _, t in params.named())
+        assert param_count(cfg) == sum(t.data.size for _, t in params.named())
 
     def test_head_dim_must_divide(self):
         with pytest.raises(ConfigError):
@@ -284,10 +284,10 @@ class TestBatchedRecordChecks:
 class TestMHA:
     def test_single_token_attends_to_itself(self):
         cfg = tiny_config(L=1)
-        params = init_params(cfg, seed=7).astype(np.float64, cfg)
+        params = params_astype(init_params(cfg, seed=7), cfg, np.float64)
         lp = params.layer(0)
-        z = Tensor(np.random.default_rng(7).standard_normal((1, cfg.d)))
-        out, attn = mha_forward(lp, cfg, z, np.array([True]), return_attn=True)
+        z = Tensor(np.random.default_rng(7).standard_normal((1, 1, cfg.d)))
+        out, attn = mha_forward(lp, cfg, z, np.array([[True]]), return_attn=True)
         np.testing.assert_allclose(attn, np.ones((1, cfg.h, 1, 1)))
         v = z.data @ lp.wv.data + lp.bv.data
         np.testing.assert_allclose(out.data, v @ lp.wo.data + lp.bo.data, rtol=1e-5)
@@ -296,38 +296,38 @@ class TestMHA:
         cfg = tiny_config()
         params = init_params(cfg, seed=8)
         row = np.random.default_rng(8).standard_normal(cfg.d).astype(np.float32)
-        z = Tensor(np.stack([row, row]))
-        _, attn = mha_forward(params.layer(0), cfg, z, np.array([True, True]), return_attn=True)
+        z = Tensor(np.stack([row, row])[None])
+        _, attn = mha_forward(params.layer(0), cfg, z, np.array([[True, True]]), return_attn=True)
         np.testing.assert_allclose(attn, 0.5, atol=1e-6)
 
     def test_matches_direct_formula_at_tiny_size(self):
         cfg = ModelConfig(L=1, d=4, h=2, d_h=2, layers=1, d_c=8, n_scales=2, d_g_raw=4)
-        params = init_params(cfg, seed=9).astype(np.float64, cfg)
+        params = params_astype(init_params(cfg, seed=9), cfg, np.float64)
         rng = np.random.default_rng(9)
         z = rng.standard_normal((3, 4))
         mask = np.array([True, True, False])
-        out, _ = mha_forward(params.layer(0), cfg, Tensor(z), mask)
+        out, _ = mha_forward(params.layer(0), cfg, Tensor(z[None]), mask[None])
         expected = direct_mha_f64(z, mask, params.layer(0), cfg.h, cfg.d_h)
-        assert np.max(np.abs(out.data - expected)) < 1e-5
+        assert np.max(np.abs(out.data[0] - expected)) < 1e-5
 
 
 class TestTransformerLayer:
     def test_gradient_through_one_layer(self):
         cfg = tiny_config()
-        params = init_params(cfg, seed=10).astype(np.float64, cfg)
+        params = params_astype(init_params(cfg, seed=10), cfg, np.float64)
         rng = np.random.default_rng(10)
-        z0 = rng.standard_normal((6, cfg.d))
-        mask = np.array([True] * 5 + [False])
-        readout = rng.standard_normal((6, cfg.d))
+        z0 = rng.standard_normal((1, 6, cfg.d))
+        mask = np.array([[True] * 5 + [False]])
+        r = rng.standard_normal((1, 6, cfg.d))
 
         z = Tensor(z0, requires_grad=True)
         out, _ = transformer_layer(params.layer(0), cfg, z, mask)
-        (out * Tensor(readout)).sum().backward()
+        readout(out, r).backward()
 
         def f(v):
             zz = Tensor(v)
             o, _ = transformer_layer(params.layer(0), cfg, zz, mask)
-            return float((o.data * readout).sum())
+            return float((o.data * r).sum())
 
         numeric = central_difference(f, z0)
         assert max_rel_err(z.grad, numeric) < 1e-4
@@ -336,22 +336,22 @@ class TestTransformerLayer:
         cfg = tiny_config()
         params = init_params(cfg, seed=11)
         rng = np.random.default_rng(11)
-        z0 = rng.standard_normal((6, cfg.d)).astype(np.float32)
-        mask = np.array([True, True, True, False, False, False])
+        z0 = rng.standard_normal((1, 6, cfg.d)).astype(np.float32)
+        mask = np.array([[True, True, True, False, False, False]])
         out1, _ = transformer_layer(params.layer(0), cfg, Tensor(z0), mask)
         z2 = z0.copy()
         z2[~mask] = rng.standard_normal((3, cfg.d)).astype(np.float32) * 100
         out2, _ = transformer_layer(params.layer(0), cfg, Tensor(z2), mask)
-        assert np.max(np.abs(out1.data[0] - out2.data[0])) < 1e-6
+        assert np.max(np.abs(out1.data[0, 0] - out2.data[0, 0])) < 1e-6
 
-    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("batched", [False, True])  # one pair, or two
     @pytest.mark.parametrize("query_rows", [1, 3])
     def test_leading_query_rows_match_full_layer(self, batched, query_rows):
         cfg = tiny_config(mlp_residual=True)
         params = init_params(cfg, seed=13)
         rng = np.random.default_rng(13)
-        z = rng.standard_normal((2, 6, cfg.d) if batched else (6, cfg.d)).astype(np.float32)
-        mask = np.array([[True] * 4 + [False] * 2, [True] * 6]) if batched else np.array([True] * 5 + [False])
+        z = rng.standard_normal((2 if batched else 1, 6, cfg.d)).astype(np.float32)
+        mask = np.array([[True] * 4 + [False] * 2, [True] * 6]) if batched else np.array([[True] * 5 + [False]])
         full, full_attn = transformer_layer(params.layer(0), cfg, Tensor(z), mask, return_attn=True)
         out, attn = transformer_layer(params.layer(0), cfg, Tensor(z), mask, return_attn=True, query_rows=query_rows)
         assert out.shape == z.shape[:-2] + (query_rows, cfg.d)
@@ -366,12 +366,12 @@ class TestTransformerLayer:
         lp.w1.data[:] = 0
         lp.w2.data[:] = 0
         rng = np.random.default_rng(12)
-        out, _ = transformer_layer(lp, cfg, Tensor(rng.standard_normal((4, cfg.d)).astype(np.float32)), np.ones(4, bool))
+        out, _ = transformer_layer(lp, cfg, Tensor(rng.standard_normal((1, 4, cfg.d)).astype(np.float32)), np.ones((1, 4), bool))
         # Every row collapses to LayerNorm of the bias vector b2.
         b2 = lp.b2.data.astype(np.float64)
         mu, var = b2.mean(), b2.var()
         expected = (b2 - mu) / np.sqrt(var + 1e-5) * lp.ln2_g.data + lp.ln2_b.data
-        for row in out.data:
+        for row in out.data[0]:
             np.testing.assert_allclose(row, expected, atol=1e-5)
 
 
@@ -597,7 +597,7 @@ class TestChunkedScoring:
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * 20
         w = Tensor([1.0], requires_grad=True)
-        assert (w * w)._grad_fn is not None
+        assert mul(w, w)._grad_fn is not None
 
 
 def mixed_pairs(cfg, seed):
@@ -629,12 +629,12 @@ class TestClsOnlyLastLayer:
     def test_gradients_match_full_last_layer(self):
         cfg = tiny_config(layers=3, mlp_residual=True)
         pairs = mixed_pairs(cfg, seed=51)
-        readout = Tensor(np.random.default_rng(51).standard_normal(len(pairs)))
+        r = np.random.default_rng(51).standard_normal(len(pairs))
         grads = []
         for collect in (False, True):
-            params = init_params(cfg, seed=51).astype(np.float64, cfg)
+            params = params_astype(init_params(cfg, seed=51), cfg, np.float64)
             logits, _ = forward_pair_logits(params, cfg, pairs, collect_attention=collect)
-            (logits * readout).sum().backward()
+            readout(logits, r).backward()
             grads.append({name: t.grad for name, t in params.named()})
         for name, g in grads[0].items():
             np.testing.assert_allclose(g, grads[1][name], rtol=1e-9, atol=1e-12, err_msg=name)
@@ -711,7 +711,7 @@ class TestCheckpoint:
         save_checkpoint(params, cfg, p)
         loaded, cfg2 = load_checkpoint(p)
         assert cfg2 == cfg
-        assert sum(t.size for _, t in loaded.named()) == param_count(cfg)
+        assert sum(t.data.size for _, t in loaded.named()) == param_count(cfg)
         for (n1, t1), (n2, t2) in zip(params.named(), loaded.named()):
             assert n1 == n2
             assert t1.data.tobytes() == t2.data.tobytes()

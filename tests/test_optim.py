@@ -49,7 +49,7 @@ class TestAdamW:
 
     def test_two_steps_match_hand_recurrence(self):
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        w = Tensor([0.5], requires_grad=True, dtype=np.float64)
+        w = Tensor(np.array([0.5]), requires_grad=True)
         opt = AdamW([w], lr=lr, weight_decay=0.0, beta1=b1, beta2=b2, eps=eps)
         grads = [0.3, -0.7]
 
