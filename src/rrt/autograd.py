@@ -338,6 +338,14 @@ def _row_blocks(n: int, rows: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
+def _spans(B: int, h: int, tile: int) -> list[tuple[slice, slice]]:
+    """(pairs, heads) index of each tile of at most `tile` slices of the B*h
+    axis: whole pairs when tile >= h, else runs of one pair's heads."""
+    pairs, heads = max(1, tile // h), min(tile, h)
+    return [(np.s_[b : b + pairs], np.s_[c : c + heads])
+            for b in range(0, B, pairs) for c in range(0, h, heads)]
+
+
 def _longest(blocks: list[slice]) -> int:
     return max(s.stop - s.start for s in blocks)
 
@@ -480,11 +488,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False)
     qd, kd, vd = q.data, k.data, v.data
     kmask = np.broadcast_to(np.asarray(mask, dtype=bool), (B, h, T))
     tile = max(1, ATTENTION_TILE_FLOATS // (Tq * T))  # slices per tile
-    if tile >= h:
-        step = tile // h
-        spans = [(np.s_[b : b + step], slice(None)) for b in range(0, B, step)]
-    else:
-        spans = [(np.s_[b : b + 1], np.s_[c : c + tile]) for b in range(B) for c in range(0, h, tile)]
+    spans = _spans(B, h, tile)
     rows = _row_blocks(Tq, ATTENTION_TILE_FLOATS // T)  # query rows per block
     tile_floats = min(tile, B * h) * Tq * T
     recording = _records((q, k, v))

@@ -29,7 +29,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -329,24 +329,13 @@ def cmd_synth(cfg: dict) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     queries, gallery, manifest = synth_generate(synth)
-    save_dataset(queries, replace(manifest, n_images=len(queries)), out / "queries.rrtd")
-    save_dataset(gallery, replace(manifest, n_images=len(gallery)), out / "gallery.rrtd")
+    save_dataset(queries, manifest, out / "queries.rrtd")
+    save_dataset(gallery, manifest, out / "gallery.rrtd")
     export_labels_tsv(queries + gallery, out / "labels.tsv")
     np.save(out / "oracle_parts.npy", part_prototypes(synth))
     digest = _write_meta(out / "dataset", "synth", cfg)
-    manifest_obj = {
-        "name": manifest.name,
-        "seed": manifest.seed,
-        "n_query": manifest.n_query,
-        "n_gallery": manifest.n_gallery,
-        "d_g_raw": manifest.d_g_raw,
-        "d_l": manifest.d_l,
-        "n_scales": manifest.n_scales,
-        "scale_values": list(manifest.scale_values),
-        "config_digest": digest,
-    }
     with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest_obj, fh, indent=2, sort_keys=True)
+        json.dump({**asdict(manifest), "config_digest": digest}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {len(queries)} queries / {len(gallery)} gallery images to {out}")
     return 0

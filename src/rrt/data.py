@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .wire import Reader
+from .wire import Reader, uint_limits
 
 __all__ = [
     "ImageRecord",
@@ -50,6 +50,8 @@ __all__ = [
 MAGIC = b"RRTD"
 VERSION = 1
 U32_MAX = 0xFFFFFFFF
+_DIMS = "<IHB"  # d_g_raw | d_l | n_scales
+_N_LOCALS = "<H"  # L_actual
 
 # Extraction ladder: seven scales from 0.25 to 2.0 in sqrt(2) steps, stored
 # as exact float32 values so manifests survive the on-disk f32 encoding.
@@ -109,7 +111,6 @@ class DatasetManifest:
     d_l: int = 128
     n_scales: int = 7
     scale_values: tuple[float, ...] = DEFAULT_SCALES
-    n_images: int = 0
     # Provenance, carried by JSON sidecars, never by the binary format.
     name: str = field(default="", compare=False)
     seed: int | None = field(default=None, compare=False)
@@ -188,7 +189,7 @@ def save_dataset(records: Sequence[ImageRecord], manifest: DatasetManifest, path
     buf = bytearray()
     buf += MAGIC
     buf += struct.pack("<I", VERSION)
-    buf += struct.pack("<IHB", manifest.d_g_raw, manifest.d_l, manifest.n_scales)
+    buf += struct.pack(_DIMS, manifest.d_g_raw, manifest.d_l, manifest.n_scales)
     buf += np.asarray(manifest.scale_values, dtype="<f4").tobytes()
     buf += struct.pack("<I", len(records))
     for r in records:
@@ -198,7 +199,7 @@ def save_dataset(records: Sequence[ImageRecord], manifest: DatasetManifest, path
                 f"record {r.id}: global has shape {g.shape}, manifest says {manifest.d_g_raw}"
             )
         n = len(r.vecs)
-        if n > 0xFFFF:
+        if n > uint_limits(_N_LOCALS)[0]:
             raise ValueError(f"record {r.id}: too many locals for the format")
         for name, value in (("id", r.id), ("label", r.label)):
             if not 0 <= value <= U32_MAX:
@@ -209,7 +210,7 @@ def save_dataset(records: Sequence[ImageRecord], manifest: DatasetManifest, path
             raise ValueError(f"record {r.id}: scale index outside [0, {manifest.n_scales})")
         buf += struct.pack("<II", r.id, r.label)
         buf += g.tobytes()
-        buf += struct.pack("<H", n)
+        buf += struct.pack(_N_LOCALS, n)
         if n:
             locs = np.empty(n, dtype=_local_dtype(manifest.d_l))
             locs["vec"], locs["u"], locs["v"], locs["s"] = r.vecs, r.uv[:, 0], r.uv[:, 1], r.scale_idx
@@ -228,7 +229,7 @@ def load_dataset(path, max_locals: int | None = None) -> tuple[list[ImageRecord]
     if max_locals is not None and max_locals < 0:
         raise ConfigError(f"max_locals must be non-negative, got {max_locals}")
     cur = Reader(path, MAGIC, VERSION)
-    d_g_raw, d_l, n_scales = cur.unpack("<IHB")
+    d_g_raw, d_l, n_scales = cur.unpack(_DIMS)
     scale_values = tuple(float(x) for x in cur.array("<f4", n_scales))
     (n_images,) = cur.unpack("<I")
     manifest = DatasetManifest(
@@ -236,14 +237,13 @@ def load_dataset(path, max_locals: int | None = None) -> tuple[list[ImageRecord]
         d_l=d_l,
         n_scales=n_scales,
         scale_values=scale_values,
-        n_images=n_images,
     )
     local_dt = _local_dtype(d_l)
     records = []
     for _ in range(n_images):
         rid, label = cur.unpack("<II")
         g = cur.array("<f4", d_g_raw)
-        (n_loc,) = cur.unpack("<H")
+        (n_loc,) = cur.unpack(_N_LOCALS)
         start = cur.off
         locs = cur.items(local_dt, n_loc)
         bad = np.flatnonzero(locs["s"] >= n_scales)
@@ -314,6 +314,10 @@ class SynthConfig:
                      "locals_per_image", "global_confusion_pairs"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+        sizes = ("d_g_raw", "d_l", "n_scales", "locals_per_image")
+        for name, most in zip(sizes, uint_limits(_DIMS) + uint_limits(_N_LOCALS)):
+            if (value := getattr(self, name)) > most:
+                raise ConfigError(f"{name} must be at most {most} to fit a .rrtd file, got {value}")
         for name in ("global_noise", "local_noise"):
             sigma = getattr(self, name)
             if not (math.isfinite(sigma) and sigma >= 0):
@@ -447,7 +451,6 @@ def synth_generate(
         d_l=cfg.d_l,
         n_scales=cfg.n_scales,
         scale_values=cfg.scale_values,
-        n_images=next_id,
         name="synthetic",
         seed=cfg.seed,
         n_query=len(queries),

@@ -1,10 +1,14 @@
 """Retrieval metrics (AP, mAP, mAP@K, R@K), report emission, and the
 locals-count ablation harness.
 
-AP is precision-at-hit averaged over the relevant set; relevant items missing
-from a ranking contribute zero.  mAP@K truncates at K and normalizes by
-min(|relevant|, K).  Queries with no relevant gallery item are excluded from
-aggregates (and counted), never scored as zero.
+``evaluate_neighbors`` walks each ranking once, into its hits: the 1-based
+ranks at which it lists a relevant id.  Every metric comes from those ranks.
+AP is precision-at-hit summed over the hits and divided by |relevant|, so
+relevant items missing from a ranking contribute zero; AP@K takes the hits at
+ranks <= K and divides by min(|relevant|, K); the first rank is the first hit,
+and R@K is the fraction of queries whose first hit is at rank <= K.  Queries
+with no relevant gallery item are excluded from aggregates (and counted),
+never scored as zero.
 """
 
 from __future__ import annotations
@@ -12,13 +16,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .data import ImageRecord, grid_dedup_count
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError
 from .retrieval import NeighborList, build_index, knn_search, query_vector, rerank_topk
 
 __all__ = [
@@ -42,70 +47,14 @@ def build_ground_truth(
     }
 
 
-def average_precision(ranked_ids: Sequence[int], relevant: set[int]) -> float:
-    """Mean of precision@k over the hit positions, normalized by |relevant|."""
-    if not relevant:
-        raise ValueError("average_precision needs a non-empty relevant set")
-    hits = 0
+def _precision_at_hits(hits: Sequence[int], denom: int) -> float:
+    """Sum of n / rank over the n-th hit at 1-based rank, divided by denom.
+    A left-to-right loop: the built-in ``sum`` of floats is compensated from
+    Python 3.12 on and would change the bits."""
     total = 0.0
-    for k, gid in enumerate(ranked_ids, start=1):
-        if gid in relevant:
-            hits += 1
-            total += hits / k
-    return total / len(relevant)
-
-
-def ap_at_k(ranked_ids: Sequence[int], relevant: set[int], k: int) -> float:
-    """AP on the list truncated to k, normalized by min(|relevant|, k)."""
-    if not relevant:
-        raise ValueError("ap_at_k needs a non-empty relevant set")
-    hits = 0
-    total = 0.0
-    for rank, gid in enumerate(ranked_ids[:k], start=1):
-        if gid in relevant:
-            hits += 1
-            total += hits / rank
-    return total / min(len(relevant), k)
-
-
-def first_relevant_rank(ranked_ids: Sequence[int], relevant: set[int]) -> int | None:
-    for rank, gid in enumerate(ranked_ids, start=1):
-        if gid in relevant:
-            return rank
-    return None
-
-
-def map_at_k(
-    lists: Sequence[NeighborList], ground_truth: Mapping[int, set[int]], k: int
-) -> float:
-    vals = [
-        ap_at_k(nl.gallery_ids(), ground_truth[nl.query_id], k)
-        for nl in lists
-        if ground_truth.get(nl.query_id)
-    ]
-    if not vals:
-        raise ValueError("no query with a non-empty relevant set")
-    return float(np.mean(vals))
-
-
-def recall_at_k(
-    lists: Sequence[NeighborList],
-    ground_truth: Mapping[int, set[int]],
-    ks: Sequence[int],
-) -> dict[int, float]:
-    """R@K: fraction of queries with at least one relevant item in the top K."""
-    out = {}
-    scored = [nl for nl in lists if ground_truth.get(nl.query_id)]
-    if not scored:
-        raise ValueError("no query with a non-empty relevant set")
-    for k in ks:
-        hit = sum(
-            1
-            for nl in scored
-            if any(g in ground_truth[nl.query_id] for g in nl.gallery_ids()[:k])
-        )
-        out[int(k)] = hit / len(scored)
-    return out
+    for n, rank in enumerate(hits, start=1):
+        total += n / rank
+    return total / denom
 
 
 @dataclass
@@ -141,30 +90,32 @@ def evaluate_neighbors(
     digest: str = "",
     wallclock_s: float = 0.0,
 ) -> EvalReport:
-    per_query = []
-    excluded = 0
-    aps = []
+    scored = []  # (query id, hit ranks, |relevant|) of each query with a relevant item
     for nl in lists:
-        rel = ground_truth.get(nl.query_id, set())
-        if not rel:
-            excluded += 1
-            continue
-        ranked = nl.gallery_ids()
-        ap = average_precision(ranked, rel)
-        aps.append(ap)
-        per_query.append(
-            {"id": nl.query_id, "ap": ap, "first_rank": first_relevant_rank(ranked, rel)}
-        )
-    if not aps:
+        rel = ground_truth.get(nl.query_id)
+        if rel:
+            hits = [rank for rank, gid in enumerate(nl.gallery_ids(), start=1) if gid in rel]
+            scored.append((nl.query_id, hits, len(rel)))
+    if not scored:
         raise ValueError("no query with a non-empty relevant set")
+    per_query = [
+        {"id": qid, "ap": _precision_at_hits(hits, n), "first_rank": hits[0] if hits else None}
+        for qid, hits, n in scored
+    ]
+    first_ranks = [hits[0] if hits else math.inf for _, hits, _ in scored]
     return EvalReport(
         method=method or (lists[0].method if lists else ""),
         config_digest=digest,
-        map=float(np.mean(aps)),
-        map_at={int(k): map_at_k(lists, ground_truth, k) for k in map_ks},
-        recall_at=recall_at_k(lists, ground_truth, recall_ks),
+        map=float(np.mean([q["ap"] for q in per_query])),
+        map_at={
+            int(k): float(np.mean([
+                _precision_at_hits([r for r in hits if r <= k], min(n, k)) for _, hits, n in scored
+            ]))
+            for k in map_ks
+        },
+        recall_at={int(k): sum(r <= k for r in first_ranks) / len(scored) for k in recall_ks},
         per_query=per_query,
-        excluded_queries=excluded,
+        excluded_queries=len(lists) - len(scored),
         wallclock_s=wallclock_s,
     )
 
@@ -210,12 +161,15 @@ def ablation_locals_sweep(
     by make_scorer(truncated queries, truncated gallery) reranks the top k.
     Each row also carries mean locals kept and mean distinct stride-grid cells
     as duplicate-location statistics.  A negative count or a stride below 1
-    raises ConfigError before anything is scored.
+    raises ConfigError, and queries without a relevant gallery item raise
+    DataFormatError, before anything is scored.
     """
     if stride <= 0 or min(counts, default=0) < 0:
         raise ConfigError(f"want counts >= 0 and stride > 0, got counts {list(counts)}, stride {stride}")
 
     gt = build_ground_truth(queries, gallery)
+    if not any(gt.values()):
+        raise DataFormatError("no query has a relevant gallery item")
     index = build_index(gallery)
     base_lists = [
         knn_search(index, query_vector(index, q), k=len(gallery), query_id=q.id)
@@ -228,16 +182,11 @@ def ablation_locals_sweep(
         tg = [r.truncated(c) for r in gallery]
         scorer = make_scorer(tq, tg)
         reranked = [rerank_topk(nl, scorer, k, method="rrt") for nl in base_lists]
-        aps = [
-            average_precision(nl.gallery_ids(), gt[nl.query_id])
-            for nl in reranked
-            if gt.get(nl.query_id)
-        ]
         everything = tq + tg
         rows.append(
             {
                 "count": int(c),
-                "map": float(np.mean(aps)),
+                "map": evaluate_neighbors(reranked, gt).map,
                 "mean_locals": float(np.mean([len(r.vecs) for r in everything])),
                 "mean_distinct_cells": float(
                     np.mean([grid_dedup_count(r, stride) for r in everything])

@@ -42,7 +42,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .data import ImageRecord
 from .errors import ConfigError, DataFormatError, IntegrityError
-from .wire import Reader
+from .wire import Reader, uint_limits
 
 __all__ = [
     "ModelConfig",
@@ -64,6 +64,8 @@ __all__ = [
 CKPT_MAGIC = b"RRTM"
 CKPT_VERSION = 1
 LAYERNORM_EPS = 1e-5
+_SIZES = ("L", "d", "h", "d_h", "layers", "d_c", "n_scales", "d_g_raw")
+_CFG_STRUCT = "<IHBBBHBIB"  # _SIZES, then the flags byte
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.h * self.d_h != self.d:
             raise ConfigError(f"h*d_h = {self.h * self.d_h} must equal d = {self.d}")
-        for name in ("L", "d", "h", "d_h", "layers", "d_c", "n_scales", "d_g_raw"):
-            if getattr(self, name) <= 0:
+        for name, most in zip(_SIZES, uint_limits(_CFG_STRUCT)):
+            if (value := getattr(self, name)) <= 0:
                 raise ConfigError(f"{name} must be positive")
+            if value > most:
+                raise ConfigError(f"{name} must be at most {most} to fit a .rrtm file, got {value}")
         if self.use_pos_embed and self.d % 4 != 0:
             raise ConfigError("position encoding needs d divisible by 4")
 
@@ -498,8 +502,6 @@ def attention_correspondences(
 
 
 # -- checkpoints ----------------------------------------------------------
-
-_CFG_STRUCT = "<IHBBBHBIB"
 
 
 def _flags(cfg: ModelConfig) -> int:

@@ -19,6 +19,12 @@ import numpy as np
 from .errors import DataFormatError
 
 
+def uint_limits(fmt: str) -> tuple[int, ...]:
+    """The largest value each field of a struct format of unsigned integer
+    codes holds, e.g. (2**32 - 1, 2**16 - 1) for "<IH"."""
+    return tuple(2 ** (8 * struct.calcsize("<" + code)) - 1 for code in fmt.lstrip("<"))
+
+
 class Reader:
     """Cursor over a whole file, past its checked magic and version."""
 

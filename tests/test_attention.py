@@ -28,6 +28,38 @@ def mixed_mask(cfg, B):
     return mask
 
 
+def two_branch_spans(B, h, tile):
+    """The tile spans as a fork on tile >= h computed them: whole pairs with
+    every head, else one pair's heads in runs of tile."""
+    if tile >= h:
+        step = tile // h
+        return [(np.s_[b : b + step], slice(None)) for b in range(0, B, step)]
+    return [(np.s_[b : b + 1], np.s_[c : c + tile]) for b in range(B) for c in range(0, h, tile)]
+
+
+class TestSpans:
+    @pytest.mark.parametrize(
+        "Tq, T", [(36, 36), (1, 36), (1004, 1004), (1, 1004)],
+        ids=["frozen", "frozen_cls_only", "paper", "paper_cls_only"],
+    )
+    def test_span_list_matches_two_branch_rule(self, Tq, T):
+        tile = max(1, ag.ATTENTION_TILE_FLOATS // (Tq * T))
+        for B in (1, 2, 3, 16, 50, 100):
+            self.check(B, 4, tile)
+
+    def test_partial_tiles_match_two_branch_rule(self):
+        for B in (1, 5):
+            for h in (3, 4):
+                for tile in range(1, 10):
+                    self.check(B, h, tile)
+
+    @staticmethod
+    def check(B, h, tile):
+        got = [(bs.indices(B), hs.indices(h)) for bs, hs in ag._spans(B, h, tile)]
+        want = [(bs.indices(B), hs.indices(h)) for bs, hs in two_branch_spans(B, h, tile)]
+        assert got == want, (B, h, tile)
+
+
 class TestMatchesComposedPath:
     @pytest.mark.parametrize("slices_per_tile", [1, 2, 4, 64])
     def test_float32_bit_identical_across_tiles(self, monkeypatch, slices_per_tile):

@@ -3,7 +3,7 @@ repeated record ids and label sets with nothing to score: 3, never a
 traceback, and no output written; bad GV settings, bad flag and config
 values and records the model cannot take exit 2, naming the flag, field or
 record; every command prints its help; config digests free of machine
-facts."""
+facts; flag defaults build the default configs."""
 
 import importlib
 import json
@@ -16,9 +16,12 @@ import pytest
 
 from rrt import cli
 from rrt import model as rrt_model
+from rrt.baselines import GVConfig
+from rrt.benchmark import AQE_ALPHA, AQE_NQE, RERANK_DEPTH
 from rrt.cli import main
-from rrt.data import DatasetManifest, ImageRecord, save_dataset
+from rrt.data import DatasetManifest, ImageRecord, SynthConfig, save_dataset
 from rrt.model import ModelConfig, init_params, save_checkpoint
+from rrt.train import TrainConfig
 from rrt.retrieval import NeighborList, write_neighbors
 
 from helpers import no_locals
@@ -31,7 +34,7 @@ def write_gallery(path, globals_, ids=None, labels=None):
         ImageRecord(i, lab, np.asarray(g, dtype=np.float32), *no_locals())
         for i, lab, g in zip(ids, labels, globals_)
     ]
-    manifest = DatasetManifest(d_g_raw=2, d_l=4, n_scales=1, scale_values=(1.0,), n_images=len(recs))
+    manifest = DatasetManifest(d_g_raw=2, d_l=4, n_scales=1, scale_values=(1.0,))
     save_dataset(recs, manifest, path)
 
 
@@ -247,7 +250,7 @@ def write_rrt_inputs(tmp_path, bad_id):
         uv = rng.uniform(0, 64, (n, 2)).astype(np.float32)
         recs.append(ImageRecord(i, 0, rng.standard_normal(2).astype(np.float32), vecs, uv, np.zeros(n, np.uint8)))
     data = tmp_path / "g.rrtd"
-    save_dataset(recs, DatasetManifest(d_g_raw=2, d_l=4, n_scales=1, scale_values=(1.0,), n_images=7), data)
+    save_dataset(recs, DatasetManifest(d_g_raw=2, d_l=4, n_scales=1, scale_values=(1.0,)), data)
     return cfg, checkpoint, data
 
 
@@ -288,6 +291,18 @@ def test_evaluating_queries_without_relevant_items_exits_3(tmp_path, capsys, com
                  "--out", str(out)])
     assert code == 3
     assert f"{neighbors}: no query has a relevant gallery item" in capsys.readouterr().err
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
+def test_ablating_queries_without_relevant_items_exits_3(tmp_path, capsys):
+    data, checkpoint, out = tmp_path / "g.rrtd", tmp_path / "m.rrtm", tmp_path / "a.tsv"
+    write_gallery(data, REPEATED, ids=[1, 2, 3], labels=[0, 1, 2])  # every label once
+    cfg = ModelConfig(L=2, d=4, h=2, d_h=2, layers=1, d_c=8, n_scales=1, d_g_raw=2)
+    save_checkpoint(init_params(cfg, seed=0), cfg, checkpoint)
+    code = main(["ablate", "--queries", str(data), "--gallery", str(data), "--checkpoint", str(checkpoint),
+                 "--out", str(out)])
+    assert code == 3
+    assert "no query has a relevant gallery item" in capsys.readouterr().err
     assert not out.exists() and not Path(str(out) + ".meta.json").exists()
 
 
@@ -338,6 +353,8 @@ def test_rerank_with_bad_gv_setting_exits_2(tmp_path, capsys, flags, message):
         ("train", ["--lr", "nan"], "lr must be finite and non-negative, got nan"),
         ("train", ["--weight-decay", "inf"], "weight_decay must be finite and non-negative, got inf"),
         ("train", ["--steps-per-epoch", "0"], "steps_per_epoch must be positive when set, got 0"),
+        ("train", ["--layers", "256"], "layers must be at most 255 to fit a .rrtm file, got 256"),
+        ("train", ["--mlp-dim", "70000"], "d_c must be at most 65535 to fit a .rrtm file, got 70000"),
         ("synth", ["--global-noise", "nan"], "global_noise must be finite and non-negative, got nan"),
         ("synth", ["--local-noise", "inf"], "local_noise must be finite and non-negative, got inf"),
         ("synth", ["--dim-local", "0"], "d_l must be positive, got 0"),
@@ -349,6 +366,9 @@ def test_rerank_with_bad_gv_setting_exits_2(tmp_path, capsys, flags, message):
          "parts_per_image must be non-negative, got -2"),
         ("synth", ["--queries-per-instance", "-1"], "queries_per_instance must be non-negative, got -1"),
         ("synth", ["--confusion-pairs", "-1"], "global_confusion_pairs must be non-negative, got -1"),
+        ("synth", ["--locals-per-image", "70000", "--dim-local", "1"],
+         "locals_per_image must be at most 65535 to fit a .rrtd file, got 70000"),
+        ("synth", ["--dim-local", "70000"], "d_l must be at most 65535 to fit a .rrtd file, got 70000"),
         ("eval", ["--format", "xml"], "--format must be json or csv, got xml"),
         ("eval", ["--map-ks", "0"], "--map-ks must be positive integers, got [0]"),
         ("eval", ["--recall-ks", "-1"], "--recall-ks must be positive integers, got [-1]"),
@@ -357,10 +377,12 @@ def test_rerank_with_bad_gv_setting_exits_2(tmp_path, capsys, flags, message):
     ],
     ids=["retrieve_k_0", "retrieve_k_-1", "rerank_k_-1", "rerank_nqe_-1", "rerank_alpha_nan",
          "rerank_alpha_-0.5", "ablate_k_-1", "train_heads_0", "train_grad_clip_nan", "train_lr_nan",
-         "train_weight_decay_inf", "train_steps_per_epoch_0", "synth_global_noise_nan",
+         "train_weight_decay_inf", "train_steps_per_epoch_0", "train_layers_256", "train_mlp_dim_70000",
+         "synth_global_noise_nan",
          "synth_local_noise_inf", "synth_dim_local_0", "synth_dim_global_0", "synth_instances_0",
          "synth_images_per_instance_0", "synth_parts_per_image_-2", "synth_queries_per_instance_-1",
-         "synth_confusion_pairs_-1", "eval_format_xml",
+         "synth_confusion_pairs_-1", "synth_locals_per_image_70000", "synth_dim_local_70000",
+         "eval_format_xml",
          "eval_map_ks_0", "eval_recall_ks_-1", "compare_map_ks_0", "compare_recall_ks_-1"],
 )
 def test_bad_flag_value_exits_2_naming_it_without_output(tmp_path, capsys, command, flags, message):
@@ -387,6 +409,15 @@ def test_bad_flag_value_exits_2_naming_it_without_output(tmp_path, capsys, comma
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
     assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
+def test_train_with_head_dim_beyond_the_checkpoint_format_exits_2(tmp_path, capsys):
+    data, out = tmp_path / "wide.rrtd", tmp_path / "out"
+    recs = [ImageRecord(i, 0, np.ones(2, np.float32), *no_locals()) for i in range(3)]
+    save_dataset(recs, DatasetManifest(d_g_raw=2, d_l=256, n_scales=1, scale_values=(1.0,)), data)
+    assert main(["train", "--data", str(data), "--out", str(out), "--heads", "1"]) == 2
+    assert "d_h must be at most 255 to fit a .rrtm file, got 256" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
@@ -461,3 +492,60 @@ def test_correspond_with_corrupt_checkpoint_exits_3(tmp_path, capsys, corrupt, m
     assert main(argv) == 3
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# -- flag defaults ------------------------------------------------------------
+# Each default is written twice, in a Flag and in a config dataclass.  The
+# command's own mapping builds the config from the flag defaults, so a flag
+# whose default drifts from its field, or a switch mapped the wrong way round,
+# fails here.
+
+
+class Captured(Exception):
+    pass
+
+
+def capture(monkeypatch, name):
+    """Replace cli.<name> with a stub that raises Captured with its positional
+    arguments."""
+
+    def stub(*args, **kwargs):
+        raise Captured(*args)
+
+    monkeypatch.setattr(cli, name, stub)
+
+
+def flag_defaults(flags, **given):
+    return {**{f.key: f.default for f in flags}, **given}
+
+
+def test_synth_flag_defaults_build_the_default_synth_config(tmp_path, monkeypatch):
+    capture(monkeypatch, "synth_generate")
+    with pytest.raises(Captured) as got:
+        cli.cmd_synth(flag_defaults(cli.SYNTH_FLAGS, out=str(tmp_path / "out")))
+    assert got.value.args == (SynthConfig(),)
+
+
+def test_train_flag_defaults_build_the_default_model_and_train_configs(tmp_path, monkeypatch):
+    m = ModelConfig()  # the data fixes d, n_scales and d_g_raw; give it the defaults
+    data = tmp_path / "g.rrtd"
+    recs = [ImageRecord(i, 0, np.ones(m.d_g_raw, np.float32), *no_locals()) for i in range(2)]
+    save_dataset(recs, DatasetManifest(d_g_raw=m.d_g_raw, d_l=m.d, n_scales=m.n_scales), data)
+    capture(monkeypatch, "train")
+    with pytest.raises(Captured) as got:
+        cli.cmd_train(flag_defaults(cli.TRAIN_FLAGS, data=str(data), out=str(tmp_path / "out")))
+    _, model_cfg, train_cfg = got.value.args
+    assert (model_cfg, train_cfg) == (ModelConfig(), TrainConfig())
+
+
+def test_gv_flag_defaults_build_the_default_gv_config(monkeypatch):
+    capture(monkeypatch, "make_gv_scorer")
+    with pytest.raises(Captured) as got:
+        cli._scorer_from_flags(flag_defaults(cli.RERANK_FLAGS, scorer="gv"), [], [])
+    assert got.value.args[2] == GVConfig()
+
+
+def test_rerank_depth_and_query_expansion_flags_default_to_the_pipeline_constants():
+    rerank = flag_defaults(cli.RERANK_FLAGS)
+    assert (rerank["k"], rerank["nqe"], rerank["alpha"]) == (RERANK_DEPTH, AQE_NQE, AQE_ALPHA)
+    assert flag_defaults(cli.ABLATE_FLAGS)["k"] == RERANK_DEPTH

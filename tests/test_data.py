@@ -66,7 +66,6 @@ def random_records(seed, n_images, d_g=8, d_l=4, n_scales=3, max_locals=5):
         d_l=d_l,
         n_scales=n_scales,
         scale_values=(0.5, 1.0, 2.0, 4.0)[:n_scales],
-        n_images=n_images,
     )
     return recs, manifest
 
@@ -251,6 +250,16 @@ class TestSynthGenerate:
             SynthConfig(n_scales=0, scale_values=())
         with pytest.raises(ConfigError, match="parts_per_instance must be non-negative, got -1"):
             SynthConfig(parts_per_instance=-1, parts_per_image=-1, locals_per_image=-1)
+        # sizes beyond their field of the .rrtd header
+        for kwargs, message in (
+            ({"locals_per_image": 70000}, "locals_per_image must be at most 65535 to fit a .rrtd file, got 70000"),
+            ({"d_l": 70000}, "d_l must be at most 65535 to fit a .rrtd file, got 70000"),
+            ({"d_g_raw": 2**32}, "d_g_raw must be at most 4294967295 to fit a .rrtd file, got 4294967296"),
+            ({"n_scales": 256, "scale_values": (1.0,) * 256}, "n_scales must be at most 255 to fit a .rrtd file"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                SynthConfig(**kwargs)
+        SynthConfig(locals_per_image=65535, d_l=65535, n_scales=255, scale_values=(1.0,) * 255)
 
 
 class TestNormalizeRecords:

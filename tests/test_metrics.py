@@ -8,17 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrt.errors import DataFormatError
 from rrt.metrics import (
     ablation_locals_sweep,
-    ap_at_k,
-    average_precision,
     build_ground_truth,
     config_digest,
     emit_report,
     evaluate_neighbors,
-    first_relevant_rank,
-    map_at_k,
-    recall_at_k,
 )
 from rrt.retrieval import NeighborList
 
@@ -28,6 +24,19 @@ from oracles import ap_at_k_brute, ap_brute, recall_at_k_brute
 
 def nl(qid, ids):
     return NeighborList(query_id=qid, entries=[(g, 1.0 / (i + 1)) for i, g in enumerate(ids)])
+
+
+def report(ranked, relevant, map_ks=(100,)):
+    """evaluate_neighbors on the one ranking of query 0."""
+    return evaluate_neighbors([nl(0, ranked)], {0: relevant}, map_ks=map_ks)
+
+
+def ap(ranked, relevant):
+    return report(ranked, relevant).per_query[0]["ap"]
+
+
+def map_at(lists, gt, k):
+    return evaluate_neighbors(lists, gt, map_ks=[k]).map_at[k]
 
 
 def random_instance(seed, n_queries=3, gallery=12):
@@ -44,22 +53,22 @@ def random_instance(seed, n_queries=3, gallery=12):
 
 class TestAveragePrecision:
     def test_perfect_ranking(self):
-        assert average_precision([1, 2, 3, 9, 8], {1, 2, 3}) == 1.0
+        assert ap([1, 2, 3, 9, 8], {1, 2, 3}) == 1.0
 
     def test_single_relevant_second(self):
-        assert average_precision([5, 7], {7}) == 0.5
+        assert ap([5, 7], {7}) == 0.5
 
     def test_worked_five_sixths(self):
-        got = average_precision(["r1", "n", "r2"], {"r1", "r2"})
+        got = ap(["r1", "n", "r2"], {"r1", "r2"})
         assert abs(got - 5 / 6) < 1e-12
         assert abs(got - ap_brute(["r1", "n", "r2"], {"r1", "r2"})) < 1e-15
 
     def test_missing_relevant_contributes_zero(self):
-        assert average_precision([1], {1, 99}) == 0.5
+        assert ap([1], {1, 99}) == 0.5
 
     def test_empty_relevant_rejected(self):
         with pytest.raises(ValueError):
-            average_precision([1, 2], set())
+            ap([1, 2], set())
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=100, deadline=None)
@@ -69,7 +78,7 @@ class TestAveragePrecision:
         ranked = list(rng.permutation(gallery))
         n_rel = int(rng.integers(1, gallery + 1))
         rel = set(int(x) for x in rng.choice(gallery, size=n_rel, replace=False))
-        got = average_precision(ranked, rel)
+        got = ap(ranked, rel)
         assert abs(got - ap_brute(ranked, rel)) < 1e-12
         assert 0.0 <= got <= 1.0
         top = set(ranked[: len(rel)])
@@ -79,19 +88,19 @@ class TestAveragePrecision:
 class TestMapAtK:
     def test_k_at_gallery_size_equals_mean_ap(self):
         lists, gt = random_instance(0)
-        full = np.mean([average_precision(l.gallery_ids(), gt[l.query_id]) for l in lists])
-        assert abs(map_at_k(lists, gt, k=12) - full) < 1e-12
+        full = np.mean([ap_brute(l.gallery_ids(), gt[l.query_id]) for l in lists])
+        assert abs(map_at(lists, gt, k=12) - full) < 1e-12
 
     def test_k1_is_top1_accuracy(self):
         lists, gt = random_instance(1)
         top1 = np.mean([1.0 if l.gallery_ids()[0] in gt[l.query_id] else 0.0 for l in lists])
-        assert abs(map_at_k(lists, gt, k=1) - top1) < 1e-12
+        assert abs(map_at(lists, gt, k=1) - top1) < 1e-12
 
     def test_three_query_toy_vs_bruteforce(self):
         lists, gt = random_instance(2)
         for k in (1, 3, 7, 12):
             brute = np.mean([ap_at_k_brute(l.gallery_ids(), gt[l.query_id], k) for l in lists])
-            assert abs(map_at_k(lists, gt, k) - brute) < 1e-12
+            assert abs(map_at(lists, gt, k) - brute) < 1e-12
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
@@ -101,12 +110,12 @@ class TestMapAtK:
         # unnormalized precision-at-hit sum is monotone everywhere.
         lists, gt = random_instance(seed)
         saturation = max(len(r) for r in gt.values())
-        vals = [map_at_k(lists, gt, k) for k in range(saturation, 13)]
+        vals = [map_at(lists, gt, k) for k in range(saturation, 13)]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
         for l in lists:
             rel = gt[l.query_id]
             sums = [
-                ap_at_k(l.gallery_ids(), rel, k) * min(len(rel), k)
+                report(l.gallery_ids(), rel, map_ks=[k]).map_at[k] * min(len(rel), k)
                 for k in range(1, 13)
             ]
             assert all(a <= b + 1e-12 for a, b in zip(sums, sums[1:]))
@@ -116,16 +125,16 @@ class TestRecallAtK:
     def test_rank_one_everywhere(self):
         lists = [nl(0, [5, 1]), nl(1, [7, 2])]
         gt = {0: {5}, 1: {7}}
-        assert recall_at_k(lists, gt, [1, 10]) == {1: 1.0, 10: 1.0}
+        assert evaluate_neighbors(lists, gt, recall_ks=[1, 10]).recall_at == {1: 1.0, 10: 1.0}
 
     def test_rank_two(self):
         lists = [nl(0, [3, 5])]
         gt = {0: {5}}
-        assert recall_at_k(lists, gt, [1, 10]) == {1: 0.0, 10: 1.0}
+        assert evaluate_neighbors(lists, gt, recall_ks=[1, 10]).recall_at == {1: 0.0, 10: 1.0}
 
     def test_random_vs_recount(self):
         lists, gt = random_instance(3)
-        got = recall_at_k(lists, gt, [1, 2, 5, 12])
+        got = evaluate_neighbors(lists, gt, recall_ks=[1, 2, 5, 12]).recall_at
         for k, v in got.items():
             brute = np.mean(
                 [recall_at_k_brute(l.gallery_ids(), gt[l.query_id], k) for l in lists]
@@ -169,8 +178,8 @@ class TestEvaluateAndEmit:
         assert len(lines) == 1 + len(rep.per_query) + 1
 
     def test_first_relevant_rank(self):
-        assert first_relevant_rank([4, 2, 9], {9}) == 3
-        assert first_relevant_rank([4, 2], {9}) is None
+        assert report([4, 2, 9], {9}).per_query[0]["first_rank"] == 3
+        assert report([4, 2], {9}).per_query[0]["first_rank"] is None
 
     def test_digest_changes_with_any_knob(self):
         base = {"k": 100, "alpha": 0.3, "seed": 1}
@@ -241,3 +250,13 @@ class TestAblationSweep:
         recs = [r.truncated(3) for r in queries + gallery]
         expect = np.mean([grid_dedup_count(r, 16) for r in recs])
         assert rows[0]["mean_distinct_cells"] == pytest.approx(float(expect), abs=1e-12)
+
+    def test_no_relevant_query_rejected_before_scoring(self):
+        queries, gallery = self._data()
+        gallery = [replace(r, label=7) for r in gallery]
+
+        def factory(tq, tg):
+            raise AssertionError("scored a sweep without a relevant gallery item")
+
+        with pytest.raises(DataFormatError, match="no query has a relevant gallery item"):
+            ablation_locals_sweep(queries, gallery, factory, [0, 6], k=8)

@@ -86,6 +86,20 @@ class TestParamCount:
         with pytest.raises(ConfigError):
             ModelConfig(h=3, d_h=32)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"d": 256, "h": 1, "d_h": 256}, "d_h must be at most 255 to fit a .rrtm file, got 256"),
+            ({"layers": 256}, "layers must be at most 255 to fit a .rrtm file, got 256"),
+            ({"d_c": 70000}, "d_c must be at most 65535 to fit a .rrtm file, got 70000"),
+            ({"L": 2**32}, "L must be at most 4294967295 to fit a .rrtm file, got 4294967296"),
+        ],
+        ids=["d_h_256", "layers_256", "d_c_70000", "L_2**32"],
+    )
+    def test_sizes_beyond_the_checkpoint_header_rejected(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            ModelConfig(**kwargs)
+
 
 class TestAssembleInput:
     def test_empty_locals_layout(self):
