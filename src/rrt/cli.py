@@ -18,8 +18,12 @@ way.  The ``rerank`` and ``eval`` sidecars also record
 uses on this machine; it is a machine fact, so it stays out of the config
 and its digest.
 
-Flags may also come from a ``key=value`` config file (--config); command-line
-flags win, unknown keys are rejected.
+Flags may also come from a ``key=value`` config file (--config), whose lines
+become flag tokens ahead of the command line's: one argparse pass parses every
+value, the command line wins, and a bad key, line, switch or value, or a
+missing or unreadable file, exits 2.  A flag that sets a config field takes
+its default from the config class.  A --queries and --gallery pair whose
+headers describe different descriptors exits 3.
 """
 
 from __future__ import annotations
@@ -29,13 +33,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from .baselines import GVConfig
+from .benchmark import AQE_ALPHA, AQE_NQE, RERANK_DEPTH
 from .data import (
     SynthConfig,
     export_labels_tsv,
@@ -62,7 +67,6 @@ from .model import (
 )
 from .retrieval import (
     aqe_requery,
-    aqe_then_rerank,
     build_index,
     knn_search,
     load_index,
@@ -86,10 +90,24 @@ class Flag:
     help: str
     required: bool = False
     multi: bool = False       # nargs="+"
+    field: tuple | None = None  # (config class, field name) the flag sets
 
     @property
     def key(self) -> str:
         return self.name.lstrip("-").replace("-", "_")
+
+
+def _setter(cls) -> Callable[..., Flag]:
+    """A builder (field, name, kind, help) -> Flag of the flags that set a
+    field of config class cls; each takes the field's default."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    return lambda field, name, kind, help: Flag(name, kind, defaults[field], help, field=(cls, field))
+
+
+def _config(cls, cfg: dict, flags: Sequence[Flag], **rest):
+    """cls built from the values in cfg of the flags that set its fields,
+    plus rest."""
+    return cls(**{f.field[1]: cfg[f.key] for f in flags if f.field and f.field[0] is cls}, **rest)
 
 
 def _int_list(text: str) -> list[int]:
@@ -104,6 +122,8 @@ def _opt_int(text: str):
     return None if str(text).lower() in ("none", "off") else int(text)
 
 
+_synth, _model, _train, _gv = map(_setter, (SynthConfig, ModelConfig, TrainConfig, GVConfig))
+
 COMMON = [
     Flag("--seed", int, 0, "seed for every random choice in the command"),
     Flag("--config", str, None, "key=value file merged under the flags"),
@@ -111,18 +131,18 @@ COMMON = [
 
 SYNTH_FLAGS = COMMON + [
     Flag("--out", str, None, "output directory", required=True),
-    Flag("--instances", int, 16, "number of object instances"),
-    Flag("--images-per-instance", int, 8, "images generated per instance"),
-    Flag("--queries-per-instance", int, 2, "leading images held out as queries"),
-    Flag("--parts-per-instance", int, 6, "planted part prototypes per instance"),
-    Flag("--parts-per-image", int, 4, "planted parts sampled into each image"),
-    Flag("--locals-per-image", int, 16, "local descriptors per image"),
-    Flag("--dim-local", int, 32, "local descriptor dimension"),
-    Flag("--dim-global", int, 128, "raw global descriptor dimension"),
-    Flag("--confusion-pairs", int, 8, "instance pairs sharing a global prototype"),
-    Flag("--global-noise", float, 0.02, "global descriptor noise sigma"),
-    Flag("--local-noise", float, 0.05, "local descriptor noise sigma"),
-    Flag("--codebook", _opt_int, None, "fixed part-dictionary size (none = free prototypes)"),
+    _synth("n_instances", "--instances", int, "number of object instances"),
+    _synth("images_per_instance", "--images-per-instance", int, "images generated per instance"),
+    _synth("queries_per_instance", "--queries-per-instance", int, "leading images held out as queries"),
+    _synth("parts_per_instance", "--parts-per-instance", int, "planted part prototypes per instance"),
+    _synth("parts_per_image", "--parts-per-image", int, "planted parts sampled into each image"),
+    _synth("locals_per_image", "--locals-per-image", int, "local descriptors per image"),
+    _synth("d_l", "--dim-local", int, "local descriptor dimension"),
+    _synth("d_g_raw", "--dim-global", int, "raw global descriptor dimension"),
+    _synth("global_confusion_pairs", "--confusion-pairs", int, "instance pairs sharing a global prototype"),
+    _synth("global_noise", "--global-noise", float, "global descriptor noise sigma"),
+    _synth("local_noise", "--local-noise", float, "local descriptor noise sigma"),
+    _synth("part_codebook_size", "--codebook", _opt_int, "fixed part-dictionary size (none = free prototypes)"),
 ]
 
 INDEX_FLAGS = COMMON + [
@@ -135,7 +155,7 @@ INDEX_FLAGS = COMMON + [
 RETRIEVE_FLAGS = COMMON + [
     Flag("--data", str, None, "index artifact (.rrti)", required=True),
     Flag("--queries", str, None, "query descriptor file (.rrtd)", required=True),
-    Flag("--k", int, 100, "neighbors to return per query"),
+    Flag("--k", int, RERANK_DEPTH, "neighbors to return per query"),
     Flag("--out", str, None, "neighbor JSONL output", required=True),
     Flag("--checkpoint", str, None, "model checkpoint (for projected indexes)"),
 ]
@@ -143,22 +163,22 @@ RETRIEVE_FLAGS = COMMON + [
 TRAIN_FLAGS = COMMON + [
     Flag("--data", str, None, "training gallery (.rrtd)", required=True),
     Flag("--out", str, None, "output directory (checkpoints + loss CSV)", required=True),
-    Flag("--locals-max", int, 500, "max locals per image (model length L)"),
-    Flag("--heads", int, 4, "attention heads"),
-    Flag("--layers", int, 6, "transformer layers"),
-    Flag("--mlp-dim", int, 1024, "MLP hidden dimension"),
+    _model("L", "--locals-max", int, "max locals per image (model length L)"),
+    _model("h", "--heads", int, "attention heads"),
+    _model("layers", "--layers", int, "transformer layers"),
+    _model("d_c", "--mlp-dim", int, "MLP hidden dimension"),
     Flag("--no-global-token", "bool", False, "drop the global-descriptor token"),
-    Flag("--pos-embed", "bool", False, "add fixed sinusoidal position codes"),
+    _model("use_pos_embed", "--pos-embed", "bool", "add fixed sinusoidal position codes"),
     Flag("--no-scale-embed", "bool", False, "drop the scale embedding"),
-    Flag("--mlp-residual", "bool", False, "residual connection around the MLP"),
-    Flag("--lr", float, 1e-4, "AdamW learning rate"),
-    Flag("--weight-decay", float, 4e-4, "AdamW decoupled weight decay"),
-    Flag("--epochs", int, 15, "training epochs"),
-    Flag("--batch-size", int, 8, "anchors per step (two pairs each)"),
-    Flag("--neg-pool", int, 100, "negatives come from this many top global neighbors"),
-    Flag("--grad-clip", _opt_float, None, "global gradient-norm clip (e.g. 0.1)"),
-    Flag("--steps-per-epoch", _opt_int, None, "cap on steps per epoch"),
-    Flag("--lr-schedule", "bool", False, "drop lr x0.1 after 60 and 80 percent of epochs"),
+    _model("mlp_residual", "--mlp-residual", "bool", "residual connection around the MLP"),
+    _train("lr", "--lr", float, "AdamW learning rate"),
+    _train("weight_decay", "--weight-decay", float, "AdamW decoupled weight decay"),
+    _train("epochs", "--epochs", int, "training epochs"),
+    _train("batch_size", "--batch-size", int, "anchors per step (two pairs each)"),
+    _train("neg_pool_size", "--neg-pool", int, "negatives come from this many top global neighbors"),
+    _train("grad_clip_norm", "--grad-clip", _opt_float, "global gradient-norm clip (e.g. 0.1)"),
+    _train("steps_per_epoch", "--steps-per-epoch", _opt_int, "cap on steps per epoch"),
+    _train("lr_step_schedule", "--lr-schedule", "bool", "drop lr x0.1 after 60 and 80 percent of epochs"),
 ]
 
 RERANK_FLAGS = COMMON + [
@@ -167,14 +187,14 @@ RERANK_FLAGS = COMMON + [
     Flag("--gallery", str, None, "gallery descriptor file (.rrtd)", required=True),
     Flag("--out", str, None, "output neighbor JSONL", required=True),
     Flag("--scorer", str, None, "one of rrt, gv, aqe, aqe+rrt, oracle", required=True),
-    Flag("--k", int, 100, "rerank depth (entries beyond stay untouched)"),
+    Flag("--k", int, RERANK_DEPTH, "rerank depth (entries beyond stay untouched)"),
     Flag("--checkpoint", str, None, "model checkpoint (rrt and aqe+rrt)"),
     Flag("--parts", str, None, "part-prototype bank .npy (oracle scorer)"),
-    Flag("--nqe", int, 2, "expansion neighbors for alpha-QE"),
-    Flag("--alpha", float, 0.3, "similarity exponent for alpha-QE"),
-    Flag("--ransac-iters", int, 2000, "RANSAC iteration budget"),
-    Flag("--ransac-thresh", float, 3.0, "inlier threshold in pixels"),
-    Flag("--ratio", _opt_float, None, "Lowe ratio for mutual-NN matching"),
+    Flag("--nqe", int, AQE_NQE, "expansion neighbors for alpha-QE"),
+    Flag("--alpha", float, AQE_ALPHA, "similarity exponent for alpha-QE"),
+    _gv("iterations", "--ransac-iters", int, "RANSAC iteration budget"),
+    _gv("inlier_threshold", "--ransac-thresh", float, "inlier threshold in pixels"),
+    _gv("ratio", "--ratio", _opt_float, "Lowe ratio for mutual-NN matching"),
     Flag("--locals-max", _opt_int, None, "truncate each record to this many locals"),
 ]
 
@@ -202,7 +222,7 @@ ABLATE_FLAGS = COMMON + [
     Flag("--gallery", str, None, "gallery descriptor file", required=True),
     Flag("--checkpoint", str, None, "model checkpoint", required=True),
     Flag("--counts", _int_list, [0, 2, 4, 8, 16], "locals budgets to sweep"),
-    Flag("--k", int, 100, "rerank depth"),
+    Flag("--k", int, RERANK_DEPTH, "rerank depth"),
     Flag("--stride", int, 16, "grid stride for the distinct-cell statistics"),
     Flag("--out", str, None, "TSV table output", required=True),
 ]
@@ -217,48 +237,34 @@ CORRESPOND_FLAGS = COMMON + [
 ]
 
 
-def _load_config_file(path: str, flags: Sequence[Flag]) -> dict:
+def _config_tokens(path: str, flags: Sequence[Flag]) -> list[str]:
+    """The flag tokens of a key=value config file: ``--flag=value``, the
+    switch itself when true, or the flag and one token per comma-separated
+    item of a multi-valued flag."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"--config {path}: {exc}") from None
     by_key = {f.key: f for f in flags}
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            flag = by_key.get(key)
-            if flag is None:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            value = value.strip()
-            if flag.kind == "bool":
-                if value.lower() not in ("true", "false", "1", "0"):
-                    raise ConfigError(f"{path}:{lineno}: {key} wants true/false")
-                out[flag.key] = value.lower() in ("true", "1")
-            elif flag.multi:
-                out[flag.key] = [flag.kind(v) for v in value.split(",")]
-            else:
-                out[flag.key] = flag.kind(value)
-    return out
-
-
-def _effective_config(args: argparse.Namespace, flags: Sequence[Flag]) -> dict:
-    """defaults <- config file <- explicit command-line flags."""
-    merged = {f.key: f.default for f in flags}
-    cli = {k: v for k, v in vars(args).items() if v is not _UNSET}
-    cfg_path = cli.get("config", None)
-    if cfg_path:
-        merged.update(_load_config_file(cfg_path, flags))
-    merged.update(cli)
-    for f in flags:
-        if f.required and merged.get(f.key) is None:
-            raise ConfigError(f"missing required flag {f.name}")
-    return merged
-
-
-_UNSET = object()
+    tokens = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip().replace("-", "_"), value.strip()
+        flag = by_key.get(key)
+        if flag is None:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if flag.kind == "bool":
+            if value.lower() not in ("true", "false", "1", "0"):
+                raise ConfigError(f"{path}:{lineno}: {key} wants true/false")
+            tokens += [flag.name] if value.lower() in ("true", "1") else []
+        else:
+            tokens += [flag.name, *value.split(",")] if flag.multi else [f"{flag.name}={value}"]
+    return tokens
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -271,22 +277,19 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (help_text, flags, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
         for f in flags:
-            kwargs: dict = {"help": f"{f.help} (default: {f.default})", "default": _UNSET}
             if f.kind == "bool":
-                kwargs["action"] = "store_true"
+                how = {"action": "store_true"}
             else:
-                kwargs["type"] = f.kind
-                if f.multi:
-                    kwargs["nargs"] = "+"
-            p.add_argument(f.name, dest=f.key, **kwargs)
+                how = {"type": f.kind, "nargs": "+" if f.multi else None}
+            p.add_argument(f.name, dest=f.key, default=f.default, help=f"{f.help} (default: {f.default})", **how)
     return parser
 
 
-def _write_meta(out_path, command: str, cfg: dict, environment: dict | None = None) -> str:
+def _write_meta(out_path, cfg: dict, environment: dict | None = None) -> str:
     """Write ``<out_path>.meta.json``; machine facts go in `environment`,
     outside the config and its digest."""
-    digest = config_digest({"command": command, **cfg})
-    meta = {"command": command, "config_digest": digest, "config": cfg}
+    digest = config_digest(cfg)
+    meta = {"command": cfg["command"], "config_digest": digest, "config": cfg}
     if environment is not None:
         meta["environment"] = environment
     with open(str(out_path) + ".meta.json", "w") as fh:
@@ -307,25 +310,23 @@ def _load_normalized(path, max_locals=None):
     return normalize_records(records), manifest
 
 
+def _load_pair(cfg: dict, max_locals=None):
+    """(queries, gallery, manifest) from --queries and --gallery;
+    DataFormatError when the two headers describe different descriptors."""
+    queries, mq = _load_normalized(cfg["queries"], max_locals)
+    gallery, mg = _load_normalized(cfg["gallery"], max_locals)
+    if mq != mg:
+        diff = ", ".join(f"{f.name} {getattr(mq, f.name)} against {getattr(mg, f.name)}"
+                         for f in fields(mq) if f.compare and getattr(mq, f.name) != getattr(mg, f.name))
+        raise DataFormatError(f"--queries {cfg['queries']} and --gallery {cfg['gallery']} differ in {diff}")
+    return queries, gallery, mq
+
+
 # -- commands ---------------------------------------------------------------
 
 
 def cmd_synth(cfg: dict) -> int:
-    synth = SynthConfig(
-        n_instances=cfg["instances"],
-        images_per_instance=cfg["images_per_instance"],
-        queries_per_instance=cfg["queries_per_instance"],
-        parts_per_instance=cfg["parts_per_instance"],
-        parts_per_image=cfg["parts_per_image"],
-        locals_per_image=cfg["locals_per_image"],
-        d_l=cfg["dim_local"],
-        d_g_raw=cfg["dim_global"],
-        global_confusion_pairs=cfg["confusion_pairs"],
-        global_noise=cfg["global_noise"],
-        local_noise=cfg["local_noise"],
-        part_codebook_size=cfg["codebook"],
-        seed=cfg["seed"],
-    )
+    synth = _config(SynthConfig, cfg, SYNTH_FLAGS, seed=cfg["seed"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     queries, gallery, manifest = synth_generate(synth)
@@ -333,7 +334,7 @@ def cmd_synth(cfg: dict) -> int:
     save_dataset(gallery, manifest, out / "gallery.rrtd")
     export_labels_tsv(queries + gallery, out / "labels.tsv")
     np.save(out / "oracle_parts.npy", part_prototypes(synth))
-    digest = _write_meta(out / "dataset", "synth", cfg)
+    digest = _write_meta(out / "dataset", cfg)
     with open(out / "manifest.json", "w") as fh:
         json.dump({**asdict(manifest), "config_digest": digest}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -364,7 +365,7 @@ def cmd_index(cfg: dict) -> int:
     else:
         index = build_index(records)
     save_index(index, cfg["out"])
-    _write_meta(cfg["out"], "index", cfg)
+    _write_meta(cfg["out"], cfg)
     print(f"indexed {len(index.ids)} vectors ({index.vectors.shape[1]} dims) -> {cfg['out']}")
     return 0
 
@@ -384,12 +385,17 @@ def cmd_retrieve(cfg: dict) -> int:
                 f"--checkpoint {cfg['checkpoint']} projects to {dim} dims, but the index holds "
                 f"{index.vectors.shape[1]}-dim vectors"
             )
+    elif index.vectors.shape[1] != manifest.d_g_raw:
+        raise DataFormatError(
+            f"--data {cfg['data']} holds {index.vectors.shape[1]}-dim vectors, but the globals of "
+            f"--queries {cfg['queries']} are {manifest.d_g_raw}-dim"
+        )
     lists = [
         knn_search(index, query_vector(index, q, params), k=cfg["k"], query_id=q.id)
         for q in queries
     ]
     write_neighbors(cfg["out"], lists)
-    _write_meta(cfg["out"], "retrieve", cfg)
+    _write_meta(cfg["out"], cfg)
     flagged = sum(1 for nl in lists if nl.truncated)
     if flagged:
         print(f"warning: k={cfg['k']} exceeds the gallery; {flagged} full rankings emitted")
@@ -404,41 +410,35 @@ def cmd_train(cfg: dict) -> int:
     d = manifest.d_l
     if d % heads != 0:
         raise ConfigError(f"model dim {d} (from data) not divisible by --heads {heads}")
-    mcfg = ModelConfig(
-        L=cfg["locals_max"],
-        d=d,
-        h=heads,
-        d_h=d // heads,
-        layers=cfg["layers"],
-        d_c=cfg["mlp_dim"],
-        n_scales=manifest.n_scales,
-        d_g_raw=manifest.d_g_raw,
-        use_pos_embed=cfg["pos_embed"],
-        use_global_token=not cfg["no_global_token"],
-        use_scale_embed=not cfg["no_scale_embed"],
-        mlp_residual=cfg["mlp_residual"],
-    )
-    tcfg = TrainConfig(
-        lr=cfg["lr"],
-        weight_decay=cfg["weight_decay"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        seed=cfg["seed"],
-        grad_clip_norm=cfg["grad_clip"],
-        neg_pool_size=cfg["neg_pool"],
-        steps_per_epoch=cfg["steps_per_epoch"],
-        lr_step_schedule=cfg["lr_schedule"],
-    )
+    mcfg = _config(ModelConfig, cfg, TRAIN_FLAGS, d=d, d_h=d // heads, n_scales=manifest.n_scales,
+                   d_g_raw=manifest.d_g_raw, use_global_token=not cfg["no_global_token"],
+                   use_scale_embed=not cfg["no_scale_embed"])
+    tcfg = _config(TrainConfig, cfg, TRAIN_FLAGS, seed=cfg["seed"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _, history = train(records, mcfg, tcfg, out_dir=out)
-    _write_meta(out / "model.rrtm", "train", cfg)
+    _write_meta(out / "model.rrtm", cfg)
     print(f"trained {tcfg.epochs} epochs ({len(history)} steps), "
           f"final loss {history[-1]['loss']:.4f} -> {out / 'model.rrtm'}")
     return 0
 
 
-def _scorer_from_flags(cfg: dict, queries, gallery):
+def _load_parts(path, d_l: int) -> np.ndarray:
+    """The oracle's part bank: a non-empty, finite float array [instances,
+    parts, d_l] in a .npy file; DataFormatError naming --parts otherwise."""
+    try:
+        with open(path, "rb") as fh:
+            bank = np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise DataFormatError(f"--parts {path}: {exc}") from None
+    if not (bank.ndim == 3 and bank.size and bank.shape[2] == d_l and bank.dtype.kind == "f"
+            and np.isfinite(bank).all()):
+        raise DataFormatError(f"--parts {path} must hold a non-empty finite float [instances, parts, {d_l}] "
+                              f"array, got {bank.dtype} {bank.shape}")
+    return bank
+
+
+def _scorer_from_flags(cfg: dict, queries, gallery, d_l: int):
     name = cfg["scorer"]
     if name in ("rrt", "aqe+rrt"):
         if not cfg["checkpoint"]:
@@ -446,18 +446,11 @@ def _scorer_from_flags(cfg: dict, queries, gallery):
         params, mcfg = load_checkpoint(cfg["checkpoint"])
         return make_rrt_scorer(params, mcfg, queries, gallery)
     if name == "gv":
-        gv = GVConfig(
-            iterations=cfg["ransac_iters"],
-            inlier_threshold=cfg["ransac_thresh"],
-            ratio=cfg["ratio"],
-            seed=cfg["seed"],
-        )
-        return make_gv_scorer(queries, gallery, gv)
+        return make_gv_scorer(queries, gallery, _config(GVConfig, cfg, RERANK_FLAGS, seed=cfg["seed"]))
     if name == "oracle":
         if not cfg["parts"]:
             raise ConfigError("scorer oracle needs --parts (prototype bank .npy)")
-        bank = np.load(cfg["parts"])
-        return make_oracle_scorer(bank, queries, gallery)
+        return make_oracle_scorer(_load_parts(cfg["parts"], d_l), queries, gallery)
     raise ConfigError(f"unknown scorer {name!r}")
 
 
@@ -466,33 +459,23 @@ def cmd_rerank(cfg: dict) -> int:
     _require(cfg["nqe"] >= 0, "--nqe", "non-negative", cfg["nqe"])
     alpha = cfg["alpha"]
     _require(math.isfinite(alpha) and alpha >= 0, "--alpha", "finite and non-negative", alpha)
-    queries, _ = _load_normalized(cfg["queries"], max_locals=cfg["locals_max"])
-    gallery, _ = _load_normalized(cfg["gallery"], max_locals=cfg["locals_max"])
+    queries, gallery, manifest = _load_pair(cfg, max_locals=cfg["locals_max"])
     neighbors = read_neighbors(cfg["data"])
     qmap, _ = _validate_ids(neighbors, queries, gallery)
 
-    name = cfg["scorer"]
-    k = cfg["k"]
-    if name in ("aqe", "aqe+rrt"):
+    name, k = cfg["scorer"], cfg["k"]
+    scorer = None if name == "aqe" else _scorer_from_flags(cfg, queries, gallery, manifest.d_l)
+    out_lists = neighbors
+    if name in ("aqe", "aqe+rrt"):  # aqe+rrt reranks the expanded ranking
         index = build_index(gallery)
-        if name == "aqe":
-            out_lists = [
-                aqe_requery(index, query_vector(index, qmap[nl.query_id]), nl.query_id,
-                            cfg["nqe"], cfg["alpha"], base=nl)
-                for nl in neighbors
-            ]
-        else:
-            scorer = _scorer_from_flags(cfg, queries, gallery)
-            out_lists = [
-                aqe_then_rerank(index, query_vector(index, qmap[nl.query_id]), nl.query_id,
-                                scorer, cfg["nqe"], cfg["alpha"], k, base=nl)
-                for nl in neighbors
-            ]
-    else:
-        scorer = _scorer_from_flags(cfg, queries, gallery)
-        out_lists = [rerank_topk(nl, scorer, k, method=name) for nl in neighbors]
+        out_lists = [
+            aqe_requery(index, query_vector(index, qmap[nl.query_id]), nl.query_id, cfg["nqe"], alpha, base=nl)
+            for nl in out_lists
+        ]
+    if scorer is not None:
+        out_lists = [rerank_topk(nl, scorer, k, method=name) for nl in out_lists]
     write_neighbors(cfg["out"], out_lists)
-    _write_meta(cfg["out"], "rerank", cfg, {"workers": score_workers()})
+    _write_meta(cfg["out"], cfg, {"workers": score_workers()})
     print(f"reranked {len(out_lists)} lists with scorer {name} (k={k}) -> {cfg['out']}")
     return 0
 
@@ -503,8 +486,7 @@ def _require_cutoffs(cfg: dict) -> None:
 
 
 def _ground_truth_from_files(cfg: dict):
-    queries, _ = _load_normalized(cfg["queries"])
-    gallery, _ = _load_normalized(cfg["gallery"])
+    queries, gallery, _ = _load_pair(cfg)
     return queries, gallery, build_ground_truth(queries, gallery)
 
 
@@ -536,13 +518,13 @@ def cmd_eval(cfg: dict) -> int:
     lists = read_neighbors(cfg["data"])
     _validate_ids(lists, queries, gallery)
     _require_relevant(lists, gt, cfg["data"])
-    digest = config_digest({"command": "eval", **cfg})
+    digest = config_digest(cfg)
     report = evaluate_neighbors(
         lists, gt, map_ks=cfg["map_ks"], recall_ks=cfg["recall_ks"],
         digest=digest, wallclock_s=round(time.time() - t0, 6),
     )
     emit_report(report, cfg["out"], cfg["format"])
-    _write_meta(cfg["out"], "eval", cfg, {"workers": score_workers()})
+    _write_meta(cfg["out"], cfg, {"workers": score_workers()})
     print(f"{report.method or 'ranking'}: mAP={report.map:.4f} "
           + " ".join(f"mAP@{k}={v:.4f}" for k, v in report.map_at.items())
           + " " + " ".join(f"R@{k}={v:.4f}" for k, v in report.recall_at.items()))
@@ -552,28 +534,24 @@ def cmd_eval(cfg: dict) -> int:
 def cmd_compare(cfg: dict) -> int:
     _require_cutoffs(cfg)
     queries, gallery, gt = _ground_truth_from_files(cfg)
-    digest = config_digest({"command": "compare", **cfg})
-    rows = []
+    digest = config_digest(cfg)
+    table = [["file", "method", "map"] + [f"map@{k}" for k in cfg["map_ks"]]
+             + [f"r@{k}" for k in cfg["recall_ks"]]]
     for path in cfg["data"]:
         lists = read_neighbors(path)
         _validate_ids(lists, queries, gallery)
         _require_relevant(lists, gt, path)
         rep = evaluate_neighbors(lists, gt, map_ks=cfg["map_ks"], recall_ks=cfg["recall_ks"], digest=digest)
-        rows.append((Path(path).name, rep))
-    header = ["file", "method", "map"]
-    header += [f"map@{k}" for k in cfg["map_ks"]] + [f"r@{k}" for k in cfg["recall_ks"]]
-    table = [header]
-    for name, rep in rows:
         table.append(
-            [name, rep.method, f"{rep.map:.6f}"]
+            [Path(path).name, rep.method, f"{rep.map:.6f}"]
             + [f"{rep.map_at[k]:.6f}" for k in cfg["map_ks"]]
             + [f"{rep.recall_at[k]:.6f}" for k in cfg["recall_ks"]]
         )
     with open(cfg["out"], "w") as fh:
         for row in table:
             fh.write("\t".join(row) + "\n")
-    _write_meta(cfg["out"], "compare", cfg)
-    widths = [max(len(r[c]) for r in table) for c in range(len(header))]
+    _write_meta(cfg["out"], cfg)
+    widths = [max(len(r[c]) for r in table) for c in range(len(table[0]))]
     for row in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     return 0
@@ -581,8 +559,7 @@ def cmd_compare(cfg: dict) -> int:
 
 def cmd_ablate(cfg: dict) -> int:
     _require(cfg["k"] >= 0, "--k", "non-negative", cfg["k"])
-    queries, _ = _load_normalized(cfg["queries"])
-    gallery, _ = _load_normalized(cfg["gallery"])
+    queries, gallery, _ = _load_pair(cfg)
     params, mcfg = load_checkpoint(cfg["checkpoint"])
 
     def factory(truncated_queries, truncated_gallery):
@@ -597,7 +574,7 @@ def cmd_ablate(cfg: dict) -> int:
             fh.write(
                 f"{r['count']}\t{r['map']:.6f}\t{r['mean_locals']:.4f}\t{r['mean_distinct_cells']:.4f}\n"
             )
-    _write_meta(cfg["out"], "ablate", cfg)
+    _write_meta(cfg["out"], cfg)
     for r in rows:
         print(f"locals<={r['count']:4d}  mAP={r['map']:.4f}  "
               f"mean_locals={r['mean_locals']:.2f}  distinct_cells={r['mean_distinct_cells']:.2f}")
@@ -605,8 +582,7 @@ def cmd_ablate(cfg: dict) -> int:
 
 
 def cmd_correspond(cfg: dict) -> int:
-    queries, _ = _load_normalized(cfg["queries"])
-    gallery, _ = _load_normalized(cfg["gallery"])
+    queries, gallery, _ = _load_pair(cfg)
     params, mcfg = load_checkpoint(cfg["checkpoint"])
     qmap, gmap = records_by_id(queries), records_by_id(gallery)
     if cfg["query_id"] not in qmap:
@@ -618,7 +594,7 @@ def cmd_correspond(cfg: dict) -> int:
     payload = {
         "query": q.id,
         "gallery": g.id,
-        "config_digest": config_digest({"command": "correspond", **cfg}),
+        "config_digest": config_digest(cfg),
         "matches": [
             {
                 "query_local": i,
@@ -651,12 +627,18 @@ COMMANDS: dict[str, tuple[str, list[Flag], Callable[[dict], int]]] = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     name = args.command
     _, flags, runner = COMMANDS[name]
     try:
-        cfg = _effective_config(args, flags)
+        if args.config:  # the file's flags go first, so the command line's win
+            args = parser.parse_args([name, *_config_tokens(args.config, flags), *argv[1:]])
+        cfg = vars(args)
+        for f in flags:
+            if f.required and cfg[f.key] is None:
+                raise ConfigError(f"missing required flag {f.name}")
         return runner(cfg)
     except ConfigError as exc:
         print(f"{PROG} {name}: configuration error: {exc}", file=sys.stderr)

@@ -66,6 +66,7 @@ CKPT_VERSION = 1
 LAYERNORM_EPS = 1e-5
 _SIZES = ("L", "d", "h", "d_h", "layers", "d_c", "n_scales", "d_g_raw")
 _CFG_STRUCT = "<IHBBBHBIB"  # _SIZES, then the flags byte
+_FLAG_BITS = ("use_pos_embed", "use_global_token", "use_scale_embed", "mlp_residual")  # bit 0 up
 
 
 @dataclass(frozen=True)
@@ -504,15 +505,6 @@ def attention_correspondences(
 # -- checkpoints ----------------------------------------------------------
 
 
-def _flags(cfg: ModelConfig) -> int:
-    return (
-        (1 if cfg.use_pos_embed else 0)
-        | (2 if cfg.use_global_token else 0)
-        | (4 if cfg.use_scale_embed else 0)
-        | (8 if cfg.mlp_residual else 0)
-    )
-
-
 def save_checkpoint(params: ModelParams, cfg: ModelConfig, path) -> None:
     """Write config and all tensors; data is stored as f32."""
     buf = bytearray()
@@ -520,8 +512,8 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path) -> None:
     buf += struct.pack("<I", CKPT_VERSION)
     buf += struct.pack(
         _CFG_STRUCT,
-        cfg.L, cfg.d, cfg.h, cfg.d_h, cfg.layers, cfg.d_c,
-        cfg.n_scales, cfg.d_g_raw, _flags(cfg),
+        *(getattr(cfg, name) for name in _SIZES),
+        sum(getattr(cfg, name) << bit for bit, name in enumerate(_FLAG_BITS)),
     )
     named = list(params.named())
     buf += struct.pack("<H", len(named))
@@ -539,11 +531,10 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path) -> None:
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
     cur = Reader(path, CKPT_MAGIC, CKPT_VERSION)
     *sizes, flags = cur.unpack(_CFG_STRUCT)  # sizes in ModelConfig's field order
-    if flags & ~0xF:
+    if flags >> len(_FLAG_BITS):
         raise DataFormatError(f"unknown model flag bits {flags:#04x}", offset=cur.off - 1)
     try:
-        cfg = ModelConfig(*sizes, use_pos_embed=bool(flags & 1), use_global_token=bool(flags & 2),
-                          use_scale_embed=bool(flags & 4), mlp_residual=bool(flags & 8))
+        cfg = ModelConfig(*sizes, **{name: bool(flags >> bit & 1) for bit, name in enumerate(_FLAG_BITS)})
     except ConfigError as exc:
         raise DataFormatError(f"bad model config: {exc}", offset=8) from None
     (count,) = cur.unpack("<H")

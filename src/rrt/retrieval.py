@@ -247,8 +247,16 @@ def write_neighbors(path, lists: Sequence[NeighborList]) -> None:
         fh.writelines(lines)
 
 
+def _typed(value, types: tuple, rule: str):
+    """value, when its exact JSON type is one of types (so a bool is no int)."""
+    if type(value) not in types:
+        raise TypeError(f"{rule}, got {value!r}")
+    return value
+
+
 def read_neighbors(path) -> list[NeighborList]:
-    """Parse neighbor JSONL; a malformed line (a "truncated" that is not a
+    """Parse neighbor JSONL; a malformed line (an id that is not a JSON
+    integer, a score that is not a JSON number or a "truncated" that is not a
     JSON boolean included), a gallery id listed twice for one query, or a
     non-finite score (which Python's json accepts) raises DataFormatError
     naming the line."""
@@ -261,13 +269,15 @@ def read_neighbors(path) -> list[NeighborList]:
             try:
                 obj = json.loads(line)
                 nl = NeighborList(
-                    query_id=int(obj["query"]),
-                    entries=[(int(g), float(s)) for g, s in obj["neighbors"]],
+                    query_id=_typed(obj["query"], (int,), "query id must be a JSON integer"),
+                    entries=[
+                        (_typed(g, (int,), "gallery id must be a JSON integer"),
+                         float(_typed(s, (int, float), "score must be a JSON number")))
+                        for g, s in obj["neighbors"]
+                    ],
                     method=str(obj.get("method", "global")),
-                    truncated=obj.get("truncated", False),
+                    truncated=_typed(obj.get("truncated", False), (bool,), "truncated must be true or false"),
                 )
-                if not isinstance(nl.truncated, bool):
-                    raise TypeError(f"truncated must be true or false, got {nl.truncated!r}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataFormatError(f"bad neighbor line {lineno}: {exc}") from exc
             seen = set()

@@ -1,9 +1,10 @@
 """Command-line exit codes on bad descriptor data, corrupt checkpoints,
-repeated record ids and label sets with nothing to score: 3, never a
-traceback, and no output written; bad GV settings, bad flag and config
-values and records the model cannot take exit 2, naming the flag, field or
-record; every command prints its help; config digests free of machine
-facts; flag defaults build the default configs."""
+repeated record ids, mismatched query/gallery pairs, bad oracle part banks
+and label sets with nothing to score: 3, never a traceback, and no output
+written; bad GV settings, bad flag and config values, bad --config files and
+records the model cannot take exit 2, naming the flag, field, line or record;
+--config files parse as the flags do; every command prints its help; config
+digests free of machine facts; flag defaults build the default configs."""
 
 import importlib
 import json
@@ -495,10 +496,10 @@ def test_correspond_with_corrupt_checkpoint_exits_3(tmp_path, capsys, corrupt, m
 
 
 # -- flag defaults ------------------------------------------------------------
-# Each default is written twice, in a Flag and in a config dataclass.  The
+# A flag that sets a config field reads its default from that field.  The
 # command's own mapping builds the config from the flag defaults, so a flag
-# whose default drifts from its field, or a switch mapped the wrong way round,
-# fails here.
+# mapped to the wrong field, or a switch mapped the wrong way round, fails
+# here.
 
 
 class Captured(Exception):
@@ -541,7 +542,7 @@ def test_train_flag_defaults_build_the_default_model_and_train_configs(tmp_path,
 def test_gv_flag_defaults_build_the_default_gv_config(monkeypatch):
     capture(monkeypatch, "make_gv_scorer")
     with pytest.raises(Captured) as got:
-        cli._scorer_from_flags(flag_defaults(cli.RERANK_FLAGS, scorer="gv"), [], [])
+        cli._scorer_from_flags(flag_defaults(cli.RERANK_FLAGS, scorer="gv"), [], [], 0)
     assert got.value.args[2] == GVConfig()
 
 
@@ -549,3 +550,190 @@ def test_rerank_depth_and_query_expansion_flags_default_to_the_pipeline_constant
     rerank = flag_defaults(cli.RERANK_FLAGS)
     assert (rerank["k"], rerank["nqe"], rerank["alpha"]) == (RERANK_DEPTH, AQE_NQE, AQE_ALPHA)
     assert flag_defaults(cli.ABLATE_FLAGS)["k"] == RERANK_DEPTH
+
+
+# -- config files ---------------------------------------------------------------
+
+
+def parsed(monkeypatch, argv):
+    """The cfg that main hands to the command's runner, which is stubbed out."""
+    got = []
+    help_text, flags, _ = cli.COMMANDS[argv[0]]
+    monkeypatch.setitem(cli.COMMANDS, argv[0], (help_text, flags, lambda cfg: got.append(cfg) or 0))
+    assert main(argv) == 0
+    return got[0]
+
+
+def test_config_file_values_sit_under_the_command_line(tmp_path, monkeypatch):
+    conf = tmp_path / "c.cfg"
+    conf.write_text("# a comment\n\n  instances = 4\nconfusion-pairs=1\n   # indented comment\n"
+                    "local_noise=0.25\ncodebook=none\nout=from-file\n")
+    cfg = parsed(monkeypatch, ["synth", "--config", str(conf), "--instances", "6", "--seed", "3"])
+    want = {"instances": 6, "confusion_pairs": 1, "local_noise": 0.25, "codebook": None, "out": "from-file",
+            "seed": 3, "parts_per_image": SynthConfig().parts_per_image, "command": "synth", "config": str(conf)}
+    assert {k: cfg[k] for k in want} == want
+
+
+@pytest.mark.parametrize(
+    "lines, argv, want",
+    [
+        (["lr-schedule=true", "pos_embed=1"], [], (True, True, False)),
+        (["lr_schedule=False", "pos-embed=0", "mlp-residual=TRUE"], [], (False, False, True)),
+        (["lr-schedule=false"], ["--lr-schedule"], (True, False, False)),
+    ],
+    ids=["true_and_1", "false_0_and_TRUE", "command_line_switch_wins"],
+)
+def test_config_file_switches(tmp_path, monkeypatch, lines, argv, want):
+    conf = tmp_path / "c.cfg"
+    conf.write_text("\n".join(["data=g.rrtd", "out=o", *lines]) + "\n")
+    cfg = parsed(monkeypatch, ["train", "--config", str(conf), *argv])
+    assert (cfg["lr_schedule"], cfg["pos_embed"], cfg["mlp_residual"]) == want
+
+
+def test_config_file_lists_and_values_that_start_with_a_dash(tmp_path, monkeypatch):
+    conf = tmp_path / "c.cfg"
+    conf.write_text("data=a.jsonl,b.jsonl\nqueries=q.rrtd\ngallery=g.rrtd\nout=-t.tsv\nmap-ks=5,10\n")
+    cfg = parsed(monkeypatch, ["compare", "--config", str(conf)])
+    assert (cfg["data"], cfg["out"], cfg["map_ks"]) == (["a.jsonl", "b.jsonl"], "-t.tsv", [5, 10])
+    assert parsed(monkeypatch, ["compare", "--config", str(conf), "--data", "c.jsonl"])["data"] == ["c.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("out=o\nnope=1\n", "c.cfg:2: unknown key 'nope'"),
+        ("out=o\n\n# x\ninstances\n", "c.cfg:4: expected key=value, got 'instances'"),
+        ("out=o\nlr=0.1\n", "c.cfg:2: unknown key 'lr'"),
+        ("# no out\ninstances=4\n", "missing required flag --out"),
+    ],
+    ids=["unknown_key", "no_equals", "key_of_another_command", "missing_required"],
+)
+def test_bad_config_file_exits_2_naming_the_line(tmp_path, capsys, text, message):
+    conf = tmp_path / "c.cfg"
+    conf.write_text(text)
+    assert main(["synth", "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_file_switch_value_must_be_boolean(tmp_path, capsys):
+    conf = tmp_path / "c.cfg"
+    conf.write_text("data=g.rrtd\nout=o\nlr-schedule=yes\n")
+    assert main(["train", "--config", str(conf)]) == 2
+    assert "c.cfg:3: lr_schedule wants true/false" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["4.5", "many", ""])
+def test_config_file_value_argparse_rejects_exits_2(tmp_path, capsys, value):
+    conf = tmp_path / "c.cfg"
+    conf.write_text(f"out={tmp_path / 'o'}\ninstances={value}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--config", str(conf)])
+    assert exc.value.code == 2
+    assert f"argument --instances: invalid int value: '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_config_file_exits_2_naming_it(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["synth", "--out", str(tmp_path / "o"), "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: --config " + str(missing) in err and "No such file" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_meta_from_a_config_file_equals_the_one_from_flags(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    conf = Path("c.cfg")
+    flags = {"out": "d", "instances": "4", "confusion-pairs": "2", "global-noise": "0.125", "codebook": "64",
+             "seed": "7"}
+    conf.write_text("".join(f"{k}={v}\n" for k, v in flags.items()))
+    assert main(["synth", "--config", str(conf)]) == 0
+    from_file = {p.name: p.read_bytes() for p in Path("d").iterdir()}
+    conf.write_text("# every value is on the command line\n")
+    assert main(["synth", "--config", str(conf), *(t for k, v in flags.items() for t in (f"--{k}", v))]) == 0
+    assert {p.name: p.read_bytes() for p in Path("d").iterdir()} == from_file
+    assert json.loads(from_file["dataset.meta.json"])["config"]["global_noise"] == 0.125
+
+
+# -- query/gallery pairs, retrieve widths, oracle part banks --------------------
+
+
+def test_pair_with_different_headers_exits_3_without_output(tmp_path, capsys):
+    data, other, neighbors = tmp_path / "g.rrtd", tmp_path / "q.rrtd", tmp_path / "n.jsonl"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    recs = [ImageRecord(i, 0, np.asarray(g, np.float32), *no_locals()) for i, g in zip([1, 2, 3], REPEATED)]
+    save_dataset(recs, DatasetManifest(d_g_raw=2, d_l=8, n_scales=1, scale_values=(1.0,)), other)
+    write_neighbors(neighbors, [NeighborList(2, [(1, 0.5), (3, 0.4)])])
+    cfg = ModelConfig(L=2, d=4, h=2, d_h=2, layers=1, d_c=8, n_scales=1, d_g_raw=2)
+    checkpoint = tmp_path / "m.rrtm"
+    save_checkpoint(init_params(cfg, seed=0), cfg, checkpoint)
+    pair = ["--queries", str(other), "--gallery", str(data)]
+    argvs = {
+        "rerank": ["--data", str(neighbors), "--scorer", "gv"],
+        "eval": ["--data", str(neighbors)],
+        "compare": ["--data", str(neighbors)],
+        "ablate": ["--checkpoint", str(checkpoint)],
+        "correspond": ["--checkpoint", str(checkpoint), "--query-id", "1", "--gallery-id", "2"],
+    }
+    for command, argv in argvs.items():
+        out = tmp_path / f"{command}.out"
+        assert main([command, *pair, *argv, "--out", str(out)]) == 3, command
+        captured = capsys.readouterr()
+        assert f"--queries {other} and --gallery {data} differ in d_l 8 against 4" in captured.err
+        assert captured.out == ""
+        assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
+def test_retrieve_from_raw_index_of_other_width_exits_3(tmp_path, capsys):
+    data, queries, index, out = tmp_path / "g.rrtd", tmp_path / "q.rrtd", tmp_path / "g.rrti", tmp_path / "n.jsonl"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    recs = [ImageRecord(7, 0, np.ones(3, np.float32), *no_locals())]
+    save_dataset(recs, DatasetManifest(d_g_raw=3, d_l=4, n_scales=1, scale_values=(1.0,)), queries)
+    assert main(["index", "--data", str(data), "--out", str(index)]) == 0
+    capsys.readouterr()
+    assert main(["retrieve", "--data", str(index), "--queries", str(queries), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert f"--data {index} holds 2-dim vectors, but the globals of --queries {queries} are 3-dim" in captured.err
+    assert captured.out == "" and not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
+def _save_npy(array):
+    return lambda path: np.save(path, array)
+
+
+def _save_npz(path):
+    with open(path, "wb") as fh:  # np.savez would append .npz to a path
+        np.savez(fh, parts=np.ones((2, 3, 4), np.float32))
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        (_save_npy(np.ones((3, 5), np.float32)), "got float32 (3, 5)"),
+        (_save_npy(np.ones((2, 3, 5), np.float32)), "got float32 (2, 3, 5)"),
+        (_save_npy(np.full((2, 3, 4), np.nan, np.float32)), "got float32 (2, 3, 4)"),
+        (_save_npy(np.ones((2, 3, 4), np.int64)), "got int64 (2, 3, 4)"),
+        (_save_npy(np.ones((0, 3, 4), np.float32)), "got float32 (0, 3, 4)"),
+        (lambda path: path.write_text("not an array\n"), "the magic string is not correct"),
+        (_save_npz, "the magic string is not correct"),
+        (lambda path: path.write_bytes(b""), "--parts"),
+        (_save_npy(np.array([{"x": 1}], dtype=object)), "allow_pickle=False"),
+        (lambda path: None, "No such file"),
+    ],
+    ids=["2d", "last_dim_5", "all_nan", "int64", "empty", "text", "npz", "empty_file", "pickled", "missing"],
+)
+def test_oracle_with_bad_part_bank_exits_3_naming_parts(tmp_path, capsys, write, message):
+    data, neighbors, parts, out = tmp_path / "g.rrtd", tmp_path / "n.jsonl", tmp_path / "p.npy", tmp_path / "r.jsonl"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    write_neighbors(neighbors, [NeighborList(2, [(1, 0.5), (3, 0.4)])])
+    write(parts)
+    argv = ["rerank", "--data", str(neighbors), "--queries", str(data), "--gallery", str(data),
+            "--scorer", "oracle", "--parts", str(parts), "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert f"--parts {parts}" in captured.err and message in captured.err and captured.out == ""
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+    np.save(parts, np.ones((2, 3, 4), np.float32))
+    assert main(argv) == 0

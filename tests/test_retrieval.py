@@ -1,6 +1,7 @@
 """Retrieval engine tests: exact search vs a full-sort oracle, the rerank
 contract, query-expansion composition, persistence."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -224,6 +225,23 @@ class TestPersistence:
         loaded = read_neighbors(p)
         assert loaded == lists
 
+    @given(
+        query_id=st.integers(0, 2**32 - 1),
+        entries=st.lists(
+            st.tuples(st.integers(0, 2**32 - 1), st.floats(allow_nan=False, allow_infinity=False, width=32)),
+            max_size=6,
+            unique_by=lambda e: e[0],
+        ),
+        truncated=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_written_file_reads_back(self, tmp_path_factory, query_id, entries, truncated):
+        p = tmp_path_factory.mktemp("n") / "n.jsonl"
+        lists = [NeighborList(np.int64(query_id), [(np.uint32(g), np.float32(s)) for g, s in entries]),
+                 NeighborList(query_id, entries, method="rrt", truncated=truncated)]
+        write_neighbors(p, lists)
+        assert read_neighbors(p) == lists
+
     def test_truncated_flag_defaults_false_and_must_be_boolean(self, tmp_path):
         p = tmp_path / "n.jsonl"
         p.write_text('{"query": 1, "method": "global", "neighbors": [[5, 0.9]]}\n')
@@ -231,6 +249,33 @@ class TestPersistence:
         p.write_text('{"query": 1, "truncated": "false", "neighbors": [[5, 0.9]]}\n')
         with pytest.raises(DataFormatError, match="line 1: truncated must be true or false"):
             read_neighbors(p)
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ('{"query": 2.7, "neighbors": [[1, 0.5]]}', "query id must be a JSON integer, got 2.7"),
+            ('{"query": "2", "neighbors": [[1, 0.5]]}', "query id must be a JSON integer, got '2'"),
+            ('{"query": true, "neighbors": [[1, 0.5]]}', "query id must be a JSON integer, got True"),
+            ('{"query": 2, "neighbors": [[1.9, 0.5]]}', "gallery id must be a JSON integer, got 1.9"),
+            ('{"query": 2, "neighbors": [["3", 0.4]]}', "gallery id must be a JSON integer, got '3'"),
+            ('{"query": 2, "neighbors": [[false, 0.1]]}', "gallery id must be a JSON integer, got False"),
+            ('{"query": 2, "neighbors": [[3, "0.4"]]}', "score must be a JSON number, got '0.4'"),
+            ('{"query": 2, "neighbors": [[3, true]]}', "score must be a JSON number, got True"),
+            ('{"query": 2, "neighbors": [[3, null]]}', "score must be a JSON number, got None"),
+        ],
+        ids=["query_float", "query_string", "query_bool", "id_float", "id_string", "id_bool",
+             "score_string", "score_bool", "score_null"],
+    )
+    def test_ids_and_scores_are_not_coerced(self, tmp_path, line, problem):
+        p = tmp_path / "n.jsonl"
+        p.write_text('{"query": 1, "neighbors": [[5, 0.9]]}\n' + line + "\n")
+        with pytest.raises(DataFormatError, match=f"line 2: {re.escape(problem)}"):
+            read_neighbors(p)
+
+    def test_integer_score_reads_as_float(self, tmp_path):
+        p = tmp_path / "n.jsonl"
+        p.write_text('{"query": 1, "neighbors": [[5, 1], [6, 0]]}\n')
+        assert read_neighbors(p)[0].entries == [(5, 1.0), (6, 0.0)]
 
     def test_non_object_line_rejected(self, tmp_path):
         p = tmp_path / "n.jsonl"
