@@ -67,6 +67,7 @@ from .model import (
 )
 from .retrieval import (
     aqe_requery,
+    aqe_then_rerank,
     build_index,
     knn_search,
     load_index,
@@ -255,15 +256,17 @@ def _config_tokens(path: str, flags: Sequence[Flag]) -> list[str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip().replace("-", "_"), value.strip()
-        flag = by_key.get(key)
+        flag, items = by_key.get(key), value.split(",")
         if flag is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if flag.kind == "bool":
             if value.lower() not in ("true", "false", "1", "0"):
                 raise ConfigError(f"{path}:{lineno}: {key} wants true/false")
             tokens += [flag.name] if value.lower() in ("true", "1") else []
+        elif flag.multi and (dashed := [item for item in items if item.startswith("-")]):
+            raise ConfigError(f"{path}:{lineno}: {key} item {dashed[0]!r} reads as a flag; write ./{dashed[0]}")
         else:
-            tokens += [flag.name, *value.split(",")] if flag.multi else [f"{flag.name}={value}"]
+            tokens += [flag.name, *items] if flag.multi else [f"{flag.name}={value}"]
     return tokens
 
 
@@ -386,10 +389,8 @@ def cmd_retrieve(cfg: dict) -> int:
                 f"{index.vectors.shape[1]}-dim vectors"
             )
     elif index.vectors.shape[1] != manifest.d_g_raw:
-        raise DataFormatError(
-            f"--data {cfg['data']} holds {index.vectors.shape[1]}-dim vectors, but the globals of "
-            f"--queries {cfg['queries']} are {manifest.d_g_raw}-dim"
-        )
+        raise DataFormatError(f"--data {cfg['data']} holds {index.vectors.shape[1]}-dim vectors, but --queries "
+                              f"{cfg['queries']} has {manifest.d_g_raw}-dim globals")
     lists = [
         knn_search(index, query_vector(index, q, params), k=cfg["k"], query_id=q.id)
         for q in queries
@@ -463,17 +464,26 @@ def cmd_rerank(cfg: dict) -> int:
     neighbors = read_neighbors(cfg["data"])
     qmap, _ = _validate_ids(neighbors, queries, gallery)
 
-    name, k = cfg["scorer"], cfg["k"]
-    scorer = None if name == "aqe" else _scorer_from_flags(cfg, queries, gallery, manifest.d_l)
-    out_lists = neighbors
-    if name in ("aqe", "aqe+rrt"):  # aqe+rrt reranks the expanded ranking
+    name = cfg["scorer"]
+    k = cfg["k"]
+    if name in ("aqe", "aqe+rrt"):
         index = build_index(gallery)
-        out_lists = [
-            aqe_requery(index, query_vector(index, qmap[nl.query_id]), nl.query_id, cfg["nqe"], alpha, base=nl)
-            for nl in out_lists
-        ]
-    if scorer is not None:
-        out_lists = [rerank_topk(nl, scorer, k, method=name) for nl in out_lists]
+        if name == "aqe":
+            out_lists = [
+                aqe_requery(index, query_vector(index, qmap[nl.query_id]), nl.query_id,
+                            cfg["nqe"], cfg["alpha"], base=nl)
+                for nl in neighbors
+            ]
+        else:
+            scorer = _scorer_from_flags(cfg, queries, gallery, manifest.d_l)
+            out_lists = [
+                aqe_then_rerank(index, query_vector(index, qmap[nl.query_id]), nl.query_id,
+                                scorer, cfg["nqe"], cfg["alpha"], k, base=nl)
+                for nl in neighbors
+            ]
+    else:
+        scorer = _scorer_from_flags(cfg, queries, gallery, manifest.d_l)
+        out_lists = [rerank_topk(nl, scorer, k, method=name) for nl in neighbors]
     write_neighbors(cfg["out"], out_lists)
     _write_meta(cfg["out"], cfg, {"workers": score_workers()})
     print(f"reranked {len(out_lists)} lists with scorer {name} (k={k}) -> {cfg['out']}")
@@ -535,15 +545,19 @@ def cmd_compare(cfg: dict) -> int:
     _require_cutoffs(cfg)
     queries, gallery, gt = _ground_truth_from_files(cfg)
     digest = config_digest(cfg)
-    table = [["file", "method", "map"] + [f"map@{k}" for k in cfg["map_ks"]]
-             + [f"r@{k}" for k in cfg["recall_ks"]]]
+    rows = []
     for path in cfg["data"]:
         lists = read_neighbors(path)
         _validate_ids(lists, queries, gallery)
         _require_relevant(lists, gt, path)
         rep = evaluate_neighbors(lists, gt, map_ks=cfg["map_ks"], recall_ks=cfg["recall_ks"], digest=digest)
+        rows.append((Path(path).name, rep))
+    header = ["file", "method", "map"]
+    header += [f"map@{k}" for k in cfg["map_ks"]] + [f"r@{k}" for k in cfg["recall_ks"]]
+    table = [header]
+    for name, rep in rows:
         table.append(
-            [Path(path).name, rep.method, f"{rep.map:.6f}"]
+            [name, rep.method, f"{rep.map:.6f}"]
             + [f"{rep.map_at[k]:.6f}" for k in cfg["map_ks"]]
             + [f"{rep.recall_at[k]:.6f}" for k in cfg["recall_ks"]]
         )
@@ -551,7 +565,7 @@ def cmd_compare(cfg: dict) -> int:
         for row in table:
             fh.write("\t".join(row) + "\n")
     _write_meta(cfg["out"], cfg)
-    widths = [max(len(r[c]) for r in table) for c in range(len(table[0]))]
+    widths = [max(len(r[c]) for r in table) for c in range(len(header))]
     for row in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     return 0

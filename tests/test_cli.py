@@ -598,6 +598,16 @@ def test_config_file_lists_and_values_that_start_with_a_dash(tmp_path, monkeypat
     assert parsed(monkeypatch, ["compare", "--config", str(conf), "--data", "c.jsonl"])["data"] == ["c.jsonl"]
 
 
+def test_config_file_list_item_that_starts_with_a_dash_exits_2(tmp_path, capsys):
+    # One token per item would reach argparse as a flag, as on the command line.
+    conf = tmp_path / "c.cfg"
+    conf.write_text(f"queries=q.rrtd\ngallery=g.rrtd\nout={tmp_path / 't.tsv'}\ndata=a.jsonl,-b.jsonl\n")
+    assert main(["compare", "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert "c.cfg:4: data item '-b.jsonl' reads as a flag; write ./-b.jsonl" in captured.err
+    assert captured.out == "" and not (tmp_path / "t.tsv").exists()
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -695,7 +705,7 @@ def test_retrieve_from_raw_index_of_other_width_exits_3(tmp_path, capsys):
     capsys.readouterr()
     assert main(["retrieve", "--data", str(index), "--queries", str(queries), "--out", str(out)]) == 3
     captured = capsys.readouterr()
-    assert f"--data {index} holds 2-dim vectors, but the globals of --queries {queries} are 3-dim" in captured.err
+    assert f"--data {index} holds 2-dim vectors, but --queries {queries} has 3-dim globals" in captured.err
     assert captured.out == "" and not out.exists() and not Path(str(out) + ".meta.json").exists()
 
 

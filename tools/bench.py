@@ -3,21 +3,22 @@
 Run from the repository root:
 
     python3 tools/bench.py --parent HEAD~1 --pairs 10 --out BENCH_label.json
-    python3 tools/bench.py --parent main --pairs 3 --out BENCH_x.json --workloads train --seconds 5
 
 The parent commit is extracted with ``git archive`` under ``.bench_build/``;
 the change is the working tree.  Each tree's own ``perfbench/run.py`` runs
 as a subprocess, so nothing under ``perfbench/`` is needed beyond what both
-trees already have.  Pair i of a workload runs both sides on seed i + 1, the
+trees already have.  Every workload of BENCHMARK.json runs for its
+``run_seconds``.  Pair i of a workload runs both sides on seed i + 1, the
 parent first on even pairs and the change first on odd ones.
 
 The file holds, for each workload and each end-to-end metric of
 BENCHMARK.json: every value per side, their q1, median and q3, the number of
 pairs the change won, the metric's bound, and a verdict.  It also holds every
-``report`` metric per side, every failed check, each run's exit status, and
-the environment line of the first run.  The command exits 1 when any run
-exits nonzero, prints no result line, or is not ``"correct": true``; the file
-is written either way.
+``report`` metric per side that does not repeat an end-to-end series value
+for value, every failed check, each run's exit status, and the environment
+line of the first run.  The command exits 1 when any run exits nonzero,
+prints no result line, or is not ``"correct": true``; the file is written
+either way.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
@@ -37,19 +39,10 @@ SIDES = ("parent", "change")
 
 
 def quartiles(values: list[float]) -> dict:
-    """q1, median and q3 by linear interpolation between order statistics
-    (numpy's default percentile method)."""
-    v = sorted(values)
-    if not v:
+    """q1, median and q3 (numpy's default, linear percentiles)."""
+    if not values:
         return {"q1": None, "median": None, "q3": None}
-
-    def at(q: float) -> float:
-        pos = (len(v) - 1) * q
-        lo = math.floor(pos)
-        hi = min(lo + 1, len(v) - 1)
-        return v[lo] + (v[hi] - v[lo]) * (pos - lo)
-
-    return {"q1": at(0.25), "median": at(0.5), "q3": at(0.75)}
+    return dict(zip(("q1", "median", "q3"), np.percentile(values, [25, 50, 75]).tolist()))
 
 
 def parse_output(stdout: str) -> dict:
@@ -133,6 +126,9 @@ def summarize(runs: list[dict], spec: dict) -> dict:
             report.setdefault(name, {"unit": m.get("unit")})
     for name, stats in report.items():
         stats.update({side: _side_stats(runs, side, "report", name) for side in SIDES})
+    repeated = [[stats[side]["values"] for side in SIDES] for stats in end_to_end.values()]
+    report = {name: stats for name, stats in report.items()
+              if [stats[side]["values"] for side in SIDES] not in repeated}
     failed_checks = [
         {"side": r["side"], "pair": r["pair"], "seed": r["seed"], "check": name, "detail": c.get("detail")}
         for r in runs
@@ -196,8 +192,6 @@ def parse_args(argv):
     p.add_argument("--parent", required=True, help="git revision the working tree is compared against")
     p.add_argument("--pairs", type=int, required=True, help="parent/change run pairs per workload")
     p.add_argument("--out", required=True, help="BENCH JSON file to write")
-    p.add_argument("--workloads", nargs="+", help="workloads to run (default: every one in BENCHMARK.json)")
-    p.add_argument("--seconds", type=float, default=None, help="--seconds of each run (default: run_seconds)")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -207,12 +201,7 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    unknown = set(workloads) - {w["name"] for w in spec["workloads"]}
-    if unknown:
-        print(f"unknown workloads: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     sha, parent_tree = extract_parent(args.parent)
     trees = {"parent": parent_tree, "change": ROOT}
     bench: dict = {
@@ -224,7 +213,7 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     failures = []
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = []
         for pair in range(args.pairs):
             seed = pair + 1
