@@ -29,6 +29,7 @@ headers describe different descriptors exits 3.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -69,9 +70,9 @@ from .retrieval import (
     aqe_requery,
     aqe_then_rerank,
     build_index,
-    knn_search,
     load_index,
     query_vector,
+    rank_queries,
     read_neighbors,
     rerank_topk,
     save_index,
@@ -109,6 +110,12 @@ def _config(cls, cfg: dict, flags: Sequence[Flag], **rest):
     """cls built from the values in cfg of the flags that set its fields,
     plus rest."""
     return cls(**{f.field[1]: cfg[f.key] for f in flags if f.field and f.field[0] is cls}, **rest)
+
+
+def _default(fn: Callable, name: str):
+    """The default of fn's parameter name, a tuple as a list."""
+    value = inspect.signature(fn).parameters[name].default
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _int_list(text: str) -> list[int]:
@@ -205,8 +212,8 @@ EVAL_FLAGS = COMMON + [
     Flag("--gallery", str, None, "gallery descriptor file (labels)", required=True),
     Flag("--out", str, None, "report path", required=True),
     Flag("--format", str, "json", "report format: json or csv"),
-    Flag("--map-ks", _int_list, [100], "mAP@K cutoffs, comma separated"),
-    Flag("--recall-ks", _int_list, [1, 10, 100], "R@K cutoffs, comma separated"),
+    Flag("--map-ks", _int_list, _default(evaluate_neighbors, "map_ks"), "mAP@K cutoffs, comma separated"),
+    Flag("--recall-ks", _int_list, _default(evaluate_neighbors, "recall_ks"), "R@K cutoffs, comma separated"),
 ]
 
 COMPARE_FLAGS = COMMON + [
@@ -214,8 +221,8 @@ COMPARE_FLAGS = COMMON + [
     Flag("--queries", str, None, "query descriptor file (labels)", required=True),
     Flag("--gallery", str, None, "gallery descriptor file (labels)", required=True),
     Flag("--out", str, None, "TSV table output", required=True),
-    Flag("--map-ks", _int_list, [100], "mAP@K cutoffs"),
-    Flag("--recall-ks", _int_list, [1, 10, 100], "R@K cutoffs"),
+    Flag("--map-ks", _int_list, _default(evaluate_neighbors, "map_ks"), "mAP@K cutoffs"),
+    Flag("--recall-ks", _int_list, _default(evaluate_neighbors, "recall_ks"), "R@K cutoffs"),
 ]
 
 ABLATE_FLAGS = COMMON + [
@@ -224,7 +231,7 @@ ABLATE_FLAGS = COMMON + [
     Flag("--checkpoint", str, None, "model checkpoint", required=True),
     Flag("--counts", _int_list, [0, 2, 4, 8, 16], "locals budgets to sweep"),
     Flag("--k", int, RERANK_DEPTH, "rerank depth"),
-    Flag("--stride", int, 16, "grid stride for the distinct-cell statistics"),
+    Flag("--stride", int, _default(ablation_locals_sweep, "stride"), "grid stride for the distinct-cell statistics"),
     Flag("--out", str, None, "TSV table output", required=True),
 ]
 
@@ -241,7 +248,8 @@ CORRESPOND_FLAGS = COMMON + [
 def _config_tokens(path: str, flags: Sequence[Flag]) -> list[str]:
     """The flag tokens of a key=value config file: ``--flag=value``, the
     switch itself when true, or the flag and one token per comma-separated
-    item of a multi-valued flag."""
+    item of a multi-valued flag.  Each value or item is parsed here first, so
+    a bad one names its line."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -266,6 +274,11 @@ def _config_tokens(path: str, flags: Sequence[Flag]) -> list[str]:
         elif flag.multi and (dashed := [item for item in items if item.startswith("-")]):
             raise ConfigError(f"{path}:{lineno}: {key} item {dashed[0]!r} reads as a flag; write ./{dashed[0]}")
         else:
+            for item in items if flag.multi else [value]:
+                try:
+                    flag.kind(item)
+                except ValueError:
+                    raise ConfigError(f"{path}:{lineno}: invalid {key} value {item!r}") from None
             tokens += [flag.name, *items] if flag.multi else [f"{flag.name}={value}"]
     return tokens
 
@@ -360,13 +373,12 @@ def _projection_params(path, d_g_raw: int):
 
 def cmd_index(cfg: dict) -> int:
     records, manifest = _load_normalized(cfg["data"])
+    params = None
     if cfg["projected"]:
         if not cfg["checkpoint"]:
             raise ConfigError("--projected needs --checkpoint")
         params = _projection_params(cfg["checkpoint"], manifest.d_g_raw)
-        index = build_index(records, projected=True, params=params)
-    else:
-        index = build_index(records)
+    index = build_index(records, params=params)
     save_index(index, cfg["out"])
     _write_meta(cfg["out"], cfg)
     print(f"indexed {len(index.ids)} vectors ({index.vectors.shape[1]} dims) -> {cfg['out']}")
@@ -391,10 +403,7 @@ def cmd_retrieve(cfg: dict) -> int:
     elif index.vectors.shape[1] != manifest.d_g_raw:
         raise DataFormatError(f"--data {cfg['data']} holds {index.vectors.shape[1]}-dim vectors, but --queries "
                               f"{cfg['queries']} has {manifest.d_g_raw}-dim globals")
-    lists = [
-        knn_search(index, query_vector(index, q, params), k=cfg["k"], query_id=q.id)
-        for q in queries
-    ]
+    lists = rank_queries(index, queries, cfg["k"], params)
     write_neighbors(cfg["out"], lists)
     _write_meta(cfg["out"], cfg)
     flagged = sum(1 for nl in lists if nl.truncated)

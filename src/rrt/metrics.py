@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import ImageRecord, grid_dedup_count
 from .errors import ConfigError, DataFormatError
-from .retrieval import NeighborList, build_index, knn_search, query_vector, rerank_topk
+from .retrieval import NeighborList, build_index, rank_queries, rerank_topk
 
 __all__ = [
     "build_ground_truth",
@@ -170,11 +170,7 @@ def ablation_locals_sweep(
     gt = build_ground_truth(queries, gallery)
     if not any(gt.values()):
         raise DataFormatError("no query has a relevant gallery item")
-    index = build_index(gallery)
-    base_lists = [
-        knn_search(index, query_vector(index, q), k=len(gallery), query_id=q.id)
-        for q in queries
-    ]
+    base_lists = rank_queries(build_index(gallery), queries, k=len(gallery))
 
     rows = []
     for c in counts:

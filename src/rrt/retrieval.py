@@ -3,7 +3,9 @@
 Galleries at desk scale are small enough for exhaustive search, which keeps
 reranker comparisons free of approximation noise.  All orderings use the
 total order (score desc, prior rank asc, id asc) so results are reproducible
-regardless of internal evaluation order.
+regardless of internal evaluation order.  Gallery and queries share one
+embedding: raw globals, or the model's projected globals, and an index is
+projected exactly when it is built with model params.
 
 Index wire format, extension ``.rrti``, read by ``rrt.wire.Reader`` (header
 and error policy there):
@@ -41,6 +43,7 @@ __all__ = [
     "load_index",
     "query_vector",
     "knn_search",
+    "rank_queries",
     "rerank_topk",
     "aqe_requery",
     "aqe_then_rerank",
@@ -79,33 +82,32 @@ class NeighborList:
         return [g for g, _ in self.entries]
 
 
-def build_index(
-    records: Sequence[ImageRecord],
-    projected: bool = False,
-    params=None,
-) -> GlobalIndex:
-    """Index over raw globals, or over the model's projected globals.  An
-    empty record list raises DataFormatError."""
+def _embed(mat: np.ndarray, ids, params=None) -> np.ndarray:
+    """Unit-norm float32 rows of the globals in mat: raw, or through the
+    model's global projection when params are given."""
+    mat = l2_normalize_rows(mat, ids)
+    if params is not None:
+        mat = l2_normalize_rows(mat @ params["global_proj.w"].data + params["global_proj.b"].data, ids)
+    return mat.astype(np.float32)
+
+
+def build_index(records: Sequence[ImageRecord], params=None) -> GlobalIndex:
+    """Index over raw globals, or over the model's projected globals when
+    params are given.  An empty record list raises DataFormatError."""
     if not records:
         raise DataFormatError("no records to index")
-    if projected and params is None:
-        raise ValueError("projected index needs model params")
     ids = np.array([r.id for r in records], dtype=np.int64)
-    mat = np.stack([r.global_desc for r in records])
-    if projected:
-        mat = l2_normalize_rows(mat, ids) @ params["global_proj.w"].data + params["global_proj.b"].data
-    mat = l2_normalize_rows(mat, ids).astype(np.float32)
-    return GlobalIndex(ids=ids, vectors=mat, projected=projected)
+    vectors = _embed(np.stack([r.global_desc for r in records]), ids, params)
+    return GlobalIndex(ids=ids, vectors=vectors, projected=params is not None)
 
 
 def query_vector(index: GlobalIndex, record: ImageRecord, params=None) -> np.ndarray:
-    """The record's global descriptor in the index's space, unit-norm."""
-    v = l2_normalize(record.global_desc)
-    if index.projected:
-        if params is None:
-            raise ValueError("projected index needs model params to embed queries")
-        v = l2_normalize(v @ params["global_proj.w"].data + params["global_proj.b"].data)
-    return v.astype(np.float32)
+    """The record's global descriptor in the index's space, unit-norm; params
+    are needed for a projected index and refused for a raw one.  One row per
+    product: a row of a many-row product may differ in the last bit."""
+    if index.projected != (params is not None):
+        raise ValueError("a projected index, and only a projected one, embeds queries with model params")
+    return _embed(record.global_desc[None], [record.id], params)[0]
 
 
 def save_index(index: GlobalIndex, path) -> None:
@@ -132,9 +134,7 @@ def load_index(path) -> GlobalIndex:
     return GlobalIndex(ids=ids, vectors=vecs, projected=bool(projected))
 
 
-def knn_search(
-    index: GlobalIndex, query_vec: np.ndarray, k: int, query_id: int | None = None
-) -> NeighborList:
+def knn_search(index: GlobalIndex, query_vec: np.ndarray, k: int, query_id: int) -> NeighborList:
     """Top-k by inner product (cosine on unit vectors), score desc, ties by
     ascending id.  k beyond the gallery returns the full ranking flagged as
     truncated.  When the query itself sits in the gallery (same id), its row
@@ -142,21 +142,20 @@ def knn_search(
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = index.vectors @ np.asarray(query_vec, dtype=np.float32)
-    ids = index.ids
-    if query_id is not None:
-        keep = ids != query_id
-        ids = ids[keep]
-        scores = scores[keep]
+    keep = index.ids != query_id
+    ids, scores = index.ids[keep], scores[keep]
     order = np.lexsort((ids, -scores.astype(np.float64)))
     truncated = k > len(ids)
     order = order[: min(k, len(ids))]
     entries = [(int(ids[i]), float(scores[i])) for i in order]
-    return NeighborList(
-        query_id=-1 if query_id is None else int(query_id),
-        entries=entries,
-        method="global",
-        truncated=truncated,
-    )
+    return NeighborList(query_id=int(query_id), entries=entries, method="global", truncated=truncated)
+
+
+def rank_queries(
+    index: GlobalIndex, queries: Sequence[ImageRecord], k: int, params=None
+) -> list[NeighborList]:
+    """knn_search of each query, embedded by query_vector, one at a time."""
+    return [knn_search(index, query_vector(index, q, params), k=k, query_id=q.id) for q in queries]
 
 
 def rerank_topk(
@@ -185,7 +184,7 @@ def rerank_topk(
 def aqe_requery(
     index: GlobalIndex,
     query_vec: np.ndarray,
-    query_id: int | None,
+    query_id: int,
     nqe: int,
     alpha: float,
     base: NeighborList | None = None,
@@ -206,14 +205,13 @@ def aqe_requery(
         expanded = l2_normalize(query_vec)
     out = knn_search(index, expanded, k=len(index.ids), query_id=query_id)
     out.method = "aqe"
-    out.query_id = -1 if query_id is None else query_id
     return out
 
 
 def aqe_then_rerank(
     index: GlobalIndex,
     query_vec: np.ndarray,
-    query_id: int | None,
+    query_id: int,
     scorer: Scorer,
     nqe: int,
     alpha: float,

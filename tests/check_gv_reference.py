@@ -17,7 +17,7 @@ from oracles import gv_score_svd
 from rrt.baselines import GVConfig, gv_scores
 from rrt.benchmark import RERANK_DEPTH, eval_synth_config
 from rrt.data import normalize_records, synth_generate
-from rrt.retrieval import build_index, knn_search, query_vector
+from rrt.retrieval import build_index, rank_queries
 
 ITERATIONS = 500
 
@@ -28,12 +28,10 @@ def check_seed(seed: int, max_queries: int | None = None) -> tuple[int, int]:
     queries, gallery, _ = synth_generate(eval_synth_config(seed))
     queries = queries[:max_queries]
     queries, gallery = normalize_records(queries), normalize_records(gallery)
-    index = build_index(gallery)
     by_id = {g.id: g for g in gallery}
     cfg = GVConfig(iterations=ITERATIONS, seed=seed)
     pairs = differing = 0
-    for q in queries:
-        nl = knn_search(index, query_vector(index, q), k=RERANK_DEPTH, query_id=q.id)
+    for q, nl in zip(queries, rank_queries(build_index(gallery), queries, k=RERANK_DEPTH)):
         cands = [by_id[g] for g in nl.gallery_ids()]
         got = gv_scores(q, cands, cfg)
         want = [gv_score_svd(q, c, cfg) for c in cands]

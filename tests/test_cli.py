@@ -7,6 +7,7 @@ records the model cannot take exit 2, naming the flag, field, line or record;
 digests free of machine facts; flag defaults build the default configs."""
 
 import importlib
+import inspect
 import json
 import os
 import struct
@@ -21,6 +22,7 @@ from rrt.baselines import GVConfig
 from rrt.benchmark import AQE_ALPHA, AQE_NQE, RERANK_DEPTH
 from rrt.cli import main
 from rrt.data import DatasetManifest, ImageRecord, SynthConfig, save_dataset
+from rrt.metrics import ablation_locals_sweep, evaluate_neighbors
 from rrt.model import ModelConfig, init_params, save_checkpoint
 from rrt.train import TrainConfig
 from rrt.retrieval import NeighborList, write_neighbors
@@ -307,6 +309,34 @@ def test_ablating_queries_without_relevant_items_exits_3(tmp_path, capsys):
     assert not out.exists() and not Path(str(out) + ".meta.json").exists()
 
 
+def test_ablate_at_a_full_budget_equals_retrieve_rerank_eval(tmp_path):
+    # Budgets that keep every local leave the records whole, so each ablate
+    # row is the pipeline's own rrt mAP over the whole gallery.
+    data, checkpoint = tmp_path / "d", tmp_path / "m.rrtm"
+    assert main(["synth", "--out", str(data), "--instances", "6", "--confusion-pairs", "3", "--seed", "2"]) == 0
+    synth = SynthConfig()
+    cfg = ModelConfig(L=synth.locals_per_image, d=synth.d_l, h=4, d_h=synth.d_l // 4, layers=1, d_c=32,
+                      n_scales=synth.n_scales, d_g_raw=synth.d_g_raw)
+    save_checkpoint(init_params(cfg, seed=3), cfg, checkpoint)
+    pair = ["--queries", str(data / "queries.rrtd"), "--gallery", str(data / "gallery.rrtd")]
+    n_gallery = 6 * (synth.images_per_instance - synth.queries_per_instance)
+    steps = [
+        ["index", "--data", str(data / "gallery.rrtd"), "--out", str(tmp_path / "g.rrti")],
+        ["retrieve", "--data", str(tmp_path / "g.rrti"), "--queries", str(data / "queries.rrtd"),
+         "--k", str(n_gallery), "--out", str(tmp_path / "global.jsonl")],
+        ["rerank", "--data", str(tmp_path / "global.jsonl"), *pair, "--scorer", "rrt",
+         "--checkpoint", str(checkpoint), "--out", str(tmp_path / "rrt.jsonl")],
+        ["eval", "--data", str(tmp_path / "rrt.jsonl"), *pair, "--out", str(tmp_path / "rrt.json")],
+        ["ablate", *pair, "--checkpoint", str(checkpoint), "--counts", f"{synth.locals_per_image},99",
+         "--out", str(tmp_path / "a.tsv")],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv
+    want = f"{json.loads((tmp_path / 'rrt.json').read_text())['map']:.6f}"
+    rows = [line.split("\t") for line in (tmp_path / "a.tsv").read_text().splitlines()[1:]]
+    assert [row[1] for row in rows] == [want, want]
+
+
 def test_rerank_with_negative_locals_budget_exits_2(tmp_path, capsys):
     data, neighbors, out = tmp_path / "g.rrtd", tmp_path / "n.jsonl", tmp_path / "r.jsonl"
     write_gallery(data, REPEATED, ids=[1, 2, 3])
@@ -552,6 +582,17 @@ def test_rerank_depth_and_query_expansion_flags_default_to_the_pipeline_constant
     assert flag_defaults(cli.ABLATE_FLAGS)["k"] == RERANK_DEPTH
 
 
+def test_cutoff_and_stride_flags_default_to_the_library_ones():
+    # Lists, not the signatures' tuples, so --help prints [100] as it always has.
+    evaluate = inspect.signature(evaluate_neighbors).parameters
+    for flags in (cli.EVAL_FLAGS, cli.COMPARE_FLAGS):
+        got = flag_defaults(flags)
+        assert (got["map_ks"], got["recall_ks"]) == (list(evaluate["map_ks"].default),
+                                                     list(evaluate["recall_ks"].default))
+    stride = inspect.signature(ablation_locals_sweep).parameters["stride"].default
+    assert flag_defaults(cli.ABLATE_FLAGS)["stride"] == stride
+
+
 # -- config files ---------------------------------------------------------------
 
 
@@ -636,13 +677,21 @@ def test_config_file_switch_value_must_be_boolean(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["4.5", "many", ""])
 def test_config_file_value_argparse_rejects_exits_2(tmp_path, capsys, value):
+    # The value is parsed while the file is read, so the error names the line.
     conf = tmp_path / "c.cfg"
     conf.write_text(f"out={tmp_path / 'o'}\ninstances={value}\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["synth", "--config", str(conf)])
-    assert exc.value.code == 2
-    assert f"argument --instances: invalid int value: '{value}'" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert main(["synth", "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert f"configuration error: {conf}:2: invalid instances value '{value}'" in captured.err
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+def test_config_file_cutoff_list_with_a_bad_item_exits_2_naming_the_line(tmp_path, capsys):
+    conf = tmp_path / "c.cfg"
+    conf.write_text(f"data=a.jsonl\nqueries=q.rrtd\ngallery=g.rrtd\nout={tmp_path / 'o.json'}\nmap-ks=5,x\n")
+    assert main(["eval", "--config", str(conf)]) == 2
+    assert "c.cfg:5: invalid map_ks value '5,x'" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_missing_config_file_exits_2_naming_it(tmp_path, capsys):

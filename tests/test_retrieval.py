@@ -50,7 +50,7 @@ class TestKnnSearch:
         vecs = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
         index = GlobalIndex(ids=np.array([7, 8]), vectors=vecs)
         q = l2_normalize(np.array([0.9, 0.1], dtype=np.float32))
-        nl = knn_search(index, q, k=1)
+        nl = knn_search(index, q, k=1, query_id=-1)
         assert nl.entries[0][0] == 7
 
     def test_matches_full_sort_oracle(self):
@@ -59,7 +59,7 @@ class TestKnnSearch:
         for _ in range(50):
             q = rng.standard_normal(24)
             q /= np.linalg.norm(q)
-            got = knn_search(index, q.astype(np.float32), k=20).entries
+            got = knn_search(index, q.astype(np.float32), k=20, query_id=-1).entries
             want = knn_brute(index.ids, index.vectors, q, 20)
             assert [g for g, _ in got] == [g for g, _ in want]
             np.testing.assert_allclose([s for _, s in got], [s for _, s in want], rtol=1e-6)
@@ -72,14 +72,14 @@ class TestKnnSearch:
 
     def test_k_beyond_gallery_flags_truncated(self):
         index = unit_index(4, 5, 8)
-        nl = knn_search(index, index.vectors[0], k=50)
+        nl = knn_search(index, index.vectors[0], k=50, query_id=-1)
         assert nl.truncated
         assert len(nl.entries) == 5
 
     def test_ties_break_by_ascending_id(self):
         vecs = np.stack([np.array([1.0, 0.0], dtype=np.float32)] * 3)
         index = GlobalIndex(ids=np.array([5, 1, 9]), vectors=vecs)
-        nl = knn_search(index, np.array([1.0, 0.0], dtype=np.float32), k=3)
+        nl = knn_search(index, np.array([1.0, 0.0], dtype=np.float32), k=3, query_id=-1)
         assert nl.gallery_ids() == [1, 5, 9]
 
 
@@ -144,16 +144,16 @@ class TestAQE:
     def test_nqe_zero_equals_global_ranking(self):
         index = unit_index(6, 30, 16)
         q = index.vectors[0] * 1.0
-        base = knn_search(index, q, k=30)
-        out = aqe_requery(index, q, None, nqe=0, alpha=0.3)
+        base = knn_search(index, q, k=30, query_id=-1)
+        out = aqe_requery(index, q, -1, nqe=0, alpha=0.3)
         assert out.gallery_ids() == base.gallery_ids()
         assert out.method == "aqe"
 
     def test_k0_composition_is_pure_aqe(self):
         index = unit_index(7, 20, 8)
         q = index.vectors[1] * 1.0
-        aqe = aqe_requery(index, q, None, nqe=2, alpha=0.3)
-        combo = aqe_then_rerank(index, q, None, lambda qq, ids: [0.0] * len(ids), nqe=2, alpha=0.3, k=0)
+        aqe = aqe_requery(index, q, -1, nqe=2, alpha=0.3)
+        combo = aqe_then_rerank(index, q, -1, lambda qq, ids: [0.0] * len(ids), nqe=2, alpha=0.3, k=0)
         assert combo.entries == aqe.entries
         assert combo.method == "aqe+rrt"
 
@@ -162,7 +162,7 @@ class TestAQE:
         rng = np.random.default_rng(8)
         q = rng.standard_normal(12)
         q /= np.linalg.norm(q)
-        out = aqe_requery(index, q.astype(np.float32), None, nqe=2, alpha=0.3)
+        out = aqe_requery(index, q.astype(np.float32), -1, nqe=2, alpha=0.3)
         assert len(out.entries) == 40
         scores = [s for _, s in out.entries]
         assert scores == sorted(scores, reverse=True)
@@ -184,7 +184,7 @@ class TestPersistence:
         cfg = tiny_config()
         rng = np.random.default_rng(11)
         recs = [make_record(rng, i, 0, cfg.d, cfg.d_g_raw, 0, cfg.n_scales) for i in range(4)]
-        index = build_index(recs, projected=True, params=init_params(cfg, seed=11))
+        index = build_index(recs, params=init_params(cfg, seed=11))
         p = tmp_path / "g.rrti"
         save_index(index, p)
         loaded = load_index(p)

@@ -13,7 +13,7 @@ from rrt.baselines import GVConfig, gv_scores
 from rrt.benchmark import RERANK_DEPTH, benchmark_model_config, eval_synth_config
 from rrt.data import normalize_records, synth_generate
 from rrt.model import forward_pair_logits, init_params
-from rrt.retrieval import build_index, knn_search, query_vector
+from rrt.retrieval import build_index, rank_queries
 
 from helpers import spy_forward_passes
 
@@ -23,10 +23,8 @@ def frozen_top100():
     """Seed-1 frozen eval set: (queries, gallery, first query, its top 100)."""
     queries, gallery, _ = synth_generate(eval_synth_config(1))
     queries, gallery = normalize_records(queries), normalize_records(gallery)
-    index = build_index(gallery)
-    q = queries[0]
-    nl = knn_search(index, query_vector(index, q), k=RERANK_DEPTH, query_id=q.id)
-    return queries, gallery, q, nl.gallery_ids()
+    [nl] = rank_queries(build_index(gallery), queries[:1], k=RERANK_DEPTH)
+    return queries, gallery, queries[0], nl.gallery_ids()
 
 
 def on_cpus(monkeypatch, cpus):

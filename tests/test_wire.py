@@ -32,7 +32,7 @@ def _index(path, projected):
     rng = np.random.default_rng(4)
     recs = [make_record(rng, i, 0, cfg.d, cfg.d_g_raw, 0, cfg.n_scales) for i in range(3)]
     params = init_params(cfg, seed=4) if projected else None
-    index = build_index(recs, projected=projected, params=params)
+    index = build_index(recs, params=params)
     save_index(index, path)
     n, dim = index.vectors.shape
     return load_index, [4, 4, 9, 4 * n, 4 * n * dim]
