@@ -100,18 +100,13 @@ def alpha_qe_expand(
     query_vec: np.ndarray,
     neighbor_vecs: np.ndarray,
     sims: np.ndarray,
-    nqe: int,
     alpha: float,
 ) -> np.ndarray:
-    """Expanded query: normalize(q + sum_i max(sim_i, 0)^alpha * d_i) over the
-    top-nqe neighbors.  The query itself participates with weight 1; nqe=0
-    returns the normalized query unchanged."""
+    """Expanded query: normalize(q + sum_i max(sim_i, 0)^alpha * d_i) over
+    the given neighbors.  The query itself participates with weight 1."""
     q = np.asarray(query_vec, dtype=np.float64)
-    if nqe == 0:
-        return l2_normalize(q).astype(np.float32)
-    vecs = np.asarray(neighbor_vecs, dtype=np.float64)[:nqe]
-    weights = aqe_weights(np.asarray(sims)[:nqe], alpha)
-    expanded = q + weights @ vecs
+    weights = aqe_weights(sims, alpha)
+    expanded = q + weights @ np.asarray(neighbor_vecs, dtype=np.float64)
     return l2_normalize(expanded).astype(np.float32)
 
 
@@ -376,13 +371,11 @@ def ransac_homography(
     iterations: int = 2000,
     inlier_threshold: float = 3.0,
     seed: int = 0,
-    sample_indices: np.ndarray | None = None,
 ) -> tuple[Optional[np.ndarray], int, np.ndarray]:
     """RANSAC homography from matched points; returns (H, inliers, mask).
 
     Samples 4 correspondences per iteration (all draws up front from the
-    seeded generator; sample_indices overrides them for schedule-replay
-    tests), fits each distinct sample set in closed form, counts
+    seeded generator), fits each distinct sample set in closed form, counts
     symmetric-transfer inliers, then refits on the best consensus set by
     least-squares DLT.  Fewer than 4 matches, or a budget of entirely
     degenerate samples, gives (None, 0, all False).  H is normalized so
@@ -397,9 +390,7 @@ def ransac_homography(
         raise ValueError("inlier_threshold must be finite and positive")
     if n < 4:
         return None, 0, np.zeros(n, dtype=bool)
-    if sample_indices is None:
-        sample_indices = _draw_samples(n, iterations, seed)
-    return _ransac_block([(pts_a, pts_b, np.asarray(sample_indices))], inlier_threshold)[0]
+    return _ransac_block([(pts_a, pts_b, _draw_samples(n, iterations, seed))], inlier_threshold)[0]
 
 
 def _pair_seed(base: int, qid: int, cid: int) -> np.random.SeedSequence:

@@ -30,7 +30,6 @@ from .metrics import build_ground_truth, evaluate_neighbors
 from .model import ModelConfig
 from .retrieval import (
     aqe_requery,
-    aqe_then_rerank,
     build_index,
     query_vector,
     rank_queries,
@@ -130,8 +129,8 @@ def rank_eval_set(
 ) -> dict:
     """Retrieve, rerank with every scorer and evaluate the seed's frozen eval
     set, with the model of params.  The global lists are ranked once, and
-    the reranks and query expansion start from them.  Returns {"reports":
-    {method: EvalReport}}."""
+    the reranks and query expansion start from them; aqe+rrt reranks the
+    aqe lists.  Returns {"reports": {method: EvalReport}}."""
     eval_cfg = eval_synth_config(seed)
     queries, gallery, _ = synth_generate(eval_cfg)
     queries = normalize_records(queries)
@@ -144,17 +143,15 @@ def rank_eval_set(
     rerankers = {"rrt": rrt_scorer, "oracle": make_oracle_scorer(part_prototypes(eval_cfg), queries, gallery)}
     if include_gv:
         rerankers["gv"] = make_gv_scorer(queries, gallery, GVConfig(iterations=gv_iterations, seed=seed))
+    aqe_lists = [
+        aqe_requery(index, query_vector(index, q), q.id, AQE_NQE, AQE_ALPHA, base=nl)
+        for q, nl in zip(queries, global_lists)
+    ]
     lists = {
         "global": global_lists,
         **{name: [rerank_topk(nl, s, k, method=name) for nl in global_lists] for name, s in rerankers.items()},
-        "aqe": [
-            aqe_requery(index, query_vector(index, q), q.id, AQE_NQE, AQE_ALPHA, base=nl)
-            for q, nl in zip(queries, global_lists)
-        ],
-        "aqe+rrt": [
-            aqe_then_rerank(index, query_vector(index, q), q.id, rrt_scorer, AQE_NQE, AQE_ALPHA, k, base=nl)
-            for q, nl in zip(queries, global_lists)
-        ],
+        "aqe": aqe_lists,
+        "aqe+rrt": [rerank_topk(nl, rrt_scorer, k, method="aqe+rrt") for nl in aqe_lists],
     }
     gt = build_ground_truth(queries, gallery)
     return {"reports": {name: evaluate_neighbors(ls, gt, method=name) for name, ls in lists.items()}}

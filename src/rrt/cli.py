@@ -68,7 +68,6 @@ from .model import (
 )
 from .retrieval import (
     aqe_requery,
-    aqe_then_rerank,
     build_index,
     load_index,
     query_vector,
@@ -194,7 +193,8 @@ RERANK_FLAGS = COMMON + [
     Flag("--queries", str, None, "query descriptor file (.rrtd)", required=True),
     Flag("--gallery", str, None, "gallery descriptor file (.rrtd)", required=True),
     Flag("--out", str, None, "output neighbor JSONL", required=True),
-    Flag("--scorer", str, None, "one of rrt, gv, aqe, aqe+rrt, oracle", required=True),
+    Flag("--scorer", str, None, "one of rrt, gv, aqe, aqe+rrt, oracle; aqe re-ranks the gallery in raw global "
+         "space, and the input list only picks its expansion neighbors", required=True),
     Flag("--k", int, RERANK_DEPTH, "rerank depth (entries beyond stay untouched)"),
     Flag("--checkpoint", str, None, "model checkpoint (rrt and aqe+rrt)"),
     Flag("--parts", str, None, "part-prototype bank .npy (oracle scorer)"),
@@ -322,7 +322,11 @@ def _require(ok: bool, flag: str, rule: str, value) -> None:
 
 
 def _load_normalized(path, max_locals=None):
-    records, manifest = load_dataset(path, max_locals=max_locals)
+    """The file's records, each cut to its first max_locals locals unless
+    that is None, then normalized."""
+    records, manifest = load_dataset(path)
+    if max_locals is not None:
+        records = [r.truncated(max_locals) for r in records]
     return normalize_records(records), manifest
 
 
@@ -469,30 +473,24 @@ def cmd_rerank(cfg: dict) -> int:
     _require(cfg["nqe"] >= 0, "--nqe", "non-negative", cfg["nqe"])
     alpha = cfg["alpha"]
     _require(math.isfinite(alpha) and alpha >= 0, "--alpha", "finite and non-negative", alpha)
-    queries, gallery, manifest = _load_pair(cfg, max_locals=cfg["locals_max"])
+    budget = cfg["locals_max"]
+    _require(budget is None or budget >= 0, "--locals-max", "non-negative", budget)
+    queries, gallery, manifest = _load_pair(cfg, max_locals=budget)
     neighbors = read_neighbors(cfg["data"])
     qmap, _ = _validate_ids(neighbors, queries, gallery)
 
     name = cfg["scorer"]
     k = cfg["k"]
+    out_lists = neighbors
     if name in ("aqe", "aqe+rrt"):
         index = build_index(gallery)
-        if name == "aqe":
-            out_lists = [
-                aqe_requery(index, query_vector(index, qmap[nl.query_id]), nl.query_id,
-                            cfg["nqe"], cfg["alpha"], base=nl)
-                for nl in neighbors
-            ]
-        else:
-            scorer = _scorer_from_flags(cfg, queries, gallery, manifest.d_l)
-            out_lists = [
-                aqe_then_rerank(index, query_vector(index, qmap[nl.query_id]), nl.query_id,
-                                scorer, cfg["nqe"], cfg["alpha"], k, base=nl)
-                for nl in neighbors
-            ]
-    else:
+        out_lists = [
+            aqe_requery(index, query_vector(index, qmap[nl.query_id]), nl.query_id, cfg["nqe"], alpha, base=nl)
+            for nl in neighbors
+        ]
+    if name != "aqe":
         scorer = _scorer_from_flags(cfg, queries, gallery, manifest.d_l)
-        out_lists = [rerank_topk(nl, scorer, k, method=name) for nl in neighbors]
+        out_lists = [rerank_topk(nl, scorer, k, method=name) for nl in out_lists]
     write_neighbors(cfg["out"], out_lists)
     _write_meta(cfg["out"], cfg, {"workers": score_workers()})
     print(f"reranked {len(out_lists)} lists with scorer {name} (k={k}) -> {cfg['out']}")

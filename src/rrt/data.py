@@ -219,15 +219,13 @@ def save_dataset(records: Sequence[ImageRecord], manifest: DatasetManifest, path
         fh.write(buf)
 
 
-def load_dataset(path, max_locals: int | None = None) -> tuple[list[ImageRecord], DatasetManifest]:
+def load_dataset(path) -> tuple[list[ImageRecord], DatasetManifest]:
     """Read a descriptor file byte-exactly (no normalization applied).
 
-    max_locals truncates each image's locals by file order.  Errors report
-    the byte offset a local-by-local read would fail at: the first bad scale
-    byte, or the start of the first incomplete field (vec, or u v s).
+    Errors report the byte offset a local-by-local read would fail at: the
+    first bad scale byte, or the start of the first incomplete field (vec,
+    or u v s).
     """
-    if max_locals is not None and max_locals < 0:
-        raise ConfigError(f"max_locals must be non-negative, got {max_locals}")
     cur = Reader(path, MAGIC, VERSION)
     d_g_raw, d_l, n_scales = cur.unpack(_DIMS)
     scale_values = tuple(float(x) for x in cur.array("<f4", n_scales))
@@ -255,7 +253,6 @@ def load_dataset(path, max_locals: int | None = None) -> tuple[list[ImageRecord]
         if len(locs) < n_loc:  # the file ends inside this local
             cur.take(4 * d_l)
             cur.take(9)
-        locs = locs[:max_locals]
         uv = np.stack([locs["u"], locs["v"]], axis=1)
         records.append(ImageRecord(rid, label, g, locs["vec"].copy(), uv, locs["s"].copy()))
     cur.end("the last record")

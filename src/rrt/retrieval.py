@@ -7,6 +7,12 @@ regardless of internal evaluation order.  Gallery and queries share one
 embedding: raw globals, or the model's projected globals, and an index is
 projected exactly when it is built with model params.
 
+Alpha-QE re-ranks the whole gallery in the space of the index it is given,
+which ``rrt rerank`` builds over raw globals.  The input neighbor list only
+picks the expansion neighbors: their weights are cosines in that index, never
+the list's own scores, so a projected or already-reranked list expands the
+same way as the raw global list with the same leading ids.
+
 Index wire format, extension ``.rrti``, read by ``rrt.wire.Reader`` (header
 and error policy there):
 
@@ -192,15 +198,17 @@ def aqe_requery(
     """Alpha-weighted query expansion: aggregate the top-nqe neighbors of the
     base ranking into the query, then re-rank the whole gallery with the
     expanded vector.  Without a base ranking, plain global search provides
-    the top neighbors."""
+    the top neighbors.  Weights are the neighbors' cosines to the query in
+    the index, from the product knn_search runs; the base list supplies only
+    the ids."""
     if base is None:
         base = knn_search(index, query_vec, k=len(index.ids), query_id=query_id)
-    top = base.entries[:nqe]
+    top = base.gallery_ids()[:nqe]
     if top:
         pos = {int(i): row for row, i in enumerate(index.ids)}
-        vecs = np.stack([index.vectors[pos[g]] for g, _ in top])
-        sims = np.array([s for _, s in top])
-        expanded = alpha_qe_expand(query_vec, vecs, sims, nqe, alpha)
+        rows = [pos[g] for g in top]
+        sims = index.vectors @ np.asarray(query_vec, dtype=np.float32)
+        expanded = alpha_qe_expand(query_vec, index.vectors[rows], sims[rows], alpha)
     else:
         expanded = l2_normalize(query_vec)
     out = knn_search(index, expanded, k=len(index.ids), query_id=query_id)
@@ -216,11 +224,10 @@ def aqe_then_rerank(
     nqe: int,
     alpha: float,
     k: int,
-    base: NeighborList | None = None,
 ) -> NeighborList:
-    """Full alpha-QE re-ranking followed by a learned rerank of its top-k."""
-    expanded = aqe_requery(index, query_vec, query_id, nqe, alpha, base=base)
-    return rerank_topk(expanded, scorer, k, method="aqe+rrt")
+    """Full alpha-QE re-ranking of plain global search, followed by a
+    learned rerank of its top-k."""
+    return rerank_topk(aqe_requery(index, query_vec, query_id, nqe, alpha), scorer, k, method="aqe+rrt")
 
 
 # -- JSONL serialization ----------------------------------------------------

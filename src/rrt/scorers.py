@@ -80,18 +80,19 @@ def make_gv_scorer(
     return scorer
 
 
-def oracle_part_ids(
-    record: ImageRecord, part_bank: np.ndarray, threshold: float = 0.7
-) -> frozenset[int]:
+ORACLE_MIN_COSINE = 0.7  # a local less similar than this to every part is a distractor
+
+
+def oracle_part_ids(record: ImageRecord, part_bank: np.ndarray) -> frozenset[int]:
     """Nearest-prototype assignment of a record's locals over the generator's
     part bank [n_instances, parts_per_instance, d_l]; locals whose best cosine
-    falls below the threshold (distractors) are dropped."""
+    falls below ORACLE_MIN_COSINE (distractors) are dropped."""
     if not len(record.vecs):
         return frozenset()
     flat = part_bank.reshape(-1, part_bank.shape[-1]).astype(np.float32)
     sims = record.vecs @ flat.T
     best = sims.argmax(axis=1)
-    keep = sims[np.arange(len(best)), best] >= threshold
+    keep = sims[np.arange(len(best)), best] >= ORACLE_MIN_COSINE
     return frozenset(int(b) for b in best[keep])
 
 
@@ -99,7 +100,6 @@ def make_oracle_scorer(
     part_bank: np.ndarray,
     queries: Sequence[ImageRecord],
     gallery: Sequence[ImageRecord],
-    threshold: float = 0.7,
 ):
     """Shared-part-count scorer: the planted upper bound for reranking on
     synthetic data."""
@@ -109,7 +109,7 @@ def make_oracle_scorer(
     def ids_of(rec: ImageRecord) -> frozenset[int]:
         got = cache.get(rec.id)
         if got is None:
-            got = oracle_part_ids(rec, part_bank, threshold)
+            got = oracle_part_ids(rec, part_bank)
             cache[rec.id] = got
         return got
 

@@ -207,10 +207,10 @@ def train(
     records: Sequence[ImageRecord],
     model_cfg: ModelConfig,
     cfg: TrainConfig,
-    params: Optional[ModelParams] = None,
     out_dir=None,
 ) -> tuple[ModelParams, list[dict]]:
-    """Train on a labeled gallery; returns (params, per-step loss history).
+    """Train on a labeled gallery from ``init_params(model_cfg,
+    seed=cfg.seed)``; returns (params, per-step loss history).
 
     Records should be unit-normalized (see data.normalize_records).  When
     out_dir is given, a checkpoint lands there after every epoch plus a final
@@ -222,8 +222,7 @@ def train(
         raise ConfigError("training needs at least two distinct labels")
     check_records(model_cfg, records)
     rng = np.random.default_rng(cfg.seed)
-    if params is None:
-        params = init_params(model_cfg, seed=cfg.seed)
+    params = init_params(model_cfg, seed=cfg.seed)
 
     neighbor_ids = mine_neighbor_ids(records, cfg.neg_pool_size)
     sampler = PairSampler(records, neighbor_ids, cfg.neg_pool_size)

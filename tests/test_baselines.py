@@ -37,13 +37,13 @@ class TestAlphaQE:
     def test_alpha_zero_is_uniform(self):
         q = np.array([1.0, 0.0, 0.0])
         d = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        out = alpha_qe_expand(q, d, np.array([0.9, 0.4]), nqe=2, alpha=0.0)
+        out = alpha_qe_expand(q, d, np.array([0.9, 0.4]), alpha=0.0)
         expected = (q + d[0] + d[1]) / np.linalg.norm(q + d[0] + d[1])
         np.testing.assert_allclose(out, expected, atol=1e-6)
 
     def test_nqe_zero_identity_on_unit_query(self):
         q = np.array([0.6, 0.8], dtype=np.float32)
-        out = alpha_qe_expand(q, np.zeros((0, 2)), np.zeros(0), nqe=0, alpha=0.3)
+        out = alpha_qe_expand(q, np.zeros((0, 2)), np.zeros(0), alpha=0.3)
         np.testing.assert_allclose(out, q, atol=1e-7)
 
     def test_worked_two_dim_example(self):
@@ -52,7 +52,6 @@ class TestAlphaQE:
             np.array([1.0, 0.0]),
             np.array([[0.0, 1.0]]),
             np.array([0.25]),
-            nqe=1,
             alpha=0.5,
         )
         np.testing.assert_allclose(out, [0.89442719, 0.44721360], atol=1e-6)
@@ -65,7 +64,7 @@ class TestAlphaQE:
             d = rng.standard_normal((5, 16))
             d /= np.linalg.norm(d, axis=1, keepdims=True)
             sims = np.sort(rng.uniform(-1, 1, 5))[::-1]
-            out = alpha_qe_expand(q, d, sims, nqe=3, alpha=0.3)
+            out = alpha_qe_expand(q, d[:3], sims[:3], alpha=0.3)
             assert abs(np.linalg.norm(out) - 1.0) < 1e-6
 
     def test_negative_similarity_clamped(self):
@@ -162,6 +161,12 @@ def apply_h(H, pts):
     return q[:, :2] / q[:, 2:3]
 
 
+def ransac_replay(pts_a, pts_b, schedule, inlier_threshold=3.0):
+    """ransac_homography of at least 4 matches with its seeded draws
+    replaced by a fixed [iterations, 4] sample schedule."""
+    return baselines._ransac_block([(pts_a, pts_b, schedule)], inlier_threshold)[0]
+
+
 class TestRansacHomography:
     def test_identity_zero_noise(self):
         rng = np.random.default_rng(4)
@@ -213,14 +218,12 @@ class TestRansacHomography:
         pts_b = apply_h(planted_homography(), pts_a)
         pts_b[20:] = rng.uniform(0, 512, size=(10, 2))
         schedule = np.argsort(rng.random((100, 30)), axis=1)[:, :4]
-        _, count1, mask1 = ransac_homography(pts_a, pts_b, sample_indices=schedule)
+        _, count1, mask1 = ransac_replay(pts_a, pts_b, schedule)
 
         perm = rng.permutation(30)
         inv = np.empty(30, dtype=np.int64)
         inv[perm] = np.arange(30)
-        _, count2, mask2 = ransac_homography(
-            pts_a[perm], pts_b[perm], sample_indices=inv[schedule]
-        )
+        _, count2, mask2 = ransac_replay(pts_a[perm], pts_b[perm], inv[schedule])
         assert count1 == count2
         np.testing.assert_array_equal(mask1[perm], mask2)
 
@@ -323,9 +326,12 @@ class TestRansacAgainstSVDReference:
     @settings(max_examples=80, deadline=None)
     def test_same_count_mask_and_homography(self, seed, n, kind):
         pts_a, pts_b, schedule = reference_case(seed, n, kind, iterations=60)
-        kwargs = dict(iterations=60, inlier_threshold=3.0, seed=seed, sample_indices=schedule)
-        H, count, mask = ransac_homography(pts_a, pts_b, **kwargs)
-        H_ref, count_ref, mask_ref = ransac_homography_svd(pts_a, pts_b, **kwargs)
+        kwargs = dict(iterations=60, inlier_threshold=3.0, seed=seed)
+        if schedule is None:
+            H, count, mask = ransac_homography(pts_a, pts_b, **kwargs)
+        else:
+            H, count, mask = ransac_replay(pts_a, pts_b, schedule)
+        H_ref, count_ref, mask_ref = ransac_homography_svd(pts_a, pts_b, **kwargs, sample_indices=schedule)
         assert count == count_ref
         np.testing.assert_array_equal(mask, mask_ref)
         if H_ref is None:

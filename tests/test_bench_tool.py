@@ -1,7 +1,8 @@
 """tools/bench.py on canned perfbench/run.py output: the per-side quartiles,
-win counts and verdicts it writes, the order and seeds of its runs, and its
-exit status when a run fails, prints no result line or is not correct.  No
-perfbench subprocess runs here."""
+win counts and verdicts it writes, the order and seeds of its runs, the
+sibling trees both sides run from, and its exit status when a run fails,
+prints no result line or is not correct.  No perfbench subprocess runs
+here."""
 
 import importlib.util
 import json
@@ -98,10 +99,18 @@ def test_failed_checks_are_listed_with_side_and_seed():
 
 @pytest.fixture
 def fake_trees(tmp_path, monkeypatch):
-    """bench.main over canned runs; returns the list of calls it made."""
+    """bench.main over canned runs in a working tree at tmp_path; returns
+    the list of calls it made, with the tree each ran in last."""
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
-    parent_tree = tmp_path / "parent"
+    for sub in ("src/rrt", "perfbench"):
+        (tmp_path / sub).mkdir(parents=True)
+        (tmp_path / sub / "__pycache__").mkdir()
+    (tmp_path / "src/rrt/__init__.py").write_text("")
+    (tmp_path / "perfbench/run.py").write_text("")
+    build = tmp_path / ".bench_build"
+    parent_tree = build / ("f" * 40)
     monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "BUILD", build)
     monkeypatch.setattr(bench, "extract_parent", lambda rev: ("f" * 40, parent_tree))
     monkeypatch.setattr(bench, "tree_digest", lambda tree: tree.name)
     calls = []
@@ -109,7 +118,7 @@ def fake_trees(tmp_path, monkeypatch):
 
     def run(tree, workload, seed, seconds):
         side = "parent" if tree == parent_tree else "change"
-        calls.append((workload, seed, side, seconds))
+        calls.append((workload, seed, side, seconds, tree))
         return outputs.get((workload, seed, side), (0, canned(20.0 if side == "parent" else 18.0), ""))
 
     monkeypatch.setattr(bench, "run_perfbench", run)
@@ -120,14 +129,15 @@ def test_pairs_alternate_sides_with_one_seed_each(tmp_path, fake_trees):
     calls, _ = fake_trees
     out = tmp_path / "BENCH_x.json"
     assert bench.main(["--parent", "HEAD~1", "--pairs", "3", "--out", str(out)]) == 0
-    assert [c for c in calls if c[0] == "train"] == [
+    assert [c[:4] for c in calls if c[0] == "train"] == [
         ("train", 1, "parent", 10), ("train", 1, "change", 10),
         ("train", 2, "change", 10), ("train", 2, "parent", 10),
         ("train", 3, "parent", 10), ("train", 3, "change", 10),
     ]
     written = json.loads(out.read_text())
     assert written["ok"] is True and written["failures"] == []
-    assert written["parent"] == {"rev": "HEAD~1", "commit": "f" * 40, "tree_sha256": "parent"}
+    assert written["parent"] == {"rev": "HEAD~1", "commit": "f" * 40, "tree_sha256": "f" * 40}
+    assert written["change"] == {"tree": "working tree", "tree_sha256": "change"}
     assert written["environment"] == {"python": "3.11.7", "nproc": 2}
     op = written["workloads"]["train"]["end_to_end"]["op_ms_p50"]
     assert (op["parent"]["values"], op["change"]["values"], op["change_wins"]) == ([20.0] * 3, [18.0] * 3, 3)
@@ -136,9 +146,20 @@ def test_pairs_alternate_sides_with_one_seed_each(tmp_path, fake_trees):
 def test_every_workload_of_the_spec_runs_for_its_run_seconds(tmp_path, fake_trees):
     calls, _ = fake_trees
     assert bench.main(["--parent", "HEAD", "--pairs", "1", "--out", str(tmp_path / "b.json")]) == 0
-    assert [(w, s) for w, _, s, _ in calls] == [("train", "parent"), ("train", "change"),
+    assert [(w, s) for w, _, s, _, _ in calls] == [("train", "parent"), ("train", "change"),
                                                 ("rerank", "parent"), ("rerank", "change")]
     assert {c[3] for c in calls} == {SPEC["run_seconds"]}
+
+
+def test_both_sides_run_from_sibling_trees_under_the_build_directory(tmp_path, fake_trees):
+    calls, _ = fake_trees
+    assert bench.main(["--parent", "HEAD", "--pairs", "1", "--out", str(tmp_path / "b.json")]) == 0
+    trees = {side: tree for _, _, side, _, tree in calls}
+    assert {tree.parent for tree in trees.values()} == {bench.BUILD}
+    assert trees["parent"] != trees["change"]
+    copied = sorted(str(p.relative_to(trees["change"])) for p in trees["change"].rglob("*"))
+    assert copied == ["BENCHMARK.json", "perfbench", "perfbench/run.py", "src", "src/rrt", "src/rrt/__init__.py"]
+    assert (trees["change"] / "BENCHMARK.json").read_text() == json.dumps(SPEC)
 
 
 @pytest.mark.parametrize(

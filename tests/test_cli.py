@@ -11,6 +11,7 @@ import inspect
 import json
 import os
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from rrt.data import DatasetManifest, ImageRecord, SynthConfig, save_dataset
 from rrt.metrics import ablation_locals_sweep, evaluate_neighbors
 from rrt.model import ModelConfig, init_params, save_checkpoint
 from rrt.train import TrainConfig
-from rrt.retrieval import NeighborList, write_neighbors
+from rrt.retrieval import NeighborList, read_neighbors, write_neighbors
 
 from helpers import no_locals
 
@@ -337,15 +338,45 @@ def test_ablate_at_a_full_budget_equals_retrieve_rerank_eval(tmp_path):
     assert [row[1] for row in rows] == [want, want]
 
 
+def test_query_expansion_of_a_projected_list_does_not_read_its_scores(tmp_path):
+    # The list only picks the expansion neighbors, whose weights are cosines
+    # in the raw index that rerank builds: rewriting the scores of a list
+    # from a projected index leaves the output bytes as they are.
+    data, checkpoint, index = tmp_path / "d", tmp_path / "m.rrtm", tmp_path / "g.rrti"
+    assert main(["synth", "--out", str(data), "--instances", "4", "--confusion-pairs", "2"]) == 0
+    synth = SynthConfig()
+    cfg = ModelConfig(L=synth.locals_per_image, d=synth.d_l, h=4, d_h=synth.d_l // 4, layers=1, d_c=32,
+                      n_scales=synth.n_scales, d_g_raw=synth.d_g_raw)
+    save_checkpoint(init_params(cfg, seed=3), cfg, checkpoint)
+    pair = ["--queries", str(data / "queries.rrtd"), "--gallery", str(data / "gallery.rrtd")]
+    projected, rewritten = tmp_path / "projected.jsonl", tmp_path / "rewritten.jsonl"
+    assert main(["index", "--data", str(data / "gallery.rrtd"), "--out", str(index),
+                 "--projected", "--checkpoint", str(checkpoint)]) == 0
+    assert main(["retrieve", "--data", str(index), "--queries", str(data / "queries.rrtd"),
+                 "--checkpoint", str(checkpoint), "--out", str(projected)]) == 0
+    write_neighbors(rewritten, [replace(nl, entries=[(g, 0.01) for g in nl.gallery_ids()])
+                                for nl in read_neighbors(projected)])
+    for scorer in ("aqe", "aqe+rrt"):
+        outs = []
+        for lists in (projected, rewritten):
+            out = tmp_path / f"{lists.stem}.{scorer}.jsonl"
+            assert main(["rerank", "--data", str(lists), *pair, "--scorer", scorer,
+                         "--checkpoint", str(checkpoint), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], scorer
+
+
 def test_rerank_with_negative_locals_budget_exits_2(tmp_path, capsys):
+    # Also when no record is there to cut: the flag itself is checked.
     data, neighbors, out = tmp_path / "g.rrtd", tmp_path / "n.jsonl", tmp_path / "r.jsonl"
-    write_gallery(data, REPEATED, ids=[1, 2, 3])
-    write_neighbors(neighbors, [NeighborList(2, [(1, 0.5), (3, 0.4)])])
-    code = main(["rerank", "--data", str(neighbors), "--queries", str(data), "--gallery", str(data),
-                 "--scorer", "gv", "--locals-max", "-3", "--out", str(out)])
-    assert code == 2
-    assert "max_locals must be non-negative, got -3" in capsys.readouterr().err
-    assert not out.exists()
+    for ids in ([1, 2, 3], []):
+        write_gallery(data, REPEATED[: len(ids)], ids=ids)
+        write_neighbors(neighbors, [NeighborList(2, [(1, 0.5), (3, 0.4)])] if ids else [])
+        code = main(["rerank", "--data", str(neighbors), "--queries", str(data), "--gallery", str(data),
+                     "--scorer", "gv", "--locals-max", "-3", "--out", str(out)])
+        assert code == 2
+        assert "--locals-max must be non-negative, got -3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

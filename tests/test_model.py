@@ -289,7 +289,7 @@ class TestBatchedRecordChecks:
         with pytest.raises(ConfigError, match=message):
             make_rrt_scorer(params, cfg, [bad], good)
         with pytest.raises(ConfigError, match=message):
-            rrt_train.train([*good, bad], cfg, rrt_train.TrainConfig(epochs=1), params=params)
+            rrt_train.train([*good, bad], cfg, rrt_train.TrainConfig(epochs=1))
         with pytest.raises(ConfigError, match=message):
             attention_correspondences(params, cfg, good[0], bad)
         assert calls == []

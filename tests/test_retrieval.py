@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrt.baselines import alpha_qe_expand
 from rrt.data import l2_normalize
 from rrt.errors import DataFormatError
 from rrt.model import init_params
@@ -156,6 +157,19 @@ class TestAQE:
         combo = aqe_then_rerank(index, q, -1, lambda qq, ids: [0.0] * len(ids), nqe=2, alpha=0.3, k=0)
         assert combo.entries == aqe.entries
         assert combo.method == "aqe+rrt"
+
+    def test_weights_come_from_the_index_not_the_list_scores(self):
+        index = unit_index(9, 30, 16)
+        q = index.vectors[2] * 1.0
+        base = knn_search(index, q, k=30, query_id=-1)
+        want = aqe_requery(index, q, -1, nqe=3, alpha=3.0, base=base)
+        rescored = replace(base, entries=[(g, 0.01) for g in base.gallery_ids()])
+        assert aqe_requery(index, q, -1, nqe=3, alpha=3.0, base=rescored).entries == want.entries
+        # On a raw global list the index cosines are the list's own scores,
+        # bit for bit, so the output is the expansion by those scores.
+        top = base.entries[:3]
+        by_scores = alpha_qe_expand(q, index.vectors[[g for g, _ in top]], np.array([s for _, s in top]), 3.0)
+        assert knn_search(index, by_scores, k=30, query_id=-1).entries == want.entries
 
     def test_expansion_changes_ranking_sanely(self):
         index = unit_index(8, 40, 12)

@@ -181,9 +181,8 @@ class TestTrain:
     def test_lr_zero_keeps_params_bit_identical(self):
         recs = small_dataset()
         mcfg = small_model()
-        params = init_params(mcfg, seed=0)
-        before = {n: t.data.tobytes() for n, t in params.named()}
-        train(recs, mcfg, TrainConfig(lr=0.0, epochs=1, batch_size=4, seed=0), params=params)
+        before = {n: t.data.tobytes() for n, t in init_params(mcfg, seed=0).named()}
+        params, _ = train(recs, mcfg, TrainConfig(lr=0.0, epochs=1, batch_size=4, seed=0))
         after = {n: t.data.tobytes() for n, t in params.named()}
         assert before == after
 
@@ -248,13 +247,14 @@ class TestTrain:
         assert lines[0] == "step,epoch,loss,grad_norm"
         assert len(lines) > 1
 
-    def test_divergence_aborts_with_diagnostics(self):
+    def test_divergence_aborts_with_diagnostics(self, monkeypatch):
         recs = small_dataset()
         mcfg = small_model()
         params = init_params(mcfg, seed=3)
         params["head.w"].data[:] = np.nan
+        monkeypatch.setattr(training, "init_params", lambda cfg, seed: params)
         with pytest.raises(TrainingDiverged) as err:
-            train(recs, mcfg, TrainConfig(epochs=1, batch_size=4, seed=0), params=params)
+            train(recs, mcfg, TrainConfig(epochs=1, batch_size=4, seed=0))
         assert err.value.step == 1
 
 

@@ -4,12 +4,15 @@ Run from the repository root:
 
     python3 tools/bench.py --parent HEAD~1 --pairs 10 --out BENCH_label.json
 
-The parent commit is extracted with ``git archive`` under ``.bench_build/``;
-the change is the working tree.  Each tree's own ``perfbench/run.py`` runs
-as a subprocess, so nothing under ``perfbench/`` is needed beyond what both
-trees already have.  Every workload of BENCHMARK.json runs for its
-``run_seconds``.  Pair i of a workload runs both sides on seed i + 1, the
-parent first on even pairs and the change first on odd ones.
+The parent commit is extracted with ``git archive`` under ``.bench_build/``,
+and the working tree's ``src/``, ``perfbench/`` and ``BENCHMARK.json`` are
+copied next to it, so both sides run from fresh sibling trees at the same
+depth, neither with a bytecode cache at the start.  Each tree's own
+``perfbench/run.py`` runs as a subprocess, so nothing under ``perfbench/``
+is needed beyond what both trees already have.  Every workload of
+BENCHMARK.json runs for its ``run_seconds``.  Pair i of a workload runs both
+sides on seed i + 1, the parent first on even pairs and the change first on
+odd ones.
 
 The file holds, for each workload and each end-to-end metric of
 BENCHMARK.json: every value per side, their q1, median and q3, the number of
@@ -159,20 +162,28 @@ def tree_digest(tree: Path) -> str:
 
 
 def extract_parent(rev: str) -> tuple[str, Path]:
-    """(commit sha, tree) of rev, extracted once with git archive."""
+    """(commit sha, tree) of rev, freshly extracted with git archive."""
     sha = subprocess.run(
         ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
         cwd=ROOT, capture_output=True, text=True, check=True,
     ).stdout.strip()
     tree = BUILD / sha
-    if not (tree / "perfbench" / "run.py").is_file():
-        partial = BUILD / f"{sha}.partial"
-        shutil.rmtree(partial, ignore_errors=True)
-        partial.mkdir(parents=True)
-        archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", str(partial)], input=archive.stdout, check=True)
-        partial.rename(tree)
+    shutil.rmtree(tree, ignore_errors=True)
+    tree.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive.stdout, check=True)
     return sha, tree
+
+
+def copy_change() -> Path:
+    """The working tree's src/, perfbench/ and BENCHMARK.json, copied
+    without __pycache__ to a fresh tree beside the parent's."""
+    tree = BUILD / "change"
+    shutil.rmtree(tree, ignore_errors=True)
+    for sub in ("src", "perfbench"):
+        shutil.copytree(ROOT / sub, tree / sub, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "BENCHMARK.json", tree)
+    return tree
 
 
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[int, str, str]:
@@ -203,10 +214,10 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     sha, parent_tree = extract_parent(args.parent)
-    trees = {"parent": parent_tree, "change": ROOT}
+    trees = {"parent": parent_tree, "change": copy_change()}
     bench: dict = {
         "parent": {"rev": args.parent, "commit": sha, "tree_sha256": tree_digest(parent_tree)},
-        "change": {"tree": "working tree", "tree_sha256": tree_digest(ROOT)},
+        "change": {"tree": "working tree", "tree_sha256": tree_digest(trees["change"])},
         "command": " ".join(spec["command"]) + f" --workload W --seed <pair + 1> --seconds {seconds} --trace 0",
         "pairs": args.pairs,
         "environment": None,
