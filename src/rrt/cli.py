@@ -169,7 +169,7 @@ RETRIEVE_FLAGS = COMMON + [
 
 TRAIN_FLAGS = COMMON + [
     Flag("--data", str, None, "training gallery (.rrtd)", required=True),
-    Flag("--out", str, None, "output directory (checkpoints + loss CSV)", required=True),
+    Flag("--out", str, None, "output directory (model.rrtm, its .meta.json, loss_history.csv)", required=True),
     _model("L", "--locals-max", int, "max locals per image (model length L)"),
     _model("h", "--heads", int, "attention heads"),
     _model("layers", "--layers", int, "transformer layers"),

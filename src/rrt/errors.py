@@ -10,6 +10,8 @@ disagrees with its own config, such as a checkpoint whose tensor table does
 not match the config's layout, raises IntegrityError.
 """
 
+import math
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration (bad flag, unknown key, ...)."""
@@ -30,12 +32,14 @@ class IntegrityError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Non-finite loss during training; carries diagnostics."""
+    """Non-finite loss or gradient norm during training; carries diagnostics."""
 
-    def __init__(self, step: int, lr: float, grad_norm: float):
+    def __init__(self, step: int, lr: float, loss: float, grad_norm: float):
+        what = "gradient norm" if math.isfinite(loss) else "loss"
         super().__init__(
-            f"non-finite loss at step {step} (lr={lr}, last grad norm={grad_norm})"
+            f"non-finite {what} at step {step} (lr={lr}, loss={loss}, gradient norm={grad_norm})"
         )
         self.step = step
+        self.loss = loss
         self.lr = lr
         self.grad_norm = grad_norm

@@ -102,19 +102,15 @@ def make_oracle_scorer(
     gallery: Sequence[ImageRecord],
 ):
     """Shared-part-count scorer: the planted upper bound for reranking on
-    synthetic data."""
-    qmap, gmap = records_by_id(queries), records_by_id(gallery)
-    cache: dict[int, frozenset[int]] = {}
-
-    def ids_of(rec: ImageRecord) -> frozenset[int]:
-        got = cache.get(rec.id)
-        if got is None:
-            got = oracle_part_ids(rec, part_bank)
-            cache[rec.id] = got
-        return got
+    synthetic data.  Every query's and gallery record's part set is found
+    once, here."""
+    q_parts, g_parts = (
+        {i: oracle_part_ids(r, part_bank) for i, r in records_by_id(side).items()}
+        for side in (queries, gallery)
+    )
 
     def scorer(query_id: int, candidate_ids: Sequence[int]) -> list[float]:
-        q_ids = ids_of(qmap[query_id])
-        return [float(len(q_ids & ids_of(gmap[g]))) for g in candidate_ids]
+        q_ids = q_parts[query_id]
+        return [float(len(q_ids & g_parts[g])) for g in candidate_ids]
 
     return scorer

@@ -4,8 +4,9 @@ Pairs are mined the retrieve-then-label way: positives are drawn uniformly
 from the anchor's label class, negatives uniformly from the anchor's top
 global neighbors with a different label (with a uniform fallback over all
 different-label images when the pool has none).  Neighbor lists are computed
-once from the frozen global descriptors before training starts.  One positive
-and one negative per anchor keeps every batch balanced.
+once from the frozen global descriptors, and every record's pools once from
+them, before training starts.  One positive and one negative per anchor keeps
+every batch balanced.
 
 Training is single-threaded with a single seeded generator, so a given
 (seed, config, dataset) reproduces the loss history bit for bit.
@@ -80,62 +81,41 @@ class PairSample:
 
 
 class PairSampler:
-    """Draws one positive and one negative partner for an anchor."""
+    """Draws one positive and one negative partner for an anchor.
 
-    def __init__(
-        self,
-        records: Sequence[ImageRecord],
-        neighbor_ids: dict[int, list[int]],
-        neg_pool_size: int = 100,
-    ):
-        self.label_of = {r.id: r.label for r in records}
-        self.same: dict[int, list[int]] = {}
+    Every record's pools are built here: ``same[id]`` holds the other ids of
+    its label, and ``negatives[id]`` its different-label ids in
+    ``neighbor_ids`` order or, when there are none, every different-label id
+    in record order.  A dataset with a single label raises ConfigError."""
+
+    def __init__(self, records: Sequence[ImageRecord], neighbor_ids: dict[int, list[int]]):
+        label_of = {r.id: r.label for r in records}
         by_label: dict[int, list[int]] = {}
         for r in records:
             by_label.setdefault(r.label, []).append(r.id)
+        self.same = {r.id: [i for i in by_label[r.label] if i != r.id] for r in records}
+        self.negatives: dict[int, list[int]] = {}
+        fallback: dict[int, list[int]] = {}  # label -> different-label ids, where needed
         for r in records:
-            self.same[r.id] = [i for i in by_label[r.label] if i != r.id]
-        self.neighbors = neighbor_ids
-        self.neg_pool_size = neg_pool_size
-        # Built on first use: an anchor's different-label neighbors, and per
-        # label the fallback pool of every different-label id.
-        self._neg_pool: dict[int, list[int]] = {}
-        self._diff_by_label: dict[int, list[int]] = {}
-        self._ids = np.array([r.id for r in records], dtype=np.int64)
-        self._labels = np.array([r.label for r in records], dtype=np.int64)
-
-    def has_positive(self, anchor_id: int) -> bool:
-        return bool(self.same.get(anchor_id))
-
-    def _negatives(self, anchor_id: int) -> list[int]:
-        pool = self._neg_pool.get(anchor_id)
-        if pool is None:
-            lab = self.label_of[anchor_id]
-            pool = [
-                g
-                for g in self.neighbors.get(anchor_id, [])[: self.neg_pool_size]
-                if self.label_of[g] != lab
-            ]
+            pool = [g for g in neighbor_ids.get(r.id, []) if label_of[g] != r.label]
             if not pool:
-                pool = self._diff_by_label.get(lab)
-                if pool is None:
-                    pool = self._ids[self._labels != lab].tolist()
-                    self._diff_by_label[lab] = pool
+                if r.label not in fallback:
+                    fallback[r.label] = [x.id for x in records if x.label != r.label]
+                pool = fallback[r.label]
                 if not pool:
                     raise ConfigError("dataset has a single label; no negatives exist")
-            self._neg_pool[anchor_id] = pool
-        return pool
+            self.negatives[r.id] = pool
 
     def sample_pair(
         self, anchor_id: int, rng: np.random.Generator
     ) -> Optional[tuple[PairSample, PairSample]]:
         """(positive, negative) for the anchor; None when the anchor has no
-        same-label partner (caller skips it)."""
-        same = self.same.get(anchor_id, [])
+        same-label partner."""
+        same = self.same[anchor_id]
         if not same:
             return None
         pos = same[int(rng.integers(len(same)))]
-        pool = self._negatives(anchor_id)
+        pool = self.negatives[anchor_id]
         neg = pool[int(rng.integers(len(pool)))]
         return PairSample(anchor_id, pos, 1), PairSample(anchor_id, neg, 0)
 
@@ -212,11 +192,12 @@ def train(
     """Train on a labeled gallery from ``init_params(model_cfg,
     seed=cfg.seed)``; returns (params, per-step loss history).
 
-    Records should be unit-normalized (see data.normalize_records).  When
-    out_dir is given, a checkpoint lands there after every epoch plus a final
-    model.rrtm and loss_history.csv.  A non-finite loss aborts with
-    diagnostics before any parameter update is applied.  Every record is
-    checked against the model once, before mining (``check_records``).
+    Records should be unit-normalized (see data.normalize_records).  The
+    anchors are the records with a same-label partner.  When out_dir is
+    given, the final model.rrtm and loss_history.csv land there, and nothing
+    else.  A non-finite loss or gradient norm raises TrainingDiverged before
+    that step's update, and nothing is written.  Every record is checked
+    against the model once, before mining (``check_records``).
     """
     if len({r.label for r in records}) < 2:
         raise ConfigError("training needs at least two distinct labels")
@@ -224,66 +205,41 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     params = init_params(model_cfg, seed=cfg.seed)
 
-    neighbor_ids = mine_neighbor_ids(records, cfg.neg_pool_size)
-    sampler = PairSampler(records, neighbor_ids, cfg.neg_pool_size)
+    sampler = PairSampler(records, mine_neighbor_ids(records, cfg.neg_pool_size))
     by_id = {r.id: r for r in records}
-    anchors = [r.id for r in records if sampler.has_positive(r.id)]
+    anchors = [r.id for r in records if sampler.same[r.id]]
     if not anchors:
         raise ConfigError("no anchor has a same-label partner")
 
-    opt = AdamW(
-        params.trainable(), lr=cfg.lr, weight_decay=cfg.weight_decay
-    )
-    trainable = params.trainable()
+    opt = AdamW(params.trainable(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     history: list[dict] = []
-    out_path = Path(out_dir) if out_dir is not None else None
-    step = 0
     for epoch in range(cfg.epochs):
         opt.lr = _epoch_lr(cfg, epoch)
         order = rng.permutation(len(anchors))
-        n_steps = 0
-        for start in range(0, len(order), cfg.batch_size):
-            if cfg.steps_per_epoch is not None and n_steps >= cfg.steps_per_epoch:
-                break
-            batch = order[start : start + cfg.batch_size]
+        for start in range(0, len(order), cfg.batch_size)[: cfg.steps_per_epoch]:
             pairs, targets = [], []
-            for ai in batch:
-                drawn = sampler.sample_pair(anchors[int(ai)], rng)
-                if drawn is None:
-                    continue
-                for ps in drawn:
+            for ai in order[start : start + cfg.batch_size]:
+                for ps in sampler.sample_pair(anchors[int(ai)], rng):
                     pairs.append((by_id[ps.anchor_id], by_id[ps.partner_id]))
                     targets.append(float(ps.label))
-            if not pairs:
-                continue
             logits, _ = forward_pair_logits(params, model_cfg, pairs)
             loss = bce_with_logits(logits, np.array(targets, dtype=logits.dtype))
             loss_val = float(loss.data)
             opt.zero_grad()
             loss.backward()
             if cfg.grad_clip_norm is not None:
-                grad_norm = clip_global_grad_norm(trainable, cfg.grad_clip_norm)
+                grad_norm = clip_global_grad_norm(opt.params, cfg.grad_clip_norm)
             else:
-                grad_norm = global_grad_norm(trainable)
-            if not np.isfinite(loss_val):
-                raise TrainingDiverged(step=step + 1, lr=opt.lr, grad_norm=grad_norm)
+                grad_norm = global_grad_norm(opt.params)
+            step = len(history) + 1
+            if not (math.isfinite(loss_val) and math.isfinite(grad_norm)):
+                raise TrainingDiverged(step=step, lr=opt.lr, loss=loss_val, grad_norm=grad_norm)
             opt.step()
-            step += 1
-            n_steps += 1
-            history.append(
-                {"step": step, "epoch": epoch, "loss": loss_val, "grad_norm": grad_norm}
-            )
-        if out_path is not None:
-            save_checkpoint(params, model_cfg, out_path / f"checkpoint_epoch{epoch + 1:03d}.rrtm")
-    if out_path is not None:
-        save_checkpoint(params, model_cfg, out_path / "model.rrtm")
-        write_loss_history(out_path / "loss_history.csv", history)
+            history.append({"step": step, "epoch": epoch, "loss": loss_val, "grad_norm": grad_norm})
+    if out_dir is not None:
+        save_checkpoint(params, model_cfg, Path(out_dir) / "model.rrtm")
+        with open(Path(out_dir) / "loss_history.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["step", "epoch", "loss", "grad_norm"])
+            w.writerows([row["step"], row["epoch"], repr(row["loss"]), repr(row["grad_norm"])] for row in history)
     return params, history
-
-
-def write_loss_history(path, history: Sequence[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "epoch", "loss", "grad_norm"])
-        for row in history:
-            w.writerow([row["step"], row["epoch"], repr(row["loss"]), repr(row["grad_norm"])])

@@ -10,6 +10,24 @@ from rrt.data import ImageRecord
 from rrt.model import ModelConfig
 
 
+# The benchmark's gates (rrt.benchmark) on full-list mAPs: global-only at
+# most GATE_GLOBAL_MAX, the oracle at least GATE_ORACLE_MIN, and the learned
+# rerank at least GATE_RRT_GAIN above global.
+GATE_GLOBAL_MAX = 0.75
+GATE_ORACLE_MIN = 0.95
+GATE_RRT_GAIN = 0.15
+
+
+def gate_results(maps: dict[str, float]) -> dict[str, bool]:
+    """{gate: whether it holds} from the mAPs of global, oracle and rrt."""
+    g, o, r = maps["global"], maps["oracle"], maps["rrt"]
+    return {
+        f"global <= {GATE_GLOBAL_MAX}": g <= GATE_GLOBAL_MAX,
+        f"oracle >= {GATE_ORACLE_MIN}": o >= GATE_ORACLE_MIN,
+        f"rrt >= global + {GATE_RRT_GAIN}": r >= g + GATE_RRT_GAIN,
+    }
+
+
 def tiny_config(**overrides) -> ModelConfig:
     base = dict(
         L=4, d=8, h=2, d_h=4, layers=2, d_c=16, n_scales=3, d_g_raw=16,

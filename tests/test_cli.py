@@ -482,6 +482,20 @@ def test_train_with_head_dim_beyond_the_checkpoint_format_exits_2(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("clip", [["--grad-clip", "0.1"], ["--grad-clip", "none"]])
+def test_train_with_overflowing_gradient_norm_exits_4(tmp_path, capsys, clip):
+    # At lr 1000 the float32 gradient norm overflows to inf by step 2, while
+    # the loss stays finite; no update may follow it, and no model is written.
+    data, out = tmp_path / "d", tmp_path / "m"
+    assert main(["synth", "--out", str(data), "--instances", "6", "--confusion-pairs", "2", "--seed", "1"]) == 0
+    capsys.readouterr()
+    code = main(["train", "--data", str(data / "gallery.rrtd"), "--out", str(out), "--epochs", "3",
+                 "--lr", "1000", *clip])
+    assert code == 4
+    assert "numerical abort: non-finite gradient norm at step" in capsys.readouterr().err
+    assert not (out / "model.rrtm").exists()
+
+
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_help_prints_for_every_command(capsys, command):
     with pytest.raises(SystemExit) as exc:

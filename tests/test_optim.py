@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rrt.autograd import Tensor
-from rrt.optim import AdamW, clip_global_grad_norm
+from rrt.optim import BETA1, BETA2, EPS, AdamW, clip_global_grad_norm
 
 
 class TestAdamW:
@@ -49,8 +49,9 @@ class TestAdamW:
 
     def test_two_steps_match_hand_recurrence(self):
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        assert (BETA1, BETA2, EPS) == (b1, b2, eps)
         w = Tensor(np.array([0.5]), requires_grad=True)
-        opt = AdamW([w], lr=lr, weight_decay=0.0, beta1=b1, beta2=b2, eps=eps)
+        opt = AdamW([w], lr=lr, weight_decay=0.0)
         grads = [0.3, -0.7]
 
         wh, m, v = 0.5, 0.0, 0.0
@@ -92,3 +93,15 @@ class TestClipGlobalGradNorm:
             clip_global_grad_norm(params, g)
             total = np.sqrt(sum(float(np.sum(p.grad**2)) for p in params))
             assert total <= g + 1e-6
+
+    def test_overflowing_norm_leaves_gradients_unscaled(self):
+        # The float32 sum of squares overflows: the norm reads inf without a
+        # warning (warnings are errors here), and no gradient is scaled by
+        # 0.1 / inf = 0.
+        a = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
+        b = Tensor([0.0], requires_grad=True)
+        a.grad = np.full(4, 1e20, dtype=np.float32)
+        b.grad = np.array([3.0], dtype=np.float32)
+        assert clip_global_grad_norm([a, b], max_norm=0.1) == np.inf
+        np.testing.assert_array_equal(a.grad, np.full(4, 1e20, dtype=np.float32))
+        np.testing.assert_array_equal(b.grad, [3.0])

@@ -1,6 +1,7 @@
 """Scorer factories on the worker pool: at the frozen config the GV and RRT
 scorers split a top 100 into two chunks of 50, and one CPU and two give the
-same score bytes, with the chunks on worker threads when there are two."""
+same score bytes, with the chunks on worker threads when there are two.  The
+oracle keeps query and gallery part sets apart."""
 
 import os
 import threading
@@ -11,7 +12,7 @@ import pytest
 from rrt import scorers
 from rrt.baselines import GVConfig, gv_scores
 from rrt.benchmark import RERANK_DEPTH, benchmark_model_config, eval_synth_config
-from rrt.data import normalize_records, synth_generate
+from rrt.data import ImageRecord, normalize_records, synth_generate
 from rrt.model import forward_pair_logits, init_params
 from rrt.retrieval import build_index, rank_queries
 
@@ -78,3 +79,16 @@ def test_rrt_scorer_at_frozen_config_gives_equal_bytes_on_one_and_two_workers(
     assert np.array(got[1]).tobytes() == np.array(got[2]).tobytes()
     # one forward pass over all 100, as a single chunk scored them before
     np.testing.assert_allclose(got[2], whole, rtol=0, atol=1e-6)
+
+
+def test_oracle_scores_a_gallery_record_by_its_own_parts_when_a_query_shares_its_id():
+    # Parts are the four basis directions; query 7 shows parts {0, 1}, the
+    # gallery record also numbered 7 shows part {2}, gallery record 8 part {0}.
+    bank = np.eye(4, dtype=np.float32)[None]
+
+    def record(rec_id, parts):
+        n = len(parts)
+        return ImageRecord(rec_id, 0, np.ones(2, np.float32), bank[0, parts], np.zeros((n, 2)), np.zeros(n))
+
+    scorer = scorers.make_oracle_scorer(bank, [record(7, [0, 1])], [record(7, [2]), record(8, [0])])
+    assert scorer(7, [8, 7]) == [1.0, 0.0]

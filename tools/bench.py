@@ -4,6 +4,10 @@ Run from the repository root:
 
     python3 tools/bench.py --parent HEAD~1 --pairs 10 --out BENCH_label.json
 
+Run with ``--parent HEAD`` from a clean working tree, it makes an A/A run:
+both sides are the same code, so the win counts and spreads it records show
+what the host's noise and the pairing alone do.
+
 The parent commit is extracted with ``git archive`` under ``.bench_build/``,
 and the working tree's ``src/``, ``perfbench/`` and ``BENCHMARK.json`` are
 copied next to it, so both sides run from fresh sibling trees at the same
