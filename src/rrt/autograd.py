@@ -46,7 +46,10 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 # Q.K^T, the softmax passes and P.V over a tile run from cache.  A slice
 # whose T x T logits exceed it runs in blocks of query rows (at T=1004, four
 # blocks of 251 rows); at T=36 a 2^20 budget puts a whole 100-pair batch
-# (4 MB) in one tile and measured slower.
+# (4 MB) in one tile and measured slower.  Both branches of `attention` use
+# the same tiles: without kept probabilities, one tile of logits and one of
+# scaled queries are its only scratch; with them, each tile is a view of the
+# kept [B, h, Tq, T] probabilities.
 ATTENTION_TILE_FLOATS = 1 << 18
 
 # Hidden-activation budget of one MLP row block, in floats (2048 rows at
@@ -408,20 +411,29 @@ def embedding(table: Tensor, indices) -> Tensor:
 # -- normalization, attention softmax, loss ------------------------------
 
 
-def _masked_softmax_(z: np.ndarray, mask) -> None:
-    """In place: z <- softmax of z over its last axis, restricted to
+def _masked_exp_(z: np.ndarray, mask, exp) -> None:
+    """In place: z <- exp(z - rowmax) over its last axis, restricted to
     mask==True positions (mask broadcasts against z; None means all valid).
 
-    Masked positions get exactly zero weight; valid positions sum to one per
-    row.  A row with no valid position yields all zeros (padded rows must be
-    inert, not NaN).  Stabilized by subtracting the max over valid entries.
+    Masked positions get exactly zero weight (exp(-inf) = 0), so a row with
+    no valid position is all zeros.  Stabilized by subtracting the max over
+    valid entries.  exp is np.exp, or np.exp2 for logits already scaled by
+    log2(e).
     """
     if mask is not None:
         np.copyto(z, -np.inf, where=~mask)
     rowmax = z.max(axis=-1, keepdims=True)
     rowmax[~np.isfinite(rowmax)] = 0.0
     np.subtract(z, rowmax, out=z)
-    np.exp(z, out=z)  # masked slots: exp(-inf) = 0 exactly
+    exp(z, out=z)
+
+
+def _masked_softmax_(z: np.ndarray, mask) -> None:
+    """In place: z <- softmax of z over its last axis, restricted to
+    mask==True positions; see _masked_exp_.  Valid positions sum to one per
+    row, and a row with no valid position stays all zeros (padded rows must
+    be inert, not NaN)."""
+    _masked_exp_(z, mask, np.exp)
     denom = z.sum(axis=-1, keepdims=True)
     denom[denom == 0.0] = 1.0
     np.divide(z, denom, out=z)
@@ -467,9 +479,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False)
     The flattened B*h axis runs in tiles of consecutive slices whose Tq x T
     logits stay within ATTENTION_TILE_FLOATS, never splitting a pair's heads
     across two tiles unless one pair alone exceeds the budget.  A slice whose
-    logits alone exceed it runs in blocks of query rows.  Without recording,
-    no [B, h, Tq, T] buffer exists; recording keeps every tile's
-    probabilities for the backward.
+    logits alone exceed it runs in blocks of query rows.
+
+    Where the probabilities are kept (recording, for the backward, or
+    return_probs), each block scales its logits by 1/sqrt(d_h), takes the
+    masked softmax and multiplies by v, in the op order of the composed
+    path.  Otherwise no [B, h, Tq, T] buffer exists and each block runs in
+    FlashAttention form (FlashAttention-2, arXiv 2307.08691): its queries,
+    copied into a small scratch, carry the softmax scale, so the logits need
+    no scale pass; the row sums come from a product with a ones vector,
+    which BLAS runs faster than numpy's sum over the last axis; and the
+    [rows, d_h] context is divided by the row sums after P.v instead of the
+    [rows, T] weights before it (deferred normalisation, Milakov &
+    Gimelshein, arXiv 1805.02867).  A tile with no masked key works in base
+    2: its scale carries log2(e) and the logits take np.exp2, which is
+    faster than np.exp.  A tile with masked keys keeps base e, because
+    np.exp2 runs a slow path on every input below -126, the masked keys'
+    -inf among them.  The float32 output differs from the composed path's
+    by rounding only.
     """
     if not (
         q.ndim == 4
@@ -495,18 +522,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False)
 
     ctx = _head_major(q.shape, dtype)
     probs = np.empty((B, h, Tq, T), dtype=dtype) if (recording or return_probs) else None
-    buf = np.empty(tile_floats // Tq * _longest(rows), dtype=dtype) if probs is None else None
+    if probs is None:
+        buf = np.empty(tile_floats // Tq * _longest(rows), dtype=dtype)
+        qbuf = np.empty(min(tile, B * h) * _longest(rows) * dh, dtype=dtype)
+        scale2 = dtype.type(np.log2(np.e) / np.sqrt(dh))
+        ones = np.ones((T, 1), dtype=dtype)
     for bs, hs in spans:
         kt, vt = kd[bs, hs].swapaxes(-1, -2), vd[bs, hs]
         m = kmask[bs, hs]
         m = None if m.all() else m[..., None, :]
         for rs in rows:
-            qt = qd[bs, hs, rs]
-            p = _tile(buf, qt.shape[:-1] + (T,)) if probs is None else probs[bs, hs, rs]
-            np.matmul(qt, kt, out=p)
-            np.multiply(p, scale, out=p)
-            _masked_softmax_(p, m)
-            np.matmul(p, vt, out=ctx[bs, hs, rs])
+            qt, c = qd[bs, hs, rs], ctx[bs, hs, rs]
+            if probs is None:  # scaled queries, the context normalised after P.v
+                exp, qscale = (np.exp2, scale2) if m is None else (np.exp, scale)
+                qt = np.multiply(qt, qscale, out=_tile(qbuf, qt.shape))
+                p = _tile(buf, qt.shape[:-1] + (T,))
+                np.matmul(qt, kt, out=p)
+                _masked_exp_(p, m, exp)
+                denom = np.matmul(p, ones)  # the row sums, as a BLAS matrix-vector product
+                denom[denom == 0.0] = 1.0
+                np.matmul(p, vt, out=c)
+                np.divide(c, denom, out=c)
+            else:
+                p = probs[bs, hs, rs]
+                np.matmul(qt, kt, out=p)
+                np.multiply(p, scale, out=p)
+                _masked_softmax_(p, m)
+                np.matmul(p, vt, out=c)
 
     def grad_fn(g):
         gq = _head_major(q.shape, dtype)

@@ -429,7 +429,6 @@ def cmd_train(cfg: dict) -> int:
                    use_scale_embed=not cfg["no_scale_embed"])
     tcfg = _config(TrainConfig, cfg, TRAIN_FLAGS, seed=cfg["seed"])
     out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     _, history = train(records, mcfg, tcfg, out_dir=out)
     _write_meta(out / "model.rrtm", cfg)
     print(f"trained {tcfg.epochs} epochs ({len(history)} steps), "

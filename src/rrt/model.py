@@ -439,7 +439,10 @@ def score_chunks(n: int, cap: int | None = None) -> list[slice]:
 def map_in_order(fn, items: Sequence) -> list:
     """[fn(x) for x in items]: a single item on the calling thread, several
     on up to score_workers() threads.  Results, and the first error, come
-    in item order, as the serial loop gives them."""
+    in item order, as the serial loop gives them.  Each worker is assumed to
+    run BLAS on one thread (the `rrt` command sets that before numpy loads;
+    a library caller sets OPENBLAS_NUM_THREADS itself), else the workers'
+    BLAS threads contend for the same cores."""
     workers = min(score_workers(), len(items))
     if workers <= 1:
         return [fn(x) for x in items]
@@ -460,7 +463,9 @@ def score_batch(
     Candidates are split by score_chunks, capped at SCORE_CHUNK_FLOATS token
     floats per chunk to bound peak memory, and the chunks are scored by
     map_in_order.  The partition does not depend on the worker count, so
-    neither do the score bytes.
+    neither do the score bytes.  Like map_in_order, it assumes one BLAS
+    thread per worker; with more, it runs slower, and paper-scale scores
+    can move by float32 rounding.
     """
 
     def score(chunk: slice) -> list[float]:

@@ -195,8 +195,9 @@ def train(
     Records should be unit-normalized (see data.normalize_records).  The
     anchors are the records with a same-label partner.  When out_dir is
     given, the final model.rrtm and loss_history.csv land there, and nothing
-    else.  A non-finite loss or gradient norm raises TrainingDiverged before
-    that step's update, and nothing is written.  Every record is checked
+    else; the directory is made then.  A non-finite loss or gradient norm
+    raises TrainingDiverged before that step's update, and nothing is
+    written, not even the directory.  Every record is checked
     against the model once, before mining (``check_records``).
     """
     if len({r.label for r in records}) < 2:
@@ -237,8 +238,10 @@ def train(
             opt.step()
             history.append({"step": step, "epoch": epoch, "loss": loss_val, "grad_norm": grad_norm})
     if out_dir is not None:
-        save_checkpoint(params, model_cfg, Path(out_dir) / "model.rrtm")
-        with open(Path(out_dir) / "loss_history.csv", "w", newline="") as fh:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        save_checkpoint(params, model_cfg, out_dir / "model.rrtm")
+        with open(out_dir / "loss_history.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["step", "epoch", "loss", "grad_norm"])
             w.writerows([row["step"], row["epoch"], repr(row["loss"]), repr(row["grad_norm"])] for row in history)

@@ -1,8 +1,10 @@
 """The fused attention op: bit-identical to the composed reference path in
-float32 across tile and query-row block boundaries, fewer queries than keys
-equal to the full op's leading rows, gradients against central differences
-and against the composed path, masked and all-masked keys, and the memory
-bounds that motivate the tiling."""
+float32 across tile and query-row block boundaries wherever it keeps the
+probabilities, and within float32 rounding of it in FlashAttention form (no
+grad, no probabilities); fewer queries than keys equal to the full op's
+leading rows, gradients against central differences and against the
+composed path, masked and all-masked keys, and the memory bounds that
+motivate the tiling."""
 
 import contextlib
 import tracemalloc
@@ -122,11 +124,25 @@ class TestQueryRowBlocks:
         mask = mixed_mask(cfg, B)
 
         ref, ref_attn = composed_mha_forward(params.layer(0), cfg, Tensor(z), mask, return_attn=True)
+        # Without recording or return_attn the op runs in FlashAttention
+        # form (normalised after P.v; base 2 on the unpadded pairs' tiles),
+        # which rounds differently: it is held to twice the float32 composed
+        # path's own distance from the float64 composed path (6.2e-8 against
+        # 4.9e-8 at these sizes).
+        with ag.no_grad():
+            exact, _ = composed_mha_forward(
+                params_astype(params, cfg, np.float64).layer(0), cfg, Tensor(z.astype(np.float64)), mask
+            )
+        bound = 2 * np.abs(ref.data - exact.data).max()
         for recording in (False, True):  # the parameters require grad
             for return_attn in (False, True):
                 with contextlib.nullcontext() if recording else ag.no_grad():
                     out, attn = mha_forward(params.layer(0), cfg, Tensor(z), mask, return_attn=return_attn)
-                assert out.data.tobytes() == ref.data.tobytes()
+                if recording or return_attn:
+                    assert out.data.tobytes() == ref.data.tobytes()
+                else:
+                    assert attn is None
+                    assert np.abs(out.data - exact.data).max() <= bound
             assert attn.tobytes() == ref_attn.tobytes()
 
     def test_gradients_match_composed_path(self, monkeypatch):
@@ -168,6 +184,58 @@ class TestQueryRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < slice_bytes
+
+
+class TestFlashForm:
+    """Without recording or return_probs the op scales the queries (by
+    log2(e)/sqrt(d_h) and takes exp2 where a tile has no masked key) and
+    divides the context by the row sums: in float32 it stays finite, leaves
+    pairs with no valid key exactly zero, and matches the float64 op on the
+    same inputs."""
+
+    @pytest.mark.parametrize("Tq", [16, 3, 1])
+    @pytest.mark.parametrize("budget_rows", [None, 5, 1])  # whole slices, 5-row blocks, 1-row blocks
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_finite_inert_and_close_to_float64(self, monkeypatch, Tq, budget_rows, masked):
+        B, h, T, dh = 3, 2, 16, 6
+        if budget_rows is not None:
+            monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", budget_rows * T)
+        rng = np.random.default_rng(30)
+        q = rng.standard_normal((B, h, Tq, dh)).astype(np.float32)
+        k, v = (rng.standard_normal((B, h, T, dh)).astype(np.float32) for _ in range(2))
+        mask = np.ones((B, 1, T), dtype=bool)
+        if masked:
+            mask[1, :, T // 2 :] = False
+            mask[1, :, 2] = False
+            mask[2] = False  # no valid key at all
+        with ag.no_grad():
+            out, probs = ag.attention(Tensor(q), Tensor(k), Tensor(v), mask)
+        exact, _ = ag.attention(*(Tensor(x.astype(np.float64)) for x in (q, k, v)), mask, return_probs=True)
+        assert probs is None and out.data.dtype == np.float32
+        assert np.isfinite(out.data).all()
+        if masked:
+            assert not out.data[2].any()
+        np.testing.assert_allclose(out.data, exact.data, rtol=1e-6, atol=1e-6)
+
+    def test_exp2_only_on_tiles_without_masked_keys(self, monkeypatch):
+        # np.exp2 runs a slow path on inputs below -126, masked keys' -inf
+        # among them, so a tile with masked keys must take np.exp.
+        B, h, T, dh = 3, 2, 16, 6
+        monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", h * T * T)  # one pair per tile
+        calls, exp2 = [], np.exp2
+
+        def spy(z, out=None):
+            calls.append(bool(np.isneginf(z).any()))
+            return exp2(z, out=out)
+
+        monkeypatch.setattr(np, "exp2", spy)
+        rng = np.random.default_rng(31)
+        q, k, v = (Tensor(rng.standard_normal((B, h, T, dh)).astype(np.float32)) for _ in range(3))
+        mask = np.ones((B, 1, T), dtype=bool)
+        mask[1, :, T // 2 :] = False
+        with ag.no_grad():
+            ag.attention(q, k, v, mask)
+        assert calls == [False, False]  # pairs 0 and 2
 
 
 class TestLeadingQueryRows:

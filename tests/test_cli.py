@@ -54,6 +54,7 @@ def test_index_of_empty_gallery_exits_3(tmp_path, capsys):
     write_gallery(data, [])
     assert main(["index", "--data", str(data), "--out", str(out)]) == 3
     assert "no records to index" in capsys.readouterr().err
+    assert not (out / "model.rrtm").exists()
     assert not out.exists()
 
 
@@ -485,7 +486,8 @@ def test_train_with_head_dim_beyond_the_checkpoint_format_exits_2(tmp_path, caps
 @pytest.mark.parametrize("clip", [["--grad-clip", "0.1"], ["--grad-clip", "none"]])
 def test_train_with_overflowing_gradient_norm_exits_4(tmp_path, capsys, clip):
     # At lr 1000 the float32 gradient norm overflows to inf by step 2, while
-    # the loss stays finite; no update may follow it, and no model is written.
+    # the loss stays finite; no update may follow it, and no output directory
+    # is made.
     data, out = tmp_path / "d", tmp_path / "m"
     assert main(["synth", "--out", str(data), "--instances", "6", "--confusion-pairs", "2", "--seed", "1"]) == 0
     capsys.readouterr()
@@ -493,7 +495,7 @@ def test_train_with_overflowing_gradient_norm_exits_4(tmp_path, capsys, clip):
                  "--lr", "1000", *clip])
     assert code == 4
     assert "numerical abort: non-finite gradient norm at step" in capsys.readouterr().err
-    assert not (out / "model.rrtm").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))

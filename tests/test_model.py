@@ -488,6 +488,15 @@ def chunk_inputs(cfg, seed, n):
     return q, cands
 
 
+def first_byte_difference(one: list[float], two: list[float]) -> str:
+    """Where the scores of one and of two workers first differ in their
+    float64 bytes, with both values."""
+    for i, (a, b) in enumerate(zip(one, two)):
+        if np.float64(a).tobytes() != np.float64(b).tobytes():
+            return f"score {i} differs: {a!r} with one worker, {b!r} with two"
+    return f"{len(one)} scores with one worker, {len(two)} with two"
+
+
 class TestChunkedScoring:
     """score_batch splits candidates into a fixed partition; the chunks run
     on the calling thread or on a small pool with the same bytes."""
@@ -509,9 +518,10 @@ class TestChunkedScoring:
         for cpus in (1, 2):
             calls = force_chunking(monkeypatch, 2, cpus)
             got[cpus] = score_batch(params, cfg, q, cands)
-            assert [b for b, _ in calls] == [2, 2, 2, 2, 3]
-            assert {main for _, main in calls} == {cpus == 1}
-        assert np.array(got[1]).tobytes() == np.array(got[2]).tobytes()
+            seen = f"{cpus} CPU(s), (chunk size, ran on the main thread) in call order: {calls}"
+            assert [b for b, _ in calls] == [2, 2, 2, 2, 3], seen
+            assert {main for _, main in calls} == {cpus == 1}, seen
+        assert np.array(got[1]).tobytes() == np.array(got[2]).tobytes(), first_byte_difference(got[1], got[2])
         single = [score_pair(params, cfg, q, c)[1] for c in cands]
         np.testing.assert_allclose(got[2], single, atol=1e-5)
 
