@@ -26,7 +26,6 @@ __all__ = [
     "Tensor",
     "no_grad",
     "add",
-    "mul",
     "matmul",
     "affine",
     "mlp",
@@ -226,15 +225,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _make(data, (a, b), grad_fn)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-
-    def grad_fn(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
 
     return _make(data, (a, b), grad_fn)
 

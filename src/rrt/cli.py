@@ -496,16 +496,6 @@ def cmd_rerank(cfg: dict) -> int:
     return 0
 
 
-def _require_cutoffs(cfg: dict) -> None:
-    for flag, ks in (("--map-ks", cfg["map_ks"]), ("--recall-ks", cfg["recall_ks"])):
-        _require(all(k >= 1 for k in ks), flag, "positive integers", ks)
-
-
-def _ground_truth_from_files(cfg: dict):
-    queries, gallery, _ = _load_pair(cfg)
-    return queries, gallery, build_ground_truth(queries, gallery)
-
-
 def _validate_ids(lists, queries, gallery):
     """(query id -> record, gallery id -> record) after checking that record
     ids are unique per file and that every listed id has a record."""
@@ -519,26 +509,31 @@ def _validate_ids(lists, queries, gallery):
     return qmap, gmap
 
 
-def _require_relevant(lists, gt, path) -> None:
-    """A file in which no query has a relevant gallery item has no AP to
-    average."""
-    if not any(gt.get(nl.query_id) for nl in lists):
-        raise DataFormatError(f"{path}: no query has a relevant gallery item")
+def _evaluate_files(cfg: dict, paths: Sequence[str]) -> list:
+    """The EvalReport of each neighbour file in paths against the labels of
+    --queries and --gallery, at --map-ks and --recall-ks.  A cutoff below 1
+    raises ConfigError; an id without a record, or a file in which no query
+    has a relevant gallery item (so no AP to average), DataFormatError."""
+    for flag, ks in (("--map-ks", cfg["map_ks"]), ("--recall-ks", cfg["recall_ks"])):
+        _require(all(k >= 1 for k in ks), flag, "positive integers", ks)
+    queries, gallery, _ = _load_pair(cfg)
+    gt = build_ground_truth(queries, gallery)
+    digest = config_digest(cfg)
+    reports = []
+    for path in paths:
+        lists = read_neighbors(path)
+        _validate_ids(lists, queries, gallery)
+        if not any(gt.get(nl.query_id) for nl in lists):
+            raise DataFormatError(f"{path}: no query has a relevant gallery item")
+        reports.append(evaluate_neighbors(lists, gt, map_ks=cfg["map_ks"], recall_ks=cfg["recall_ks"], digest=digest))
+    return reports
 
 
 def cmd_eval(cfg: dict) -> int:
     _require(cfg["format"] in ("json", "csv"), "--format", "json or csv", cfg["format"])
-    _require_cutoffs(cfg)
     t0 = time.time()
-    queries, gallery, gt = _ground_truth_from_files(cfg)
-    lists = read_neighbors(cfg["data"])
-    _validate_ids(lists, queries, gallery)
-    _require_relevant(lists, gt, cfg["data"])
-    digest = config_digest(cfg)
-    report = evaluate_neighbors(
-        lists, gt, map_ks=cfg["map_ks"], recall_ks=cfg["recall_ks"],
-        digest=digest, wallclock_s=round(time.time() - t0, 6),
-    )
+    (report,) = _evaluate_files(cfg, [cfg["data"]])
+    report.wallclock_s = round(time.time() - t0, 6)
     emit_report(report, cfg["out"], cfg["format"])
     _write_meta(cfg["out"], cfg, {"workers": score_workers()})
     print(f"{report.method or 'ranking'}: mAP={report.map:.4f} "
@@ -548,22 +543,13 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_compare(cfg: dict) -> int:
-    _require_cutoffs(cfg)
-    queries, gallery, gt = _ground_truth_from_files(cfg)
-    digest = config_digest(cfg)
-    rows = []
-    for path in cfg["data"]:
-        lists = read_neighbors(path)
-        _validate_ids(lists, queries, gallery)
-        _require_relevant(lists, gt, path)
-        rep = evaluate_neighbors(lists, gt, map_ks=cfg["map_ks"], recall_ks=cfg["recall_ks"], digest=digest)
-        rows.append((Path(path).name, rep))
+    reports = _evaluate_files(cfg, cfg["data"])
     header = ["file", "method", "map"]
     header += [f"map@{k}" for k in cfg["map_ks"]] + [f"r@{k}" for k in cfg["recall_ks"]]
     table = [header]
-    for name, rep in rows:
+    for path, rep in zip(cfg["data"], reports):
         table.append(
-            [name, rep.method, f"{rep.map:.6f}"]
+            [Path(path).name, rep.method, f"{rep.map:.6f}"]
             + [f"{rep.map_at[k]:.6f}" for k in cfg["map_ks"]]
             + [f"{rep.recall_at[k]:.6f}" for k in cfg["recall_ks"]]
         )

@@ -66,7 +66,7 @@ class EvalReport:
     recall_at: dict[int, float]
     per_query: list[dict]  # {"id", "ap", "first_rank"}
     excluded_queries: int
-    wallclock_s: float
+    wallclock_s: float  # 0.0 from evaluate_neighbors; `rrt eval` sets its own run time
 
     def to_dict(self) -> dict:
         return {
@@ -88,7 +88,6 @@ def evaluate_neighbors(
     recall_ks: Sequence[int] = (1, 10, 100),
     method: str = "",
     digest: str = "",
-    wallclock_s: float = 0.0,
 ) -> EvalReport:
     scored = []  # (query id, hit ranks, |relevant|) of each query with a relevant item
     for nl in lists:
@@ -116,7 +115,7 @@ def evaluate_neighbors(
         recall_at={int(k): sum(r <= k for r in first_ranks) / len(scored) for k in recall_ks},
         per_query=per_query,
         excluded_queries=len(lists) - len(scored),
-        wallclock_s=wallclock_s,
+        wallclock_s=0.0,
     )
 
 

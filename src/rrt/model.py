@@ -7,12 +7,13 @@ A pair of images becomes one token sequence
 where the global token is the projected global descriptor plus a segment
 embedding, and every local token is the local descriptor plus its scale
 embedding and a segment embedding (plus an optional fixed sinusoidal position
-code).  Images with fewer than L locals are padded with zero tokens excluded
-via the attention mask.  The sequence runs through C identical transformer
-layers; a linear head on the final CLS row yields the match logit.  Since
-nothing else reads the last layer's output, that layer runs its queries,
-residual, LayerNorms and MLP on the CLS row alone (Tq = 1 query row against
-all T keys and values), unless the caller collects its attention map.
+code).  Images with fewer than L locals are padded up to L local slots; the
+attention mask excludes those slots as keys, so whatever their tokens hold
+never reaches a valid row.  The sequence runs through C identical
+transformer layers; a linear head on the final CLS row yields the match
+logit.  Since nothing else reads the last layer's output, that layer always
+runs its queries, residual, LayerNorms and MLP on the CLS row alone (Tq = 1
+query row against all T keys and values).
 
 Checkpoint wire format, extension ``.rrtm``, read by ``rrt.wire.Reader``
 (header and error policy there):
@@ -71,7 +72,7 @@ _FLAG_BITS = ("use_pos_embed", "use_global_token", "use_scale_embed", "mlp_resid
 
 @dataclass(frozen=True)
 class ModelConfig:
-    L: int = 500          # max locals per image
+    L: int = 500          # max locals per image, at most 65535 (the .rrtd limit)
     d: int = 128          # token dimension
     h: int = 4            # attention heads
     d_h: int = 32         # per-head dimension
@@ -92,6 +93,8 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be positive")
             if value > most:
                 raise ConfigError(f"{name} must be at most {most} to fit a .rrtm file, got {value}")
+        if self.L > (most := uint_limits("<H")[0]):  # the u16 locals count of a .rrtd record
+            raise ConfigError(f"L must be at most {most}, the most locals a .rrtd record holds, got {self.L}")
         if self.use_pos_embed and self.d % 4 != 0:
             raise ConfigError("position encoding needs d divisible by 4")
 
@@ -309,14 +312,14 @@ def _gather_side(cfg: ModelConfig, records: Sequence[ImageRecord], dtype):
     return locals_mat, sidx, lmask, globals_mat
 
 
-def _local_block(params, cfg: ModelConfig, side: str, locals_mat, sidx, lmask) -> Tensor:
+def _local_block(params, cfg: ModelConfig, side: str, locals_mat, sidx) -> Tensor:
     """[B, L, d] local tokens: raw vectors + scale embedding + segment
-    embedding, zeroed at pad slots so padding stays inert."""
+    embedding.  Pad slots get the embeddings too; the key mask keeps them
+    inert."""
     x = Tensor(locals_mat)
     if cfg.use_scale_embed:
         x = ag.add(x, ag.embedding(params["scale_embed.table"], sidx))
-    x = ag.add(x, params[f"seg.local_{side}"])
-    return ag.mul(x, Tensor(lmask[..., None].astype(locals_mat.dtype)))
+    return ag.add(x, params[f"seg.local_{side}"])
 
 
 def _tile_token(tok: Tensor, B: int, dtype) -> Tensor:
@@ -336,18 +339,18 @@ def _segments(cfg: ModelConfig) -> list[tuple[str, str, int, int]]:
     return out
 
 
-def _assemble_batch(params: ModelParams, cfg: ModelConfig, pairs, dtype):
+def _assemble_batch(params: ModelParams, cfg: ModelConfig, pairs):
     """Token sequences [B, T, d] and key masks [B, T] of a batch of pairs,
-    built with a handful of batched graph ops in ``_segments`` order; pads
-    are zero tokens with a False mask entry."""
-    B = len(pairs)
+    in the parameters' dtype, built with a handful of batched graph ops in
+    ``_segments`` order; pad slots have a False mask entry."""
+    B, dtype = len(pairs), params["tok.cls"].dtype
     sides = {s: _gather_side(cfg, [p[i] for p in pairs], dtype) for i, s in enumerate("ab")}
     one = np.ones((B, 1), dtype=bool)
     blocks, mask_cols = [], []
     for kind, side, _, _ in _segments(cfg):
         locals_mat, sidx, lmask, globals_mat = sides[side]
         if kind == "locals":
-            blocks.append(_local_block(params, cfg, side, locals_mat, sidx, lmask))
+            blocks.append(_local_block(params, cfg, side, locals_mat, sidx))
             mask_cols.append(lmask)
             continue
         if kind == "global":
@@ -360,36 +363,19 @@ def _assemble_batch(params: ModelParams, cfg: ModelConfig, pairs, dtype):
 
 
 def forward_pair_logits(
-    params: ModelParams,
-    cfg: ModelConfig,
-    pairs: Sequence[tuple[ImageRecord, ImageRecord]],
-    collect_attention: bool = False,
-):
-    """Logits for a batch of record pairs in one forward pass.  Every record
-    has passed check_records; none is checked here.
-
-    Returns (logits Tensor [B], attention of the last layer or None).
-    The last layer computes only the CLS row the head reads, unless
-    collect_attention asks for its full [B, h, T, T] attention.  Gradients
-    flow if recording is enabled.
-    """
+    params: ModelParams, cfg: ModelConfig, pairs: Sequence[tuple[ImageRecord, ImageRecord]]
+) -> Tensor:
+    """Logits [B] for a batch of record pairs in one forward pass; gradients
+    flow if recording is enabled.  Every record has passed check_records;
+    none is checked here.  The last layer computes only the CLS row the head
+    reads."""
     if not pairs:
         raise ValueError("forward_pair_logits needs at least one pair")
-    dtype = params["tok.cls"].dtype
-    z, mask = _assemble_batch(params, cfg, pairs, dtype)
-
-    last = cfg.layers - 1
-    for i in range(last):
-        z, _ = transformer_layer(params.layer(i), cfg, z, mask)
-    z, attn = transformer_layer(
-        params.layer(last), cfg, z, mask, return_attn=collect_attention,
-        query_rows=None if collect_attention else 1,
-    )
-
-    cls = z[:, 0, :]
+    z, mask = _assemble_batch(params, cfg, pairs)
+    for i in range(cfg.layers):
+        z, _ = transformer_layer(params.layer(i), cfg, z, mask, query_rows=1 if i == cfg.layers - 1 else None)
     head = ag.reshape(params["head.w"], (cfg.d, 1))
-    logits = ag.reshape(ag.affine(cls, head, params["head.b"]), (len(pairs),))
-    return logits, attn
+    return ag.reshape(ag.affine(z[:, 0, :], head, params["head.b"]), (len(pairs),))
 
 
 # Threads that score the chunks of one call.  numpy releases the GIL in the
@@ -470,7 +456,7 @@ def score_batch(
 
     def score(chunk: slice) -> list[float]:
         with ag.no_grad():
-            logits, _ = forward_pair_logits(params, cfg, [(query, c) for c in candidates[chunk]])
+            logits = forward_pair_logits(params, cfg, [(query, c) for c in candidates[chunk]])
         return [float(s) for s in ag._sigmoid(logits.data)]
 
     chunks = score_chunks(len(candidates), SCORE_CHUNK_FLOATS // (cfg.seq_len * cfg.d))
@@ -500,7 +486,9 @@ def attention_correspondences(
     if na == 0 or nb == 0:
         return []
     with ag.no_grad():
-        _, attn = forward_pair_logits(params, cfg, [(a, b)], collect_attention=True)
+        z, mask = _assemble_batch(params, cfg, [(a, b)])
+        for i in range(cfg.layers):
+            z, attn = transformer_layer(params.layer(i), cfg, z, mask, return_attn=i == cfg.layers - 1)
     m = attn[0].mean(axis=0)  # [T, T]
     a0, b0 = (pos for kind, _, pos, _ in _segments(cfg) if kind == "locals")
     affinity = m[a0 : a0 + na, b0 : b0 + nb]

@@ -262,10 +262,10 @@ def _typed(value, types: tuple, rule: str):
 def read_neighbors(path) -> list[NeighborList]:
     """Parse neighbor JSONL; a malformed line (an id that is not a JSON
     integer, a score that is not a JSON number or a "truncated" that is not a
-    JSON boolean included), a gallery id listed twice for one query, or a
-    non-finite score (which Python's json accepts) raises DataFormatError
-    naming the line."""
-    out = []
+    JSON boolean included), a query id on a second line, a gallery id listed
+    twice for one query, or a non-finite score (which Python's json accepts)
+    raises DataFormatError naming the line."""
+    out, query_lines = [], {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -285,6 +285,8 @@ def read_neighbors(path) -> list[NeighborList]:
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataFormatError(f"bad neighbor line {lineno}: {exc}") from exc
+            if (first := query_lines.setdefault(nl.query_id, lineno)) != lineno:
+                raise DataFormatError(f"bad neighbor line {lineno}: query id {nl.query_id} already on line {first}")
             seen = set()
             for g, s in nl.entries:
                 if g in seen:

@@ -223,7 +223,7 @@ def train(
                 for ps in sampler.sample_pair(anchors[int(ai)], rng):
                     pairs.append((by_id[ps.anchor_id], by_id[ps.partner_id]))
                     targets.append(float(ps.label))
-            logits, _ = forward_pair_logits(params, model_cfg, pairs)
+            logits = forward_pair_logits(params, model_cfg, pairs)
             loss = bce_with_logits(logits, np.array(targets, dtype=logits.dtype))
             loss_val = float(loss.data)
             opt.zero_grad()

@@ -211,6 +211,27 @@ def assemble_input(params, cfg, a, b) -> TokenSequence:
     return TokenSequence(tokens, mask, kinds)
 
 
+def composed_pair_logit(params, cfg, a, b):
+    """The logit of one ordered pair: assemble_input's tokens (zero pads)
+    through layers composed from composed_mha_forward, affine, relu and
+    layer_norm, each over all T rows, then the head on the CLS row.  The
+    reference for rrt.model.forward_pair_logits."""
+    from rrt import autograd as ag
+    from rrt.model import LAYERNORM_EPS
+
+    seq = assemble_input(params, cfg, a, b)
+    z, mask = ag.reshape(seq.tokens, (1, len(seq.kinds), cfg.d)), seq.valid_mask[None]
+    for i in range(cfg.layers):
+        layer = params.layer(i)
+        att, _ = composed_mha_forward(layer, cfg, z, mask)
+        zbar = ag.layer_norm(ag.add(z, att), layer.ln1_g, layer.ln1_b, LAYERNORM_EPS)
+        body = ag.affine(relu(ag.affine(zbar, layer.w1, layer.b1)), layer.w2, layer.b2)
+        if cfg.mlp_residual:
+            body = ag.add(zbar, body)
+        z = ag.layer_norm(body, layer.ln2_g, layer.ln2_b, LAYERNORM_EPS)
+    return float(z.data[0, 0] @ params["head.w"].data + params["head.b"].data[0])
+
+
 # -- RANSAC homography: one normalized-DLT SVD fit per iteration -------------
 
 _COLLINEAR_EPS = 1e-6
@@ -564,6 +585,17 @@ def scale(a, s):
     return _make(a.data * c, (a,), grad_fn)
 
 
+def mul(a, b):
+    """Elementwise a * b, broadcasting; the model keeps pads inert by the key
+    mask alone, so no library path multiplies two tensors."""
+    from rrt.autograd import _make, _unbroadcast
+
+    def grad_fn(g):
+        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+
+    return _make(a.data * b.data, (a, b), grad_fn)
+
+
 def tsum(a):
     """Sum of every element, as a scalar tensor."""
     from rrt.autograd import _make
@@ -583,7 +615,7 @@ def tmean(a):
 def readout(out, w):
     """sum(out * w) for a fixed array w: a scalar loss whose gradient in out
     is w, to backpropagate a tensor that is not itself a loss."""
-    from rrt.autograd import Tensor, mul
+    from rrt.autograd import Tensor
 
     return tsum(mul(out, Tensor(w)))
 
@@ -640,7 +672,7 @@ def score_pair(params, cfg, a, b):
     from rrt.model import forward_pair_logits
 
     with ag.no_grad():
-        logits, _ = forward_pair_logits(params, cfg, [(a, b)])
+        logits = forward_pair_logits(params, cfg, [(a, b)])
     return float(logits.data[0]), float(ag._sigmoid(logits.data)[0])
 
 
@@ -659,7 +691,7 @@ def evaluate_loss(records, params, model_cfg, pairs, chunk=256):
             block = pairs[start : start + chunk]
             rec_pairs = [(by_id[p.anchor_id], by_id[p.partner_id]) for p in block]
             t = np.array([float(p.label) for p in block])
-            logits, _ = forward_pair_logits(params, model_cfg, rec_pairs)
+            logits = forward_pair_logits(params, model_cfg, rec_pairs)
             z = logits.data.astype(np.float64)
             total += float((np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))).sum())
     return total / len(pairs)

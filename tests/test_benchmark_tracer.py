@@ -59,7 +59,7 @@ def test_traced_forward_and_backward_count_model_spans():
     t = tracer.Tracer()
     t.install()
     try:
-        logits, _ = model.forward_pair_logits(params, cfg, pairs)
+        logits = model.forward_pair_logits(params, cfg, pairs)
         tsum(logits).backward()
     finally:
         t.uninstall()

@@ -4,7 +4,8 @@ and label sets with nothing to score: 3, never a traceback, and no output
 written; bad GV settings, bad flag and config values, bad --config files and
 records the model cannot take exit 2, naming the flag, field, line or record;
 --config files parse as the flags do; every command prints its help; config
-digests free of machine facts; flag defaults build the default configs."""
+digests free of machine facts; flag defaults build the default configs; the
+compare table and the correspond dump hold the library's values."""
 
 import importlib
 import inspect
@@ -22,9 +23,9 @@ from rrt import model as rrt_model
 from rrt.baselines import GVConfig
 from rrt.benchmark import AQE_ALPHA, AQE_NQE, RERANK_DEPTH
 from rrt.cli import main
-from rrt.data import DatasetManifest, ImageRecord, SynthConfig, save_dataset
+from rrt.data import DatasetManifest, ImageRecord, SynthConfig, load_dataset, normalize_records, save_dataset
 from rrt.metrics import ablation_locals_sweep, evaluate_neighbors
-from rrt.model import ModelConfig, init_params, save_checkpoint
+from rrt.model import ModelConfig, attention_correspondences, init_params, load_checkpoint, save_checkpoint
 from rrt.train import TrainConfig
 from rrt.retrieval import NeighborList, read_neighbors, write_neighbors
 
@@ -337,6 +338,106 @@ def test_ablate_at_a_full_budget_equals_retrieve_rerank_eval(tmp_path):
     want = f"{json.loads((tmp_path / 'rrt.json').read_text())['map']:.6f}"
     rows = [line.split("\t") for line in (tmp_path / "a.tsv").read_text().splitlines()[1:]]
     assert [row[1] for row in rows] == [want, want]
+
+
+def synth_and_retrieve(tmp_path):
+    """A synthetic set (6 instances, 2 confusion pairs, seed 1) under d/, and
+    its global top-100 in global.jsonl; returns (d, the --queries and
+    --gallery flags, the neighbour file)."""
+    data, index, neighbors = tmp_path / "d", tmp_path / "g.rrti", tmp_path / "global.jsonl"
+    for argv in (
+        ["synth", "--out", str(data), "--instances", "6", "--confusion-pairs", "2", "--seed", "1"],
+        ["index", "--data", str(data / "gallery.rrtd"), "--out", str(index)],
+        ["retrieve", "--data", str(index), "--queries", str(data / "queries.rrtd"), "--out", str(neighbors)],
+    ):
+        assert main(argv) == 0, argv
+    return data, ["--queries", str(data / "queries.rrtd"), "--gallery", str(data / "gallery.rrtd")], neighbors
+
+
+def test_eval_of_a_file_listing_a_query_twice_exits_3(tmp_path, capsys):
+    _, pair, neighbors = synth_and_retrieve(tmp_path)
+    lines = neighbors.read_text().splitlines(keepends=True)
+    neighbors.write_text(lines[0] + "".join(lines))
+    out = tmp_path / "e.json"
+    capsys.readouterr()
+    assert main(["eval", "--data", str(neighbors), *pair, "--out", str(out)]) == 3
+    query = json.loads(lines[0])["query"]
+    assert f"bad neighbor line 2: query id {query} already on line 1" in capsys.readouterr().err
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
+def test_compare_table_holds_each_files_eval_values(tmp_path, capsys):
+    _, pair, global_list = synth_and_retrieve(tmp_path)
+    aqe = tmp_path / "aqe.jsonl"
+    assert main(["rerank", "--data", str(global_list), *pair, "--scorer", "aqe", "--out", str(aqe)]) == 0
+    cutoffs = ["--map-ks", "5,100", "--recall-ks", "1,5"]
+    table = tmp_path / "c.tsv"
+    capsys.readouterr()
+    assert main(["compare", "--data", str(global_list), str(aqe), *pair, *cutoffs, "--out", str(table)]) == 0
+    rows = [line.split("\t") for line in table.read_text().splitlines()]
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == rows
+    assert rows[0] == ["file", "method", "map", "map@5", "map@100", "r@1", "r@5"]
+    assert len(rows) == 3
+    for row, path in zip(rows[1:], (global_list, aqe)):
+        report = tmp_path / f"{path.stem}.json"
+        assert main(["eval", "--data", str(path), *pair, *cutoffs, "--out", str(report)]) == 0
+        rep = json.loads(report.read_text())
+        assert row == [path.name, rep["method"], f"{rep['map']:.6f}",
+                       *(f"{rep['map_at'][k]:.6f}" for k in ("5", "100")),
+                       *(f"{rep['recall_at'][k]:.6f}" for k in ("1", "5"))]
+    assert rows[1][2:] != rows[2][2:]  # the two rankings differ, so each row is its own file's
+
+
+def test_correspond_writes_the_attention_matches_with_their_positions(tmp_path):
+    data, pair, _ = synth_and_retrieve(tmp_path)
+    synth = SynthConfig()
+    # four pad slots a side, as a checkpoint trained with a larger --locals-max has
+    cfg = ModelConfig(L=synth.locals_per_image + 4, d=synth.d_l, h=4, d_h=synth.d_l // 4, layers=2, d_c=32,
+                      n_scales=synth.n_scales, d_g_raw=synth.d_g_raw)
+    checkpoint, out = tmp_path / "m.rrtm", tmp_path / "c.json"
+    save_checkpoint(init_params(cfg, seed=4), cfg, checkpoint)
+    q = normalize_records(load_dataset(data / "queries.rrtd")[0])[0]
+    g = normalize_records(load_dataset(data / "gallery.rrtd")[0])[3]
+    assert main(["correspond", *pair, "--checkpoint", str(checkpoint), "--query-id", str(q.id),
+                 "--gallery-id", str(g.id), "--out", str(out)]) == 0
+    matches = attention_correspondences(load_checkpoint(checkpoint)[0], cfg, q, g)
+    assert len(matches) == synth.locals_per_image
+    payload = json.loads(out.read_text())
+    assert (payload["query"], payload["gallery"]) == (q.id, g.id)
+    assert payload["matches"] == [
+        {"query_local": i, "gallery_local": j, "weight": w, "query_uv": q.uv[i].tolist(),
+         "gallery_uv": g.uv[j].tolist()}
+        for i, j, w in matches
+    ]
+
+
+def test_checkpoint_with_more_locals_than_a_record_holds_exits_3(tmp_path, capsys):
+    # Byte 11 is the top byte of the config's u32 L, so L reads 2**31 + 2;
+    # every forward pass would pad to it.  A projected index reads only the
+    # global projection, so only the load can reject it.
+    data, checkpoint, out = tmp_path / "g.rrtd", tmp_path / "m.rrtm", tmp_path / "g.rrti"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    cfg = ModelConfig(L=2, d=4, h=2, d_h=2, layers=1, d_c=8, n_scales=1, d_g_raw=2)
+    save_checkpoint(init_params(cfg, seed=0), cfg, checkpoint)
+    raw = bytearray(checkpoint.read_bytes())
+    raw[11] ^= 0x80
+    checkpoint.write_bytes(bytes(raw))
+    code = main(["index", "--data", str(data), "--projected", "--checkpoint", str(checkpoint), "--out", str(out)])
+    assert code == 3
+    message = "L must be at most 65535, the most locals a .rrtd record holds, got 2147483650 (at byte offset 8)"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_with_more_locals_than_a_record_holds_exits_2(tmp_path, capsys, monkeypatch):
+    # train() is stubbed out: at this L it would pad every pair to 65,536
+    # locals a side.
+    capture(monkeypatch, "train")
+    data, out = tmp_path / "g.rrtd", tmp_path / "out"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    assert main(["train", "--data", str(data), "--out", str(out), "--locals-max", "65536"]) == 2
+    assert "L must be at most 65535, the most locals a .rrtd record holds, got 65536" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_query_expansion_of_a_projected_list_does_not_read_its_scores(tmp_path):

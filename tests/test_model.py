@@ -13,7 +13,8 @@ import pytest
 
 from rrt import model
 from rrt import train as rrt_train
-from rrt.autograd import Tensor, mul
+from rrt import autograd as ag
+from rrt.autograd import Tensor
 from rrt.benchmark import benchmark_model_config
 from rrt.errors import ConfigError, DataFormatError, IntegrityError
 from rrt.model import (
@@ -34,7 +35,7 @@ from rrt.scorers import make_rrt_scorer
 
 from gradcheck import central_difference, max_rel_err
 from helpers import make_pair, make_record, params_astype, spy_forward_passes, tiny_config
-from oracles import assemble_input, param_count, readout, score_pair
+from oracles import assemble_input, composed_pair_logit, mul, param_count, readout, score_pair
 
 
 def default_config():
@@ -99,6 +100,11 @@ class TestParamCount:
     def test_sizes_beyond_the_checkpoint_header_rejected(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             ModelConfig(**kwargs)
+
+    def test_locals_beyond_a_descriptor_record_rejected(self):
+        assert ModelConfig(L=65535).L == 65535
+        with pytest.raises(ConfigError, match="L must be at most 65535, the most locals a .rrtd record holds, got 65536"):
+            ModelConfig(L=65536)
 
 
 class TestAssembleInput:
@@ -186,17 +192,20 @@ class TestAssembleInput:
         assert cfg.seq_len == len(kinds)
 
     def test_batched_assembly_matches_per_pair_path(self):
+        # Valid tokens only: pad slots are excluded by the mask, whatever
+        # they hold (TestScoring::test_padding_invariance covers the logits).
         from rrt.model import _assemble_batch
 
         cfg = tiny_config()
         params = init_params(cfg, seed=30)
         rng = np.random.default_rng(30)
         pairs = [make_pair(rng, cfg, n_a=int(rng.integers(0, 5)), n_b=int(rng.integers(0, 5))) for _ in range(4)]
-        z, mask = _assemble_batch(params, cfg, pairs, np.float32)
+        z, mask = _assemble_batch(params, cfg, pairs)
+        assert z.data.dtype == np.float32
         for i, (a, b) in enumerate(pairs):
             seq = assemble_input(params, cfg, a, b)
-            np.testing.assert_allclose(z.data[i], seq.tokens.data, atol=1e-6)
             np.testing.assert_array_equal(mask[i], seq.valid_mask)
+            np.testing.assert_allclose(z.data[i][mask[i]], seq.tokens.data[mask[i]], atol=1e-6)
 
 
 def direct_mha_f64(z, mask, lp, h, dh):
@@ -470,12 +479,21 @@ class TestScoring:
 
 def force_chunking(monkeypatch, size, cpus):
     """score_batch chunks of `size` pairs at tiny_config() on a machine of
-    `cpus` CPUs; returns the list of (batch size, ran on the calling thread)
-    per forward pass."""
+    `cpus` CPUs; returns {first candidate id: (batch size, ran on the calling
+    thread)} of the forward passes, which is the same in whatever order the
+    worker threads start them."""
     cfg = tiny_config()
     monkeypatch.setattr(model, "SCORE_CHUNK_FLOATS", size * cfg.seq_len * cfg.d)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    return spy_forward_passes(monkeypatch)
+    calls = {}
+    forward = model.forward_pair_logits
+
+    def spy(params, cfg, pairs):
+        calls[pairs[0][1].id] = (len(pairs), threading.current_thread() is threading.main_thread())
+        return forward(params, cfg, pairs)
+
+    monkeypatch.setattr(model, "forward_pair_logits", spy)
+    return calls
 
 
 def chunk_inputs(cfg, seed, n):
@@ -518,9 +536,9 @@ class TestChunkedScoring:
         for cpus in (1, 2):
             calls = force_chunking(monkeypatch, 2, cpus)
             got[cpus] = score_batch(params, cfg, q, cands)
-            seen = f"{cpus} CPU(s), (chunk size, ran on the main thread) in call order: {calls}"
-            assert [b for b, _ in calls] == [2, 2, 2, 2, 3], seen
-            assert {main for _, main in calls} == {cpus == 1}, seen
+            seen = f"{cpus} CPU(s), first candidate id: (chunk size, ran on the main thread): {calls}"
+            assert {first: size for first, (size, _) in calls.items()} == {1: 2, 3: 2, 5: 2, 7: 2, 9: 3}, seen
+            assert {main for _, main in calls.values()} == {cpus == 1}, seen
         assert np.array(got[1]).tobytes() == np.array(got[2]).tobytes(), first_byte_difference(got[1], got[2])
         single = [score_pair(params, cfg, q, c)[1] for c in cands]
         np.testing.assert_allclose(got[2], single, atol=1e-5)
@@ -530,7 +548,7 @@ class TestChunkedScoring:
         q, cands = chunk_inputs(cfg, 51, 3)
         calls = force_chunking(monkeypatch, 2, 2)
         score_batch(init_params(cfg, seed=51), cfg, q, cands)
-        assert calls == [(3, True)]
+        assert calls == {1: (3, True)}
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_first_failing_chunk_raises_its_error(self, monkeypatch, cpus):
@@ -542,11 +560,11 @@ class TestChunkedScoring:
         force_chunking(monkeypatch, 2, cpus)
         forward = model.forward_pair_logits
 
-        def failing(params, cfg, pairs, *args, **kwargs):
+        def failing(params, cfg, pairs):
             bad = [c.id for _, c in pairs if c.id in (6, 8)]
             if bad:
                 raise ValueError(f"candidate {bad[0]} failed")
-            return forward(params, cfg, pairs, *args, **kwargs)
+            return forward(params, cfg, pairs)
 
         monkeypatch.setattr(model, "forward_pair_logits", failing)
         with pytest.raises(ValueError) as exc:
@@ -564,7 +582,7 @@ class TestChunkedScoring:
 
         def fake_forward(params, cfg, pairs):
             calls.append(len(pairs))
-            return Tensor(np.zeros(len(pairs), np.float32)), None
+            return Tensor(np.zeros(len(pairs), np.float32))
 
         monkeypatch.setattr(model, "forward_pair_logits", fake_forward)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -634,9 +652,20 @@ def mixed_pairs(cfg, seed):
     ] + [make_pair(rng, cfg, n_a=0, n_b=cfg.L)]
 
 
+def full_layer_forward(params, cfg, pairs):
+    """(logits, last layer's attention [B, h, T, T]) with every layer, the
+    last included, run over all T rows by transformer_layer: the reference
+    for the CLS-only last layer."""
+    z, mask = model._assemble_batch(params, cfg, pairs)
+    for i in range(cfg.layers):
+        z, attn = transformer_layer(params.layer(i), cfg, z, mask, return_attn=i == cfg.layers - 1)
+    head = ag.reshape(params["head.w"], (cfg.d, 1))
+    return ag.reshape(ag.affine(z[:, 0, :], head, params["head.b"]), (len(pairs),)), attn
+
+
 class TestClsOnlyLastLayer:
-    """The last layer computes only the CLS row unless its attention is
-    collected; collecting runs the full layer, so it is the reference."""
+    """The last layer computes only the CLS row; the same layers run over
+    every row are the reference."""
 
     @pytest.mark.parametrize("use_global_token", [True, False])
     @pytest.mark.parametrize("mlp_residual", [False, True])
@@ -644,9 +673,8 @@ class TestClsOnlyLastLayer:
         cfg = tiny_config(use_global_token=use_global_token, mlp_residual=mlp_residual)
         params = init_params(cfg, seed=50)
         pairs = mixed_pairs(cfg, seed=50)
-        cls_only, attn = forward_pair_logits(params, cfg, pairs)
-        full, _ = forward_pair_logits(params, cfg, pairs, collect_attention=True)
-        assert attn is None
+        cls_only = forward_pair_logits(params, cfg, pairs)
+        full, _ = full_layer_forward(params, cfg, pairs)
         assert cls_only.data.dtype == np.float32
         np.testing.assert_allclose(cls_only.data, full.data, rtol=1e-5, atol=1e-6)
 
@@ -655,22 +683,36 @@ class TestClsOnlyLastLayer:
         pairs = mixed_pairs(cfg, seed=51)
         r = np.random.default_rng(51).standard_normal(len(pairs))
         grads = []
-        for collect in (False, True):
+        for forward in (forward_pair_logits, lambda *args: full_layer_forward(*args)[0]):
             params = params_astype(init_params(cfg, seed=51), cfg, np.float64)
-            logits, _ = forward_pair_logits(params, cfg, pairs, collect_attention=collect)
-            readout(logits, r).backward()
+            readout(forward(params, cfg, pairs), r).backward()
             grads.append({name: t.grad for name, t in params.named()})
         for name, g in grads[0].items():
             np.testing.assert_allclose(g, grads[1][name], rtol=1e-9, atol=1e-12, err_msg=name)
 
-    def test_collect_attention_returns_full_map(self):
+    def test_full_last_layer_returns_full_map(self):
         cfg = tiny_config()
         params = init_params(cfg, seed=52)
         pairs = mixed_pairs(cfg, seed=52)
-        _, attn = forward_pair_logits(params, cfg, pairs, collect_attention=True)
+        _, attn = full_layer_forward(params, cfg, pairs)
         T = cfg.seq_len
         assert attn.shape == (len(pairs), cfg.h, T, T)
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, rtol=1e-5)
+
+
+class TestPositionCodes:
+    def test_padded_forward_matches_composed_oracle(self):
+        # Padded and full pairs in one batch, against per-pair tokens with
+        # zero pads run through the composed layers, in float64.
+        cfg = tiny_config(use_pos_embed=True)
+        params = params_astype(init_params(cfg, seed=54), cfg, np.float64)
+        pairs = mixed_pairs(cfg, seed=54)
+        got = forward_pair_logits(params, cfg, pairs).data
+        want = [composed_pair_logit(params, cfg, a, b) for a, b in pairs]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        # the codes reach the logits, so the comparison covers them
+        plain = forward_pair_logits(params, replace(cfg, use_pos_embed=False), pairs).data
+        assert np.abs(got - plain).max() > 1e-3
 
 
 class TestAssignment:
@@ -722,6 +764,20 @@ class TestCorrespondences:
         assert len({i for i, _, _ in matches}) == 3
         assert len({j for _, j, _ in matches}) == 3
         assert all(0 <= i < 4 and 0 <= j < 3 for i, j, _ in matches)
+
+    def test_weights_are_the_head_averaged_last_layer_map(self):
+        # locals of a start after CLS and a's global token, locals of b after
+        # SEP and b's global token
+        cfg = tiny_config()
+        params = init_params(cfg, seed=28)
+        a, b = make_pair(np.random.default_rng(28), cfg, n_a=3, n_b=2)
+        with ag.no_grad():
+            _, attn = full_layer_forward(params, cfg, [(a, b)])
+        m = attn[0].mean(axis=0)
+        a0, b0 = 2, 2 + cfg.L + 2
+        affinity = m[a0 : a0 + 3, b0 : b0 + 2]
+        want = [(i, j, float(affinity[i, j])) for i, j in max_weight_assignment(affinity)]
+        assert attention_correspondences(params, cfg, a, b) == want
 
 
 class TestCheckpoint:

@@ -252,7 +252,7 @@ class TestPersistence:
     def test_every_written_file_reads_back(self, tmp_path_factory, query_id, entries, truncated):
         p = tmp_path_factory.mktemp("n") / "n.jsonl"
         lists = [NeighborList(np.int64(query_id), [(np.uint32(g), np.float32(s)) for g, s in entries]),
-                 NeighborList(query_id, entries, method="rrt", truncated=truncated)]
+                 NeighborList(query_id ^ 1, entries, method="rrt", truncated=truncated)]
         write_neighbors(p, lists)
         assert read_neighbors(p) == lists
 
@@ -335,4 +335,15 @@ class TestPersistence:
             f'{{"query": 2, "neighbors": {neighbors}}}\n'
         )
         with pytest.raises(DataFormatError, match=f"line 2: {problem}"):
+            read_neighbors(p)
+
+    def test_query_on_a_second_line_rejected_naming_both(self, tmp_path):
+        # Read as two lists, the query would count twice in every average.
+        p = tmp_path / "n.jsonl"
+        p.write_text(
+            '{"query": 1, "neighbors": [[5, 0.9]]}\n'
+            '{"query": 2, "neighbors": [[5, 0.9]]}\n'
+            '{"query": 1, "neighbors": [[6, 0.8]]}\n'
+        )
+        with pytest.raises(DataFormatError, match="line 3: query id 1 already on line 1"):
             read_neighbors(p)

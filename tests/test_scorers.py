@@ -68,7 +68,7 @@ def test_rrt_scorer_at_frozen_config_gives_equal_bytes_on_one_and_two_workers(
     cfg = benchmark_model_config()
     params = init_params(cfg, seed=1)
     by_id = {g.id: g for g in gallery}
-    logits, _ = forward_pair_logits(params, cfg, [(q, by_id[g]) for g in ids])
+    logits = forward_pair_logits(params, cfg, [(q, by_id[g]) for g in ids])
     whole = 1.0 / (1.0 + np.exp(-logits.data.astype(np.float64)))
     batches = spy_forward_passes(monkeypatch)
     got = {}

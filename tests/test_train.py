@@ -221,7 +221,7 @@ class TestTrain:
 
         params = init_params(mcfg, seed=2)
         pairs = [(recs[0], recs[1]), (recs[0], recs[10])]
-        logits, _ = forward_pair_logits(params, mcfg, pairs)
+        logits = forward_pair_logits(params, mcfg, pairs)
         loss = bce_with_logits(logits, np.array([1.0, 0.0], dtype=logits.dtype))
         loss.backward()
         pre = clip_global_grad_norm(params.trainable(), clip)
