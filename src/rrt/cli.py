@@ -13,10 +13,12 @@ written, and records against the model once per command, when the scorer is
 built or training starts, so a record the model cannot take exits 2 wherever
 it sits in the gallery; a projected ``index`` or ``retrieve`` checks its
 checkpoint's global projection against the data and the index the same
-way.  The ``rerank`` and ``eval`` sidecars also record
-``"environment": {"workers": N}``, the threads a multi-chunk ``score_batch``
-uses on this machine; it is a machine fact, so it stays out of the config
-and its digest.
+way.  The ``rerank`` and ``eval`` sidecars also record an ``environment``
+block: ``workers``, the threads a multi-chunk ``score_batch`` uses on this
+machine, and OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS as
+this process sees them (null when unset); ``rerank`` adds ``heap_pinned``,
+true when scoring pinned glibc's heap thresholds (``rrt.model``).  These are
+machine facts, so they stay out of the config and its digest.
 
 Flags may also come from a ``key=value`` config file (--config), whose lines
 become flag tokens ahead of the command line's: one argparse pass parses every
@@ -32,6 +34,7 @@ import argparse
 import inspect
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -52,6 +55,7 @@ from .data import (
     save_dataset,
     synth_generate,
 )
+from .entry import BLAS_THREAD_VARS
 from .errors import ConfigError, DataFormatError, IntegrityError, TrainingDiverged
 from .metrics import (
     ablation_locals_sweep,
@@ -63,6 +67,7 @@ from .metrics import (
 from .model import (
     ModelConfig,
     attention_correspondences,
+    heap_pinned,
     load_checkpoint,
     score_workers,
 )
@@ -314,6 +319,12 @@ def _write_meta(out_path, cfg: dict, environment: dict | None = None) -> str:
     return digest
 
 
+def _environment(**facts) -> dict:
+    """A sidecar's machine facts: the scoring workers, the BLAS thread
+    variables as this process sees them (None when unset), and `facts`."""
+    return {"workers": score_workers(), **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}, **facts}
+
+
 def _require(ok: bool, flag: str, rule: str, value) -> None:
     """Reject a flag value, naming the flag, before anything is read or
     written."""
@@ -491,7 +502,7 @@ def cmd_rerank(cfg: dict) -> int:
         scorer = _scorer_from_flags(cfg, queries, gallery, manifest.d_l)
         out_lists = [rerank_topk(nl, scorer, k, method=name) for nl in out_lists]
     write_neighbors(cfg["out"], out_lists)
-    _write_meta(cfg["out"], cfg, {"workers": score_workers()})
+    _write_meta(cfg["out"], cfg, _environment(heap_pinned=heap_pinned()))
     print(f"reranked {len(out_lists)} lists with scorer {name} (k={k}) -> {cfg['out']}")
     return 0
 
@@ -535,7 +546,7 @@ def cmd_eval(cfg: dict) -> int:
     (report,) = _evaluate_files(cfg, [cfg["data"]])
     report.wallclock_s = round(time.time() - t0, 6)
     emit_report(report, cfg["out"], cfg["format"])
-    _write_meta(cfg["out"], cfg, {"workers": score_workers()})
+    _write_meta(cfg["out"], cfg, _environment())
     print(f"{report.method or 'ranking'}: mAP={report.map:.4f} "
           + " ".join(f"mAP@{k}={v:.4f}" for k, v in report.map_at.items())
           + " " + " ".join(f"R@{k}={v:.4f}" for k, v in report.recall_at.items()))

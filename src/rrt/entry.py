@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import os
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def main() -> int:
-    if not any(var in os.environ for var in _BLAS_THREAD_VARS):
-        for var in _BLAS_THREAD_VARS:
+    if not any(var in os.environ for var in BLAS_THREAD_VARS):
+        for var in BLAS_THREAD_VARS:
             os.environ[var] = "1"
     from rrt.cli import main as cli_main
 

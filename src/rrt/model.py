@@ -15,6 +15,14 @@ logit.  Since nothing else reads the last layer's output, that layer always
 runs its queries, residual, LayerNorms and MLP on the CLS row alone (Tq = 1
 query row against all T keys and values).
 
+Scoring keeps its peak heap for the life of the process.  The first
+``map_in_order`` call, through which both the learned and the geometric
+scorer run their chunks, sets glibc's mmap and trim thresholds once (where
+the C library is glibc), so the buffers a forward pass frees stay in the
+process for the next one instead of going back to the OS and faulting in
+again; it also starts the one thread pool that scores chunks for the rest
+of the process.  ``import rrt`` changes neither.
+
 Checkpoint wire format, extension ``.rrtm``, read by ``rrt.wire.Reader``
 (header and error policy there):
 
@@ -29,9 +37,11 @@ Checkpoint wire format, extension ``.rrtm``, read by ``rrt.wire.Reader``
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -57,6 +67,7 @@ __all__ = [
     "score_workers",
     "score_chunks",
     "map_in_order",
+    "heap_pinned",
     "attention_correspondences",
     "save_checkpoint",
     "load_checkpoint",
@@ -422,18 +433,80 @@ def score_chunks(n: int, cap: int | None = None) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+# glibc's mallopt parameters, and the values pinned: 32 MiB is the highest
+# mmap threshold glibc's own dynamic rule reaches on 64-bit, and the trim
+# threshold is twice it, as in that rule.  Setting either one turns the
+# dynamic rule off, so both are set or neither.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_in_pool = threading.local()  # .worker is True on the pool's own threads
+_heap_pinned = False
+
+
+def _pin_heap() -> bool:
+    """Set glibc's mmap and trim thresholds; True when both calls took
+    (mallopt returns 1), False without glibc."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # the process's own symbols are not loadable here
+        return False
+    if not hasattr(libc, "gnu_get_libc_version"):  # the parameter numbers are glibc's
+        return False
+    mallopt = libc.mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1 and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1
+
+
+def _mark_worker() -> None:
+    _in_pool.worker = True
+
+
+def _forget_pool() -> None:
+    """A forked child has none of the parent's pool threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _scoring_pool() -> ThreadPoolExecutor:
+    """The process's scoring pool of MAX_SCORE_WORKERS threads, made on the
+    first call, which also pins the heap thresholds."""
+    global _pool, _heap_pinned
+    with _pool_lock:
+        if _pool is None:
+            _heap_pinned = _pin_heap()
+            _pool = ThreadPoolExecutor(MAX_SCORE_WORKERS, "rrt-score", initializer=_mark_worker)
+        return _pool
+
+
+def heap_pinned() -> bool:
+    """True once scoring has pinned glibc's heap thresholds in this process."""
+    return _heap_pinned
+
+
 def map_in_order(fn, items: Sequence) -> list:
-    """[fn(x) for x in items]: a single item on the calling thread, several
-    on up to score_workers() threads.  Results, and the first error, come
-    in item order, as the serial loop gives them.  Each worker is assumed to
-    run BLAS on one thread (the `rrt` command sets that before numpy loads;
-    a library caller sets OPENBLAS_NUM_THREADS itself), else the workers'
-    BLAS threads contend for the same cores."""
-    workers = min(score_workers(), len(items))
-    if workers <= 1:
+    """[fn(x) for x in items]: a single item, or any number when
+    score_workers() is 1, on the calling thread; several otherwise on the
+    MAX_SCORE_WORKERS threads of one pool that lives as long as the
+    process.  Results, and the first error, come in item order, as the
+    serial loop gives them.  A call from one of the pool's own threads runs
+    serially, so it never waits on a pool its caller fills.  The first call
+    also pins glibc's heap thresholds, so scoring keeps its peak heap for the
+    life of the process (see the module docstring).  Each worker is assumed
+    to run BLAS on one thread (the `rrt` command sets that before numpy
+    loads; a library caller sets OPENBLAS_NUM_THREADS itself), else the
+    workers' BLAS threads contend for the same cores."""
+    pool = _pool or _scoring_pool()
+    if min(score_workers(), len(items)) <= 1 or getattr(_in_pool, "worker", False):
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return list(pool.map(fn, items))
 
 
 def score_batch(
@@ -451,7 +524,8 @@ def score_batch(
     map_in_order.  The partition does not depend on the worker count, so
     neither do the score bytes.  Like map_in_order, it assumes one BLAS
     thread per worker; with more, it runs slower, and paper-scale scores
-    can move by float32 rounding.
+    can move by float32 rounding.  Scoring keeps its peak heap, and its
+    worker threads, for the life of the process.
     """
 
     def score(chunk: slice) -> list[float]:

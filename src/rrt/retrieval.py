@@ -234,10 +234,14 @@ def aqe_then_rerank(
 
 
 def write_neighbors(path, lists: Sequence[NeighborList]) -> None:
-    """One JSON object per query; a non-finite score, which JSON cannot
-    hold, raises DataFormatError before anything is written."""
-    lines = []
+    """One JSON object per query; a query id on a second list, which
+    read_neighbors refuses, or a non-finite score, which JSON cannot hold,
+    raises DataFormatError before anything is written."""
+    lines, seen = [], set()
     for nl in lists:
+        if nl.query_id in seen:
+            raise DataFormatError(f"query {nl.query_id}: listed twice, and a neighbor file holds one list per query")
+        seen.add(nl.query_id)
         obj = {
             "query": int(nl.query_id),
             "method": nl.method,

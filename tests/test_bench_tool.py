@@ -1,8 +1,9 @@
 """tools/bench.py on canned perfbench/run.py output: the per-side quartiles,
-win counts and verdicts it writes, the order and seeds of its runs, the
-sibling trees both sides run from, and its exit status when a run fails,
-prints no result line or is not correct.  No perfbench subprocess runs
-here."""
+win counts and verdicts it writes, the CPU seconds and page faults of each
+run, the order and seeds of its runs, the sibling trees both sides run
+from, and its exit status when a run fails, prints no result line or is not
+correct.  No perfbench subprocess runs here; the resource accounting is
+checked on a stand-in run.py."""
 
 import importlib.util
 import json
@@ -50,12 +51,19 @@ def test_parse_output_skips_lines_that_are_not_json_objects():
     assert bench.parse_output("Traceback (most recent call last):\n") == {}
 
 
+def usage(side, seed):
+    """Canned resource use of one run: the change side spends less system
+    time and takes fewer faults."""
+    return {"user_s": 10.0 + seed, "sys_s": 0.3 + seed / 100 if side == "parent" else 0.1,
+            "minflt": 120_000 + seed if side == "parent" else 30_000}
+
+
 def _runs(parent_ms, change_ms, **kw):
     runs = []
     for pair, (p, c) in enumerate(zip(parent_ms, change_ms)):
         for side, value in (("parent", p), ("change", c)):
             runs.append({"side": side, "pair": pair, "seed": pair + 1, "order": 0, "exit": 0,
-                         **bench.parse_output(canned(value, **kw))})
+                         "rusage": usage(side, pair + 1), **bench.parse_output(canned(value, **kw))})
     return runs
 
 
@@ -71,6 +79,44 @@ def test_summary_counts_wins_and_gives_quartiles_per_side():
     assert set(section["report"]) == {"train_loss"}  # the other two repeat an end-to-end series
     assert section["failed_checks"] == []
     assert all(r["correct"] and r["problems"] == [] for r in section["runs"])
+
+
+def test_summary_gives_cpu_seconds_and_faults_per_side():
+    section = bench.summarize(_runs([20, 22, 21, 30], [19, 23, 18, 20]), SPEC)
+    rusage = section["rusage"]
+    assert set(rusage) == {"user_s", "sys_s", "minflt"}
+    assert rusage["minflt"]["parent"]["values"] == [120_001, 120_002, 120_003, 120_004]
+    assert rusage["minflt"]["parent"]["median"] == 120_002.5
+    assert rusage["sys_s"]["change"] == {"values": [0.1] * 4, "q1": 0.1, "median": 0.1, "q3": 0.1}
+    assert rusage["user_s"]["change"]["median"] == 12.5
+    assert section["runs"][1]["rusage"] == usage("change", 1)
+
+
+# A stand-in for perfbench/run.py: writes every page of `mib` MiB, then
+# prints a result line.
+STAND_IN = """
+import json
+mib = {mib}
+block = bytearray(b"x") * (mib << 20)
+print(json.dumps({{"correct": True, "metrics": {{}}}}))
+"""
+
+
+def test_each_run_records_its_own_cpu_seconds_and_faults(tmp_path):
+    got = {}
+    for mib in (64, 0):
+        tree = tmp_path / f"tree{mib}"
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text(STAND_IN.format(mib=mib))
+        code, stdout, stderr, used = bench.run_perfbench(tree, "train", 1, 10)
+        assert (code, bench.parse_output(stdout)["result"]["correct"]) == (0, True), stderr
+        got[mib] = used
+    pages = (64 << 20) // 4096
+    assert got[64]["minflt"] > pages
+    # the second run counts only its own faults, not the first run's
+    assert got[0]["minflt"] < got[64]["minflt"] - pages // 2
+    assert all(used["user_s"] > 0 and used["sys_s"] >= 0 for used in got.values())
+    assert got[64]["user_s"] + got[64]["sys_s"] > got[0]["user_s"] + got[0]["sys_s"]
 
 
 @pytest.mark.parametrize(
@@ -119,7 +165,8 @@ def fake_trees(tmp_path, monkeypatch):
     def run(tree, workload, seed, seconds):
         side = "parent" if tree == parent_tree else "change"
         calls.append((workload, seed, side, seconds, tree))
-        return outputs.get((workload, seed, side), (0, canned(20.0 if side == "parent" else 18.0), ""))
+        output = outputs.get((workload, seed, side), (0, canned(20.0 if side == "parent" else 18.0), ""))
+        return (*output, usage(side, seed))
 
     monkeypatch.setattr(bench, "run_perfbench", run)
     return calls, outputs
@@ -141,6 +188,8 @@ def test_pairs_alternate_sides_with_one_seed_each(tmp_path, fake_trees):
     assert written["environment"] == {"python": "3.11.7", "nproc": 2}
     op = written["workloads"]["train"]["end_to_end"]["op_ms_p50"]
     assert (op["parent"]["values"], op["change"]["values"], op["change_wins"]) == ([20.0] * 3, [18.0] * 3, 3)
+    faults = written["workloads"]["train"]["rusage"]["minflt"]
+    assert (faults["parent"]["values"], faults["change"]["values"]) == ([120_001, 120_002, 120_003], [30_000] * 3)
 
 
 def test_every_workload_of_the_spec_runs_for_its_run_seconds(tmp_path, fake_trees):

@@ -4,13 +4,14 @@ and label sets with nothing to score: 3, never a traceback, and no output
 written; bad GV settings, bad flag and config values, bad --config files and
 records the model cannot take exit 2, naming the flag, field, line or record;
 --config files parse as the flags do; every command prints its help; config
-digests free of machine facts; flag defaults build the default configs; the
+digests free of machine facts, which the sidecars record beside them; flag defaults build the default configs; the
 compare table and the correspond dump hold the library's values."""
 
 import importlib
 import inspect
 import json
 import os
+import platform
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +25,7 @@ from rrt.baselines import GVConfig
 from rrt.benchmark import AQE_ALPHA, AQE_NQE, RERANK_DEPTH
 from rrt.cli import main
 from rrt.data import DatasetManifest, ImageRecord, SynthConfig, load_dataset, normalize_records, save_dataset
+from rrt.entry import BLAS_THREAD_VARS
 from rrt.metrics import ablation_locals_sweep, evaluate_neighbors
 from rrt.model import ModelConfig, attention_correspondences, init_params, load_checkpoint, save_checkpoint
 from rrt.train import TrainConfig
@@ -209,7 +211,9 @@ def test_correspond_with_repeated_record_id_exits_3(tmp_path, capsys, side):
     assert not out.exists()
 
 
-def test_rerank_digest_does_not_depend_on_cpu_count(tmp_path, monkeypatch):
+def gv_rerank_and_eval_argvs(tmp_path) -> dict:
+    """{output path: argv} of a GV rerank of a three-record set's retrieved
+    lists, then its eval, in run order."""
     data = tmp_path / "g.rrtd"
     index = tmp_path / "g.rrti"
     neighbors = tmp_path / "n.jsonl"
@@ -217,12 +221,17 @@ def test_rerank_digest_does_not_depend_on_cpu_count(tmp_path, monkeypatch):
     write_gallery(data, [[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
     assert main(["index", "--data", str(data), "--out", str(index)]) == 0
     assert main(["retrieve", "--data", str(index), "--queries", str(data), "--k", "3", "--out", str(neighbors)]) == 0
-    argvs = {
+    return {
         out: ["rerank", "--data", str(neighbors), "--queries", str(data), "--gallery", str(data),
               "--scorer", "gv", "--out", str(out)],
         report: ["eval", "--data", str(out), "--queries", str(data), "--gallery", str(data),
                  "--out", str(report)],
     }
+
+
+def test_rerank_digest_does_not_depend_on_cpu_count(tmp_path, monkeypatch):
+    argvs = gv_rerank_and_eval_argvs(tmp_path)
+    report = list(argvs)[1]
     metas = []
     try:
         for cpus in (1, 64):
@@ -236,10 +245,35 @@ def test_rerank_digest_does_not_depend_on_cpu_count(tmp_path, monkeypatch):
                     metas.append(json.loads(Path(str(path) + ".meta.json").read_text()))
     finally:
         importlib.reload(cli)
-    assert [m["environment"] for m in metas] == [{"workers": w} for w in (1, 1, 2, 2)]
+    assert [m["environment"]["workers"] for m in metas] == [1, 1, 2, 2]
     assert metas[0]["config_digest"] == metas[2]["config_digest"]
     assert metas[1]["config_digest"] == metas[3]["config_digest"]
     assert json.loads(report.read_text())["config_digest"] == metas[1]["config_digest"]
+
+
+def test_sidecars_record_blas_threads_and_heap_pin_outside_the_digest(tmp_path, monkeypatch):
+    argvs = gv_rerank_and_eval_argvs(tmp_path)
+    settings = ({"OPENBLAS_NUM_THREADS": "1"}, {"OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "2"})
+    metas = []
+    for setting in settings:
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in setting.items():
+            monkeypatch.setenv(var, value)
+        for path, argv in argvs.items():
+            assert main(argv) == 0
+            metas.append(json.loads(Path(str(path) + ".meta.json").read_text()))
+    blas = [{var: setting.get(var) for var in BLAS_THREAD_VARS} for setting in settings]
+    workers = rrt_model.score_workers()
+    # the GV scorer ran its chunks through map_in_order, which pins the heap
+    pinned = {"heap_pinned": platform.libc_ver()[0] == "glibc"}
+    assert [m["environment"] for m in metas] == [
+        {"workers": workers, **blas[0], **pinned}, {"workers": workers, **blas[0]},
+        {"workers": workers, **blas[1], **pinned}, {"workers": workers, **blas[1]},
+    ]
+    # machine facts are blanked for byte identity, as wallclock_s is
+    blanked = [json.dumps({**m, "environment": None}, sort_keys=True) for m in metas]
+    assert blanked[:2] == blanked[2:]
 
 
 def write_rrt_inputs(tmp_path, bad_id):

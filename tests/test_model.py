@@ -4,6 +4,7 @@ extraction, checkpoint round trips."""
 
 import itertools
 import os
+import signal
 import sys
 import threading
 from dataclasses import replace
@@ -611,8 +612,64 @@ class TestChunkedScoring:
         assert later_failed.is_set()
         assert threading.main_thread() not in threads
 
+    def test_calls_share_one_kept_pool(self, monkeypatch):
+        # Both chunks of a call wait for each other, so each call needs two
+        # pool threads at once: the same two, call after call.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        both = threading.Barrier(2, timeout=10)
+        per_call = []
+
+        def fn(i):
+            both.wait()
+            return threading.current_thread()
+
+        for _ in range(10):
+            per_call.append(set(model.map_in_order(fn, [0, 1])))
+        assert len(per_call[0]) == model.MAX_SCORE_WORKERS
+        assert per_call == [per_call[0]] * 10
+        assert threading.main_thread() not in per_call[0]
+
+    def test_nested_call_runs_on_its_worker(self, monkeypatch):
+        # Every pool thread is busy with an outer chunk when it makes the
+        # inner call, which a full pool could never serve.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        both = threading.Barrier(2, timeout=10)
+        got = []
+
+        def inner(j):
+            return j, threading.current_thread()
+
+        def outer(i):
+            both.wait()
+            return [(i, j, thread is threading.current_thread())
+                    for j, thread in model.map_in_order(inner, range(3))]
+
+        caller = threading.Thread(target=lambda: got.append(model.map_in_order(outer, [0, 1])))
+        caller.start()
+        caller.join(30)
+        assert not caller.is_alive()
+        assert got == [[[(i, j, True) for j in range(3)] for i in range(2)]]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_scores_on_a_pool_of_its_own(self, monkeypatch):
+        # The child inherits the parent's pool object, here with both threads
+        # started and idle, but none of the threads.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        both = threading.Barrier(2, timeout=10)
+        assert model.map_in_order(lambda i: both.wait() >= 0, [0, 1]) == [True, True]
+        pid = os.fork()
+        if pid == 0:  # the child exits 0 only if its call returns in time
+            signal.alarm(30)
+            code = 1
+            try:
+                code = 0 if model.map_in_order(abs, [-3, -4]) == [3, 4] else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
     def test_concurrent_calls_give_serial_bytes(self, monkeypatch):
-        # More callers than cores, each running its own two-worker pool, with
+        # More callers than cores, all sharing the one two-worker pool, with
         # thread switches forced often: scores and grad mode stay untouched.
         cfg = tiny_config()
         params = init_params(cfg, seed=53)

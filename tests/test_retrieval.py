@@ -314,6 +314,19 @@ class TestPersistence:
             write_neighbors(p, lists)
         assert not p.exists()
 
+    def test_query_listed_twice_rejected_before_writing(self, tmp_path):
+        # read_neighbors refuses such a file, so it must never be written.
+        p = tmp_path / "n.jsonl"
+        p.write_text("kept\n")
+        lists = [
+            NeighborList(query_id=7, entries=[(2, 0.5)]),
+            NeighborList(query_id=3, entries=[(2, 0.25)]),
+            NeighborList(query_id=np.int64(7), entries=[(4, 0.125)], method="rrt"),
+        ]
+        with pytest.raises(DataFormatError, match="query 7: listed twice"):
+            write_neighbors(p, lists)
+        assert p.read_text() == "kept\n"
+
     def test_malformed_line_reports_position(self, tmp_path):
         p = tmp_path / "n.jsonl"
         p.write_text('{"query": 1, "method": "global", "neighbors": [[1, 0.5]]}\n{"nope": 1}\n')

@@ -1,10 +1,16 @@
 """Scorer factories on the worker pool: at the frozen config the GV and RRT
 scorers split a top 100 into two chunks of 50, and one CPU and two give the
 same score bytes, with the chunks on worker threads when there are two.  The
-oracle keeps query and gallery part sets apart."""
+oracle keeps query and gallery part sets apart.  Once warm, RRT scoring
+takes its buffers from the heap it kept, not from fresh pages."""
 
+import json
 import os
+import platform
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +19,7 @@ from rrt import scorers
 from rrt.baselines import GVConfig, gv_scores
 from rrt.benchmark import RERANK_DEPTH, benchmark_model_config, eval_synth_config
 from rrt.data import ImageRecord, normalize_records, synth_generate
+from rrt.entry import BLAS_THREAD_VARS
 from rrt.model import forward_pair_logits, init_params
 from rrt.retrieval import build_index, rank_queries
 
@@ -92,3 +99,44 @@ def test_oracle_scores_a_gallery_record_by_its_own_parts_when_a_query_shares_its
 
     scorer = scorers.make_oracle_scorer(bank, [record(7, [0, 1])], [record(7, [2]), record(8, [0])])
     assert scorer(7, [8, 7]) == [1.0, 0.0]
+
+
+# Scores 2 warm-up queries of the seed-1 frozen eval set with the committed
+# checkpoint, then prints the minor page faults of the next 10 top-100 RRT
+# reranks.
+FAULT_PROBE = """
+import json, resource
+from rrt.benchmark import RERANK_DEPTH, eval_synth_config
+from rrt.data import normalize_records, synth_generate
+from rrt.model import load_checkpoint
+from rrt.retrieval import build_index, rank_queries, rerank_topk
+from rrt.scorers import make_rrt_scorer
+
+queries, gallery, _ = synth_generate(eval_synth_config(1))
+queries, gallery = normalize_records(queries), normalize_records(gallery)
+params, cfg = load_checkpoint({checkpoint!r})
+lists = rank_queries(build_index(gallery), queries[:12], k=len(gallery))
+scorer = make_rrt_scorer(params, cfg, queries, gallery)
+for nl in lists[:2]:
+    rerank_topk(nl, scorer, RERANK_DEPTH, method="rrt")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for nl in lists[2:]:
+    rerank_topk(nl, scorer, RERANK_DEPTH, method="rrt")
+print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap pin sets glibc's thresholds")
+def test_warm_rrt_reranks_take_no_fresh_pages():
+    # Without the pinned thresholds, glibc hands each forward pass's
+    # temporaries back to the OS and the next pass faults them in again:
+    # about 3,000 minor faults a query.
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"), "PYTHONPATH": path}  # as the rrt command runs
+    checkpoint = root / "perfbench" / "data" / "rrt_frozen_seed1.rrtm"
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE.format(checkpoint=str(checkpoint))],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert faults < 1000, f"{faults} minor faults over 10 warm top-100 reranks"

@@ -20,10 +20,13 @@ odd ones.
 
 The file holds, for each workload and each end-to-end metric of
 BENCHMARK.json: every value per side, their q1, median and q3, the number of
-pairs the change won, the metric's bound, and a verdict.  It also holds every
-``report`` metric per side that does not repeat an end-to-end series value
-for value, every failed check, each run's exit status, and the environment
-line of the first run.  The command exits 1 when any run exits nonzero,
+pairs the change won, the metric's bound, and a verdict.  Beside them, under
+``rusage``, the same per-side statistics of what each whole run.py process
+cost: user and system CPU seconds and minor page faults (the
+RUSAGE_CHILDREN delta around it).  It also holds every ``report`` metric per
+side that does not repeat an end-to-end series value for value, every failed
+check, each run's exit status and resource use, and the environment line of
+the first run.  The command exits 1 when any run exits nonzero,
 prints no result line, or is not ``"correct": true``; the file is written
 either way.
 """
@@ -33,6 +36,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
 import shutil
 import subprocess
 import sys
@@ -43,6 +47,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
 SIDES = ("parent", "change")
+RUSAGE = ("user_s", "sys_s", "minflt")
 
 
 def quartiles(values: list[float]) -> dict:
@@ -95,9 +100,12 @@ def _by_pair(runs: list[dict], side: str, section: str, name: str) -> dict[int, 
     return out
 
 
-def _side_stats(runs: list[dict], side: str, section: str, name: str) -> dict:
-    values = list(_by_pair(runs, side, section, name).values())
+def _stats(values: list[float]) -> dict:
     return {"values": values, **quartiles(values)}
+
+
+def _side_stats(runs: list[dict], side: str, section: str, name: str) -> dict:
+    return _stats(list(_by_pair(runs, side, section, name).values()))
 
 
 def _verdict(stats: dict, better: str, bound: float) -> tuple[float | None, str]:
@@ -127,6 +135,10 @@ def summarize(runs: list[dict], spec: dict) -> dict:
         stats["pairs"] = len({r["pair"] for r in runs})
         stats["median_worse_by"], stats["verdict"] = _verdict(stats, better, metric["bound"])
         end_to_end[name] = stats
+    rusage = {
+        name: {side: _stats([r["rusage"][name] for r in runs if r["side"] == side]) for side in SIDES}
+        for name in RUSAGE
+    }
     report = {}
     for run in runs:
         for name, m in (run.get("report") or {}).get("metrics", {}).items():
@@ -144,10 +156,11 @@ def summarize(runs: list[dict], spec: dict) -> dict:
     ]
     return {
         "end_to_end": end_to_end,
+        "rusage": rusage,
         "report": report,
         "failed_checks": failed_checks,
         "runs": [
-            {k: r[k] for k in ("side", "pair", "seed", "order", "exit")}
+            {k: r[k] for k in ("side", "pair", "seed", "order", "exit", "rusage")}
             | {"correct": (r.get("result") or {}).get("correct"), "problems": problems(r)}
             for r in runs
         ],
@@ -190,16 +203,26 @@ def copy_change() -> Path:
     return tree
 
 
-def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[int, str, str]:
-    """(exit status, stdout, stderr) of the tree's own perfbench/run.py,
-    untraced: the end-to-end metrics."""
+def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[int, str, str, dict]:
+    """(exit status, stdout, stderr, rusage) of the tree's own
+    perfbench/run.py, untraced: the end-to-end metrics.  rusage holds the
+    user and system CPU seconds and the minor page faults of that process,
+    the RUSAGE_CHILDREN delta around it."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     try:
         proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=600 + 30 * seconds)
+        code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
     except subprocess.TimeoutExpired as exc:
-        return -1, exc.stdout or "", f"timed out after {exc.timeout} s"
-    return proc.returncode, proc.stdout, proc.stderr
+        code, stdout, stderr = -1, exc.stdout or "", f"timed out after {exc.timeout} s"
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    usage = {
+        "user_s": after.ru_utime - before.ru_utime,
+        "sys_s": after.ru_stime - before.ru_stime,
+        "minflt": after.ru_minflt - before.ru_minflt,
+    }
+    return code, stdout, stderr, usage
 
 
 def parse_args(argv):
@@ -234,9 +257,9 @@ def main(argv=None) -> int:
             seed = pair + 1
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
-                code, stdout, stderr = run_perfbench(trees[side], workload, seed, seconds)
+                code, stdout, stderr, usage = run_perfbench(trees[side], workload, seed, seconds)
                 run = {"side": side, "pair": pair, "seed": seed, "order": position, "exit": code,
-                       **parse_output(stdout)}
+                       "rusage": usage, **parse_output(stdout)}
                 if bench["environment"] is None and "environment" in run:
                     bench["environment"] = run["environment"]
                 runs.append(run)
@@ -255,6 +278,9 @@ def main(argv=None) -> int:
             p, c = stats["parent"]["median"], stats["change"]["median"]
             print(f"{workload:13s} {name:12s} median {p} -> {c}  change wins {stats['change_wins']}/{stats['pairs']}"
                   f"  {stats['verdict']}")
+        for name, stats in section["rusage"].items():
+            print(f"{workload:13s} {name:12s} median {stats['parent']['median']} -> {stats['change']['median']}"
+                  "  (per run.py process)")
     if failures:
         print("failed runs:\n  " + "\n  ".join(failures), file=sys.stderr)
         return 1
