@@ -206,17 +206,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _unbroadcast_batch(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Like _unbroadcast but leaves the trailing two (matrix) axes alone."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i in range(len(shape) - 2) if shape[i] == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 # -- elementwise and structural ops -------------------------------------
 
 
@@ -242,8 +231,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def grad_fn(g):
-        ga = _unbroadcast_batch(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _unbroadcast_batch(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
         return ga, gb
 
     return _make(data, (a, b), grad_fn)
@@ -324,8 +313,10 @@ def _row_blocks(n: int, rows: int) -> list[slice]:
     """Slices covering range(n) in the fewest blocks of at most rows (at
     least one row), with sizes differing by at most one, so no block is a
     sliver.  Each output row of a blocked product gets the same arithmetic
-    as in one whole product, except that a one-row block takes BLAS's
-    matrix-vector path, whose rounding can differ."""
+    as in one whole product where a gemm row's bytes do not depend on the
+    call's row count, as on OpenBLAS's SkylakeX kernels and not its Haswell
+    ones; a one-row block takes BLAS's matrix-vector path, whose rounding can
+    differ on any kernel."""
     count = max(1, -(-n // max(rows, 1)))
     cuts = [n * i // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]

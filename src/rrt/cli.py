@@ -2,23 +2,27 @@
 
 Stages communicate via files so every step is independently re-runnable and
 diffable: synth -> index -> retrieve -> train -> rerank -> eval / compare,
-plus the ablation sweep and a correspondence dump.  Every command is
-deterministic given its flags and seed, echoes a digest of its effective
-configuration into its outputs (reports embed it; other artifacts, and the
-``eval`` report too, get a ``<out>.meta.json`` sidecar), and exits 0 on
-success, 2 on configuration errors, 3 on data/format errors, 4 on a
-numerical abort.  Input is checked where it enters: flag values and the
-config objects built from them (which check themselves) before any output is
-written, and records against the model once per command, when the scorer is
-built or training starts, so a record the model cannot take exits 2 wherever
-it sits in the gallery; a projected ``index`` or ``retrieve`` checks its
-checkpoint's global projection against the data and the index the same
-way.  The ``rerank`` and ``eval`` sidecars also record an ``environment``
-block: ``workers``, the threads a multi-chunk ``score_batch`` uses on this
-machine, and OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS as
-this process sees them (null when unset); ``rerank`` adds ``heap_pinned``,
-true when scoring pinned glibc's heap thresholds (``rrt.model``).  These are
-machine facts, so they stay out of the config and its digest.
+plus the ablation sweep and a correspondence dump.  Every flag changes what
+its command does, so --seed sits only on the commands that draw random numbers
+(synth, train and rerank).  Every command is deterministic given its flags,
+echoes a digest of its effective configuration into its outputs (reports
+embed it; other artifacts, and the ``eval`` report too, get a
+``<out>.meta.json`` sidecar), and exits 0 on success, 2 on configuration
+errors, 3 on data/format errors (a path that cannot be read or written
+included), 4 on a numerical abort.  Input is checked where it enters: flag
+values and the config objects built from them (which check themselves) before
+any output is written, and records against the model once per command, when
+the scorer is built or training starts, so a record the model cannot take
+exits 2 wherever it sits in the gallery.  A checkpoint makes ``index``
+projected, as params make ``build_index``; ``retrieve`` needs one for a
+projected index and refuses one for a raw index.  Both check its global
+projection against the data and the index.  The ``rerank`` and ``eval``
+sidecars also record an ``environment`` block: ``workers``, the threads a
+multi-chunk ``score_batch`` uses on this machine, and OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS as this process sees them (null when
+unset); ``rerank`` adds ``heap_pinned``, true when scoring pinned glibc's heap
+thresholds (``rrt.model``).  These are machine facts, so they stay out of the
+config and its digest.
 
 Flags may also come from a ``key=value`` config file (--config), whose lines
 become flag tokens ahead of the command line's: one argparse pass parses every
@@ -136,12 +140,10 @@ def _opt_int(text: str):
 
 _synth, _model, _train, _gv = map(_setter, (SynthConfig, ModelConfig, TrainConfig, GVConfig))
 
-COMMON = [
-    Flag("--seed", int, 0, "seed for every random choice in the command"),
-    Flag("--config", str, None, "key=value file merged under the flags"),
-]
+COMMON = [Flag("--config", str, None, "key=value file merged under the flags")]
+SEEDED = [Flag("--seed", int, 0, "seed for every random choice; synth, train and rerank take it")] + COMMON
 
-SYNTH_FLAGS = COMMON + [
+SYNTH_FLAGS = SEEDED + [
     Flag("--out", str, None, "output directory", required=True),
     _synth("n_instances", "--instances", int, "number of object instances"),
     _synth("images_per_instance", "--images-per-instance", int, "images generated per instance"),
@@ -160,8 +162,7 @@ SYNTH_FLAGS = COMMON + [
 INDEX_FLAGS = COMMON + [
     Flag("--data", str, None, "gallery descriptor file (.rrtd)", required=True),
     Flag("--out", str, None, "index artifact (.rrti)", required=True),
-    Flag("--projected", "bool", False, "index the model-projected globals instead of raw"),
-    Flag("--checkpoint", str, None, "model checkpoint (needed with --projected)"),
+    Flag("--checkpoint", str, None, "model checkpoint; makes the index projected"),
 ]
 
 RETRIEVE_FLAGS = COMMON + [
@@ -169,10 +170,10 @@ RETRIEVE_FLAGS = COMMON + [
     Flag("--queries", str, None, "query descriptor file (.rrtd)", required=True),
     Flag("--k", int, RERANK_DEPTH, "neighbors to return per query"),
     Flag("--out", str, None, "neighbor JSONL output", required=True),
-    Flag("--checkpoint", str, None, "model checkpoint (for projected indexes)"),
+    Flag("--checkpoint", str, None, "model checkpoint (projected indexes only)"),
 ]
 
-TRAIN_FLAGS = COMMON + [
+TRAIN_FLAGS = SEEDED + [
     Flag("--data", str, None, "training gallery (.rrtd)", required=True),
     Flag("--out", str, None, "output directory (model.rrtm, its .meta.json, loss_history.csv)", required=True),
     _model("L", "--locals-max", int, "max locals per image (model length L)"),
@@ -193,7 +194,7 @@ TRAIN_FLAGS = COMMON + [
     _train("lr_step_schedule", "--lr-schedule", "bool", "drop lr x0.1 after 60 and 80 percent of epochs"),
 ]
 
-RERANK_FLAGS = COMMON + [
+RERANK_FLAGS = SEEDED + [
     Flag("--data", str, None, "input neighbor JSONL", required=True),
     Flag("--queries", str, None, "query descriptor file (.rrtd)", required=True),
     Flag("--gallery", str, None, "gallery descriptor file (.rrtd)", required=True),
@@ -388,11 +389,7 @@ def _projection_params(path, d_g_raw: int):
 
 def cmd_index(cfg: dict) -> int:
     records, manifest = _load_normalized(cfg["data"])
-    params = None
-    if cfg["projected"]:
-        if not cfg["checkpoint"]:
-            raise ConfigError("--projected needs --checkpoint")
-        params = _projection_params(cfg["checkpoint"], manifest.d_g_raw)
+    params = _projection_params(cfg["checkpoint"], manifest.d_g_raw) if cfg["checkpoint"] else None
     index = build_index(records, params=params)
     save_index(index, cfg["out"])
     _write_meta(cfg["out"], cfg)
@@ -415,6 +412,9 @@ def cmd_retrieve(cfg: dict) -> int:
                 f"--checkpoint {cfg['checkpoint']} projects to {dim} dims, but the index holds "
                 f"{index.vectors.shape[1]}-dim vectors"
             )
+    elif cfg["checkpoint"]:
+        raise ConfigError(f"--checkpoint {cfg['checkpoint']} given, but --data {cfg['data']} is a raw index, "
+                          "which embeds queries without a model")
     elif index.vectors.shape[1] != manifest.d_g_raw:
         raise DataFormatError(f"--data {cfg['data']} holds {index.vectors.shape[1]}-dim vectors, but --queries "
                               f"{cfg['queries']} has {manifest.d_g_raw}-dim globals")
@@ -440,6 +440,8 @@ def cmd_train(cfg: dict) -> int:
                    use_scale_embed=not cfg["no_scale_embed"])
     tcfg = _config(TrainConfig, cfg, TRAIN_FLAGS, seed=cfg["seed"])
     out = Path(cfg["out"])
+    if out.exists() and not out.is_dir():
+        raise NotADirectoryError(f"--out {out} exists and is not a directory")
     _, history = train(records, mcfg, tcfg, out_dir=out)
     _write_meta(out / "model.rrtm", cfg)
     print(f"trained {tcfg.epochs} epochs ({len(history)} steps), "
@@ -660,7 +662,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"{PROG} {name}: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, IntegrityError, FileNotFoundError) as exc:
+    except (DataFormatError, IntegrityError, OSError) as exc:
         print(f"{PROG} {name}: data error: {exc}", file=sys.stderr)
         return 3
     except TrainingDiverged as exc:

@@ -29,7 +29,7 @@ from rrt.entry import BLAS_THREAD_VARS
 from rrt.metrics import ablation_locals_sweep, evaluate_neighbors
 from rrt.model import ModelConfig, attention_correspondences, init_params, load_checkpoint, save_checkpoint
 from rrt.train import TrainConfig
-from rrt.retrieval import NeighborList, read_neighbors, write_neighbors
+from rrt.retrieval import NeighborList, build_index, read_neighbors, save_index, write_neighbors
 
 from helpers import no_locals
 
@@ -72,7 +72,7 @@ def test_projected_index_and_retrieve_need_a_global_projection(tmp_path, capsys)
     capsys.readouterr()
     index = tmp_path / "g.rrti"
     assert main(["index", "--data", str(data / "gallery.rrtd"), "--out", str(index),
-                 "--projected", "--checkpoint", str(checkpoint)]) == 2
+                 "--checkpoint", str(checkpoint)]) == 2
     message = f"--checkpoint {checkpoint} has no global projection (trained with --no-global-token)"
     assert message in capsys.readouterr().err
     assert not index.exists() and not Path(str(index) + ".meta.json").exists()
@@ -81,7 +81,7 @@ def test_projected_index_and_retrieve_need_a_global_projection(tmp_path, capsys)
     projector = tmp_path / "p.rrtm"
     save_checkpoint(init_params(cfg, seed=0), cfg, projector)
     assert main(["index", "--data", str(data / "gallery.rrtd"), "--out", str(index),
-                 "--projected", "--checkpoint", str(projector)]) == 0
+                 "--checkpoint", str(projector)]) == 0
     capsys.readouterr()
     out = tmp_path / "n.jsonl"
     assert main(["retrieve", "--data", str(index), "--queries", str(data / "queries.rrtd"),
@@ -99,11 +99,10 @@ def test_projection_checkpoint_of_other_global_dim_exits_2(tmp_path, capsys, com
         cfg = ModelConfig(L=2, d=4, h=2, d_h=2, layers=1, d_c=8, n_scales=1, d_g_raw=d_g_raw)
         checkpoints.append(tmp_path / f"m{d_g_raw}.rrtm")
         save_checkpoint(init_params(cfg, seed=0), cfg, checkpoints[-1])
-    projected = ["--projected", "--checkpoint", str(checkpoints[0])]
-    assert main(["index", "--data", str(data), "--out", str(index), *projected]) == 0
+    assert main(["index", "--data", str(data), "--out", str(index), "--checkpoint", str(checkpoints[0])]) == 0
     capsys.readouterr()
     argv = {
-        "index": ["--data", str(data), "--projected"],
+        "index": ["--data", str(data)],
         "retrieve": ["--data", str(index), "--queries", str(data)],
     }[command]
     assert main([command, *argv, "--checkpoint", str(checkpoints[1]), "--out", str(out)]) == 2
@@ -119,12 +118,63 @@ def test_retrieve_with_checkpoint_of_other_model_dim_exits_2(tmp_path, capsys):
         cfg = ModelConfig(L=2, d=d, h=2, d_h=d // 2, layers=1, d_c=8, n_scales=1, d_g_raw=2)
         checkpoints.append(tmp_path / f"m{d}.rrtm")
         save_checkpoint(init_params(cfg, seed=0), cfg, checkpoints[-1])
-    assert main(["index", "--data", str(data), "--out", str(index), "--projected", "--checkpoint", str(checkpoints[0])]) == 0
+    assert main(["index", "--data", str(data), "--out", str(index), "--checkpoint", str(checkpoints[0])]) == 0
     capsys.readouterr()
     assert main(["retrieve", "--data", str(index), "--queries", str(data), "--checkpoint", str(checkpoints[1]),
                  "--out", str(out)]) == 2
     assert f"--checkpoint {checkpoints[1]} projects to 8 dims, but the index holds 4-dim vectors" in capsys.readouterr().err
     assert not out.exists()
+
+
+def projector(tmp_path):
+    """A checkpoint of a tiny model whose global projection takes the 2-dim
+    globals of write_gallery."""
+    cfg = ModelConfig(L=2, d=4, h=2, d_h=2, layers=1, d_c=8, n_scales=1, d_g_raw=2)
+    checkpoint = tmp_path / "m.rrtm"
+    save_checkpoint(init_params(cfg, seed=0), cfg, checkpoint)
+    return checkpoint
+
+
+def test_index_with_checkpoint_holds_the_projected_globals(tmp_path):
+    data, index, want = tmp_path / "g.rrtd", tmp_path / "g.rrti", tmp_path / "want.rrti"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    checkpoint = projector(tmp_path)
+    assert main(["index", "--data", str(data), "--out", str(index), "--checkpoint", str(checkpoint)]) == 0
+    save_index(build_index(normalize_records(load_dataset(data)[0]), params=load_checkpoint(checkpoint)[0]), want)
+    assert index.read_bytes() == want.read_bytes()
+
+
+def test_retrieve_from_raw_index_with_checkpoint_exits_2(tmp_path, capsys):
+    data, index, out = tmp_path / "g.rrtd", tmp_path / "g.rrti", tmp_path / "n.jsonl"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    checkpoint = projector(tmp_path)
+    assert main(["index", "--data", str(data), "--out", str(index)]) == 0
+    capsys.readouterr()
+    assert main(["retrieve", "--data", str(index), "--queries", str(data), "--checkpoint", str(checkpoint),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"configuration error: --checkpoint {checkpoint} given, but --data {index} is a raw index" in captured.err
+    assert captured.out == "" and not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("command", ["index", "retrieve", "eval", "compare", "ablate", "correspond"])
+def test_seed_exits_2_where_no_random_number_is_drawn(tmp_path, capsys, monkeypatch, command, given):
+    ran = []
+    help_text, flags, _ = cli.COMMANDS[command]
+    monkeypatch.setitem(cli.COMMANDS, command, (help_text, flags, lambda cfg: ran.append(cfg) or 0))
+    argv = [command, *(token for f in flags if f.required for token in (f.name, "1"))]
+    if given == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    else:
+        conf = tmp_path / "c.cfg"
+        conf.write_text("seed=1\n")
+        assert main([*argv, "--config", str(conf)]) == 2
+        assert "c.cfg:1: unknown key 'seed'" in capsys.readouterr().err
+    assert ran == []
 
 
 def test_retrieve_with_nan_descriptor_exits_3(tmp_path, capsys):
@@ -456,7 +506,7 @@ def test_checkpoint_with_more_locals_than_a_record_holds_exits_3(tmp_path, capsy
     raw = bytearray(checkpoint.read_bytes())
     raw[11] ^= 0x80
     checkpoint.write_bytes(bytes(raw))
-    code = main(["index", "--data", str(data), "--projected", "--checkpoint", str(checkpoint), "--out", str(out)])
+    code = main(["index", "--data", str(data), "--checkpoint", str(checkpoint), "--out", str(out)])
     assert code == 3
     message = "L must be at most 65535, the most locals a .rrtd record holds, got 2147483650 (at byte offset 8)"
     assert message in capsys.readouterr().err
@@ -487,7 +537,7 @@ def test_query_expansion_of_a_projected_list_does_not_read_its_scores(tmp_path):
     pair = ["--queries", str(data / "queries.rrtd"), "--gallery", str(data / "gallery.rrtd")]
     projected, rewritten = tmp_path / "projected.jsonl", tmp_path / "rewritten.jsonl"
     assert main(["index", "--data", str(data / "gallery.rrtd"), "--out", str(index),
-                 "--projected", "--checkpoint", str(checkpoint)]) == 0
+                 "--checkpoint", str(checkpoint)]) == 0
     assert main(["retrieve", "--data", str(index), "--queries", str(data / "queries.rrtd"),
                  "--checkpoint", str(checkpoint), "--out", str(projected)]) == 0
     write_neighbors(rewritten, [replace(nl, entries=[(g, 0.01) for g in nl.gallery_ids()])
@@ -877,11 +927,14 @@ def test_config_file_cutoff_list_with_a_bad_item_exits_2_naming_the_line(tmp_pat
 
 
 def test_missing_config_file_exits_2_naming_it(tmp_path, capsys):
-    missing = tmp_path / "missing.cfg"
-    assert main(["synth", "--out", str(tmp_path / "o"), "--config", str(missing)]) == 2
-    err = capsys.readouterr().err
-    assert "configuration error: --config " + str(missing) in err and "No such file" in err
-    assert not (tmp_path / "o").exists()
+    # A directory is no more a config file than a missing path is.
+    missing, directory = tmp_path / "missing.cfg", tmp_path / "dir.cfg"
+    directory.mkdir()
+    for conf, message in ((missing, "No such file"), (directory, "Is a directory")):
+        assert main(["synth", "--out", str(tmp_path / "o"), "--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: --config " + str(conf) in err and message in err
+        assert not (tmp_path / "o").exists()
 
 
 def test_meta_from_a_config_file_equals_the_one_from_flags(tmp_path, monkeypatch):
@@ -938,6 +991,47 @@ def test_retrieve_from_raw_index_of_other_width_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"--data {index} holds 2-dim vectors, but --queries {queries} has 3-dim globals" in captured.err
     assert captured.out == "" and not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
+@pytest.mark.parametrize("command", ["index", "retrieve", "eval", "rerank"])
+def test_data_flag_naming_a_directory_exits_3_naming_it(tmp_path, capsys, command):
+    data, directory, out = tmp_path / "g.rrtd", tmp_path / "dir", tmp_path / "out"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    directory.mkdir()
+    rest = {
+        "index": [],
+        "retrieve": ["--queries", str(data)],
+        "eval": ["--queries", str(data), "--gallery", str(data)],
+        "rerank": ["--queries", str(data), "--gallery", str(data), "--scorer", "aqe"],
+    }[command]
+    assert main([command, "--data", str(directory), *rest, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "data error" in captured.err and str(directory) in captured.err and captured.out == ""
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
+def test_index_out_naming_a_directory_exits_3_naming_it(tmp_path, capsys):
+    data, out = tmp_path / "g.rrtd", tmp_path / "dir"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    out.mkdir()
+    assert main(["index", "--data", str(data), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "data error" in captured.err and str(out) in captured.err and captured.out == ""
+    assert list(out.iterdir()) == [] and not Path(str(out) + ".meta.json").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_out_directory_that_exists_as_a_file_exits_3_naming_it(tmp_path, capsys, monkeypatch, command):
+    # train() is stubbed out: the file must be refused before training starts.
+    capture(monkeypatch, "train")
+    data, out = tmp_path / "g.rrtd", tmp_path / "taken"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    out.write_text("kept\n")
+    argv = {"synth": [], "train": ["--data", str(data), "--locals-max", "2", "--heads", "2"]}[command]
+    assert main([command, *argv, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "data error" in captured.err and str(out) in captured.err and captured.out == ""
+    assert out.read_text() == "kept\n"
 
 
 def _save_npy(array):

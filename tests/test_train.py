@@ -278,7 +278,9 @@ class TestTrain:
     def test_frozen_training_bits(self, tmp_path):
         # The benchmark's train workload: the frozen corpus, model and config
         # of seed 1 at 4 steps per epoch.  Digests recorded with OpenBLAS
-        # 0.3.31; any change to them moves the trained models' bits.
+        # 0.3.31 running its SkylakeX (AVX-512) kernels; its Haswell kernels
+        # give other bytes (tests/check_kernels.py).  Any change to them
+        # moves the trained models' bits.
         _, gallery, _ = synth_generate(train_synth_config(1))
         cfg = replace(benchmark_train_config(1), steps_per_epoch=4)
         train(normalize_records(gallery), benchmark_model_config(), cfg, out_dir=tmp_path)
