@@ -45,10 +45,10 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 # Q.K^T, the softmax passes and P.V over a tile run from cache.  A slice
 # whose T x T logits exceed it runs in blocks of query rows (at T=1004, four
 # blocks of 251 rows); at T=36 a 2^20 budget puts a whole 100-pair batch
-# (4 MB) in one tile and measured slower.  Both branches of `attention` use
-# the same tiles: without kept probabilities, one tile of logits and one of
-# scaled queries are its only scratch; with them, each tile is a view of the
-# kept [B, h, Tq, T] probabilities.
+# (4 MB) in one tile and measured slower.  One tile of scaled queries is the
+# forward's scratch, and one tile of logits too where the probabilities are
+# not kept; where they are, each tile's logits are a view of the kept
+# [B, h, Tq, T] probabilities.
 ATTENTION_TILE_FLOATS = 1 << 18
 
 # Hidden-activation budget of one MLP row block, in floats (2048 rows at
@@ -409,22 +409,15 @@ def _masked_exp_(z: np.ndarray, mask, exp) -> None:
     exp(z, out=z)
 
 
-def _masked_softmax_(z: np.ndarray, mask) -> None:
-    """In place: z <- softmax of z over its last axis, restricted to
-    mask==True positions; see _masked_exp_.  Valid positions sum to one per
-    row, and a row with no valid position stays all zeros (padded rows must
-    be inert, not NaN)."""
-    _masked_exp_(z, mask, np.exp)
-    denom = z.sum(axis=-1, keepdims=True)
-    denom[denom == 0.0] = 1.0
-    np.divide(z, denom, out=z)
-
-
 def masked_softmax_lastdim(x: Tensor, mask) -> Tensor:
     """Softmax over the last axis restricted to mask==True positions; see
-    _masked_softmax_ for the handling of masked and all-masked rows."""
+    _masked_exp_.  Valid positions sum to one per row, and a row with no
+    valid position stays all zeros (padded rows must be inert, not NaN)."""
     p = np.array(x.data, copy=True)
-    _masked_softmax_(p, np.asarray(mask, dtype=bool))
+    _masked_exp_(p, np.asarray(mask, dtype=bool), np.exp)
+    denom = p.sum(axis=-1, keepdims=True)
+    denom[denom == 0.0] = 1.0
+    np.divide(p, denom, out=p)
 
     def grad_fn(g):
         inner = (g * p).sum(axis=-1, keepdims=True)
@@ -454,7 +447,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False)
     self-attention passes just those), the keys and values every token.
     mask is bool, broadcastable to [B, h, T], and marks the valid keys of
     each slice.  Returns (context [B, h, Tq, d_h], probabilities [B, h, Tq,
-    T] or None); the probabilities are built only when return_probs is set.
+    T] or None); the probabilities are returned only when return_probs is set.
     Context and gradients are views of [B, Tq or T, h, d_h] buffers.
 
     The flattened B*h axis runs in tiles of consecutive slices whose Tq x T
@@ -462,22 +455,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False)
     across two tiles unless one pair alone exceeds the budget.  A slice whose
     logits alone exceed it runs in blocks of query rows.
 
-    Where the probabilities are kept (recording, for the backward, or
-    return_probs), each block scales its logits by 1/sqrt(d_h), takes the
-    masked softmax and multiplies by v, in the op order of the composed
-    path.  Otherwise no [B, h, Tq, T] buffer exists and each block runs in
-    FlashAttention form (FlashAttention-2, arXiv 2307.08691): its queries,
-    copied into a small scratch, carry the softmax scale, so the logits need
-    no scale pass; the row sums come from a product with a ones vector,
-    which BLAS runs faster than numpy's sum over the last axis; and the
-    [rows, d_h] context is divided by the row sums after P.v instead of the
-    [rows, T] weights before it (deferred normalisation, Milakov &
-    Gimelshein, arXiv 1805.02867).  A tile with no masked key works in base
-    2: its scale carries log2(e) and the logits take np.exp2, which is
-    faster than np.exp.  A tile with masked keys keeps base e, because
-    np.exp2 runs a slow path on every input below -126, the masked keys'
-    -inf among them.  The float32 output differs from the composed path's
-    by rounding only.
+    Every block runs in FlashAttention form (FlashAttention-2, arXiv
+    2307.08691): its queries, copied into a small scratch, carry the softmax
+    scale, so the logits need no scale pass; the row sums come from a
+    product with a ones vector, which BLAS runs faster than numpy's sum over
+    the last axis; and the [rows, d_h] context is divided by the row sums
+    after P.v instead of the [rows, T] weights before it (deferred
+    normalisation, Milakov & Gimelshein, arXiv 1805.02867).  A tile with no
+    masked key works in base 2: its scale carries log2(e) and the logits
+    take np.exp2, which is faster than np.exp.  A tile with masked keys
+    keeps base e, because np.exp2 runs a slow path on every input below
+    -126, the masked keys' -inf among them.  Where the probabilities are
+    kept (recording, for the backward, or return_probs), each block writes
+    its exponentials into its view of the kept [B, h, Tq, T] buffer and
+    divides them by the row sums after P.v; otherwise no such buffer exists.
+    So the context has the same bytes whether or not the probabilities are
+    kept, and differs from the composed path's by float32 rounding only.
     """
     if not (
         q.ndim == 4
@@ -503,33 +496,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False)
 
     ctx = _head_major(q.shape, dtype)
     probs = np.empty((B, h, Tq, T), dtype=dtype) if (recording or return_probs) else None
-    if probs is None:
-        buf = np.empty(tile_floats // Tq * _longest(rows), dtype=dtype)
-        qbuf = np.empty(min(tile, B * h) * _longest(rows) * dh, dtype=dtype)
-        scale2 = dtype.type(np.log2(np.e) / np.sqrt(dh))
-        ones = np.ones((T, 1), dtype=dtype)
+    buf = None if probs is not None else np.empty(tile_floats // Tq * _longest(rows), dtype=dtype)
+    qbuf = np.empty(min(tile, B * h) * _longest(rows) * dh, dtype=dtype)
+    scale2 = dtype.type(np.log2(np.e) / np.sqrt(dh))
+    ones = np.ones((T, 1), dtype=dtype)
     for bs, hs in spans:
         kt, vt = kd[bs, hs].swapaxes(-1, -2), vd[bs, hs]
         m = kmask[bs, hs]
         m = None if m.all() else m[..., None, :]
+        exp, qscale = (np.exp2, scale2) if m is None else (np.exp, scale)
         for rs in rows:
             qt, c = qd[bs, hs, rs], ctx[bs, hs, rs]
-            if probs is None:  # scaled queries, the context normalised after P.v
-                exp, qscale = (np.exp2, scale2) if m is None else (np.exp, scale)
-                qt = np.multiply(qt, qscale, out=_tile(qbuf, qt.shape))
-                p = _tile(buf, qt.shape[:-1] + (T,))
-                np.matmul(qt, kt, out=p)
-                _masked_exp_(p, m, exp)
-                denom = np.matmul(p, ones)  # the row sums, as a BLAS matrix-vector product
-                denom[denom == 0.0] = 1.0
-                np.matmul(p, vt, out=c)
-                np.divide(c, denom, out=c)
-            else:
-                p = probs[bs, hs, rs]
-                np.matmul(qt, kt, out=p)
-                np.multiply(p, scale, out=p)
-                _masked_softmax_(p, m)
-                np.matmul(p, vt, out=c)
+            qt = np.multiply(qt, qscale, out=_tile(qbuf, qt.shape))
+            p = _tile(buf, qt.shape[:-1] + (T,)) if probs is None else probs[bs, hs, rs]
+            np.matmul(qt, kt, out=p)
+            _masked_exp_(p, m, exp)
+            denom = np.matmul(p, ones)  # the row sums, as a BLAS matrix-vector product
+            denom[denom == 0.0] = 1.0
+            np.matmul(p, vt, out=c)
+            np.divide(c, denom, out=c)
+            if probs is not None:
+                np.divide(p, denom, out=p)
 
     def grad_fn(g):
         gq = _head_major(q.shape, dtype)

@@ -13,10 +13,11 @@ included), 4 on a numerical abort.  Input is checked where it enters: flag
 values and the config objects built from them (which check themselves) before
 any output is written, and records against the model once per command, when
 the scorer is built or training starts, so a record the model cannot take
-exits 2 wherever it sits in the gallery.  A checkpoint makes ``index``
-projected, as params make ``build_index``; ``retrieve`` needs one for a
-projected index and refuses one for a raw index.  Both check its global
-projection against the data and the index.  The ``rerank`` and ``eval``
+exits 2 wherever it sits in the gallery.  ``rerank`` refuses, with exit 2, a
+flag set away from its default that its scorer does not read.  A checkpoint
+makes ``index`` projected, as params make ``build_index``; ``retrieve`` needs
+one for a projected index and refuses one for a raw index.  Both check its
+global projection against the data and the index.  The ``rerank`` and ``eval``
 sidecars also record an ``environment`` block: ``workers``, the threads a
 multi-chunk ``score_batch`` uses on this machine, and OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS as this process sees them (null when
@@ -451,16 +452,28 @@ def cmd_train(cfg: dict) -> int:
 
 def _load_parts(path, d_l: int) -> np.ndarray:
     """The oracle's part bank: a non-empty, finite float array [instances,
-    parts, d_l] in a .npy file; DataFormatError naming --parts otherwise."""
+    parts, d_l] in a .npy file; DataFormatError naming --parts otherwise.
+    The header is checked before any data is read: its dtype and shape, and
+    that the data bytes it declares are exactly the bytes left in the file."""
+    fmt = np.lib.format
+    want = f"must hold a non-empty finite float [instances, parts, {d_l}] array"
     try:
         with open(path, "rb") as fh:
-            bank = np.lib.format.read_array(fh, allow_pickle=False)
+            version = fmt.read_magic(fh)
+            read_header = {(1, 0): fmt.read_array_header_1_0, (2, 0): fmt.read_array_header_2_0}.get(version)
+            if read_header is None:
+                raise ValueError(f"unsupported .npy format version {version}")
+            shape, fortran, dtype = read_header(fh)
+            if not (dtype.kind == "f" and len(shape) == 3 and shape[2] == d_l):
+                raise ValueError(f"{want}, got {dtype} {shape}")
+            count, left = math.prod(shape), os.fstat(fh.fileno()).st_size - fh.tell()
+            if left != count * dtype.itemsize:
+                raise ValueError(f"its header declares {count * dtype.itemsize} data bytes, but {left} follow it")
+            bank = np.fromfile(fh, dtype=dtype, count=count).reshape(shape, order="F" if fortran else "C")
     except (OSError, ValueError, EOFError) as exc:
         raise DataFormatError(f"--parts {path}: {exc}") from None
-    if not (bank.ndim == 3 and bank.size and bank.shape[2] == d_l and bank.dtype.kind == "f"
-            and np.isfinite(bank).all()):
-        raise DataFormatError(f"--parts {path} must hold a non-empty finite float [instances, parts, {d_l}] "
-                              f"array, got {bank.dtype} {bank.shape}")
+    if not (bank.size and np.isfinite(bank).all()):
+        raise DataFormatError(f"--parts {path}: {want}, got {dtype} {shape}")
     return bank
 
 
@@ -473,14 +486,27 @@ def _scorer_from_flags(cfg: dict, queries, gallery, d_l: int):
         return make_rrt_scorer(params, mcfg, queries, gallery)
     if name == "gv":
         return make_gv_scorer(queries, gallery, _config(GVConfig, cfg, RERANK_FLAGS, seed=cfg["seed"]))
-    if name == "oracle":
-        if not cfg["parts"]:
-            raise ConfigError("scorer oracle needs --parts (prototype bank .npy)")
-        return make_oracle_scorer(_load_parts(cfg["parts"], d_l), queries, gallery)
-    raise ConfigError(f"unknown scorer {name!r}")
+    if not cfg["parts"]:
+        raise ConfigError("scorer oracle needs --parts (prototype bank .npy)")
+    return make_oracle_scorer(_load_parts(cfg["parts"], d_l), queries, gallery)
+
+
+# The scorers that read each rerank flag that not every scorer reads.
+SCORERS = ("rrt", "gv", "aqe", "aqe+rrt", "oracle")
+SCORER_FLAGS = {"--checkpoint": ("rrt", "aqe+rrt"), "--parts": ("oracle",),
+                **dict.fromkeys(("--nqe", "--alpha"), ("aqe", "aqe+rrt")),
+                **dict.fromkeys(("--ransac-iters", "--ransac-thresh", "--ratio", "--seed"), ("gv",)),
+                **dict.fromkeys(("--k", "--locals-max"), ("rrt", "gv", "aqe+rrt", "oracle"))}
 
 
 def cmd_rerank(cfg: dict) -> int:
+    name = cfg["scorer"]
+    _require(name in SCORERS, "--scorer", f"one of {', '.join(SCORERS)}", name)
+    for f in RERANK_FLAGS:  # so a scorer's config digest moves only with the flags it reads
+        readers = SCORER_FLAGS.get(f.name, SCORERS)
+        if name not in readers and cfg[f.key] != f.default:
+            raise ConfigError(f"{f.name} is read only by scorer{'s' * (len(readers) > 1)} "
+                              f"{', '.join(readers)}, not by {name}")
     _require(cfg["k"] >= 0, "--k", "non-negative", cfg["k"])
     _require(cfg["nqe"] >= 0, "--nqe", "non-negative", cfg["nqe"])
     alpha = cfg["alpha"]
@@ -491,7 +517,6 @@ def cmd_rerank(cfg: dict) -> int:
     neighbors = read_neighbors(cfg["data"])
     qmap, _ = _validate_ids(neighbors, queries, gallery)
 
-    name = cfg["scorer"]
     k = cfg["k"]
     out_lists = neighbors
     if name in ("aqe", "aqe+rrt"):

@@ -7,11 +7,13 @@ OPENBLAS_CORETYPE overrides the pick.  The kernels round differently, and
 tier-1 pins bytes (the frozen training digests, the row-block bit tests), so
 a test can pass on one core and fail on another.  Each core (SkylakeX and
 Haswell by default) runs the whole tier-1 suite in a child process with one
-BLAS thread.  Prints, per core, the core the child's OpenBLAS reports, the
-passed and failed counts and the failing test ids; exits 1 if the SkylakeX
-run has a failure or an error, since tier-1's byte pins were recorded on it.
-Each run takes about a minute on two cores.  Stays outside tier-1, like
-check_gv_reference.py.
+BLAS thread.  Prints, per core, the core the child's OpenBLAS reports
+(helpers.blas_core), the passed and failed counts and the failing test ids.
+Exits 1 if a child reports a core other than the one it asked for (an
+OPENBLAS_CORETYPE the library ignored would test its default kernels
+twice), or if the SkylakeX run has a failure or an error, since tier-1's
+byte pins were recorded on it.  Each run takes about a minute on two cores.
+Stays outside tier-1, like check_gv_reference.py.
 """
 
 from __future__ import annotations
@@ -27,19 +29,6 @@ ROOT = Path(__file__).resolve().parent.parent
 CORES = ["SkylakeX", "Haswell"]
 REFERENCE = "SkylakeX"
 
-# The core name the OpenBLAS that numpy loaded reports, or "unknown" where
-# the build does not export scipy-openblas's corename symbol.
-CORE_PROBE = """
-import ctypes, glob, os, numpy
-libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*"))
-try:
-    name = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-    name.restype = ctypes.c_char_p
-    print(name().decode())
-except (IndexError, OSError, AttributeError):
-    print("unknown")
-"""
-
 
 def _env(core: str) -> dict:
     env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -51,8 +40,8 @@ def run_core(core: str) -> tuple[str, int, list[str]]:
     """(the core the child ran on, passed count, failing test ids) of one
     tier-1 run under OPENBLAS_CORETYPE=core."""
     env = _env(core)
-    ran = subprocess.run([sys.executable, "-c", CORE_PROBE], env=env, capture_output=True, text=True,
-                         check=True).stdout.strip()
+    ran = subprocess.run([sys.executable, "-c", "from helpers import blas_core; print(blas_core())"],
+                         cwd=ROOT / "tests", env=env, capture_output=True, text=True, check=True).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "junit.xml"
         subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
@@ -76,6 +65,9 @@ def main(argv: list[str]) -> int:
         print(f"{core} (OpenBLAS reports {ran}): {passed} passed, {len(failing)} failed", flush=True)
         for test in failing:
             print(f"  {test}", flush=True)
+        if ran.lower() != core.lower():
+            print(f"  OpenBLAS ran {ran}, not the {core} asked for", flush=True)
+            bad = True
         bad |= core == REFERENCE and bool(failing)
     return 1 if bad else 0
 

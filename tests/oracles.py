@@ -89,8 +89,10 @@ def mine_neighbor_ids_lexsort(records, pool):
 def composed_mha_forward(layer, cfg, z, mask, return_attn=False):
     """Multi-head attention composed from autograd primitives: affine, head
     split, q.k^T matmul, scale, masked softmax, P.v matmul, head merge, output
-    affine.  The reference for the fused attention op, in the same op order,
-    so float32 outputs must match it bit for bit."""
+    affine.  The reference for the fused attention op, whose float32 outputs
+    differ from it by rounding only: the op scales the queries instead of
+    the logits, takes exp2 on tiles without masked keys and normalises after
+    P.v."""
     from rrt import autograd as ag
 
     B, T, d = z.shape

@@ -1,10 +1,12 @@
-"""The fused attention op: bit-identical to the composed reference path in
-float32 across tile and query-row block boundaries wherever it keeps the
-probabilities, and within float32 rounding of it in FlashAttention form (no
-grad, no probabilities); fewer queries than keys equal to the full op's
-leading rows, gradients against central differences and against the
-composed path, masked and all-masked keys, and the memory bounds that
-motivate the tiling."""
+"""The fused attention op runs one forward body: its float32 context has the
+same bytes with and without recording and kept probabilities, so training and
+scoring get the same logits, and the same bytes across tile sizes where every
+tile takes the same exponential base; context and probabilities stay within
+float32 rounding of the composed reference path (twice its own distance from
+the float64 composed path) across tile and query-row block boundaries.  Also
+fewer queries than keys equal to the full op's leading rows, gradients
+against central differences and against the composed path, masked and
+all-masked keys, and the memory bounds that motivate the tiling."""
 
 import contextlib
 import tracemalloc
@@ -14,7 +16,9 @@ import pytest
 
 from rrt import autograd as ag
 from rrt.autograd import Tensor
-from rrt.model import init_params, mha_forward
+from rrt.benchmark import benchmark_model_config, train_synth_config
+from rrt.data import normalize_records, synth_generate
+from rrt.model import forward_pair_logits, init_params, mha_forward
 
 from gradcheck import central_difference, max_rel_err
 from helpers import params_astype, tiny_config
@@ -28,6 +32,40 @@ def mixed_mask(cfg, B):
     mask[1::2, T // 2 + 1 :] = False
     mask[1::2, 2] = False
     return mask
+
+
+def fused_forward(params, cfg, z, mask):
+    """mha_forward's float32 context and probabilities, after checking that
+    the context has the same bytes with and without recording and with and
+    without return_attn (the parameters require grad), and the
+    probabilities the same bytes with and without recording."""
+    outs, attns = set(), set()
+    for recording in (False, True):
+        for return_attn in (False, True):
+            with contextlib.nullcontext() if recording else ag.no_grad():
+                out, attn = mha_forward(params.layer(0), cfg, Tensor(z), mask, return_attn=return_attn)
+            assert out.data.dtype == np.float32 and (out._grad_fn is not None) == recording
+            outs.add(out.data.tobytes())
+            if return_attn:
+                attns.add(attn.tobytes())
+            else:
+                assert attn is None
+    assert len(outs) == 1 and len(attns) == 1
+    return out.data, attn
+
+
+def assert_near_composed(params, cfg, z, mask, out, attn):
+    """Context and probabilities within twice the float32 composed path's
+    distance from the float64 composed path, in each."""
+    ref, ref_attn = composed_mha_forward(params.layer(0), cfg, Tensor(z), mask, return_attn=True)
+    with ag.no_grad():
+        exact, exact_attn = composed_mha_forward(
+            params_astype(params, cfg, np.float64).layer(0), cfg, Tensor(z.astype(np.float64)), mask,
+            return_attn=True,
+        )
+    assert attn.shape == exact_attn.shape
+    assert np.abs(out - exact.data).max() <= 2 * np.abs(ref.data - exact.data).max()
+    assert np.abs(attn - exact_attn).max() <= 2 * np.abs(ref_attn - exact_attn).max()
 
 
 def two_branch_spans(B, h, tile):
@@ -66,24 +104,31 @@ class TestMatchesComposedPath:
     @pytest.mark.parametrize("slices_per_tile", [1, 2, 4, 64])
     def test_float32_bit_identical_across_tiles(self, monkeypatch, slices_per_tile):
         # h=2: one slice per tile splits each pair's heads, two put each
-        # pair in its own tile (all-valid tiles skip masking), four leave a
-        # partial last tile.  d_h=6 keeps the 1/sqrt(d_h) scale inexact, so
-        # scaling before instead of after Q.K^T would change bits.
+        # pair in its own tile, four leave a partial last tile.  A tile takes
+        # base 2 only when none of its keys is masked, so the bytes of one
+        # whole-batch tile are the reference where every tile takes the same
+        # base: every pair padded (base e) or none (base 2).  Under the
+        # mixed mask an unpadded pair's base depends on its tile-mates, so
+        # that mask is held to the composed path only.  d_h=6 keeps the
+        # 1/sqrt(d_h) scale inexact.
         cfg = tiny_config(d=12, d_h=6)
         T = cfg.seq_len
-        monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", slices_per_tile * T * T)
         params = init_params(cfg, seed=21)
         rng = np.random.default_rng(21)
         B = 5
         z = rng.standard_normal((B, T, cfg.d)).astype(np.float32)
-        mask = mixed_mask(cfg, B)
+        padded = np.arange(T) < np.arange(T // 2, T // 2 + B)[:, None]  # pair b keeps T // 2 + b keys
+        masks = {"mixed": mixed_mask(cfg, B), "padded": padded, "unpadded": np.ones((B, T), dtype=bool)}
+        whole = {name: fused_forward(params, cfg, z, mask) for name, mask in masks.items() if name != "mixed"}
 
-        out, attn = mha_forward(params.layer(0), cfg, Tensor(z), mask, return_attn=True)
-        ref, ref_attn = composed_mha_forward(params.layer(0), cfg, Tensor(z), mask, return_attn=True)
-        assert out.data.dtype == np.float32
-        assert out.data.tobytes() == ref.data.tobytes()
-        assert attn.shape == (B, cfg.h, T, T)
-        assert attn.tobytes() == ref_attn.tobytes()
+        monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", slices_per_tile * T * T)
+        for name, mask in masks.items():
+            out, attn = fused_forward(params, cfg, z, mask)
+            assert attn.shape == (B, cfg.h, T, T)
+            if name in whole:
+                assert out.tobytes() == whole[name][0].tobytes(), name
+                assert attn.tobytes() == whole[name][1].tobytes(), name
+            assert_near_composed(params, cfg, z, mask, out, attn)
 
     def test_gradients_match_composed_path(self, monkeypatch):
         cfg = tiny_config()
@@ -114,6 +159,11 @@ class TestQueryRowBlocks:
 
     @pytest.mark.parametrize("block_rows", [6, 5])
     def test_float32_bit_identical_with_probs(self, monkeypatch, block_rows):
+        # The context has the same bytes with and without kept probabilities
+        # (fused_forward), and the op, normalised after P.v and in base 2
+        # on the unpadded pairs' tiles, rounds differently from the composed
+        # path: it is held to twice the float32 composed path's own distance
+        # from the float64 composed path.
         cfg = tiny_config(L=6, d=12, d_h=6)
         T = cfg.seq_len
         monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", block_rows * T)
@@ -123,27 +173,8 @@ class TestQueryRowBlocks:
         z = rng.standard_normal((B, T, cfg.d)).astype(np.float32)
         mask = mixed_mask(cfg, B)
 
-        ref, ref_attn = composed_mha_forward(params.layer(0), cfg, Tensor(z), mask, return_attn=True)
-        # Without recording or return_attn the op runs in FlashAttention
-        # form (normalised after P.v; base 2 on the unpadded pairs' tiles),
-        # which rounds differently: it is held to twice the float32 composed
-        # path's own distance from the float64 composed path (6.2e-8 against
-        # 4.9e-8 at these sizes).
-        with ag.no_grad():
-            exact, _ = composed_mha_forward(
-                params_astype(params, cfg, np.float64).layer(0), cfg, Tensor(z.astype(np.float64)), mask
-            )
-        bound = 2 * np.abs(ref.data - exact.data).max()
-        for recording in (False, True):  # the parameters require grad
-            for return_attn in (False, True):
-                with contextlib.nullcontext() if recording else ag.no_grad():
-                    out, attn = mha_forward(params.layer(0), cfg, Tensor(z), mask, return_attn=return_attn)
-                if recording or return_attn:
-                    assert out.data.tobytes() == ref.data.tobytes()
-                else:
-                    assert attn is None
-                    assert np.abs(out.data - exact.data).max() <= bound
-            assert attn.tobytes() == ref_attn.tobytes()
+        out, attn = fused_forward(params, cfg, z, mask)
+        assert_near_composed(params, cfg, z, mask, out, attn)
 
     def test_gradients_match_composed_path(self, monkeypatch):
         cfg = tiny_config(L=6)
@@ -187,9 +218,9 @@ class TestQueryRowBlocks:
 
 
 class TestFlashForm:
-    """Without recording or return_probs the op scales the queries (by
-    log2(e)/sqrt(d_h) and takes exp2 where a tile has no masked key) and
-    divides the context by the row sums: in float32 it stays finite, leaves
+    """The op scales the queries (by log2(e)/sqrt(d_h) and takes exp2 where
+    a tile has no masked key) and divides the context by the row sums:
+    without recording or return_probs, in float32, it stays finite, leaves
     pairs with no valid key exactly zero, and matches the float64 op on the
     same inputs."""
 
@@ -236,6 +267,35 @@ class TestFlashForm:
         with ag.no_grad():
             ag.attention(q, k, v, mask)
         assert calls == [False, False]  # pairs 0 and 2
+
+
+@pytest.fixture(scope="module")
+def frozen_pairs():
+    """32 pairs of the benchmark's seed-1 training gallery."""
+    _, gallery, _ = synth_generate(train_synth_config(1))
+    records = normalize_records(gallery[:64])
+    return list(zip(records[::2], records[1::2]))
+
+
+class TestOneForward:
+    """Training and scoring run the same arithmetic: forward_pair_logits
+    gives the same bytes recording, as a training step runs it, and under
+    no_grad, as scoring runs it."""
+
+    @pytest.mark.parametrize("case", ["frozen", "padded", "row_blocks"])
+    def test_recording_equals_no_grad(self, monkeypatch, frozen_pairs, case):
+        cfg = benchmark_model_config()
+        params = init_params(cfg, seed=1)
+        pairs = frozen_pairs
+        if case == "padded":  # 5 and 9 of 16 locals: masked keys, base e
+            pairs = [(a.truncated(5), b.truncated(9)) for a, b in pairs]
+        if case == "row_blocks":  # every slice in blocks of at most 5 query rows
+            monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", 5 * cfg.seq_len)
+        recorded = forward_pair_logits(params, cfg, pairs)
+        with ag.no_grad():
+            scored = forward_pair_logits(params, cfg, pairs)
+        assert recorded._grad_fn is not None and scored._grad_fn is None
+        assert recorded.data.tobytes() == scored.data.tobytes()
 
 
 class TestLeadingQueryRows:

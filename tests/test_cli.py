@@ -542,12 +542,12 @@ def test_query_expansion_of_a_projected_list_does_not_read_its_scores(tmp_path):
                  "--checkpoint", str(checkpoint), "--out", str(projected)]) == 0
     write_neighbors(rewritten, [replace(nl, entries=[(g, 0.01) for g in nl.gallery_ids()])
                                 for nl in read_neighbors(projected)])
-    for scorer in ("aqe", "aqe+rrt"):
+    for scorer, model in (("aqe", []), ("aqe+rrt", ["--checkpoint", str(checkpoint)])):
         outs = []
         for lists in (projected, rewritten):
             out = tmp_path / f"{lists.stem}.{scorer}.jsonl"
-            assert main(["rerank", "--data", str(lists), *pair, "--scorer", scorer,
-                         "--checkpoint", str(checkpoint), "--out", str(out)]) == 0
+            assert main(["rerank", "--data", str(lists), *pair, "--scorer", scorer, *model,
+                         "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1], scorer
 
@@ -1043,6 +1043,16 @@ def _save_npz(path):
         np.savez(fh, parts=np.ones((2, 3, 4), np.float32))
 
 
+def _npy_header(shape, data_bytes):
+    """A .npy file: the header of a little-endian float64 array of shape,
+    then data_bytes zero bytes, as many as the header declares or not."""
+    def write(path):
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False, "shape": shape})
+            fh.write(bytes(data_bytes))
+    return write
+
+
 @pytest.mark.parametrize(
     "write, message",
     [
@@ -1054,10 +1064,16 @@ def _save_npz(path):
         (lambda path: path.write_text("not an array\n"), "the magic string is not correct"),
         (_save_npz, "the magic string is not correct"),
         (lambda path: path.write_bytes(b""), "--parts"),
-        (_save_npy(np.array([{"x": 1}], dtype=object)), "allow_pickle=False"),
+        (_save_npy(np.array([{"x": 1}], dtype=object)), "got object (1,)"),
         (lambda path: None, "No such file"),
+        # A header that declares more data than the file holds is refused
+        # before anything is allocated for it (here 6.6 TB).
+        (_npy_header((2**36, 3, 4), 64), f"its header declares {2**36 * 96} data bytes, but 64 follow it"),
+        (_npy_header((2, 3, 4), 184), "its header declares 192 data bytes, but 184 follow it"),
+        (_npy_header((2, 3, 4), 200), "its header declares 192 data bytes, but 200 follow it"),
     ],
-    ids=["2d", "last_dim_5", "all_nan", "int64", "empty", "text", "npz", "empty_file", "pickled", "missing"],
+    ids=["2d", "last_dim_5", "all_nan", "int64", "empty", "text", "npz", "empty_file", "pickled", "missing",
+         "header_beyond_file", "short_data", "trailing_bytes"],
 )
 def test_oracle_with_bad_part_bank_exits_3_naming_parts(tmp_path, capsys, write, message):
     data, neighbors, parts, out = tmp_path / "g.rrtd", tmp_path / "n.jsonl", tmp_path / "p.npy", tmp_path / "r.jsonl"
@@ -1072,3 +1088,55 @@ def test_oracle_with_bad_part_bank_exits_3_naming_parts(tmp_path, capsys, write,
     assert not out.exists() and not Path(str(out) + ".meta.json").exists()
     np.save(parts, np.ones((2, 3, 4), np.float32))
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize(
+    "scorer, flag, value, readers",
+    [
+        ("oracle", "--checkpoint", "m.rrtm", "scorers rrt, aqe+rrt"),
+        ("rrt", "--parts", "p.npy", "scorer oracle"),
+        ("gv", "--nqe", "9", "scorers aqe, aqe+rrt"),
+        ("rrt", "--alpha", "2.5", "scorers aqe, aqe+rrt"),
+        ("oracle", "--ransac-iters", "7", "scorer gv"),
+        ("aqe", "--ransac-thresh", "3.5", "scorer gv"),
+        ("rrt", "--ratio", "0.8", "scorer gv"),
+        ("oracle", "--seed", "5", "scorer gv"),
+        ("aqe", "--k", "50", "scorers rrt, gv, aqe+rrt, oracle"),
+        ("aqe", "--locals-max", "3", "scorers rrt, gv, aqe+rrt, oracle"),
+    ],
+    ids=["checkpoint", "parts", "nqe", "alpha", "ransac_iters", "ransac_thresh", "ratio", "seed", "k",
+         "locals_max"],
+)
+def test_rerank_refuses_a_flag_its_scorer_does_not_read(tmp_path, capsys, scorer, flag, value, readers, via):
+    # Before anything is read: none of the input files exists.
+    out = tmp_path / "r.jsonl"
+    given = [flag, value]
+    if via == "config":
+        conf = tmp_path / "rerank.conf"
+        conf.write_text(f"{flag.lstrip('-').replace('-', '_')}={value}\n")
+        given = ["--config", str(conf)]
+    code = main(["rerank", "--data", str(tmp_path / "n.jsonl"), "--queries", str(tmp_path / "q.rrtd"),
+                 "--gallery", str(tmp_path / "g.rrtd"), "--scorer", scorer, "--out", str(out), *given])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"configuration error: {flag} is read only by {readers}, not by {scorer}" in captured.err
+    assert captured.out == "" and not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
+def test_rerank_takes_other_scorers_flags_at_their_defaults(tmp_path):
+    # Given at their defaults, flags the oracle does not read change neither
+    # its list nor its config digest.
+    data, neighbors, parts = tmp_path / "g.rrtd", tmp_path / "n.jsonl", tmp_path / "p.npy"
+    write_gallery(data, REPEATED, ids=[1, 2, 3])
+    write_neighbors(neighbors, [NeighborList(2, [(1, 0.5), (3, 0.4)])])
+    np.save(parts, np.ones((2, 3, 4), np.float32))
+    gv = GVConfig()
+    defaults = ["--seed", "0", "--nqe", str(AQE_NQE), "--alpha", str(AQE_ALPHA), "--ransac-iters",
+                str(gv.iterations), "--ransac-thresh", str(gv.inlier_threshold), "--ratio", "none"]
+    out, outputs = tmp_path / "r.jsonl", []  # the digest covers --out
+    for given in ([], defaults):
+        assert main(["rerank", "--data", str(neighbors), "--queries", str(data), "--gallery", str(data),
+                     "--scorer", "oracle", "--parts", str(parts), "--out", str(out), *given]) == 0
+        outputs.append((out.read_bytes(), json.loads(Path(str(out) + ".meta.json").read_text())["config_digest"]))
+    assert outputs[0] == outputs[1]

@@ -23,7 +23,7 @@ from rrt.train import (
     train,
 )
 
-from helpers import no_locals
+from helpers import blas_core, no_locals
 from oracles import evaluate_loss, mine_neighbor_ids_lexsort, score_pair
 
 
@@ -277,18 +277,29 @@ class TestTrain:
 
     def test_frozen_training_bits(self, tmp_path):
         # The benchmark's train workload: the frozen corpus, model and config
-        # of seed 1 at 4 steps per epoch.  Digests recorded with OpenBLAS
-        # 0.3.31 running its SkylakeX (AVX-512) kernels; its Haswell kernels
-        # give other bytes (tests/check_kernels.py).  Any change to them
-        # moves the trained models' bits.
+        # of seed 1 at 4 steps per epoch.  The kernels of each OpenBLAS core
+        # round differently, so the digests are keyed by the core that runs
+        # (helpers.blas_core), recorded with OpenBLAS 0.3.31; Haswell's under
+        # OPENBLAS_CORETYPE=Haswell (tests/check_kernels.py).  A core with
+        # no recorded digests fails, naming it.  Any change to them moves the
+        # trained models' bits.
+        recorded = {
+            "SkylakeX": {
+                "loss_history.csv": "e4ccf301add2e6ffc0c6f3ef78bb1f16e2dd7f095874d5fc96d53f3defe7a76c",
+                "model.rrtm": "26d6d82ff97ce092ec9ec70a8d79b345bae05af493b7be56a1600457a1b35b5e",
+            },
+            "Haswell": {
+                "loss_history.csv": "2e0b82ed9c080394077aad046cea0ab8f1e4d6c84f055c26e1c5f885da79b5cc",
+                "model.rrtm": "4d751e9760352ff26e4ecaf63525aabb59e5e9ca7035651452972bb9c8474473",
+            },
+        }
+        core = blas_core()
+        assert core in recorded, f"no frozen training digests recorded for OpenBLAS core {core}"
         _, gallery, _ = synth_generate(train_synth_config(1))
         cfg = replace(benchmark_train_config(1), steps_per_epoch=4)
         train(normalize_records(gallery), benchmark_model_config(), cfg, out_dir=tmp_path)
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-        assert digests == {
-            "loss_history.csv": "e1442e31646469626a822f1b6916b1ff2634c9c53b960db505fbbbea76e04417",
-            "model.rrtm": "6ef4d553f5be4dc8cb2ebc17123a61604bc251aa7016a57b18eb11793e0c873a",
-        }
+        assert digests == recorded[core]
 
 
 class TestEvaluateLoss:
