@@ -471,6 +471,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False)
     divides them by the row sums after P.v; otherwise no such buffer exists.
     So the context has the same bytes whether or not the probabilities are
     kept, and differs from the composed path's by float32 rounding only.
+    A block gives the bytes of the op on its query rows alone, not those of
+    its whole slice: the row sums' matrix-vector product rounds by the
+    call's row count on every kernel.
     """
     if not (
         q.ndim == 4

@@ -195,16 +195,30 @@ TRAIN_FLAGS = SEEDED + [
     _train("lr_step_schedule", "--lr-schedule", "bool", "drop lr x0.1 after 60 and 80 percent of epochs"),
 ]
 
+# The scorers that read each rerank flag that not every scorer reads.
+SCORERS = ("rrt", "gv", "aqe", "aqe+rrt", "oracle")
+SCORER_FLAGS = {"--checkpoint": ("rrt", "aqe+rrt"), "--parts": ("oracle",),
+                **dict.fromkeys(("--nqe", "--alpha"), ("aqe", "aqe+rrt")),
+                **dict.fromkeys(("--ransac-iters", "--ransac-thresh", "--ratio", "--seed"), ("gv",)),
+                **dict.fromkeys(("--k", "--locals-max"), ("rrt", "gv", "aqe+rrt", "oracle"))}
+
+
+def _readers(flag: str) -> str:
+    """The scorers that read a rerank flag, as "scorer(s) a, b"."""
+    readers = SCORER_FLAGS.get(flag, SCORERS)
+    return f"scorer{'s' * (len(readers) > 1)} {', '.join(readers)}"
+
+
 RERANK_FLAGS = SEEDED + [
     Flag("--data", str, None, "input neighbor JSONL", required=True),
     Flag("--queries", str, None, "query descriptor file (.rrtd)", required=True),
     Flag("--gallery", str, None, "gallery descriptor file (.rrtd)", required=True),
     Flag("--out", str, None, "output neighbor JSONL", required=True),
-    Flag("--scorer", str, None, "one of rrt, gv, aqe, aqe+rrt, oracle; aqe re-ranks the gallery in raw global "
+    Flag("--scorer", str, None, f"one of {', '.join(SCORERS)}; aqe re-ranks the gallery in raw global "
          "space, and the input list only picks its expansion neighbors", required=True),
     Flag("--k", int, RERANK_DEPTH, "rerank depth (entries beyond stay untouched)"),
-    Flag("--checkpoint", str, None, "model checkpoint (rrt and aqe+rrt)"),
-    Flag("--parts", str, None, "part-prototype bank .npy (oracle scorer)"),
+    Flag("--checkpoint", str, None, f"model checkpoint ({_readers('--checkpoint')})"),
+    Flag("--parts", str, None, f"part-prototype bank .npy ({_readers('--parts')})"),
     Flag("--nqe", int, AQE_NQE, "expansion neighbors for alpha-QE"),
     Flag("--alpha", float, AQE_ALPHA, "similarity exponent for alpha-QE"),
     _gv("iterations", "--ransac-iters", int, "RANSAC iteration budget"),
@@ -491,22 +505,12 @@ def _scorer_from_flags(cfg: dict, queries, gallery, d_l: int):
     return make_oracle_scorer(_load_parts(cfg["parts"], d_l), queries, gallery)
 
 
-# The scorers that read each rerank flag that not every scorer reads.
-SCORERS = ("rrt", "gv", "aqe", "aqe+rrt", "oracle")
-SCORER_FLAGS = {"--checkpoint": ("rrt", "aqe+rrt"), "--parts": ("oracle",),
-                **dict.fromkeys(("--nqe", "--alpha"), ("aqe", "aqe+rrt")),
-                **dict.fromkeys(("--ransac-iters", "--ransac-thresh", "--ratio", "--seed"), ("gv",)),
-                **dict.fromkeys(("--k", "--locals-max"), ("rrt", "gv", "aqe+rrt", "oracle"))}
-
-
 def cmd_rerank(cfg: dict) -> int:
     name = cfg["scorer"]
     _require(name in SCORERS, "--scorer", f"one of {', '.join(SCORERS)}", name)
     for f in RERANK_FLAGS:  # so a scorer's config digest moves only with the flags it reads
-        readers = SCORER_FLAGS.get(f.name, SCORERS)
-        if name not in readers and cfg[f.key] != f.default:
-            raise ConfigError(f"{f.name} is read only by scorer{'s' * (len(readers) > 1)} "
-                              f"{', '.join(readers)}, not by {name}")
+        if name not in SCORER_FLAGS.get(f.name, SCORERS) and cfg[f.key] != f.default:
+            raise ConfigError(f"{f.name} is read only by {_readers(f.name)}, not by {name}")
     _require(cfg["k"] >= 0, "--k", "non-negative", cfg["k"])
     _require(cfg["nqe"] >= 0, "--nqe", "non-negative", cfg["nqe"])
     alpha = cfg["alpha"]

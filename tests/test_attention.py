@@ -3,7 +3,8 @@ same bytes with and without recording and kept probabilities, so training and
 scoring get the same logits, and the same bytes across tile sizes where every
 tile takes the same exponential base; context and probabilities stay within
 float32 rounding of the composed reference path (twice its own distance from
-the float64 composed path) across tile and query-row block boundaries.  Also
+the float64 composed path) across tile and query-row block boundaries, and a
+query-row block has the bytes of the op on its rows alone.  Also
 fewer queries than keys equal to the full op's leading rows, gradients
 against central differences and against the composed path, masked and
 all-masked keys, and the memory bounds that motivate the tiling."""
@@ -159,22 +160,43 @@ class TestQueryRowBlocks:
 
     @pytest.mark.parametrize("block_rows", [6, 5])
     def test_float32_bit_identical_with_probs(self, monkeypatch, block_rows):
-        # The context has the same bytes with and without kept probabilities
-        # (fused_forward), and the op, normalised after P.v and in base 2
-        # on the unpadded pairs' tiles, rounds differently from the composed
-        # path: it is held to twice the float32 composed path's own distance
-        # from the float64 composed path.
+        # A block of query rows gives the bytes, context and probabilities,
+        # of the op called on those rows alone with whole slices, wherever
+        # both take the same exponential base: every pair padded (base e)
+        # or none (base 2).  Whole slices are not the reference: the row
+        # sums are a matrix-vector product, whose bytes depend on the call's
+        # row count on every kernel (blocks of 5/5/6 rows move the last
+        # row's).  Through mha_forward, recording and kept probabilities
+        # leave the bytes as they are (fused_forward), and under every mask
+        # context and probabilities stay within twice the float32 composed
+        # path's own distance from the float64 composed path.
         cfg = tiny_config(L=6, d=12, d_h=6)
         T = cfg.seq_len
-        monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", block_rows * T)
         params = init_params(cfg, seed=24)
         rng = np.random.default_rng(24)
         B = 3
         z = rng.standard_normal((B, T, cfg.d)).astype(np.float32)
-        mask = mixed_mask(cfg, B)
+        q, k, v = (rng.standard_normal((B, cfg.h, T, cfg.d_h)).astype(np.float32) for _ in range(3))
+        padded = np.arange(T) < np.arange(T // 2, T // 2 + B)[:, None]  # pair b keeps T // 2 + b keys
+        masks = {"mixed": mixed_mask(cfg, B), "padded": padded, "unpadded": np.ones((B, T), dtype=bool)}
+        blocks = ag._row_blocks(T, block_rows)
+        assert len(blocks) > 1
+        alone = {}
+        with ag.no_grad():
+            for name in ("padded", "unpadded"):
+                calls = [ag.attention(Tensor(q[:, :, rs]), Tensor(k), Tensor(v), masks[name][:, None], return_probs=True)
+                         for rs in blocks]
+                alone[name] = [np.concatenate(parts, axis=2) for parts in zip(*((c.data, p) for c, p in calls))]
 
-        out, attn = fused_forward(params, cfg, z, mask)
-        assert_near_composed(params, cfg, z, mask, out, attn)
+        monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", block_rows * T)
+        for name, mask in masks.items():
+            out, attn = fused_forward(params, cfg, z, mask)
+            assert_near_composed(params, cfg, z, mask, out, attn)
+            if name in alone:
+                with ag.no_grad():
+                    ctx, probs = ag.attention(Tensor(q), Tensor(k), Tensor(v), mask[:, None], return_probs=True)
+                assert ctx.data.tobytes() == alone[name][0].tobytes(), name
+                assert probs.tobytes() == alone[name][1].tobytes(), name
 
     def test_gradients_match_composed_path(self, monkeypatch):
         cfg = tiny_config(L=6)
