@@ -19,11 +19,13 @@ makes ``index`` projected, as params make ``build_index``; ``retrieve`` needs
 one for a projected index and refuses one for a raw index.  Both check its
 global projection against the data and the index.  The ``rerank`` and ``eval``
 sidecars also record an ``environment`` block: ``workers``, the threads a
-multi-chunk ``score_batch`` uses on this machine, and OPENBLAS_NUM_THREADS,
+multi-chunk ``score_batch`` uses on this machine, OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS as this process sees them (null when
-unset); ``rerank`` adds ``heap_pinned``, true when scoring pinned glibc's heap
-thresholds (``rrt.model``).  These are machine facts, so they stay out of the
-config and its digest.
+unset), and ``blas_core``, the OpenBLAS core whose kernels run (null where
+the library does not report one); ``rerank`` adds ``heap_pinned``, true when
+building its scorer pinned glibc's heap thresholds (``rrt.model.pin_heap``;
+aqe builds no scorer and records false).  These are machine facts, so they
+stay out of the config and its digest.
 
 Flags may also come from a ``key=value`` config file (--config), whose lines
 become flag tokens ahead of the command line's: one argparse pass parses every
@@ -36,6 +38,8 @@ headers describe different descriptors exits 3.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import inspect
 import json
 import math
@@ -72,8 +76,8 @@ from .metrics import (
 from .model import (
     ModelConfig,
     attention_correspondences,
-    heap_pinned,
     load_checkpoint,
+    pin_heap,
     score_workers,
 )
 from .retrieval import (
@@ -335,10 +339,27 @@ def _write_meta(out_path, cfg: dict, environment: dict | None = None) -> str:
     return digest
 
 
+def blas_core() -> str | None:
+    """The OpenBLAS core whose kernels run (e.g. "SkylakeX"), as
+    scipy-openblas's scipy_openblas_get_corename64_ reports it from the
+    library numpy loaded; None where no such library or symbol exists.
+    OPENBLAS_CORETYPE overrides the core a DYNAMIC_ARCH build picks.  The
+    core moves gemm speed and bytes."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+    try:
+        name = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    name.argtypes, name.restype = [], ctypes.c_char_p
+    return name().decode()
+
+
 def _environment(**facts) -> dict:
     """A sidecar's machine facts: the scoring workers, the BLAS thread
-    variables as this process sees them (None when unset), and `facts`."""
-    return {"workers": score_workers(), **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}, **facts}
+    variables as this process sees them (None when unset), the BLAS core,
+    and `facts`."""
+    return {"workers": score_workers(), **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+            "blas_core": blas_core(), **facts}
 
 
 def _require(ok: bool, flag: str, rule: str, value) -> None:
@@ -533,7 +554,7 @@ def cmd_rerank(cfg: dict) -> int:
         scorer = _scorer_from_flags(cfg, queries, gallery, manifest.d_l)
         out_lists = [rerank_topk(nl, scorer, k, method=name) for nl in out_lists]
     write_neighbors(cfg["out"], out_lists)
-    _write_meta(cfg["out"], cfg, _environment(heap_pinned=heap_pinned()))
+    _write_meta(cfg["out"], cfg, _environment(heap_pinned=name != "aqe" and pin_heap()))
     print(f"reranked {len(out_lists)} lists with scorer {name} (k={k}) -> {cfg['out']}")
     return 0
 
@@ -606,6 +627,7 @@ def cmd_compare(cfg: dict) -> int:
 
 
 def cmd_ablate(cfg: dict) -> int:
+    _require(len(cfg["counts"]) > 0, "--counts", "a non-empty list", cfg["counts"])
     _require(cfg["k"] >= 0, "--k", "non-negative", cfg["k"])
     queries, gallery, _ = _load_pair(cfg)
     params, mcfg = load_checkpoint(cfg["checkpoint"])

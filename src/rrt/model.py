@@ -15,13 +15,13 @@ logit.  Since nothing else reads the last layer's output, that layer always
 runs its queries, residual, LayerNorms and MLP on the CLS row alone (Tq = 1
 query row against all T keys and values).
 
-Scoring keeps its peak heap for the life of the process.  The first
-``map_in_order`` call, through which both the learned and the geometric
-scorer run their chunks, sets glibc's mmap and trim thresholds once (where
-the C library is glibc), so the buffers a forward pass frees stay in the
-process for the next one instead of going back to the OS and faulting in
-again; it also starts the one thread pool that scores chunks for the rest
-of the process.  ``import rrt`` changes neither.
+Scoring keeps its peak heap for the life of the process.  Building a
+scorer (``rrt.scorers``) calls ``pin_heap``, which sets glibc's mmap and
+trim thresholds once per process (where the C library is glibc), so the
+buffers a forward pass or a RANSAC run frees stay in the process for the
+next one instead of going back to the OS and faulting in again.  The first
+multi-chunk ``score_batch`` starts the one thread pool that scores its
+chunks for the rest of the process.  ``import rrt`` changes neither.
 
 Checkpoint wire format, extension ``.rrtm``, read by ``rrt.wire.Reader``
 (header and error policy there):
@@ -65,9 +65,7 @@ __all__ = [
     "forward_pair_logits",
     "score_batch",
     "score_workers",
-    "score_chunks",
-    "map_in_order",
-    "heap_pinned",
+    "pin_heap",
     "attention_correspondences",
     "save_checkpoint",
     "load_checkpoint",
@@ -408,7 +406,7 @@ SCORE_CHUNK_FLOATS = 1 << 18
 
 
 def score_workers() -> int:
-    """Threads map_in_order uses for more than one chunk: one per CPU this
+    """Threads score_batch uses for more than one chunk: one per CPU this
     process may run on, at most MAX_SCORE_WORKERS."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -417,16 +415,15 @@ def score_workers() -> int:
     return min(MAX_SCORE_WORKERS, cpus)
 
 
-def score_chunks(n: int, cap: int | None = None) -> list[slice]:
-    """The fixed partition of n candidates that a scorer splits over
+def score_chunks(n: int, cap: int) -> list[slice]:
+    """The fixed partition of n candidates that score_batch splits over
     map_in_order: consecutive chunks of ceil(n / MAX_SCORE_WORKERS)
     candidates, at most `cap` and at least 2, with a trailing single
     candidate joining the chunk before it.  A one-pair batch takes other
     BLAS paths (one-row gemms), so its bytes could differ from the same pair
     scored in a larger batch.  The partition does not depend on the worker
     count."""
-    share = -(-n // MAX_SCORE_WORKERS)
-    size = max(2, share if cap is None else min(cap, share))
+    size = max(2, min(cap, -(-n // MAX_SCORE_WORKERS)))
     starts = list(range(0, n, size))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
@@ -440,25 +437,34 @@ def score_chunks(n: int, cap: int | None = None) -> list[slice]:
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+_heap_lock = threading.Lock()
+_heap_pinned: bool | None = None  # pin_heap's outcome, once it has run
+
+
+def pin_heap() -> bool:
+    """Set glibc's mmap and trim thresholds, once per process: the first
+    call sets them, and every call returns whether both took (mallopt
+    returns 1); False without glibc.  A forked child keeps its parent's
+    thresholds and its outcome."""
+    global _heap_pinned
+    with _heap_lock:
+        if _heap_pinned is None:
+            _heap_pinned = False
+            try:
+                libc = ctypes.CDLL(None)
+            except (OSError, TypeError):  # the process's own symbols are not loadable here
+                return False
+            if hasattr(libc, "gnu_get_libc_version"):  # the parameter numbers are glibc's
+                mallopt = libc.mallopt
+                mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+                _heap_pinned = (mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1
+                                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1)
+        return _heap_pinned
+
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 _in_pool = threading.local()  # .worker is True on the pool's own threads
-_heap_pinned = False
-
-
-def _pin_heap() -> bool:
-    """Set glibc's mmap and trim thresholds; True when both calls took
-    (mallopt returns 1), False without glibc."""
-    try:
-        libc = ctypes.CDLL(None)
-    except (OSError, TypeError):  # the process's own symbols are not loadable here
-        return False
-    if not hasattr(libc, "gnu_get_libc_version"):  # the parameter numbers are glibc's
-        return False
-    mallopt = libc.mallopt
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1 and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1
 
 
 def _mark_worker() -> None:
@@ -466,9 +472,9 @@ def _mark_worker() -> None:
 
 
 def _forget_pool() -> None:
-    """A forked child has none of the parent's pool threads."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    """A forked child has none of the parent's threads: no pool, and no lock holder."""
+    global _pool, _pool_lock, _heap_lock
+    _pool, _pool_lock, _heap_lock = None, threading.Lock(), threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
@@ -477,18 +483,12 @@ if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
 
 def _scoring_pool() -> ThreadPoolExecutor:
     """The process's scoring pool of MAX_SCORE_WORKERS threads, made on the
-    first call, which also pins the heap thresholds."""
-    global _pool, _heap_pinned
+    first call."""
+    global _pool
     with _pool_lock:
         if _pool is None:
-            _heap_pinned = _pin_heap()
             _pool = ThreadPoolExecutor(MAX_SCORE_WORKERS, "rrt-score", initializer=_mark_worker)
         return _pool
-
-
-def heap_pinned() -> bool:
-    """True once scoring has pinned glibc's heap thresholds in this process."""
-    return _heap_pinned
 
 
 def map_in_order(fn, items: Sequence) -> list:
@@ -497,12 +497,11 @@ def map_in_order(fn, items: Sequence) -> list:
     MAX_SCORE_WORKERS threads of one pool that lives as long as the
     process.  Results, and the first error, come in item order, as the
     serial loop gives them.  A call from one of the pool's own threads runs
-    serially, so it never waits on a pool its caller fills.  The first call
-    also pins glibc's heap thresholds, so scoring keeps its peak heap for the
-    life of the process (see the module docstring).  Each worker is assumed
-    to run BLAS on one thread (the `rrt` command sets that before numpy
-    loads; a library caller sets OPENBLAS_NUM_THREADS itself), else the
-    workers' BLAS threads contend for the same cores."""
+    serially, so it never waits on a pool its caller fills.  score_batch is
+    the one caller.  Each worker is assumed to run BLAS on one thread (the
+    `rrt` command sets that before numpy loads; a library caller sets
+    OPENBLAS_NUM_THREADS itself), else the workers' BLAS threads contend for
+    the same cores."""
     pool = _pool or _scoring_pool()
     if min(score_workers(), len(items)) <= 1 or getattr(_in_pool, "worker", False):
         return [fn(x) for x in items]
@@ -524,8 +523,8 @@ def score_batch(
     map_in_order.  The partition does not depend on the worker count, so
     neither do the score bytes.  Like map_in_order, it assumes one BLAS
     thread per worker; with more, it runs slower, and paper-scale scores
-    can move by float32 rounding.  Scoring keeps its peak heap, and its
-    worker threads, for the life of the process.
+    can move by float32 rounding.  Its worker threads live as long as the
+    process.
     """
 
     def score(chunk: slice) -> list[float]:

@@ -5,10 +5,10 @@ over the record sets; rerank_topk consumes them.  All scorers are
 deterministic: the learned scorer batches candidates in forward passes, the
 geometric one derives a per-pair RANSAC seed from (seed, query id, candidate
 id), the oracle counts shared part-prototype assignments on synthetic data.
-The learned and geometric scorers split a query's candidates into the fixed
-chunks of `score_chunks` and score them with `map_in_order`, on up to
-`score_workers()` threads; neither the partition nor the scores depend on
-the worker count.
+Building a scorer pins glibc's heap thresholds for the process
+(`pin_heap`), so scoring keeps its peak heap.  The learned scorer splits a
+query's candidates over the scoring pool (`score_batch`); the others score
+them on the calling thread.
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ import numpy as np
 
 from .baselines import GVConfig, gv_scores
 from .data import ImageRecord, records_by_id
-from .model import (
-    ModelConfig,
-    ModelParams,
-    check_records,
-    map_in_order,
-    score_batch,
-    score_chunks,
-)
+from .model import ModelConfig, ModelParams, check_records, pin_heap, score_batch
 
 __all__ = [
     "make_rrt_scorer",
@@ -47,6 +40,7 @@ def make_rrt_scorer(
     not it is ever retrieved."""
     qmap, gmap = records_by_id(queries), records_by_id(gallery)
     check_records(cfg, [*queries, *gallery])
+    pin_heap()
 
     def scorer(query_id: int, candidate_ids: Sequence[int]) -> list[float]:
         q = qmap[query_id]
@@ -61,21 +55,14 @@ def make_gv_scorer(
     gv_cfg: GVConfig,
     threads: int = 1,
 ):
-    """Inlier-count scorer over `gv_scores`: consecutive halves of a query's
-    candidates (`score_chunks`) are verified on up to `score_workers()`
-    threads.  `gv_scores` does not depend on how candidates fall into
-    blocks, so the scores equal one `gv_scores` call over all of them.
-    `threads` is ignored; it stays accepted because the benchmark's
-    workloads still pass it."""
+    """Inlier-count scorer: one `gv_scores` call per query over all its
+    candidates, on the calling thread.  `threads` is ignored; it stays
+    accepted because the benchmark's workloads still pass it."""
     qmap, gmap = records_by_id(queries), records_by_id(gallery)
+    pin_heap()
 
     def scorer(query_id: int, candidate_ids: Sequence[int]) -> list[float]:
-        q = qmap[query_id]
-        cands = [gmap[g] for g in candidate_ids]
-        parts = map_in_order(
-            lambda chunk: gv_scores(q, cands[chunk], gv_cfg), score_chunks(len(cands))
-        )
-        return [float(s) for part in parts for s in part]
+        return [float(s) for s in gv_scores(qmap[query_id], [gmap[g] for g in candidate_ids], gv_cfg)]
 
     return scorer
 
@@ -108,6 +95,7 @@ def make_oracle_scorer(
         {i: oracle_part_ids(r, part_bank) for i, r in records_by_id(side).items()}
         for side in (queries, gallery)
     )
+    pin_heap()
 
     def scorer(query_id: int, candidate_ids: Sequence[int]) -> list[float]:
         q_ids = q_parts[query_id]

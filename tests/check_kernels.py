@@ -8,7 +8,7 @@ tier-1 pins bytes (the frozen training digests, the row-block bit tests), so
 a test can pass on one core and fail on another.  Each core (SkylakeX and
 Haswell by default) runs the whole tier-1 suite in a child process with one
 BLAS thread.  Prints, per core, the core the child's OpenBLAS reports
-(helpers.blas_core), the passed and failed counts and the failing test ids.
+(rrt.cli.blas_core), the passed and failed counts and the failing test ids.
 Exits 1 if a child reports a core other than the one it asked for (an
 OPENBLAS_CORETYPE the library ignored would test its default kernels
 twice), or if the SkylakeX run has a failure or an error, since tier-1's

@@ -1,14 +1,12 @@
 """Shared fixtures-in-code for the test suite."""
 
-import ctypes
-import glob
-import os
 import threading
 
 import numpy as np
 
 from rrt import model
 from rrt.autograd import Tensor
+from rrt.cli import blas_core  # the one copy; check_kernels.py and test_train.py read it from here
 from rrt.data import ImageRecord
 from rrt.model import ModelConfig
 
@@ -29,20 +27,6 @@ def gate_results(maps: dict[str, float]) -> dict[str, bool]:
         f"oracle >= {GATE_ORACLE_MIN}": o >= GATE_ORACLE_MIN,
         f"rrt >= global + {GATE_RRT_GAIN}": r >= g + GATE_RRT_GAIN,
     }
-
-
-def blas_core():
-    """The name of the OpenBLAS core whose kernels run (e.g. "SkylakeX"),
-    as scipy-openblas's scipy_openblas_get_corename64_ reports it from the
-    library numpy loaded; None where no such library or symbol exists.
-    OPENBLAS_CORETYPE overrides the core a DYNAMIC_ARCH build picks."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
-    try:
-        name = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-    except (IndexError, OSError, AttributeError):
-        return None
-    name.argtypes, name.restype = [], ctypes.c_char_p
-    return name().decode()
 
 
 def tiny_config(**overrides) -> ModelConfig:

@@ -1,9 +1,10 @@
 """tools/bench.py on canned perfbench/run.py output: the per-side quartiles,
 win counts and verdicts it writes, the CPU seconds and page faults of each
 run, the order and seeds of its runs, the sibling trees both sides run
-from, and its exit status when a run fails, prints no result line or is not
-correct.  No perfbench subprocess runs here; the resource accounting is
-checked on a stand-in run.py."""
+from, the BLAS core it records, and its exit status when a run fails, prints
+no result line or is not correct.  No perfbench subprocess runs here; the
+resource accounting is checked on a stand-in run.py, and the BLAS core on a
+stand-in package."""
 
 import importlib.util
 import json
@@ -143,6 +144,17 @@ def test_failed_checks_are_listed_with_side_and_seed():
     assert [r["problems"] for r in section["runs"]] == [["not correct"]] * 2
 
 
+# A stand-in rrt.cli whose blas_core names the core the environment asks
+# for and the tree it was imported from.
+FAKE_CLI = """
+import os
+from pathlib import Path
+
+def blas_core():
+    return f"{os.environ.get('OPENBLAS_CORETYPE')} in {Path(__file__).parents[2].name}"
+"""
+
+
 @pytest.fixture
 def fake_trees(tmp_path, monkeypatch):
     """bench.main over canned runs in a working tree at tmp_path; returns
@@ -152,6 +164,7 @@ def fake_trees(tmp_path, monkeypatch):
         (tmp_path / sub).mkdir(parents=True)
         (tmp_path / sub / "__pycache__").mkdir()
     (tmp_path / "src/rrt/__init__.py").write_text("")
+    (tmp_path / "src/rrt/cli.py").write_text(FAKE_CLI)
     (tmp_path / "perfbench/run.py").write_text("")
     build = tmp_path / ".bench_build"
     parent_tree = build / ("f" * 40)
@@ -207,7 +220,8 @@ def test_both_sides_run_from_sibling_trees_under_the_build_directory(tmp_path, f
     assert {tree.parent for tree in trees.values()} == {bench.BUILD}
     assert trees["parent"] != trees["change"]
     copied = sorted(str(p.relative_to(trees["change"])) for p in trees["change"].rglob("*"))
-    assert copied == ["BENCHMARK.json", "perfbench", "perfbench/run.py", "src", "src/rrt", "src/rrt/__init__.py"]
+    assert copied == ["BENCHMARK.json", "perfbench", "perfbench/run.py", "src", "src/rrt", "src/rrt/__init__.py",
+                      "src/rrt/cli.py"]
     assert (trees["change"] / "BENCHMARK.json").read_text() == json.dumps(SPEC)
 
 
@@ -234,3 +248,12 @@ def test_a_failed_run_makes_the_command_exit_1_and_is_recorded(tmp_path, capsys,
     assert [r["problems"] for r in runs if r["problems"]] == [problem.split(", ")]
     assert written["workloads"]["train"]["end_to_end"]["op_ms_p50"]["change"]["values"] == [18.0, 18.0]
 
+
+
+def test_the_blas_core_is_read_from_the_change_tree_under_the_runs_environment(tmp_path, fake_trees, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    out = tmp_path / "b.json"
+    assert bench.main(["--parent", "HEAD", "--pairs", "1", "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    assert written["blas_core"] == "Haswell in change"
+    assert written["environment"] == {"python": "3.11.7", "nproc": 2}

@@ -13,6 +13,8 @@ import json
 import os
 import platform
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -313,9 +315,12 @@ def test_sidecars_record_blas_threads_and_heap_pin_outside_the_digest(tmp_path, 
         for path, argv in argvs.items():
             assert main(argv) == 0
             metas.append(json.loads(Path(str(path) + ".meta.json").read_text()))
-    blas = [{var: setting.get(var) for var in BLAS_THREAD_VARS} for setting in settings]
+    blas = [{var: setting.get(var) for var in BLAS_THREAD_VARS} | {"blas_core": cli.blas_core()}
+            for setting in settings]
     workers = rrt_model.score_workers()
-    # the GV scorer ran its chunks through map_in_order, which pins the heap
+    # building the GV scorer pins the heap; the pin is per process, so an
+    # earlier test may have taken it (the fault probe in test_scorers.py
+    # checks that GV alone takes it)
     pinned = {"heap_pinned": platform.libc_ver()[0] == "glibc"}
     assert [m["environment"] for m in metas] == [
         {"workers": workers, **blas[0], **pinned}, {"workers": workers, **blas[0]},
@@ -324,6 +329,19 @@ def test_sidecars_record_blas_threads_and_heap_pin_outside_the_digest(tmp_path, 
     # machine facts are blanked for byte identity, as wallclock_s is
     blanked = [json.dumps({**m, "environment": None}, sort_keys=True) for m in metas]
     assert blanked[:2] == blanked[2:]
+
+
+def test_blas_core_names_the_core_that_runs_and_none_without_a_library(monkeypatch):
+    if cli.blas_core() is None:
+        pytest.skip("numpy's BLAS reports no core name here")
+    # OpenBLAS picks its core when numpy loads it, so a fresh interpreter asks.
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", "from rrt.cli import blas_core; print(blas_core())"],
+                          env={**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "Haswell"), proc.stderr
+    monkeypatch.setattr(cli.glob, "glob", lambda pattern: [])
+    assert cli.blas_core() is None
 
 
 def write_rrt_inputs(tmp_path, bad_id):
@@ -712,6 +730,17 @@ def test_ablate_with_bad_budget_exits_2_before_scoring(
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_ablate_with_no_counts_exits_2_before_reading_a_file(tmp_path, capsys):
+    # None of the input files exists, so reading any of them would exit 3.
+    missing, out = str(tmp_path / "missing"), tmp_path / "a.tsv"
+    code = main(["ablate", "--queries", missing, "--gallery", missing, "--checkpoint", missing,
+                 "--counts", ",", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--counts must be a non-empty list, got []" in captured.err and captured.out == ""
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
 
 
 def _bad_name(raw):

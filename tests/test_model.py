@@ -7,6 +7,7 @@ import os
 import signal
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -697,6 +698,46 @@ class TestChunkedScoring:
         assert got == [want] * 20
         w = Tensor([1.0], requires_grad=True)
         assert mul(w, w)._grad_fn is not None
+
+
+def test_pin_heap_sets_the_thresholds_once_under_concurrent_callers(monkeypatch):
+    # A stand-in C library counts the mallopt calls and is slow to open;
+    # more callers than cores, released together with thread switches
+    # forced often, all race for the first pin.
+    opened, calls = [], []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    def open_libc(name):
+        opened.append(name)
+        time.sleep(0.01)
+        return type("Libc", (), {"gnu_get_libc_version": None, "mallopt": staticmethod(mallopt)})
+
+    monkeypatch.setattr(model.ctypes, "CDLL", open_libc)
+    monkeypatch.setattr(model, "_heap_pinned", None)
+    together = threading.Barrier(8, timeout=10)
+    got = []
+
+    def caller():
+        together.wait()
+        got.append(model.pin_heap())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [True] * 8
+    assert opened == [None]
+    assert calls == [(model._M_MMAP_THRESHOLD, model._MMAP_THRESHOLD), (model._M_TRIM_THRESHOLD, model._TRIM_THRESHOLD)]
 
 
 def mixed_pairs(cfg, seed):

@@ -1,8 +1,9 @@
-"""Scorer factories on the worker pool: at the frozen config the GV and RRT
-scorers split a top 100 into two chunks of 50, and one CPU and two give the
-same score bytes, with the chunks on worker threads when there are two.  The
-oracle keeps query and gallery part sets apart.  Once warm, RRT scoring
-takes its buffers from the heap it kept, not from fresh pages."""
+"""Scorer factories: at the frozen config the RRT scorer splits a top 100
+into two chunks of 50, on worker threads when there are two CPUs, and the
+GV scorer verifies it in one call on the calling thread; one CPU and two
+give the same score bytes.  The oracle keeps query and gallery part sets
+apart.  Once warm, RRT and GV scoring take their buffers from the heap they
+kept, not from fresh pages."""
 
 import json
 import os
@@ -39,7 +40,7 @@ def on_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
-def spy_gv_chunks(monkeypatch):
+def spy_gv_calls(monkeypatch):
     """Record (candidates, ran on the main thread) per gv_scores call the GV
     scorer makes."""
     calls = []
@@ -57,12 +58,12 @@ def test_gv_scorer_gives_equal_bytes_on_one_and_two_workers(frozen_top100, monke
     cfg = GVConfig(iterations=500, seed=1)
     by_id = {g.id: g for g in gallery}
     whole = [float(s) for s in gv_scores(q, [by_id[g] for g in ids], cfg)]
-    calls = spy_gv_chunks(monkeypatch)
+    calls = spy_gv_calls(monkeypatch)
     got = {}
     for cpus in (1, 2):
         on_cpus(monkeypatch, cpus)
         got[cpus] = scorers.make_gv_scorer(queries, gallery, cfg)(q.id, ids)
-    assert calls == [(50, True)] * 2 + [(50, False)] * 2
+    assert calls == [(100, True)] * 2
     assert np.array(got[1]).tobytes() == np.array(got[2]).tobytes()
     assert got[2] == whole
     assert any(got[2])  # some candidate verifies, so the comparison means something
@@ -140,3 +141,48 @@ def test_warm_rrt_reranks_take_no_fresh_pages():
     assert proc.returncode == 0, proc.stderr
     faults = json.loads(proc.stdout.strip().splitlines()[-1])
     assert faults < 1000, f"{faults} minor faults over 10 warm top-100 reranks"
+
+
+# Builds only the GV scorer over the seed-1 frozen eval set, scores 2
+# warm-up queries, then prints whether importing the package pinned the
+# heap, the minor page faults of a top-100 GV rerank of all 40 queries, and
+# the threads alive after it.
+GV_FAULT_PROBE = """
+import json, resource, threading
+from rrt import model
+from rrt.baselines import GVConfig
+from rrt.benchmark import RERANK_DEPTH, eval_synth_config
+from rrt.data import normalize_records, synth_generate
+from rrt.retrieval import build_index, rank_queries, rerank_topk
+from rrt.scorers import make_gv_scorer
+
+pinned_on_import = model._heap_pinned
+queries, gallery, _ = synth_generate(eval_synth_config(1))
+queries, gallery = normalize_records(queries), normalize_records(gallery)
+lists = rank_queries(build_index(gallery), queries, k=len(gallery))
+scorer = make_gv_scorer(queries, gallery, GVConfig(iterations=500, seed=1))
+for nl in lists[:2]:
+    rerank_topk(nl, scorer, RERANK_DEPTH, method="gv")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for nl in lists:
+    rerank_topk(nl, scorer, RERANK_DEPTH, method="gv")
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps([pinned_on_import, faults, threading.active_count()]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap pin sets glibc's thresholds")
+def test_warm_gv_pass_takes_no_fresh_pages_on_the_calling_thread():
+    # Building the GV scorer pins the heap, so a process that scores with
+    # GV alone keeps its RANSAC buffers: a few hundred minor faults a warm
+    # 40-query pass, against about 170,000 unpinned.  GV starts no pool.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"), "PYTHONPATH": path}  # as the rrt command runs
+    proc = subprocess.run([sys.executable, "-c", GV_FAULT_PROBE],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    pinned_on_import, faults, threads = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert pinned_on_import is None  # importing rrt leaves the heap alone
+    assert faults < 2000, f"{faults} minor faults over a warm 40-query GV pass"
+    assert threads == 1

@@ -279,7 +279,7 @@ class TestTrain:
         # The benchmark's train workload: the frozen corpus, model and config
         # of seed 1 at 4 steps per epoch.  The kernels of each OpenBLAS core
         # round differently, so the digests are keyed by the core that runs
-        # (helpers.blas_core), recorded with OpenBLAS 0.3.31; Haswell's under
+        # (rrt.cli.blas_core), recorded with OpenBLAS 0.3.31; Haswell's under
         # OPENBLAS_CORETYPE=Haswell (tests/check_kernels.py).  A core with
         # no recorded digests fails, naming it.  Any change to them moves the
         # trained models' bits.

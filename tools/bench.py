@@ -25,8 +25,12 @@ pairs the change won, the metric's bound, and a verdict.  Beside them, under
 cost: user and system CPU seconds and minor page faults (the
 RUSAGE_CHILDREN delta around it).  It also holds every ``report`` metric per
 side that does not repeat an end-to-end series value for value, every failed
-check, each run's exit status and resource use, and the environment line of
-the first run.  The command exits 1 when any run exits nonzero,
+check, each run's exit status and resource use, the environment line of the
+first run, and beside it ``blas_core``: the OpenBLAS core whose kernels run
+(``rrt.cli.blas_core``, null where the library does not report one), read
+once by a child process with the runs' environment and the change tree's
+``src/``.  Both sides run under that one environment, so one reading covers
+every pair.  The command exits 1 when any run exits nonzero,
 prints no result line, or is not ``"correct": true``; the file is written
 either way.
 """
@@ -36,6 +40,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import resource
 import shutil
 import subprocess
@@ -203,6 +208,17 @@ def copy_change() -> Path:
     return tree
 
 
+def blas_core(tree: Path) -> str | None:
+    """The OpenBLAS core the tree's package reports (rrt.cli.blas_core) in a
+    child process with this process's environment and the tree's src/
+    first on its path."""
+    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import json; from rrt.cli import blas_core; print(json.dumps(blas_core()))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tree, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[int, str, str, dict]:
     """(exit status, stdout, stderr, rusage) of the tree's own
     perfbench/run.py, untraced: the end-to-end metrics.  rusage holds the
@@ -248,6 +264,7 @@ def main(argv=None) -> int:
         "command": " ".join(spec["command"]) + f" --workload W --seed <pair + 1> --seconds {seconds} --trace 0",
         "pairs": args.pairs,
         "environment": None,
+        "blas_core": blas_core(trees["change"]),
         "workloads": {},
     }
     failures = []
