@@ -223,8 +223,8 @@ def load_dataset(path) -> tuple[list[ImageRecord], DatasetManifest]:
     """Read a descriptor file byte-exactly (no normalization applied).
 
     Errors report the byte offset a local-by-local read would fail at: the
-    first bad scale byte, or the start of the first incomplete field (vec,
-    or u v s).
+    first NaN or infinite position (u or v) or bad scale byte, or the start
+    of the first incomplete field (vec, or u v s).
     """
     cur = Reader(path, MAGIC, VERSION)
     d_g_raw, d_l, n_scales = cur.unpack(_DIMS)
@@ -244,11 +244,15 @@ def load_dataset(path) -> tuple[list[ImageRecord], DatasetManifest]:
         (n_loc,) = cur.unpack(_N_LOCALS)
         start = cur.off
         locs = cur.items(local_dt, n_loc)
-        bad = np.flatnonzero(locs["s"] >= n_scales)
-        if bad.size:
+        bad = ~np.isfinite(locs["u"]) | ~np.isfinite(locs["v"]) | (locs["s"] >= n_scales)
+        if bad.any():  # the first bad field of the first bad local
+            k = int(np.argmax(bad))
+            name = next((f for f in "uv" if not math.isfinite(locs[f][k])), "s")
+            value = locs[name][k]
             raise DataFormatError(
-                f"scale index {locs['s'][bad[0]]} outside [0, {n_scales})",
-                offset=start + (int(bad[0]) + 1) * local_dt.itemsize - 1,
+                f"scale index {value} outside [0, {n_scales})" if name == "s"
+                else f"non-finite {name} position {value}",
+                offset=start + k * local_dt.itemsize + local_dt.fields[name][1],
             )
         if len(locs) < n_loc:  # the file ends inside this local
             cur.take(4 * d_l)

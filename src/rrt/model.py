@@ -44,6 +44,7 @@ import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -112,23 +113,26 @@ class ModelConfig:
         return sum(width for _, _, _, width in _segments(self))
 
 
+def _layer_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], tuple]]:
+    """(name, shape, init spec) of one layer's tensors, in checkpoint order:
+    param_shapes prefixes each name with "layers.{i}.", and ModelParams.layer
+    names its attributes by it."""
+    d, d_c = cfg.d, cfg.d_c
+    weight, bias, gain = ((d, d), ("uniform", d)), ((d,), ("zeros",)), ((d,), ("ones",))
+    return [
+        ("wq", *weight), ("bq", *bias), ("wk", *weight), ("bk", *bias),
+        ("wv", *weight), ("bv", *bias), ("wo", *weight), ("bo", *bias),
+        ("ln1_g", *gain), ("ln1_b", *bias),
+        ("w1", (d, d_c), ("uniform", d)), ("b1", (d_c,), ("zeros",)),
+        ("w2", (d_c, d), ("uniform", d_c)), ("b2", *bias),
+        ("ln2_g", *gain), ("ln2_b", *bias),
+    ]
+
+
 def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], tuple]]:
     """Ordered (name, shape, init spec) table; the single source of truth for
     parameter layout, initialization, counting and checkpoints."""
-    out = []
-    for i in range(cfg.layers):
-        p = f"layers.{i}."
-        for nm in ("wq", "wk", "wv", "wo"):
-            out.append((p + nm, (cfg.d, cfg.d), ("uniform", cfg.d)))
-            out.append((p + "b" + nm[1:], (cfg.d,), ("zeros",)))
-        out.append((p + "ln1_g", (cfg.d,), ("ones",)))
-        out.append((p + "ln1_b", (cfg.d,), ("zeros",)))
-        out.append((p + "w1", (cfg.d, cfg.d_c), ("uniform", cfg.d)))
-        out.append((p + "b1", (cfg.d_c,), ("zeros",)))
-        out.append((p + "w2", (cfg.d_c, cfg.d), ("uniform", cfg.d_c)))
-        out.append((p + "b2", (cfg.d,), ("zeros",)))
-        out.append((p + "ln2_g", (cfg.d,), ("ones",)))
-        out.append((p + "ln2_b", (cfg.d,), ("zeros",)))
+    out = [(f"layers.{i}.{nm}", shape, spec) for i in range(cfg.layers) for nm, shape, spec in _layer_shapes(cfg)]
     if cfg.use_global_token:
         out.append(("global_proj.w", (cfg.d_g_raw, cfg.d), ("uniform", cfg.d_g_raw)))
         out.append(("global_proj.b", (cfg.d,), ("zeros",)))
@@ -146,18 +150,6 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], tuple]]:
     return out
 
 
-class _LayerView:
-    __slots__ = (
-        "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-        "ln1_g", "ln1_b", "w1", "b1", "w2", "b2", "ln2_g", "ln2_b",
-    )
-
-    def __init__(self, tensors: dict, i: int):
-        p = f"layers.{i}."
-        for nm in self.__slots__:
-            setattr(self, nm, tensors[p + nm])
-
-
 class ModelParams:
     """All learnable tensors, keyed by dotted names in param_shapes order.
     Built only by init_params, from that table, and by load_checkpoint,
@@ -165,7 +157,9 @@ class ModelParams:
 
     def __init__(self, cfg: ModelConfig, tensors: dict[str, Tensor]):
         self.tensors = tensors
-        self._layers = [_LayerView(tensors, i) for i in range(cfg.layers)]
+        names = [nm for nm, _, _ in _layer_shapes(cfg)]
+        self._layers = [SimpleNamespace(**{nm: tensors[f"layers.{i}.{nm}"] for nm in names})
+                        for i in range(cfg.layers)]
 
     def named(self):
         return self.tensors.items()
@@ -173,7 +167,8 @@ class ModelParams:
     def trainable(self) -> list[Tensor]:
         return list(self.tensors.values())
 
-    def layer(self, i: int) -> _LayerView:
+    def layer(self, i: int) -> SimpleNamespace:
+        """Layer i's tensors as attributes named by _layer_shapes (wq, bq, ...)."""
         return self._layers[i]
 
     def __getitem__(self, name: str) -> Tensor:
@@ -253,9 +248,8 @@ def mha_forward(
 
 
 def transformer_layer(
-    layer, cfg: ModelConfig, z: Tensor, mask: np.ndarray, return_attn: bool = False,
-    query_rows: int | None = None,
-):
+    layer, cfg: ModelConfig, z: Tensor, mask: np.ndarray, query_rows: int | None = None
+) -> Tensor:
     """One block: post-norm attention, then a two-layer MLP.
 
     Only the leading query_rows tokens (default all) are carried through:
@@ -264,14 +258,13 @@ def transformer_layer(
     MLP has no residual connection by default; set mlp_residual for the
     conventional variant.
     """
-    att, attn_w = mha_forward(layer, cfg, z, mask, return_attn, query_rows)
+    att, _ = mha_forward(layer, cfg, z, mask, query_rows=query_rows)
     if att.shape[1] != z.shape[1]:
         z = z[:, : att.shape[1]]
     zbar = ag.layer_norm(ag.add(z, att), layer.ln1_g, layer.ln1_b, LAYERNORM_EPS)
     mlp = ag.mlp(zbar, layer.w1, layer.b1, layer.w2, layer.b2)
     body = ag.add(zbar, mlp) if cfg.mlp_residual else mlp
-    out = ag.layer_norm(body, layer.ln2_g, layer.ln2_b, LAYERNORM_EPS)
-    return out, attn_w
+    return ag.layer_norm(body, layer.ln2_g, layer.ln2_b, LAYERNORM_EPS)
 
 
 def check_records(cfg: ModelConfig, records: Iterable[ImageRecord]) -> None:
@@ -382,7 +375,7 @@ def forward_pair_logits(
         raise ValueError("forward_pair_logits needs at least one pair")
     z, mask = _assemble_batch(params, cfg, pairs)
     for i in range(cfg.layers):
-        z, _ = transformer_layer(params.layer(i), cfg, z, mask, query_rows=1 if i == cfg.layers - 1 else None)
+        z = transformer_layer(params.layer(i), cfg, z, mask, query_rows=1 if i == cfg.layers - 1 else None)
     head = ag.reshape(params["head.w"], (cfg.d, 1))
     return ag.reshape(ag.affine(z[:, 0, :], head, params["head.b"]), (len(pairs),))
 
@@ -416,8 +409,8 @@ def score_workers() -> int:
 
 
 def score_chunks(n: int, cap: int) -> list[slice]:
-    """The fixed partition of n candidates that score_batch splits over
-    map_in_order: consecutive chunks of ceil(n / MAX_SCORE_WORKERS)
+    """The fixed partition of n candidates that score_batch scores chunk by
+    chunk: consecutive chunks of ceil(n / MAX_SCORE_WORKERS)
     candidates, at most `cap` and at least 2, with a trailing single
     candidate joining the chunk before it.  A one-pair batch takes other
     BLAS paths (one-row gemms), so its bytes could differ from the same pair
@@ -464,11 +457,6 @@ def pin_heap() -> bool:
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
-_in_pool = threading.local()  # .worker is True on the pool's own threads
-
-
-def _mark_worker() -> None:
-    _in_pool.worker = True
 
 
 def _forget_pool() -> None:
@@ -482,30 +470,13 @@ if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
 
 
 def _scoring_pool() -> ThreadPoolExecutor:
-    """The process's scoring pool of MAX_SCORE_WORKERS threads, made on the
-    first call."""
+    """score_batch's pool of MAX_SCORE_WORKERS threads, made on the first
+    call and kept for the life of the process."""
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(MAX_SCORE_WORKERS, "rrt-score", initializer=_mark_worker)
+            _pool = ThreadPoolExecutor(MAX_SCORE_WORKERS, "rrt-score")
         return _pool
-
-
-def map_in_order(fn, items: Sequence) -> list:
-    """[fn(x) for x in items]: a single item, or any number when
-    score_workers() is 1, on the calling thread; several otherwise on the
-    MAX_SCORE_WORKERS threads of one pool that lives as long as the
-    process.  Results, and the first error, come in item order, as the
-    serial loop gives them.  A call from one of the pool's own threads runs
-    serially, so it never waits on a pool its caller fills.  score_batch is
-    the one caller.  Each worker is assumed to run BLAS on one thread (the
-    `rrt` command sets that before numpy loads; a library caller sets
-    OPENBLAS_NUM_THREADS itself), else the workers' BLAS threads contend for
-    the same cores."""
-    pool = _pool or _scoring_pool()
-    if min(score_workers(), len(items)) <= 1 or getattr(_in_pool, "worker", False):
-        return [fn(x) for x in items]
-    return list(pool.map(fn, items))
 
 
 def score_batch(
@@ -519,12 +490,15 @@ def score_batch(
     candidates have passed check_records.
 
     Candidates are split by score_chunks, capped at SCORE_CHUNK_FLOATS token
-    floats per chunk to bound peak memory, and the chunks are scored by
-    map_in_order.  The partition does not depend on the worker count, so
-    neither do the score bytes.  Like map_in_order, it assumes one BLAS
-    thread per worker; with more, it runs slower, and paper-scale scores
-    can move by float32 rounding.  Its worker threads live as long as the
-    process.
+    floats per chunk to bound peak memory.  A single chunk, or any number
+    when score_workers() is 1, runs on the calling thread; several run on
+    the scoring pool, whose threads run nothing else.  Scores, and the first
+    error, come in chunk order either way.  The partition does not depend
+    on the worker count, so neither do the score bytes.  Each worker is
+    assumed to run BLAS on one thread (the `rrt` command sets that before
+    numpy loads; a library caller sets OPENBLAS_NUM_THREADS itself); with
+    more, the workers' BLAS threads contend for the same cores, and
+    paper-scale scores can move by float32 rounding.
     """
 
     def score(chunk: slice) -> list[float]:
@@ -533,7 +507,8 @@ def score_batch(
         return [float(s) for s in ag._sigmoid(logits.data)]
 
     chunks = score_chunks(len(candidates), SCORE_CHUNK_FLOATS // (cfg.seq_len * cfg.d))
-    return [s for part in map_in_order(score, chunks) for s in part]
+    run = _scoring_pool().map if len(chunks) > 1 and score_workers() > 1 else map
+    return [s for part in run(score, chunks) for s in part]
 
 
 def max_weight_assignment(affinity: np.ndarray) -> list[tuple[int, int]]:
@@ -560,8 +535,9 @@ def attention_correspondences(
         return []
     with ag.no_grad():
         z, mask = _assemble_batch(params, cfg, [(a, b)])
-        for i in range(cfg.layers):
-            z, attn = transformer_layer(params.layer(i), cfg, z, mask, return_attn=i == cfg.layers - 1)
+        for i in range(cfg.layers - 1):
+            z = transformer_layer(params.layer(i), cfg, z, mask)
+        _, attn = mha_forward(params.layer(cfg.layers - 1), cfg, z, mask, return_attn=True)
     m = attn[0].mean(axis=0)  # [T, T]
     a0, b0 = (pos for kind, _, pos, _ in _segments(cfg) if kind == "locals")
     affinity = m[a0 : a0 + na, b0 : b0 + nb]
@@ -595,6 +571,9 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
+    """Read a checkpoint written by save_checkpoint.  A NaN or infinite
+    weight is a value no checkpoint may hold: DataFormatError names its
+    tensor, at the offset of its first such value."""
     cur = Reader(path, CKPT_MAGIC, CKPT_VERSION)
     *sizes, flags = cur.unpack(_CFG_STRUCT)  # sizes in ModelConfig's field order
     if flags >> len(_FLAG_BITS):
@@ -620,7 +599,11 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
                 f"tensor {name!r} with shape {dims} does not match the "
                 f"config's layout entry {exp_name} {exp_shape}"
             )
-        data = cur.array("<f4", math.prod(exp_shape)).reshape(exp_shape)
-        tensors[exp_name] = Tensor(data, requires_grad=True)
+        data = cur.array("<f4", math.prod(exp_shape))
+        if not (finite := np.isfinite(data)).all():
+            k = int(np.argmin(finite))
+            raise DataFormatError(f"tensor {exp_name} holds a non-finite value ({data[k]}) at entry {k}",
+                                  offset=cur.off - 4 * (len(data) - k))
+        tensors[exp_name] = Tensor(data.reshape(exp_shape), requires_grad=True)
     cur.end("the tensor table")
     return ModelParams(cfg, tensors), cfg

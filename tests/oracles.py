@@ -438,8 +438,9 @@ def load_dataset_per_local(path, max_locals=None):
     """Parse a `.rrtd` file one field at a time.  Returns (records,
     (d_g_raw, d_l, n_scales, scale_values)), a record being (id, label,
     global, [(vec, u, v, scale_index), ...]); raises DataFormatError at the
-    offset of the first field that is cut short or of the first bad scale
-    byte."""
+    offset of the first field that is cut short, of the first NaN or
+    infinite position, or of the first bad scale byte."""
+    import math
     import struct
 
     from rrt.errors import DataFormatError
@@ -479,6 +480,9 @@ def load_dataset_per_local(path, max_locals=None):
         for _ in range(n_loc):
             vec = floats(d_l)
             u, v, sidx = unpack("<ffB")
+            for name, x, at in (("u", u, off - 9), ("v", v, off - 5)):
+                if not math.isfinite(x):
+                    raise DataFormatError(f"non-finite {name} position {x}", offset=at)
             if sidx >= n_scales:
                 raise DataFormatError(
                     f"scale index {sidx} outside [0, {n_scales})", offset=off - 1

@@ -786,6 +786,56 @@ def test_correspond_with_corrupt_checkpoint_exits_3(tmp_path, capsys, corrupt, m
     assert not out.exists()
 
 
+def non_finite_argvs(tmp_path) -> tuple[Path, dict]:
+    """synth_and_retrieve's set and a one-layer checkpoint for it; returns
+    the checkpoint and each command's argv, writing tmp_path/out, over
+    query 0 and gallery record 5."""
+    data, pair, neighbors = synth_and_retrieve(tmp_path)
+    synth = SynthConfig()
+    cfg = ModelConfig(L=synth.locals_per_image, d=synth.d_l, h=4, d_h=synth.d_l // 4, layers=1, d_c=32,
+                      n_scales=synth.n_scales, d_g_raw=synth.d_g_raw)
+    checkpoint, out = tmp_path / "m.rrtm", ["--out", str(tmp_path / "out")]
+    save_checkpoint(init_params(cfg, seed=4), cfg, checkpoint)
+    model = ["--checkpoint", str(checkpoint)]
+    return checkpoint, {
+        "correspond": ["correspond", *pair, *model, "--query-id", "0", "--gallery-id", "5", *out],
+        "ablate": ["ablate", *pair, *model, "--counts", "0,4,16", *out],
+        "rerank": ["rerank", "--data", str(neighbors), *pair, "--scorer", "gv", *out],
+    }
+
+
+@pytest.mark.parametrize("command", ["correspond", "ablate"])
+def test_checkpoint_with_a_nan_weight_exits_3_naming_the_tensor(tmp_path, capsys, command):
+    checkpoint, argvs = non_finite_argvs(tmp_path)
+    params, cfg = load_checkpoint(checkpoint)
+    params["layers.0.wq"].data[0, 5] = np.nan
+    save_checkpoint(params, cfg, checkpoint)
+    capsys.readouterr()
+    assert main(argvs[command]) == 3
+    # layers.0.wq's data starts at byte 48: header 8, config 17, tensor
+    # count 2, name length 1, name 11, ndim 1, dims 8
+    message = "tensor layers.0.wq holds a non-finite value (nan) at entry 5 (at byte offset 68)"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "out.meta.json").exists()
+
+
+@pytest.mark.parametrize("command", ["correspond", "ablate", "rerank"])
+def test_gallery_with_a_nan_position_exits_3_at_its_offset(tmp_path, capsys, command):
+    _, argvs = non_finite_argvs(tmp_path)
+    gallery = tmp_path / "d" / "gallery.rrtd"
+    records, manifest = load_dataset(gallery)
+    k = next(i for i, r in enumerate(records) if r.id == 5)
+    uv = records[k].uv.copy()
+    uv[2, 0] = np.nan
+    records[k] = replace(records[k], uv=uv)
+    save_dataset(records, manifest, gallery)
+    offset = gallery.read_bytes().index(struct.pack("<f", np.nan))  # the file's one NaN
+    capsys.readouterr()
+    assert main(argvs[command]) == 3
+    assert f"non-finite u position nan (at byte offset {offset})" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "out.meta.json").exists()
+
+
 # -- flag defaults ------------------------------------------------------------
 # A flag that sets a config field reads its default from that field.  The
 # command's own mapping builds the config from the flag defaults, so a flag

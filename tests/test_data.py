@@ -1,6 +1,8 @@
 """Descriptor store tests: normalization, binary round trips, the synthetic
 generator's planted structure, grid dedup counts."""
 
+import math
+import struct
 import warnings
 from dataclasses import replace
 
@@ -449,12 +451,18 @@ class TestReaderParity:
         for r in recs:
             pos += 8 + 4 * 3 + 2
             for k in range(len(r.vecs)):
-                flipped = bytearray(raw)
-                flipped[pos + (k + 1) * item - 1] = manifest.n_scales + k
-                bad.write_bytes(bytes(flipped))
-                want = _load_error(load_dataset_per_local, bad)
-                assert want[1] == pos + (k + 1) * item - 1
-                assert _load_error(load_dataset, bad) == want
+                u = pos + k * item + 4 * d_l  # then v, then the scale byte
+                for at, value in (
+                    (u, struct.pack("<f", math.nan)),
+                    (u + 4, struct.pack("<f", -math.inf)),
+                    (u + 8, bytes([manifest.n_scales + k])),
+                ):
+                    flipped = bytearray(raw)
+                    flipped[at : at + len(value)] = value
+                    bad.write_bytes(bytes(flipped))
+                    want = _load_error(load_dataset_per_local, bad)
+                    assert want[1] == at
+                    assert _load_error(load_dataset, bad) == want
             pos += len(r.vecs) * item
 
 

@@ -346,12 +346,12 @@ class TestTransformerLayer:
         r = rng.standard_normal((1, 6, cfg.d))
 
         z = Tensor(z0, requires_grad=True)
-        out, _ = transformer_layer(params.layer(0), cfg, z, mask)
+        out = transformer_layer(params.layer(0), cfg, z, mask)
         readout(out, r).backward()
 
         def f(v):
             zz = Tensor(v)
-            o, _ = transformer_layer(params.layer(0), cfg, zz, mask)
+            o = transformer_layer(params.layer(0), cfg, zz, mask)
             return float((o.data * r).sum())
 
         numeric = central_difference(f, z0)
@@ -363,10 +363,10 @@ class TestTransformerLayer:
         rng = np.random.default_rng(11)
         z0 = rng.standard_normal((1, 6, cfg.d)).astype(np.float32)
         mask = np.array([[True, True, True, False, False, False]])
-        out1, _ = transformer_layer(params.layer(0), cfg, Tensor(z0), mask)
+        out1 = transformer_layer(params.layer(0), cfg, Tensor(z0), mask)
         z2 = z0.copy()
         z2[~mask] = rng.standard_normal((3, cfg.d)).astype(np.float32) * 100
-        out2, _ = transformer_layer(params.layer(0), cfg, Tensor(z2), mask)
+        out2 = transformer_layer(params.layer(0), cfg, Tensor(z2), mask)
         assert np.max(np.abs(out1.data[0, 0] - out2.data[0, 0])) < 1e-6
 
     @pytest.mark.parametrize("batched", [False, True])  # one pair, or two
@@ -377,10 +377,12 @@ class TestTransformerLayer:
         rng = np.random.default_rng(13)
         z = rng.standard_normal((2 if batched else 1, 6, cfg.d)).astype(np.float32)
         mask = np.array([[True] * 4 + [False] * 2, [True] * 6]) if batched else np.array([[True] * 5 + [False]])
-        full, full_attn = transformer_layer(params.layer(0), cfg, Tensor(z), mask, return_attn=True)
-        out, attn = transformer_layer(params.layer(0), cfg, Tensor(z), mask, return_attn=True, query_rows=query_rows)
+        full = transformer_layer(params.layer(0), cfg, Tensor(z), mask)
+        out = transformer_layer(params.layer(0), cfg, Tensor(z), mask, query_rows=query_rows)
         assert out.shape == z.shape[:-2] + (query_rows, cfg.d)
         np.testing.assert_allclose(out.data, full.data[..., :query_rows, :], rtol=1e-5, atol=1e-6)
+        _, full_attn = mha_forward(params.layer(0), cfg, Tensor(z), mask, return_attn=True)
+        _, attn = mha_forward(params.layer(0), cfg, Tensor(z), mask, return_attn=True, query_rows=query_rows)
         assert attn.shape == full_attn.shape[:2] + (query_rows, 6)
         np.testing.assert_allclose(attn, full_attn[:, :, :query_rows], rtol=1e-5, atol=1e-7)
 
@@ -391,7 +393,7 @@ class TestTransformerLayer:
         lp.w1.data[:] = 0
         lp.w2.data[:] = 0
         rng = np.random.default_rng(12)
-        out, _ = transformer_layer(lp, cfg, Tensor(rng.standard_normal((1, 4, cfg.d)).astype(np.float32)), np.ones((1, 4), bool))
+        out = transformer_layer(lp, cfg, Tensor(rng.standard_normal((1, 4, cfg.d)).astype(np.float32)), np.ones((1, 4), bool))
         # Every row collapses to LayerNorm of the bias vector b2.
         b2 = lp.b2.data.astype(np.float64)
         mu, var = b2.mean(), b2.var()
@@ -498,6 +500,21 @@ def force_chunking(monkeypatch, size, cpus):
     return calls
 
 
+def two_chunk_forward(monkeypatch, threads=None):
+    """A forward pass that returns zero logits once two chunks have reached
+    it, so a score_batch call of two chunks needs two pool threads at once;
+    each thread it ran on goes to `threads`."""
+    both = threading.Barrier(2, timeout=10)
+
+    def forward(params, cfg, pairs):
+        both.wait()
+        if threads is not None:
+            threads.append(threading.current_thread())
+        return Tensor(np.zeros(len(pairs), np.float32))
+
+    monkeypatch.setattr(model, "forward_pair_logits", forward)
+
+
 def chunk_inputs(cfg, seed, n):
     rng = np.random.default_rng(seed)
     q = make_record(rng, 0, 0, cfg.d, cfg.d_g_raw, 3, cfg.n_scales)
@@ -591,79 +608,57 @@ class TestChunkedScoring:
         assert score_batch(None, cfg, object(), [object()] * 100) == [0.5] * 100
         assert calls == widths
 
-    def test_map_in_order_raises_first_chunk_error_when_a_later_chunk_fails_first(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    def test_first_chunk_error_wins_when_a_later_chunk_fails_first(self, monkeypatch):
+        # Two chunks on the pool: the second fails, and only then the first.
+        cfg = tiny_config()
+        q, cands = chunk_inputs(cfg, 54, 4)
+        force_chunking(monkeypatch, 2, 2)
         later_failed = threading.Event()
         threads = []
 
-        def fn(i):
+        def failing(params, cfg, pairs):
             threads.append(threading.current_thread())
-            if i == 1:
+            if pairs[0][1].id == 3:
                 later_failed.set()
                 raise ValueError("chunk 1")
-            if i == 0:
-                assert later_failed.wait(10)
-                raise ValueError("chunk 0")
-            return i
+            assert later_failed.wait(10)
+            raise ValueError("chunk 0")
 
+        monkeypatch.setattr(model, "forward_pair_logits", failing)
         with pytest.raises(ValueError, match="chunk 0"):
-            model.map_in_order(fn, [0, 1, 2, 3])
+            score_batch(None, cfg, q, cands)
         assert later_failed.is_set()
-        assert threading.main_thread() not in threads
+        assert len(threads) == 2 and threading.main_thread() not in threads
 
     def test_calls_share_one_kept_pool(self, monkeypatch):
-        # Both chunks of a call wait for each other, so each call needs two
-        # pool threads at once: the same two, call after call.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        both = threading.Barrier(2, timeout=10)
-        per_call = []
-
-        def fn(i):
-            both.wait()
-            return threading.current_thread()
-
+        # Every call needs two pool threads at once: the same two, call
+        # after call.
+        cfg = tiny_config()
+        force_chunking(monkeypatch, 2, 2)
+        threads, per_call = [], []
+        two_chunk_forward(monkeypatch, threads)
         for _ in range(10):
-            per_call.append(set(model.map_in_order(fn, [0, 1])))
+            assert score_batch(None, cfg, object(), [object()] * 4) == [0.5] * 4
+            per_call.append(set(threads))
+            threads.clear()
         assert len(per_call[0]) == model.MAX_SCORE_WORKERS
         assert per_call == [per_call[0]] * 10
         assert threading.main_thread() not in per_call[0]
 
-    def test_nested_call_runs_on_its_worker(self, monkeypatch):
-        # Every pool thread is busy with an outer chunk when it makes the
-        # inner call, which a full pool could never serve.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        both = threading.Barrier(2, timeout=10)
-        got = []
-
-        def inner(j):
-            return j, threading.current_thread()
-
-        def outer(i):
-            both.wait()
-            return [(i, j, thread is threading.current_thread())
-                    for j, thread in model.map_in_order(inner, range(3))]
-
-        caller = threading.Thread(target=lambda: got.append(model.map_in_order(outer, [0, 1])))
-        caller.start()
-        caller.join(30)
-        assert not caller.is_alive()
-        assert got == [[[(i, j, True) for j in range(3)] for i in range(2)]]
-
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_scores_on_a_pool_of_its_own(self, monkeypatch):
         # The child inherits the parent's pool object, here with both threads
-        # started and idle, but none of the threads.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        both = threading.Barrier(2, timeout=10)
-        assert model.map_in_order(lambda i: both.wait() >= 0, [0, 1]) == [True, True]
+        # started and idle, but none of the threads; its call needs two.
+        cfg = tiny_config()
+        force_chunking(monkeypatch, 2, 2)
+        two_chunk_forward(monkeypatch)
+        assert score_batch(None, cfg, object(), [object()] * 4) == [0.5] * 4
         pid = os.fork()
         if pid == 0:  # the child exits 0 only if its call returns in time
             signal.alarm(30)
             code = 1
             try:
-                code = 0 if model.map_in_order(abs, [-3, -4]) == [3, 4] else 1
+                code = 0 if score_batch(None, cfg, object(), [object()] * 4) == [0.5] * 4 else 1
             finally:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
@@ -753,10 +748,13 @@ def mixed_pairs(cfg, seed):
 def full_layer_forward(params, cfg, pairs):
     """(logits, last layer's attention [B, h, T, T]) with every layer, the
     last included, run over all T rows by transformer_layer: the reference
-    for the CLS-only last layer."""
+    for the CLS-only last layer.  The map is the last layer's mha_forward on
+    that layer's input."""
     z, mask = model._assemble_batch(params, cfg, pairs)
     for i in range(cfg.layers):
-        z, attn = transformer_layer(params.layer(i), cfg, z, mask, return_attn=i == cfg.layers - 1)
+        if i == cfg.layers - 1:
+            _, attn = mha_forward(params.layer(i), cfg, z, mask, return_attn=True)
+        z = transformer_layer(params.layer(i), cfg, z, mask)
     head = ag.reshape(params["head.w"], (cfg.d, 1))
     return ag.reshape(ag.affine(z[:, 0, :], head, params["head.b"]), (len(pairs),)), attn
 
