@@ -285,15 +285,15 @@ def _check_affine(x: np.ndarray, w: np.ndarray, op: str) -> None:
 
 
 def _affine_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray):
-    """(gx, gw, gb) of x @ w + b for the output gradient g."""
+    """(gx, gw, gb) of x @ w + b for the output gradient g, with every
+    leading dimension of x and g folded into rows: each gradient is one 2-D
+    product or sum over all of them."""
+    x2, g2 = x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1])
     # contiguous copy of the (small) transposed weight dodges numpy's
-    # slow strided-matmul path; ditto the batched-then-reduced gw form
-    gx = g @ np.ascontiguousarray(w.T)
-    if g.ndim > 2:
-        gw = (np.swapaxes(x, -1, -2) @ g).reshape(-1, w.shape[0], g.shape[-1]).sum(axis=0)
-    else:
-        gw = np.dot(x.T, g)
-    gb = g.reshape(-1, g.shape[-1]).sum(axis=0)
+    # slow strided-matmul path
+    gx = (g2 @ np.ascontiguousarray(w.T)).reshape(x.shape)
+    gw = np.dot(x2.T, g2)
+    gb = g2.sum(axis=0)
     return gx, gw, gb
 
 
@@ -322,12 +322,16 @@ def _row_blocks(n: int, rows: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def _spans(B: int, h: int, tile: int) -> list[tuple[slice, slice]]:
+def _spans(B: int, h: int, tile: int, masked: np.ndarray) -> list[tuple[slice, slice]]:
     """(pairs, heads) index of each tile of at most `tile` slices of the B*h
-    axis: whole pairs when tile >= h, else runs of one pair's heads."""
+    axis: whole pairs when tile >= h, else runs of one pair's heads.  A tile
+    is also cut wherever two consecutive pairs differ in masked (whether the
+    pair has a masked key), so no tile holds both kinds of pair."""
     pairs, heads = max(1, tile // h), min(tile, h)
-    return [(np.s_[b : b + pairs], np.s_[c : c + heads])
-            for b in range(0, B, pairs) for c in range(0, h, heads)]
+    edges = [0, *(b for b in range(1, B) if masked[b] != masked[b - 1]), B]
+    return [(np.s_[b : min(b + pairs, stop)], np.s_[c : c + heads])
+            for start, stop in zip(edges, edges[1:])
+            for b in range(start, stop, pairs) for c in range(0, h, heads)]
 
 
 def _longest(blocks: list[slice]) -> int:
@@ -368,9 +372,8 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         ob += b2.data
 
     def grad_fn(g):
-        h = hidden.reshape(lead + (d_c,))
-        gh, gw2, gb2 = _affine_grads(h, w2.data, g)
-        gx, gw1, gb1 = _affine_grads(x.data, w1.data, gh * (h > 0))
+        gh, gw2, gb2 = _affine_grads(hidden, w2.data, g)
+        gx, gw1, gb1 = _affine_grads(x.data, w1.data, gh * (hidden > 0))
         return gx, gw1, gb1, gw2, gb2
 
     return _make(out.reshape(lead + (d_out,)), parents, grad_fn)
@@ -452,7 +455,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False)
 
     The flattened B*h axis runs in tiles of consecutive slices whose Tq x T
     logits stay within ATTENTION_TILE_FLOATS, never splitting a pair's heads
-    across two tiles unless one pair alone exceeds the budget.  A slice whose
+    across two tiles unless one pair alone exceeds the budget, and never
+    holding a pair with a masked key beside one without, so the exponential
+    base (below) a pair gets depends on its own keys only.  A slice whose
     logits alone exceed it runs in blocks of query rows.
 
     Every block runs in FlashAttention form (FlashAttention-2, arXiv
@@ -492,7 +497,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False)
     qd, kd, vd = q.data, k.data, v.data
     kmask = np.broadcast_to(np.asarray(mask, dtype=bool), (B, h, T))
     tile = max(1, ATTENTION_TILE_FLOATS // (Tq * T))  # slices per tile
-    spans = _spans(B, h, tile)
+    spans = _spans(B, h, tile, ~kmask.all(axis=(1, 2)))
     rows = _row_blocks(Tq, ATTENTION_TILE_FLOATS // T)  # query rows per block
     tile_floats = min(tile, B * h) * Tq * T
     recording = _records((q, k, v))

@@ -435,7 +435,10 @@ def cmd_index(cfg: dict) -> int:
 
 def cmd_retrieve(cfg: dict) -> int:
     _require(cfg["k"] >= 1, "--k", "at least 1", cfg["k"])
-    index = load_index(cfg["data"])
+    try:
+        index = load_index(cfg["data"])
+    except DataFormatError as exc:
+        raise DataFormatError(f"--data {cfg['data']}: {exc}") from None
     queries, manifest = _load_normalized(cfg["queries"])
     params = None
     if index.projected:

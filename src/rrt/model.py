@@ -48,7 +48,6 @@ from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import autograd as ag
 from .autograd import Tensor
@@ -494,7 +493,11 @@ def score_batch(
     when score_workers() is 1, runs on the calling thread; several run on
     the scoring pool, whose threads run nothing else.  Scores, and the first
     error, come in chunk order either way.  The partition does not depend
-    on the worker count, so neither do the score bytes.  Each worker is
+    on the worker count, so neither do the score bytes.  A candidate's
+    score bytes depend on its two records, its chunk's size, its place in
+    the chunk and the BLAS core, and on nothing else: not on what its
+    chunk-mates hold, padded or not.  Moving a candidate to another place
+    in its chunk can move its score by float32 rounding.  Each worker is
     assumed to run BLAS on one thread (the `rrt` command sets that before
     numpy loads; a library caller sets OPENBLAS_NUM_THREADS itself); with
     more, the workers' BLAS threads contend for the same cores, and
@@ -513,7 +516,10 @@ def score_batch(
 
 def max_weight_assignment(affinity: np.ndarray) -> list[tuple[int, int]]:
     """Exact maximum-weight one-to-one assignment on a (possibly rectangular)
-    affinity matrix; returns (row, col) pairs sorted by row."""
+    affinity matrix; returns (row, col) pairs sorted by row.  scipy is
+    imported here, so that only `rrt correspond` pays for loading it."""
+    from scipy.optimize import linear_sum_assignment
+
     ri, ci = linear_sum_assignment(affinity, maximize=True)
     return sorted(zip(ri.tolist(), ci.tolist()))
 
@@ -599,11 +605,7 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig]:
                 f"tensor {name!r} with shape {dims} does not match the "
                 f"config's layout entry {exp_name} {exp_shape}"
             )
-        data = cur.array("<f4", math.prod(exp_shape))
-        if not (finite := np.isfinite(data)).all():
-            k = int(np.argmin(finite))
-            raise DataFormatError(f"tensor {exp_name} holds a non-finite value ({data[k]}) at entry {k}",
-                                  offset=cur.off - 4 * (len(data) - k))
+        data = cur.floats(math.prod(exp_shape), f"tensor {exp_name}")
         tensors[exp_name] = Tensor(data.reshape(exp_shape), requires_grad=True)
     cur.end("the tensor table")
     return ModelParams(cfg, tensors), cfg

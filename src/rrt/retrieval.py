@@ -130,12 +130,15 @@ def save_index(index: GlobalIndex, path) -> None:
 
 
 def load_index(path) -> GlobalIndex:
+    """Read an index written by save_index.  A NaN or infinite vector entry
+    is a value no index may hold: DataFormatError gives its flat entry in
+    the vector table, at its offset."""
     cur = Reader(path, INDEX_MAGIC, INDEX_VERSION)
     projected, n, dim = cur.unpack("<BII")
     if projected > 1:
         raise DataFormatError(f"projected byte {projected} is neither 0 nor 1", offset=8)
     ids = cur.array("<u4", n).astype(np.int64)
-    vecs = cur.array("<f4", n * dim).reshape(n, dim)
+    vecs = cur.floats(n * dim, "the vector table").reshape(n, dim)
     cur.end("the vectors")
     return GlobalIndex(ids=ids, vectors=vecs, projected=bool(projected))
 

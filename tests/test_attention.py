@@ -1,7 +1,8 @@
 """The fused attention op runs one forward body: its float32 context has the
 same bytes with and without recording and kept probabilities, so training and
-scoring get the same logits, and the same bytes across tile sizes where every
-tile takes the same exponential base; context and probabilities stay within
+scoring get the same logits, and the same bytes across tile sizes, since no
+tile holds a padded pair beside an unpadded one (so a pair's logit does not
+depend on its chunk-mates' padding); context and probabilities stay within
 float32 rounding of the composed reference path (twice its own distance from
 the float64 composed path) across tile and query-row block boundaries, and a
 query-row block has the bytes of the op on its rows alone.  Also
@@ -69,13 +70,21 @@ def assert_near_composed(params, cfg, z, mask, out, attn):
     assert np.abs(attn - exact_attn).max() <= 2 * np.abs(ref_attn - exact_attn).max()
 
 
-def two_branch_spans(B, h, tile):
-    """The tile spans as a fork on tile >= h computed them: whole pairs with
-    every head, else one pair's heads in runs of tile."""
-    if tile >= h:
-        step = tile // h
-        return [(np.s_[b : b + step], slice(None)) for b in range(0, B, step)]
-    return [(np.s_[b : b + 1], np.s_[c : c + tile]) for b in range(B) for c in range(0, h, tile)]
+def two_branch_spans(B, h, tile, masked):
+    """The tile spans as a fork on tile >= h computed them, within each run
+    of consecutive pairs that agree in masked: whole pairs with every head,
+    else one pair's heads in runs of tile."""
+    spans, start = [], 0
+    for stop in range(1, B + 1):
+        if stop < B and masked[stop] == masked[start]:
+            continue
+        if tile >= h:
+            step = tile // h
+            spans += [(np.s_[b : min(b + step, stop)], slice(None)) for b in range(start, stop, step)]
+        else:
+            spans += [(np.s_[b : b + 1], np.s_[c : c + tile]) for b in range(start, stop) for c in range(0, h, tile)]
+        start = stop
+    return spans
 
 
 class TestSpans:
@@ -86,19 +95,22 @@ class TestSpans:
     def test_span_list_matches_two_branch_rule(self, Tq, T):
         tile = max(1, ag.ATTENTION_TILE_FLOATS // (Tq * T))
         for B in (1, 2, 3, 16, 50, 100):
-            self.check(B, 4, tile)
+            self.check(B, 4, tile, np.zeros(B, dtype=bool))
+            self.check(B, 4, tile, np.arange(B) % 2 == 1)
 
     def test_partial_tiles_match_two_branch_rule(self):
-        for B in (1, 5):
+        rng = np.random.default_rng(20)
+        for B in (1, 5, 9):
             for h in (3, 4):
                 for tile in range(1, 10):
-                    self.check(B, h, tile)
+                    for masked in (np.zeros(B, dtype=bool), np.ones(B, dtype=bool), rng.random(B) < 0.5):
+                        self.check(B, h, tile, masked)
 
     @staticmethod
-    def check(B, h, tile):
-        got = [(bs.indices(B), hs.indices(h)) for bs, hs in ag._spans(B, h, tile)]
-        want = [(bs.indices(B), hs.indices(h)) for bs, hs in two_branch_spans(B, h, tile)]
-        assert got == want, (B, h, tile)
+    def check(B, h, tile, masked):
+        got = [(bs.indices(B), hs.indices(h)) for bs, hs in ag._spans(B, h, tile, masked)]
+        want = [(bs.indices(B), hs.indices(h)) for bs, hs in two_branch_spans(B, h, tile, masked)]
+        assert got == want, (B, h, tile, masked)
 
 
 class TestMatchesComposedPath:
@@ -106,11 +118,10 @@ class TestMatchesComposedPath:
     def test_float32_bit_identical_across_tiles(self, monkeypatch, slices_per_tile):
         # h=2: one slice per tile splits each pair's heads, two put each
         # pair in its own tile, four leave a partial last tile.  A tile takes
-        # base 2 only when none of its keys is masked, so the bytes of one
-        # whole-batch tile are the reference where every tile takes the same
-        # base: every pair padded (base e) or none (base 2).  Under the
-        # mixed mask an unpadded pair's base depends on its tile-mates, so
-        # that mask is held to the composed path only.  d_h=6 keeps the
+        # base 2 only when none of its keys is masked, and no tile holds a
+        # padded pair beside an unpadded one, so every pair takes the base
+        # of its own keys whatever the tile size, and the bytes of the
+        # default tiles are the reference under every mask.  d_h=6 keeps the
         # 1/sqrt(d_h) scale inexact.
         cfg = tiny_config(d=12, d_h=6)
         T = cfg.seq_len
@@ -120,15 +131,14 @@ class TestMatchesComposedPath:
         z = rng.standard_normal((B, T, cfg.d)).astype(np.float32)
         padded = np.arange(T) < np.arange(T // 2, T // 2 + B)[:, None]  # pair b keeps T // 2 + b keys
         masks = {"mixed": mixed_mask(cfg, B), "padded": padded, "unpadded": np.ones((B, T), dtype=bool)}
-        whole = {name: fused_forward(params, cfg, z, mask) for name, mask in masks.items() if name != "mixed"}
+        whole = {name: fused_forward(params, cfg, z, mask) for name, mask in masks.items()}
 
         monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", slices_per_tile * T * T)
         for name, mask in masks.items():
             out, attn = fused_forward(params, cfg, z, mask)
             assert attn.shape == (B, cfg.h, T, T)
-            if name in whole:
-                assert out.tobytes() == whole[name][0].tobytes(), name
-                assert attn.tobytes() == whole[name][1].tobytes(), name
+            assert out.tobytes() == whole[name][0].tobytes(), name
+            assert attn.tobytes() == whole[name][1].tobytes(), name
             assert_near_composed(params, cfg, z, mask, out, attn)
 
     def test_gradients_match_composed_path(self, monkeypatch):
@@ -161,9 +171,9 @@ class TestQueryRowBlocks:
     @pytest.mark.parametrize("block_rows", [6, 5])
     def test_float32_bit_identical_with_probs(self, monkeypatch, block_rows):
         # A block of query rows gives the bytes, context and probabilities,
-        # of the op called on those rows alone with whole slices, wherever
-        # both take the same exponential base: every pair padded (base e)
-        # or none (base 2).  Whole slices are not the reference: the row
+        # of the op called on those rows alone with whole slices, under
+        # every mask: each pair takes the exponential base of its own keys
+        # in both.  Whole slices are not the reference: the row
         # sums are a matrix-vector product, whose bytes depend on the call's
         # row count on every kernel (blocks of 5/5/6 rows move the last
         # row's).  Through mha_forward, recording and kept probabilities
@@ -183,7 +193,7 @@ class TestQueryRowBlocks:
         assert len(blocks) > 1
         alone = {}
         with ag.no_grad():
-            for name in ("padded", "unpadded"):
+            for name in masks:
                 calls = [ag.attention(Tensor(q[:, :, rs]), Tensor(k), Tensor(v), masks[name][:, None], return_probs=True)
                          for rs in blocks]
                 alone[name] = [np.concatenate(parts, axis=2) for parts in zip(*((c.data, p) for c, p in calls))]
@@ -192,11 +202,10 @@ class TestQueryRowBlocks:
         for name, mask in masks.items():
             out, attn = fused_forward(params, cfg, z, mask)
             assert_near_composed(params, cfg, z, mask, out, attn)
-            if name in alone:
-                with ag.no_grad():
-                    ctx, probs = ag.attention(Tensor(q), Tensor(k), Tensor(v), mask[:, None], return_probs=True)
-                assert ctx.data.tobytes() == alone[name][0].tobytes(), name
-                assert probs.tobytes() == alone[name][1].tobytes(), name
+            with ag.no_grad():
+                ctx, probs = ag.attention(Tensor(q), Tensor(k), Tensor(v), mask[:, None], return_probs=True)
+            assert ctx.data.tobytes() == alone[name][0].tobytes(), name
+            assert probs.tobytes() == alone[name][1].tobytes(), name
 
     def test_gradients_match_composed_path(self, monkeypatch):
         cfg = tiny_config(L=6)
@@ -273,8 +282,17 @@ class TestFlashForm:
     def test_exp2_only_on_tiles_without_masked_keys(self, monkeypatch):
         # np.exp2 runs a slow path on inputs below -126, masked keys' -inf
         # among them, so a tile with masked keys must take np.exp.
+        self.check_exp2_tiles(monkeypatch, pairs_per_tile=1)
+
+    def test_padded_pair_cuts_a_whole_batch_tile(self, monkeypatch):
+        # A budget of three pairs would put the padded pair 1 beside pairs 0
+        # and 2; the cut gives each its own tile, so both still take exp2.
+        self.check_exp2_tiles(monkeypatch, pairs_per_tile=3)
+
+    @staticmethod
+    def check_exp2_tiles(monkeypatch, pairs_per_tile):
         B, h, T, dh = 3, 2, 16, 6
-        monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", h * T * T)  # one pair per tile
+        monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", pairs_per_tile * h * T * T)
         calls, exp2 = [], np.exp2
 
         def spy(z, out=None):
@@ -318,6 +336,29 @@ class TestOneForward:
             scored = forward_pair_logits(params, cfg, pairs)
         assert recorded._grad_fn is not None and scored._grad_fn is None
         assert recorded.data.tobytes() == scored.data.tobytes()
+
+
+class TestChunkMates:
+    """A pair's score bytes depend on its own records, not on its
+    chunk-mates': a full pair keeps its logit's bytes beside full and beside
+    padded pairs, and a padded pair beside padded and beside full pairs, at
+    the same place in a chunk of the same size."""
+
+    def test_logit_bytes_do_not_depend_on_chunk_mates_padding(self, frozen_pairs):
+        cfg = benchmark_model_config()
+        params = init_params(cfg, seed=1)
+        full = frozen_pairs
+        padded = [(a, b.truncated(5)) for a, b in full]
+        alternating = [p if i % 2 == 0 else padded[i] for i, p in enumerate(full)]
+        halves = full[:16] + padded[16:]
+        with ag.no_grad():
+            logits = {name: forward_pair_logits(params, cfg, pairs).data.reshape(-1)
+                      for name, pairs in (("full", full), ("padded", padded),
+                                          ("alternating", alternating), ("halves", halves))}
+        assert logits["alternating"][::2].tobytes() == logits["full"][::2].tobytes()
+        assert logits["alternating"][1::2].tobytes() == logits["padded"][1::2].tobytes()
+        assert logits["halves"][:16].tobytes() == logits["full"][:16].tobytes()
+        assert logits["halves"][16:].tobytes() == logits["padded"][16:].tobytes()
 
 
 class TestLeadingQueryRows:

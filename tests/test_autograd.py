@@ -392,8 +392,9 @@ def composed_mlp(x, w1, b1, w2, b2):
 
 
 class TestMLP:
-    """The fused MLP against affine -> relu -> affine: same bits in float32
-    for any row blocking, same gradients in float64."""
+    """The fused MLP against affine -> relu -> affine: in float32, each row
+    block has the bits of the composed path on that block's rows alone, for
+    any row blocking; in float64, the same gradients."""
 
     D_IN, D_C, D_OUT = 8, 16, 4
 
@@ -408,18 +409,32 @@ class TestMLP:
     @pytest.mark.parametrize("block_rows", [4, 5, 1000])
     def test_float32_bit_identical_across_row_blocks(self, monkeypatch, lead, block_rows):
         # 13 and 21 rows in blocks of at most 4 or 5 rows leave blocks of
-        # unequal sizes; 1000 is one block.
+        # unequal sizes; 1000 is one block.  The reference for a block is
+        # the composed path on its rows alone, not on all rows: where a gemm
+        # row's bytes depend on the call's row count (OpenBLAS's Haswell
+        # kernels), so do the composed path's.  Against the composed path on
+        # all rows, the op stays within float32 rounding.
         monkeypatch.setattr(ag, "MLP_BLOCK_FLOATS", block_rows * self.D_C)
         rng = np.random.default_rng(40)
         x = Tensor(rng.standard_normal(lead + (self.D_IN,)).astype(np.float32))
         w = self.weights(rng, np.float32)
         out = mlp(x, *w)
-        ref = composed_mlp(x, *w)
         assert out.shape == lead + (self.D_OUT,) and out.dtype == np.float32
-        assert out.data.tobytes() == ref.data.tobytes()
+        rows = x.data.reshape(-1, self.D_IN)
+        blocks = ag._row_blocks(len(rows), block_rows)
+        ref = np.concatenate([composed_mlp(Tensor(rows[rs]), *w).data for rs in blocks])
+        assert out.data.reshape(-1, self.D_OUT).tobytes() == ref.tobytes()
+        np.testing.assert_allclose(out.data, composed_mlp(x, *w).data, rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize("lead", [(13,), (3, 7)])
     def test_float64_gradients_equal_composed(self, monkeypatch, lead):
+        # Both backwards run each gradient as one product over all rows, so
+        # they differ only where the hidden activations do: the op builds
+        # them in blocks of at most 5 rows, the composed path in one product
+        # (per 7-row matrix for lead (3, 7)).  Where this kernel gives those
+        # products the same row bytes (OpenBLAS's SkylakeX kernels do), the
+        # gradients are equal byte for byte; where it does not (its Haswell
+        # kernels), within float64 rounding.
         monkeypatch.setattr(ag, "MLP_BLOCK_FLOATS", 5 * self.D_C)
         rng = np.random.default_rng(41)
         x0 = rng.standard_normal(lead + (self.D_IN,))
@@ -431,9 +446,15 @@ class TestMLP:
             w = [Tensor(a, requires_grad=True) for a in w0]
             readout(f(x, *w), r).backward()
             grads.append([x.grad] + [t.grad for t in w])
+        rows, whole = x0.reshape(-1, self.D_IN), (x0 @ w0[0]).reshape(-1, self.D_C)
+        same_hidden = all((rows[rs] @ w0[0]).tobytes() == whole[rs].tobytes()
+                          for rs in ag._row_blocks(len(rows), 5))
         for fused, composed in zip(*grads):
             assert fused.dtype == np.float64
-            np.testing.assert_array_equal(fused, composed)
+            if same_hidden:
+                np.testing.assert_array_equal(fused, composed)
+            else:
+                np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
 
     def test_gradient_vs_finite_differences(self, monkeypatch):
         monkeypatch.setattr(ag, "MLP_BLOCK_FLOATS", 2 * self.D_C)

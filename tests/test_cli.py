@@ -819,6 +819,22 @@ def test_checkpoint_with_a_nan_weight_exits_3_naming_the_tensor(tmp_path, capsys
     assert not (tmp_path / "out").exists() and not (tmp_path / "out.meta.json").exists()
 
 
+def test_index_with_a_nan_vector_entry_exits_3_naming_data(tmp_path, capsys):
+    data, _, _ = synth_and_retrieve(tmp_path)
+    index, out = tmp_path / "g.rrti", tmp_path / "again.jsonl"
+    raw = bytearray(index.read_bytes())
+    n = struct.unpack_from("<I", raw, 9)[0]
+    offset = 17 + 4 * n  # the first vector's first entry: header 8, projected 1, n and dim 8, ids
+    raw[offset : offset + 4] = struct.pack("<f", np.nan)
+    index.write_bytes(bytes(raw))
+    capsys.readouterr()
+    argv = ["retrieve", "--data", str(index), "--queries", str(data / "queries.rrtd"), "--out", str(out)]
+    assert main(argv) == 3
+    message = f"--data {index}: the vector table holds a non-finite value (nan) at entry 0 (at byte offset {offset})"
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
 @pytest.mark.parametrize("command", ["correspond", "ablate", "rerank"])
 def test_gallery_with_a_nan_position_exits_3_at_its_offset(tmp_path, capsys, command):
     _, argvs = non_finite_argvs(tmp_path)

@@ -3,6 +3,9 @@ through ``__all__``, and every name in ``__all__`` is read by code outside
 the tests.  Plain AST scans, since no linter is a dependency."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,3 +110,12 @@ def test_export_scan_reads_imports_module_attributes_and_site_pairs():
     assert reads_from(tree, "rrt.autograd") == {"attention", "Tensor"}
     assert reads_from(tree, "rrt.data") == {"SynthConfig"}
     assert reads_from(tree, "rrt.train") == {"train"}
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize is most of a cold `rrt` command's start-up, and only
+    # `rrt correspond` reads it (rrt.model.max_weight_assignment).
+    code = "import sys, rrt.cli; assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

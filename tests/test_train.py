@@ -285,12 +285,12 @@ class TestTrain:
         # trained models' bits.
         recorded = {
             "SkylakeX": {
-                "loss_history.csv": "e4ccf301add2e6ffc0c6f3ef78bb1f16e2dd7f095874d5fc96d53f3defe7a76c",
-                "model.rrtm": "26d6d82ff97ce092ec9ec70a8d79b345bae05af493b7be56a1600457a1b35b5e",
+                "loss_history.csv": "98ee08f3248182bc185f0889b45beadedd86914fb14b05ec9aeb368481b76074",
+                "model.rrtm": "fd020a6ead4e44f819d518b951b1dc4396a26eb443465b2587c1b63aa6f6260a",
             },
             "Haswell": {
-                "loss_history.csv": "2e0b82ed9c080394077aad046cea0ab8f1e4d6c84f055c26e1c5f885da79b5cc",
-                "model.rrtm": "4d751e9760352ff26e4ecaf63525aabb59e5e9ca7035651452972bb9c8474473",
+                "loss_history.csv": "d1b9036d5a3870136e82010a67b5e6546c755b885cb191a748e396af23356d64",
+                "model.rrtm": "82f9632ff30d912cf2e93403c623503dbc97eca566e7cd979844cb61e0cc84f1",
             },
         }
         core = blas_core()

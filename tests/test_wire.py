@@ -1,6 +1,6 @@
 """The shared reader's error policy on every binary format: a cut, a wrong
-magic, a wrong version or a trailing byte raises DataFormatError at the
-offset of the first failing byte.  `.rrtd` cuts are checked field by field
+magic, a wrong version, a trailing byte or a non-finite float payload value
+raises DataFormatError at the offset of the first failing byte.  `.rrtd` cuts are checked field by field
 against the per-local reference parser in test_data.TestReaderParity."""
 
 import struct
@@ -106,3 +106,20 @@ def test_byte_no_writer_produces_reports_its_offset(tmp_path, fmt, offset, writt
     path.write_bytes(bytes(raw))
     err = _offset_error(load, path)
     assert (err.offset, message in str(err)) == (offset, True)
+
+
+@pytest.mark.parametrize("projected", [False, True])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_index_with_a_non_finite_vector_entry_reports_its_offset(tmp_path, projected, value):
+    path = tmp_path / "f"
+    _index(path, projected)
+    raw = bytearray(path.read_bytes())
+    n, dim = struct.unpack_from("<II", raw, 9)
+    k = dim + 2  # vector 1, entry 2
+    offset = 17 + 4 * n + 4 * k  # header 8, projected 1, n and dim 8, ids
+    raw[offset : offset + 4] = struct.pack("<f", value)
+    raw[offset + 4 : offset + 8] = struct.pack("<f", np.nan)  # a later one is not the one reported
+    path.write_bytes(bytes(raw))
+    err = _offset_error(load_index, path)
+    assert err.offset == offset
+    assert f"the vector table holds a non-finite value ({np.float32(value)}) at entry {k}" in str(err)
