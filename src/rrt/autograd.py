@@ -30,7 +30,6 @@ __all__ = [
     "affine",
     "mlp",
     "reshape",
-    "swapaxes",
     "concat",
     "embedding",
     "masked_softmax_lastdim",
@@ -256,15 +255,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(data, (a,), grad_fn)
 
 
-def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    data = np.swapaxes(a.data, ax1, ax2)
-
-    def grad_fn(g):
-        return (np.swapaxes(g, ax1, ax2),)
-
-    return _make(data, (a,), grad_fn)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -429,11 +419,11 @@ def masked_softmax_lastdim(x: Tensor, mask) -> Tensor:
     return _make(p, (x,), grad_fn)
 
 
-def _head_major(shape, dtype) -> np.ndarray:
-    """Uninitialized [B, h, T, d_h] view of a [B, T, h, d_h] buffer, so that
-    merging heads back into [B*T, h*d_h] rows needs no copy."""
-    B, h, T, dh = shape
-    return np.empty((B, T, h, dh), dtype=dtype).transpose(0, 2, 1, 3)
+def _heads(rows: np.ndarray, B: int, h: int) -> np.ndarray:
+    """The [B, h, n, d_h] head view of [B*n, h*d_h] token rows, pair by pair:
+    head c of a token is its c-th run of d_h columns."""
+    n, d = rows.shape[0] // B, rows.shape[1]
+    return rows.reshape(B, n, h, d // h).transpose(0, 2, 1, 3)
 
 
 def _tile(flat: np.ndarray, shape) -> np.ndarray:
@@ -441,17 +431,19 @@ def _tile(flat: np.ndarray, shape) -> np.ndarray:
     return flat[: int(np.prod(shape))].reshape(shape)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False):
-    """Masked scaled dot-product attention, softmax(q.k^T / sqrt(d_h)).v, as
-    one op with a hand-written backward.
+def attention(q: Tensor, k: Tensor, v: Tensor, mask, h: int, return_probs: bool = False):
+    """Masked multi-head scaled dot-product attention, softmax(q.k^T /
+    sqrt(d_h)).v per head, as one op with a hand-written backward.
 
-    q is [B, h, Tq, d_h] and k, v are [B, h, T, d_h] with Tq <= T: the
-    queries are any Tq rows (a caller that needs only the leading rows of a
-    self-attention passes just those), the keys and values every token.
-    mask is bool, broadcastable to [B, h, T], and marks the valid keys of
-    each slice.  Returns (context [B, h, Tq, d_h], probabilities [B, h, Tq,
-    T] or None); the probabilities are returned only when return_probs is set.
-    Context and gradients are views of [B, Tq or T, h, d_h] buffers.
+    mask is bool [B, T] and marks each pair's valid keys, for every head.  q
+    holds Tq query rows and k, v T key and value rows of width d per pair,
+    pair after pair, with Tq <= T: the queries are any Tq rows (a caller
+    that needs only the leading rows of a self-attention passes just those),
+    the keys and values every token.  Head c reads columns c*d_h to
+    (c+1)*d_h of each row, d_h = d / h.  Returns (context rows [B*Tq, d],
+    probabilities [B, h, Tq, T] or None); the probabilities are returned
+    only when return_probs is set.  The heads are views of the rows, so no
+    copy splits or merges them.
 
     The flattened B*h axis runs in tiles of consecutive slices whose Tq x T
     logits stay within ATTENTION_TILE_FLOATS, never splitting a pair's heads
@@ -480,29 +472,29 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False)
     its whole slice: the row sums' matrix-vector product rounds by the
     call's row count on every kernel.
     """
+    mask = np.asarray(mask, dtype=bool)
     if not (
-        q.ndim == 4
-        and k.shape == v.shape
-        and k.shape[:2] + k.shape[3:] == q.shape[:2] + q.shape[3:]
-        and q.shape[2] <= k.shape[2]
+        mask.ndim == 2 and mask.size and q.ndim == 2 and k.shape == v.shape == (mask.size, q.shape[1])
+        and q.shape[1] % h == 0 and q.shape[0] % mask.shape[0] == 0
+        and 0 < q.shape[0] // mask.shape[0] <= mask.shape[1]
     ):
         raise ValueError(
-            "attention needs q [B, h, Tq, d_h] and k, v of one [B, h, T, d_h] shape "
-            f"with Tq <= T, got {q.shape}, {k.shape}, {v.shape}"
+            "attention needs q [B*Tq, d] and k, v of one [B*T, d] shape for a [B, T] mask, "
+            f"with h={h} dividing d and Tq <= T, got {q.shape}, {k.shape}, {v.shape}, {mask.shape}"
         )
-    B, h, Tq, dh = q.shape
-    T = k.shape[2]
+    B, T = mask.shape
+    Tq, dh = q.shape[0] // B, q.shape[1] // h
     dtype = q.dtype
     scale = dtype.type(1.0 / np.sqrt(dh))
-    qd, kd, vd = q.data, k.data, v.data
-    kmask = np.broadcast_to(np.asarray(mask, dtype=bool), (B, h, T))
+    qd, kd, vd = (_heads(x.data, B, h) for x in (q, k, v))
     tile = max(1, ATTENTION_TILE_FLOATS // (Tq * T))  # slices per tile
-    spans = _spans(B, h, tile, ~kmask.all(axis=(1, 2)))
+    spans = _spans(B, h, tile, ~mask.all(axis=1))
     rows = _row_blocks(Tq, ATTENTION_TILE_FLOATS // T)  # query rows per block
     tile_floats = min(tile, B * h) * Tq * T
     recording = _records((q, k, v))
 
-    ctx = _head_major(q.shape, dtype)
+    ctx = np.empty(q.shape, dtype=dtype)
+    ctx_h = _heads(ctx, B, h)
     probs = np.empty((B, h, Tq, T), dtype=dtype) if (recording or return_probs) else None
     buf = None if probs is not None else np.empty(tile_floats // Tq * _longest(rows), dtype=dtype)
     qbuf = np.empty(min(tile, B * h) * _longest(rows) * dh, dtype=dtype)
@@ -510,11 +502,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False)
     ones = np.ones((T, 1), dtype=dtype)
     for bs, hs in spans:
         kt, vt = kd[bs, hs].swapaxes(-1, -2), vd[bs, hs]
-        m = kmask[bs, hs]
-        m = None if m.all() else m[..., None, :]
+        m = mask[bs]
+        m = None if m.all() else m[:, None, None, :]
         exp, qscale = (np.exp2, scale2) if m is None else (np.exp, scale)
         for rs in rows:
-            qt, c = qd[bs, hs, rs], ctx[bs, hs, rs]
+            qt, c = qd[bs, hs, rs], ctx_h[bs, hs, rs]
             qt = np.multiply(qt, qscale, out=_tile(qbuf, qt.shape))
             p = _tile(buf, qt.shape[:-1] + (T,)) if probs is None else probs[bs, hs, rs]
             np.matmul(qt, kt, out=p)
@@ -527,20 +519,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, return_probs: bool = False)
                 np.divide(p, denom, out=p)
 
     def grad_fn(g):
-        gq = _head_major(q.shape, dtype)
-        gk, gv = (_head_major(k.shape, dtype) for _ in range(2))
+        gq, gk, gv = (np.empty(x.shape, dtype=dtype) for x in (q, k, v))
+        g_h, gq_h, gk_h, gv_h = (_heads(x, B, h) for x in (g, gq, gk, gv))
         buf = np.empty(tile_floats, dtype=dtype)
         for bs, hs in spans:
-            p, gt = probs[bs, hs], g[bs, hs]
+            p, gt = probs[bs, hs], g_h[bs, hs]
             dp = _tile(buf, p.shape)
-            np.matmul(p.swapaxes(-1, -2), gt, out=gv[bs, hs])
+            np.matmul(p.swapaxes(-1, -2), gt, out=gv_h[bs, hs])
             np.matmul(gt, vd[bs, hs].swapaxes(-1, -2), out=dp)
             inner = (dp * p).sum(axis=-1, keepdims=True)
             np.subtract(dp, inner, out=dp)
             np.multiply(p, dp, out=dp)
             np.multiply(dp, scale, out=dp)  # dp now holds dS, the logits' gradient
-            np.matmul(dp, kd[bs, hs], out=gq[bs, hs])
-            np.matmul(dp.swapaxes(-1, -2), qd[bs, hs], out=gk[bs, hs])
+            np.matmul(dp, kd[bs, hs], out=gq_h[bs, hs])
+            np.matmul(dp.swapaxes(-1, -2), qd[bs, hs], out=gk_h[bs, hs])
         return gq, gk, gv
 
     out = _make(ctx, (q, k, v), grad_fn)

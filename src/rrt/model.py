@@ -227,21 +227,16 @@ def mha_forward(
     """
     B, T, d = z.shape
     Tq = T if query_rows is None else query_rows
-    h, dh = cfg.h, cfg.d_h
     rows = ag.reshape(z, (B * T, d))  # projections run as 2-D gemms
     q_rows = rows if Tq == T else ag.reshape(z[:, :Tq], (B * Tq, d))
-
-    def heads(x, n, w, b):
-        return ag.swapaxes(ag.reshape(ag.affine(x, w, b), (B, n, h, dh)), 1, 2)  # [B,h,n,dh]
-
     ctx, attn = ag.attention(
-        heads(q_rows, Tq, layer.wq, layer.bq),
-        heads(rows, T, layer.wk, layer.bk),
-        heads(rows, T, layer.wv, layer.bv),
-        mask[:, None, :],
+        ag.affine(q_rows, layer.wq, layer.bq),
+        ag.affine(rows, layer.wk, layer.bk),
+        ag.affine(rows, layer.wv, layer.bv),
+        mask,
+        cfg.h,
         return_probs=return_attn,
     )
-    ctx = ag.reshape(ag.swapaxes(ctx, 1, 2), (B * Tq, d))
     out = ag.reshape(ag.affine(ctx, layer.wo, layer.bo), (B, Tq, d))
     return out, attn
 
@@ -323,11 +318,6 @@ def _local_block(params, cfg: ModelConfig, side: str, locals_mat, sidx) -> Tenso
     return ag.add(x, params[f"seg.local_{side}"])
 
 
-def _tile_token(tok: Tensor, B: int, dtype) -> Tensor:
-    d = tok.shape[0]
-    return ag.add(Tensor(np.zeros((B, 1, d), dtype=dtype)), ag.reshape(tok, (1, 1, d)))
-
-
 def _segments(cfg: ModelConfig) -> list[tuple[str, str, int, int]]:
     """(kind, side, first token, width) of each block of a pair's token
     sequence, in sequence order: the module docstring's layout."""
@@ -358,7 +348,7 @@ def _assemble_batch(params: ModelParams, cfg: ModelConfig, pairs):
             proj = ag.affine(Tensor(globals_mat), params["global_proj.w"], params["global_proj.b"])
             blocks.append(ag.reshape(ag.add(proj, params[f"seg.global_{side}"]), (B, 1, cfg.d)))
         else:
-            blocks.append(_tile_token(params[f"tok.{kind}"], B, dtype))
+            blocks.append(ag.add(Tensor(np.zeros((B, 1, cfg.d), dtype=dtype)), params[f"tok.{kind}"]))
         mask_cols.append(one)
     return ag.concat(blocks, axis=1), np.concatenate(mask_cols, axis=1)
 
@@ -497,10 +487,14 @@ def score_batch(
     score bytes depend on its two records, its chunk's size, its place in
     the chunk and the BLAS core, and on nothing else: not on what its
     chunk-mates hold, padded or not.  Moving a candidate to another place
-    in its chunk can move its score by float32 rounding.  Each worker is
-    assumed to run BLAS on one thread (the `rrt` command sets that before
-    numpy loads; a library caller sets OPENBLAS_NUM_THREADS itself); with
-    more, the workers' BLAS threads contend for the same cores, and
+    in its chunk can move its score by float32 rounding: on OpenBLAS's
+    SkylakeX kernels every layer gives its CLS row the same bytes at any
+    place, and the place enters only through the head's [B, d].[d, 1]
+    matrix-vector product, whose rounding depends on the row; on Haswell
+    kernels the layers' gemm rows depend on their place as well.  Each
+    worker is assumed to run BLAS on one thread (the `rrt` command sets that
+    before numpy loads; a library caller sets OPENBLAS_NUM_THREADS itself);
+    with more, the workers' BLAS threads contend for the same cores, and
     paper-scale scores can move by float32 rounding.
     """
 

@@ -267,30 +267,33 @@ def _typed(value, types: tuple, rule: str):
 
 
 def read_neighbors(path) -> list[NeighborList]:
-    """Parse neighbor JSONL; a malformed line (an id that is not a JSON
-    integer, a score that is not a JSON number or a "truncated" that is not a
-    JSON boolean included), a query id on a second line, a gallery id listed
-    twice for one query, or a non-finite score (which Python's json accepts)
-    raises DataFormatError naming the line."""
+    """Parse neighbor JSONL; a malformed line (one that is not UTF-8 or not
+    a JSON object, an id that is not a JSON integer, neighbors that are not
+    an array of [id, score] arrays, a score that is not a JSON number, a
+    method that is not a JSON string or a "truncated" that is not a JSON
+    boolean included), a query id on a second line, a gallery id listed
+    twice for one query, a non-finite score (which Python's json accepts),
+    an integer score too large for a float, or nesting too deep for the
+    json parser raises DataFormatError naming the line."""
     out, query_lines = [], {}
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # each line decoded on its own, so a bad byte names its line
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _typed(json.loads(line.decode("utf-8")), (dict,), "a line must be a JSON object")
                 nl = NeighborList(
                     query_id=_typed(obj["query"], (int,), "query id must be a JSON integer"),
                     entries=[
                         (_typed(g, (int,), "gallery id must be a JSON integer"),
                          float(_typed(s, (int, float), "score must be a JSON number")))
-                        for g, s in obj["neighbors"]
+                        for g, s in (_typed(e, (list,), "a neighbor must be a JSON array [id, score]")
+                                     for e in _typed(obj["neighbors"], (list,), "neighbors must be a JSON array"))
                     ],
-                    method=str(obj.get("method", "global")),
+                    method=_typed(obj.get("method", "global"), (str,), "method must be a JSON string"),
                     truncated=_typed(obj.get("truncated", False), (bool,), "truncated must be true or false"),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise DataFormatError(f"bad neighbor line {lineno}: {exc}") from exc
             if (first := query_lines.setdefault(nl.query_id, lineno)) != lineno:
                 raise DataFormatError(f"bad neighbor line {lineno}: query id {nl.query_id} already on line {first}")

@@ -86,6 +86,17 @@ def mine_neighbor_ids_lexsort(records, pool):
     return out
 
 
+def swapaxes(a, ax1, ax2):
+    """np.swapaxes as a graph op; rrt.model's forward never swaps axes, so
+    only the composed references below carry it."""
+    from rrt.autograd import _make
+
+    def grad_fn(g):
+        return (np.swapaxes(g, ax1, ax2),)
+
+    return _make(np.swapaxes(a.data, ax1, ax2), (a,), grad_fn)
+
+
 def composed_mha_forward(layer, cfg, z, mask, return_attn=False):
     """Multi-head attention composed from autograd primitives: affine, head
     split, q.k^T matmul, scale, masked softmax, P.v matmul, head merge, output
@@ -99,15 +110,15 @@ def composed_mha_forward(layer, cfg, z, mask, return_attn=False):
     h, dh = cfg.h, cfg.d_h
 
     def heads(t):
-        return ag.swapaxes(ag.reshape(t, (B, T, h, dh)), 1, 2)  # [B,h,T,dh]
+        return swapaxes(ag.reshape(t, (B, T, h, dh)), 1, 2)  # [B,h,T,dh]
 
     q = heads(ag.affine(z, layer.wq, layer.bq))
     k = heads(ag.affine(z, layer.wk, layer.bk))
     v = heads(ag.affine(z, layer.wv, layer.bv))
 
-    logits = scale(ag.matmul(q, ag.swapaxes(k, 2, 3)), 1.0 / np.sqrt(dh))
+    logits = scale(ag.matmul(q, swapaxes(k, 2, 3)), 1.0 / np.sqrt(dh))
     attn = ag.masked_softmax_lastdim(logits, mask[:, None, None, :])
-    ctx = ag.reshape(ag.swapaxes(ag.matmul(attn, v), 1, 2), (B, T, d))
+    ctx = ag.reshape(swapaxes(ag.matmul(attn, v), 1, 2), (B, T, d))
     out = ag.affine(ctx, layer.wo, layer.bo)
     return out, (attn.data if return_attn else None)
 

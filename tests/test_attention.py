@@ -27,6 +27,13 @@ from helpers import params_astype, tiny_config
 from oracles import composed_mha_forward, readout
 
 
+def rows(x):
+    """The [B*n, h*d_h] token rows that ag.attention takes, of a [B, h, n,
+    d_h] head array; ag._heads views them as heads again."""
+    B, h, n, dh = x.shape
+    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(B * n, h * dh)
+
+
 def mixed_mask(cfg, B):
     """Key masks for B pairs: even pairs unpadded, odd pairs padded."""
     T = cfg.seq_len
@@ -194,17 +201,19 @@ class TestQueryRowBlocks:
         alone = {}
         with ag.no_grad():
             for name in masks:
-                calls = [ag.attention(Tensor(q[:, :, rs]), Tensor(k), Tensor(v), masks[name][:, None], return_probs=True)
+                calls = [ag.attention(Tensor(rows(q[:, :, rs])), Tensor(rows(k)), Tensor(rows(v)), masks[name], cfg.h,
+                                      return_probs=True)
                          for rs in blocks]
-                alone[name] = [np.concatenate(parts, axis=2) for parts in zip(*((c.data, p) for c, p in calls))]
+                alone[name] = [np.concatenate(parts, axis=2)
+                               for parts in zip(*((ag._heads(c.data, B, cfg.h), p) for c, p in calls))]
 
         monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", block_rows * T)
         for name, mask in masks.items():
             out, attn = fused_forward(params, cfg, z, mask)
             assert_near_composed(params, cfg, z, mask, out, attn)
             with ag.no_grad():
-                ctx, probs = ag.attention(Tensor(q), Tensor(k), Tensor(v), mask[:, None], return_probs=True)
-            assert ctx.data.tobytes() == alone[name][0].tobytes(), name
+                ctx, probs = ag.attention(Tensor(rows(q)), Tensor(rows(k)), Tensor(rows(v)), mask, cfg.h, return_probs=True)
+            assert ag._heads(ctx.data, B, cfg.h).tobytes() == alone[name][0].tobytes(), name
             assert probs.tobytes() == alone[name][1].tobytes(), name
 
     def test_gradients_match_composed_path(self, monkeypatch):
@@ -234,14 +243,14 @@ class TestQueryRowBlocks:
         monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", 20 * T)
         slice_bytes = T * T * 4
         rng = np.random.default_rng(27)
-        q, k, v = (Tensor(rng.standard_normal((B, h, T, dh)).astype(np.float32)) for _ in range(3))
-        mask = np.ones((B, 1, T), dtype=bool)
-        mask[1, :, T // 3 :] = False
+        q, k, v = (Tensor(rows(rng.standard_normal((B, h, T, dh)).astype(np.float32))) for _ in range(3))
+        mask = np.ones((B, T), dtype=bool)
+        mask[1, T // 3 :] = False
 
         tracemalloc.start()
         try:
             with ag.no_grad():
-                ag.attention(q, k, v, mask)
+                ag.attention(q, k, v, mask, h)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -265,18 +274,19 @@ class TestFlashForm:
         rng = np.random.default_rng(30)
         q = rng.standard_normal((B, h, Tq, dh)).astype(np.float32)
         k, v = (rng.standard_normal((B, h, T, dh)).astype(np.float32) for _ in range(2))
-        mask = np.ones((B, 1, T), dtype=bool)
+        q, k, v = (rows(x) for x in (q, k, v))
+        mask = np.ones((B, T), dtype=bool)
         if masked:
-            mask[1, :, T // 2 :] = False
-            mask[1, :, 2] = False
+            mask[1, T // 2 :] = False
+            mask[1, 2] = False
             mask[2] = False  # no valid key at all
         with ag.no_grad():
-            out, probs = ag.attention(Tensor(q), Tensor(k), Tensor(v), mask)
-        exact, _ = ag.attention(*(Tensor(x.astype(np.float64)) for x in (q, k, v)), mask, return_probs=True)
+            out, probs = ag.attention(Tensor(q), Tensor(k), Tensor(v), mask, h)
+        exact, _ = ag.attention(*(Tensor(x.astype(np.float64)) for x in (q, k, v)), mask, h, return_probs=True)
         assert probs is None and out.data.dtype == np.float32
         assert np.isfinite(out.data).all()
         if masked:
-            assert not out.data[2].any()
+            assert not ag._heads(out.data, B, h)[2].any()
         np.testing.assert_allclose(out.data, exact.data, rtol=1e-6, atol=1e-6)
 
     def test_exp2_only_on_tiles_without_masked_keys(self, monkeypatch):
@@ -301,11 +311,11 @@ class TestFlashForm:
 
         monkeypatch.setattr(np, "exp2", spy)
         rng = np.random.default_rng(31)
-        q, k, v = (Tensor(rng.standard_normal((B, h, T, dh)).astype(np.float32)) for _ in range(3))
-        mask = np.ones((B, 1, T), dtype=bool)
-        mask[1, :, T // 2 :] = False
+        q, k, v = (Tensor(rows(rng.standard_normal((B, h, T, dh)).astype(np.float32))) for _ in range(3))
+        mask = np.ones((B, T), dtype=bool)
+        mask[1, T // 2 :] = False
         with ag.no_grad():
-            ag.attention(q, k, v, mask)
+            ag.attention(q, k, v, mask, h)
         assert calls == [False, False]  # pairs 0 and 2
 
 
@@ -374,58 +384,63 @@ class TestLeadingQueryRows:
             monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", budget_rows * T)
         rng = np.random.default_rng(28)
         q, k, v = (rng.standard_normal((B, h, T, dh)).astype(np.float32) for _ in range(3))
-        mask = np.ones((B, 1, T), dtype=bool)
+        mask = np.ones((B, T), dtype=bool)
         if masked:
-            mask[1, :, T // 2 :] = False
+            mask[1, T // 2 :] = False
             mask[2] = False  # no valid key at all
-        full, full_probs = ag.attention(Tensor(q), Tensor(k), Tensor(v), mask, return_probs=True)
+        full, full_probs = ag.attention(Tensor(rows(q)), Tensor(rows(k)), Tensor(rows(v)), mask, h, return_probs=True)
         for return_probs in (False, True):
-            out, probs = ag.attention(Tensor(q[:, :, :Tq]), Tensor(k), Tensor(v), mask, return_probs=return_probs)
-            assert out.shape == (B, h, Tq, dh)
-            np.testing.assert_allclose(out.data, full.data[:, :, :Tq], rtol=1e-6, atol=1e-6)
+            out, probs = ag.attention(Tensor(rows(q[:, :, :Tq])), Tensor(rows(k)), Tensor(rows(v)), mask, h,
+                                      return_probs=return_probs)
+            assert out.shape == (B * Tq, h * dh)
+            out_h = ag._heads(out.data, B, h)
+            np.testing.assert_allclose(out_h, ag._heads(full.data, B, h)[:, :, :Tq], rtol=1e-6, atol=1e-6)
         assert probs.shape == (B, h, Tq, T)
         np.testing.assert_allclose(probs, full_probs[:, :, :Tq], rtol=1e-6, atol=1e-7)
         if masked:
-            assert not out.data[2].any() and not probs[2].any()
+            assert not out_h[2].any() and not probs[2].any()
 
     @pytest.mark.parametrize(
         "q_shape, kv_shapes",
         [
-            ((1, 2, 3, 4), [(1, 2, 5, 4), (1, 2, 4, 4)]),  # k and v disagree on T
-            ((1, 2, 3, 4), [(1, 2, 5, 4), (1, 2, 5, 3)]),  # k and v disagree on d_h
-            ((1, 2, 3, 4), [(1, 2, 5, 3), (1, 2, 5, 3)]),  # q and k, v disagree on d_h
-            ((1, 2, 3, 4), [(1, 1, 5, 4), (1, 1, 5, 4)]),  # heads disagree
-            ((2, 2, 3, 4), [(1, 2, 5, 4), (1, 2, 5, 4)]),  # batch disagrees
-            ((1, 2, 6, 4), [(1, 2, 5, 4), (1, 2, 5, 4)]),  # more queries than keys
-            ((2, 3, 4), [(2, 3, 4), (2, 3, 4)]),  # not [B, h, T, d_h]
+            ((6, 8), [(10, 8), (8, 8)]),  # k and v disagree on B*T
+            ((6, 8), [(10, 8), (10, 6)]),  # k and v disagree on d
+            ((6, 8), [(10, 6), (10, 6)]),  # q and k, v disagree on d
+            ((6, 6), [(10, 6), (10, 6)]),  # h does not divide d
+            ((6, 8), [(5, 8), (5, 8)]),  # k rows are not the mask's B*T
+            ((12, 8), [(10, 8), (10, 8)]),  # more queries than keys
+            ((2, 3, 8), [(2, 5, 8), (2, 5, 8)]),  # not rows
+            ((5, 8), [(10, 8), (10, 8)]),  # q rows are not B*Tq
         ],
     )
     def test_shape_mismatch_rejected(self, q_shape, kv_shapes):
+        # The mask is [B, T] = [2, 5] and h is 4.
         k_shape, v_shape = kv_shapes
         with pytest.raises(ValueError, match="Tq <= T"):
-            ag.attention(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape)), True)
+            ag.attention(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)), Tensor(np.zeros(v_shape)),
+                         np.ones((2, 5), dtype=bool), 4)
 
 
 def check_gradients(q_shape, kv_shape, seed):
     """The op's gradients in float64 against central differences, with one
     pair's keys partly masked, one's all masked (inert: zero output, zero
-    gradients) and one's all valid."""
+    gradients) and one's all valid.  Shapes are [B, h, n, d_h]; the op gets
+    their rows."""
     rng = np.random.default_rng(seed)
-    q0 = rng.standard_normal(q_shape)
-    k0, v0 = (rng.standard_normal(kv_shape) for _ in range(2))
-    mask = np.array(
-        [[True, False, True, True, False], [False] * 5, [True] * 5]
-    )[:, None, :]
-    r = rng.standard_normal(q_shape)
+    B, h = q_shape[:2]
+    q0 = rows(rng.standard_normal(q_shape))
+    k0, v0 = (rows(rng.standard_normal(kv_shape)) for _ in range(2))
+    mask = np.array([[True, False, True, True, False], [False] * 5, [True] * 5])
+    r = rows(rng.standard_normal(q_shape))
 
     def f(q, k, v):
-        out, _ = ag.attention(Tensor(q), Tensor(k), Tensor(v), mask)
+        out, _ = ag.attention(Tensor(q), Tensor(k), Tensor(v), mask, h)
         return float((out.data * r).sum())
 
     q, k, v = (Tensor(x, requires_grad=True) for x in (q0, k0, v0))
-    out, probs = ag.attention(q, k, v, mask)
+    out, probs = ag.attention(q, k, v, mask, h)
     assert probs is None
-    np.testing.assert_array_equal(out.data[1], 0.0)  # no valid key: inert, not NaN
+    np.testing.assert_array_equal(ag._heads(out.data, B, h)[1], 0.0)  # no valid key: inert, not NaN
     readout(out, r).backward()
 
     numeric = [
@@ -436,7 +451,7 @@ def check_gradients(q_shape, kv_shape, seed):
     for t, n in zip((q, k, v), numeric):
         assert t.grad.shape == t.shape
         assert np.all(np.isfinite(t.grad))
-        np.testing.assert_array_equal(t.grad[1], 0.0)
+        np.testing.assert_array_equal(ag._heads(t.grad, B, h)[1], 0.0)
         assert max_rel_err(t.grad, n) < 1e-6
 
 
@@ -451,23 +466,24 @@ class TestAttentionOp:
         check_gradients((3, 2, 2, 3), (3, 2, 5, 3), seed=29)  # Tq=2 queries, T=5 keys
 
     def test_shape_mismatch_rejected(self):
+        # a [B, 1, T] mask, broadcast per head before the op took rows
         with pytest.raises(ValueError, match="one"):
-            ag.attention(Tensor(np.zeros((1, 2, 3, 4))), Tensor(np.zeros((1, 2, 3, 4))), Tensor(np.zeros((1, 2, 3, 5))), np.ones((1, 2, 3), bool))
+            ag.attention(Tensor(np.zeros((3, 8))), Tensor(np.zeros((3, 8))), Tensor(np.zeros((3, 8))), np.ones((1, 1, 3), bool), 2)
 
     def test_no_full_logits_buffer_without_grad(self, monkeypatch):
         B, h, T, dh = 16, 4, 64, 8
         monkeypatch.setattr(ag, "ATTENTION_TILE_FLOATS", T * T)
         full_bytes = B * h * T * T * 4
         rng = np.random.default_rng(25)
-        q, k, v = (Tensor(rng.standard_normal((B, h, T, dh)).astype(np.float32)) for _ in range(3))
-        mask = np.ones((B, 1, T), dtype=bool)
-        mask[::2, :, T // 2 :] = False
+        q, k, v = (Tensor(rows(rng.standard_normal((B, h, T, dh)).astype(np.float32))) for _ in range(3))
+        mask = np.ones((B, T), dtype=bool)
+        mask[::2, T // 2 :] = False
 
         def peak(return_probs):
             tracemalloc.start()
             try:
                 with ag.no_grad():
-                    ag.attention(q, k, v, mask, return_probs=return_probs)
+                    ag.attention(q, k, v, mask, h, return_probs=return_probs)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -27,11 +27,10 @@ from rrt.autograd import (
     matmul,
     mlp,
     no_grad,
-    swapaxes,
 )
 
 from gradcheck import central_difference, max_rel_err
-from oracles import bce_per_element, mul, readout, relu, sigmoid, stack, tmean, tsum
+from oracles import bce_per_element, mul, readout, relu, sigmoid, stack, swapaxes, tmean, tsum
 
 
 class TestMatmul:

@@ -1,6 +1,7 @@
 """Command-line exit codes on bad descriptor data, corrupt checkpoints,
-repeated record ids, mismatched query/gallery pairs, bad oracle part banks
-and label sets with nothing to score: 3, never a traceback, and no output
+neighbour scores past float range, repeated record ids, mismatched
+query/gallery pairs, bad oracle part banks and label sets with nothing to
+score: 3, never a traceback, and no output
 written; bad GV settings, bad flag and config values, bad --config files and
 records the model cannot take exit 2, naming the flag, field, line or record;
 --config files parse as the flags do; every command prints its help; config
@@ -261,6 +262,22 @@ def test_correspond_with_repeated_record_id_exits_3(tmp_path, capsys, side):
     assert main(argv) == 3
     assert "record id 2 appears more than once" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "rerank"])
+def test_neighbor_score_past_float_range_exits_3_naming_the_line(tmp_path, capsys, command):
+    # A JSON integer score of 401 digits overflows float(): a bad line.
+    _, pair, neighbors = synth_and_retrieve(tmp_path)
+    lines = neighbors.read_text().splitlines(keepends=True)
+    obj = json.loads(lines[1])
+    obj["neighbors"][0][1] = 10**400
+    neighbors.write_text(lines[0] + json.dumps(obj) + "\n" + "".join(lines[2:]))
+    out = tmp_path / "out"
+    scorer = ["--scorer", "gv"] if command == "rerank" else []
+    capsys.readouterr()
+    assert main([command, "--data", str(neighbors), *pair, *scorer, "--out", str(out)]) == 3
+    assert "bad neighbor line 2: int too large to convert to float" in capsys.readouterr().err
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
 
 
 def gv_rerank_and_eval_argvs(tmp_path) -> dict:

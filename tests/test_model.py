@@ -796,6 +796,29 @@ class TestClsOnlyLastLayer:
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, rtol=1e-5)
 
 
+class TestGraphSize:
+    def test_recorded_forward_at_the_frozen_config_has_46_op_nodes(self):
+        # The tape of one forward at the frozen config (2 layers, global
+        # tokens, scale embeddings, MLP residual): 15 nodes assemble the
+        # tokens, a full layer takes 12 (the rows reshape, four affines, the
+        # attention op, the output reshape, two adds, two LayerNorms, the
+        # MLP), the CLS-only last layer 3 more to cut its query rows, and
+        # the head 4.  ag.attention splits the heads itself, so the model
+        # builds no reshape or swap to lay them out.
+        cfg = benchmark_model_config()
+        rng = np.random.default_rng(53)
+        pairs = [make_pair(rng, cfg, n_a=5), make_pair(rng, cfg)]
+        logits = forward_pair_logits(init_params(cfg, seed=53), cfg, pairs)
+        seen, stack = {}, [logits]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen[id(node)] = node
+                stack.extend(node._parents)
+        ops = [node._grad_fn.__qualname__.split(".")[0] for node in seen.values() if node._grad_fn is not None]
+        assert len(ops) == 46, sorted(ops)
+
+
 class TestPositionCodes:
     def test_padded_forward_matches_composed_oracle(self):
         # Padded and full pairs in one batch, against per-pair tokens with

@@ -1,6 +1,8 @@
 """Retrieval engine tests: exact search vs a full-sort oracle, the rerank
 contract, query-expansion composition, persistence."""
 
+import json
+import math
 import re
 from dataclasses import replace
 
@@ -276,9 +278,15 @@ class TestPersistence:
             ('{"query": 2, "neighbors": [[3, "0.4"]]}', "score must be a JSON number, got '0.4'"),
             ('{"query": 2, "neighbors": [[3, true]]}', "score must be a JSON number, got True"),
             ('{"query": 2, "neighbors": [[3, null]]}', "score must be a JSON number, got None"),
+            ('{"query": 2, "neighbors": {"3": 0.5}}', "neighbors must be a JSON array"),
+            ('{"query": 2, "neighbors": [{"3": 0.5}]}', "a neighbor must be a JSON array [id, score]"),
+            ('{"query": 2, "neighbors": [[3, 0.5, 1]]}', "too many values to unpack"),
+            ('{"query": 2, "neighbors": [], "method": 7}', "method must be a JSON string, got 7"),
+            ('"query"', "a line must be a JSON object, got 'query'"),
         ],
         ids=["query_float", "query_string", "query_bool", "id_float", "id_string", "id_bool",
-             "score_string", "score_bool", "score_null"],
+             "score_string", "score_bool", "score_null", "neighbors_object", "neighbor_object",
+             "neighbor_triple", "method_number", "line_string"],
     )
     def test_ids_and_scores_are_not_coerced(self, tmp_path, line, problem):
         p = tmp_path / "n.jsonl"
@@ -350,6 +358,21 @@ class TestPersistence:
         with pytest.raises(DataFormatError, match=f"line 2: {problem}"):
             read_neighbors(p)
 
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            (b'{"query": 2, "neighbors": [[3, 1' + b"0" * 400 + b']]}', "int too large to convert to float"),
+            (b'{"query": 2, "neighbors": ' + b"[" * 100_000, "maximum recursion depth exceeded"),
+            (b'{"query": 2, "neighbors": [[3, 0.5]], "method": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["score_past_float_range", "deep_nesting", "not_utf8"],
+    )
+    def test_line_the_parsers_refuse_rejected_naming_it(self, tmp_path, line, problem):
+        p = tmp_path / "n.jsonl"
+        p.write_bytes(b'{"query": 1, "neighbors": [[5, 0.9]]}\n' + line + b"\n")
+        with pytest.raises(DataFormatError, match=f"line 2: {re.escape(problem)}"):
+            read_neighbors(p)
+
     def test_query_on_a_second_line_rejected_naming_both(self, tmp_path):
         # Read as two lists, the query would count twice in every average.
         p = tmp_path / "n.jsonl"
@@ -360,3 +383,84 @@ class TestPersistence:
         )
         with pytest.raises(DataFormatError, match="line 3: query id 1 already on line 1"):
             read_neighbors(p)
+
+
+# Any JSON value: every leaf kind the json module reads, including NaN and
+# Infinity literals and integers past float range, nested in arrays and objects.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**400), 10**400) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+GOOD_LINE = st.fixed_dictionaries(
+    {
+        "query": st.integers(0, 20),
+        "neighbors": st.lists(
+            st.tuples(st.integers(0, 9), st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**300), 10**300)).map(list),
+            max_size=4,
+            unique_by=lambda e: e[0],
+        ),
+    },
+    optional={"method": st.text(max_size=4), "truncated": st.booleans()},
+)
+
+
+@st.composite
+def json_lines(draw):
+    """A line's object: one a writer could have written, the same with one
+    field set to any JSON value or dropped, or with any JSON value among its
+    neighbors, or any JSON value at all."""
+    obj = draw(GOOD_LINE)
+    kind = draw(st.sampled_from(["good", "field", "drop", "neighbor", "any"]))
+    if kind == "field":
+        obj[draw(st.sampled_from(["query", "neighbors", "method", "truncated", "extra"]))] = draw(JSON)
+    elif kind == "drop":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif kind == "neighbor":
+        entry = draw(st.lists(st.integers(0, 9) | JSON, min_size=2, max_size=2) | JSON)
+        obj["neighbors"].insert(draw(st.integers(0, len(obj["neighbors"]))), entry)
+    elif kind == "any":
+        obj = draw(JSON)
+    return obj
+
+
+def expected_list(obj):
+    """The list a line holding obj reads as, or None where it must be refused:
+    an object with a JSON-integer query, an array of [integer id, number]
+    pairs with distinct ids and scores that are finite as floats, and a
+    string method and boolean truncated where given."""
+    if type(obj) is not dict or type(obj.get("query")) is not int or type(obj.get("neighbors")) is not list:
+        return None
+    method, truncated = obj.get("method", "global"), obj.get("truncated", False)
+    if type(method) is not str or type(truncated) is not bool:
+        return None
+    entries = []
+    for e in obj["neighbors"]:
+        if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) not in (int, float):
+            return None
+        try:
+            score = float(e[1])
+        except OverflowError:  # an integer past float range
+            return None
+        if e[0] in [g for g, _ in entries] or not math.isfinite(score):
+            return None
+        entries.append((e[0], score))
+    return NeighborList(obj["query"], entries, method, truncated)
+
+
+@given(objs=st.lists(json_lines(), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_any_json_line_reads_back_or_raises_data_format_error(tmp_path_factory, objs):
+    # A file reads as the lists its lines hold, which write_neighbors writes
+    # back as a file that reads the same, or raises DataFormatError: no other
+    # exception, whatever JSON each field holds.
+    p = tmp_path_factory.mktemp("n") / "n.jsonl"
+    p.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    want = [expected_list(obj) for obj in objs]
+    if None in want or len({nl.query_id for nl in want}) < len(want):
+        with pytest.raises(DataFormatError):
+            read_neighbors(p)
+        return
+    assert read_neighbors(p) == want
+    write_neighbors(p, want)
+    assert read_neighbors(p) == want

@@ -1,15 +1,19 @@
 """The shared reader's error policy on every binary format: a cut, a wrong
 magic, a wrong version, a trailing byte or a non-finite float payload value
 raises DataFormatError at the offset of the first failing byte.  `.rrtd` cuts are checked field by field
-against the per-local reference parser in test_data.TestReaderParity."""
+against the per-local reference parser in test_data.TestReaderParity.  Files
+edited at several places (bytes set, cuts, inserts, splices, deletions) load or
+raise DataFormatError or IntegrityError, never another exception."""
 
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrt.data import DatasetManifest, load_dataset, save_dataset
-from rrt.errors import DataFormatError
+from rrt.errors import DataFormatError, IntegrityError
 from rrt.model import init_params, load_checkpoint, param_shapes, save_checkpoint
 from rrt.retrieval import build_index, load_index, save_index
 
@@ -123,3 +127,56 @@ def test_index_with_a_non_finite_vector_entry_reports_its_offset(tmp_path, proje
     err = _offset_error(load_index, path)
     assert err.offset == offset
     assert f"the vector table holds a non-finite value ({np.float32(value)}) at entry {k}" in str(err)
+
+
+# One edit of a file: (kind, place, second place or length, bytes).
+# Places wrap around the file's length at the time of the edit.
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["set", "cut", "insert", "splice", "delete"]),
+        st.integers(0, 1 << 16),
+        st.integers(0, 1 << 16),
+        st.binary(min_size=1, max_size=8) | st.sampled_from([b"\xff" * 4, b"\x00" * 4, b"\x7f\xff\xff\xff"]),
+    ),
+    min_size=2,
+    max_size=5,
+)
+
+
+def edited(raw: bytes, edits) -> bytes:
+    """raw after each edit in turn: set overwrites bytes, cut ends the file,
+    insert adds bytes, splice copies a run of the file's own bytes to
+    another place, delete removes a run."""
+    out = bytearray(raw)
+    for kind, at, other, data in edits:
+        at %= len(out) + 1
+        if kind == "set":
+            out[at : at + len(data)] = data
+        elif kind == "cut":
+            del out[at:]
+        elif kind == "insert":
+            out[at:at] = data
+        elif kind == "splice":
+            start = other % (len(out) + 1)
+            out[at:at] = out[start : start + 1 + other % 64]
+        else:
+            del out[at : at + 1 + other % 64]
+    return bytes(out)
+
+
+@pytest.mark.parametrize("fmt", [*FORMATS, "rrtd"])
+def test_edited_files_load_or_raise_a_format_error(tmp_path_factory, fmt):
+    path = tmp_path_factory.mktemp("f") / "f"
+    load, _ = {**FORMATS, "rrtd": _dataset}[fmt](path)
+    raw = path.read_bytes()
+
+    @given(edits=EDITS)
+    @settings(max_examples=150, deadline=None)
+    def check(edits):
+        path.write_bytes(edited(raw, edits))
+        try:
+            load(path)
+        except (DataFormatError, IntegrityError):
+            pass
+
+    check()
