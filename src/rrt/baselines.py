@@ -26,14 +26,26 @@ the result is a pure function of (matches, config, seed).
 `gv_scores` verifies a query against many candidates in blocks, and every
 step runs once per block, not once per pair:
 
-- Dedup.  Each draw's sorted set packs into one int64 in base w, the
-  block's widest pair, and one stable sort finds each set's first draw.
-  The keys fit while w**4 <= 2**63, i.e. w <= 55,108 (_PACK_MAX_WIDTH,
-  checked); one pair that wide would first need a 24 GB mutual-NN matrix.
-- Hypotheses.  Every set of every pair is fitted in one vectorized step and
-  scored against its own pair's matches, padded to w and masked, in one
-  pass.  Points are projected with elementwise ufuncs per hypothesis, so a
-  point's error does not depend on the padding or on the other points.
+- Dedup.  Each draw's set, sorted by a 5-comparator min/max network, packs
+  into one int64 in base w, the block's widest pair, and one stable sort
+  finds each set's first draw.  The keys fit while w**4 <= 2**63, i.e.
+  w <= 55,108 (_PACK_MAX_WIDTH, checked); one pair that wide would first
+  need a 24 GB mutual-NN matrix.
+- Hypotheses.  Every set of every pair is fitted in one vectorized step,
+  in structure-of-arrays form: each side's sampled x and y are gathered as
+  [4, U] coordinate rows, and the Hartley normalization, the collinearity
+  test and the projective basis's cross products are [U]-wide ufuncs.  The
+  centroid and the mean distance sum ((p0 + p1) + p2) + p3, the order
+  numpy's reductions take over an axis of 4.  The 3x3 products, adj(M) p4
+  per side, (M_b diag(w)) adj(M_a) and T_b^-1 H T_a, stay np.matmul in the
+  memory layout the stacked [U, 4, 2] form gives them: numpy hands each
+  matrix to BLAS on its own, BLAS picks its kernel by layout, and explicit
+  sums round differently (by up to 4.4e-16).  So every hypothesis has the
+  bytes of the stacked composition (tests/oracles.py).
+- Scoring.  The hypotheses are scored against their own pair's matches in
+  pair-aligned chunks, each padded to its widest pair and masked.  Points
+  are projected with elementwise ufuncs per hypothesis, so a point's error
+  does not depend on the padding, the chunk or the other points.
 - Refits.  Winners are grouped by consensus size, with one normalization
   and one stacked SVD per size.  LAPACK factors each matrix on its own, so
   each refit has the bits it would have alone.  All refits of the block are
@@ -44,8 +56,13 @@ step runs once per block, not once per pair:
   first row.  Dividing by det, rather than projecting with adj(H), keeps
   the projection's _W_EPS guard on the scale of the true inverse.
 
-GV_BLOCK_BUDGET bounds hypotheses x padded matches per block, which bounds
-its memory; a pair above the bound on its own forms a block alone.
+GV_BLOCK_BUDGET (B) bounds every per-block array, which bounds the memory:
+a block holds at most B / 4 hypotheses, so its [4, U] coordinate rows have
+at most B entries, and at most 2B draws; a scoring chunk's hypotheses times
+padded matches stay within B.  A pair above a bound on its own forms a block
+or chunk alone.  Larger blocks amortize more per-call overhead, but their
+transient arrays grow with them; at B = 2**14 one seed-1 eval query's traced
+peak heap stays below the stacked form's at 500 and at 2,000 iterations.
 """
 
 from __future__ import annotations
@@ -69,11 +86,17 @@ __all__ = [
 
 _COLLINEAR_EPS = 1e-6   # triangle area floor on Hartley-normalized coords
 _W_EPS = 1e-12          # homogeneous scale floor when projecting
-GV_BLOCK_BUDGET = 1 << 14  # hypotheses x padded matches per block
+GV_BLOCK_BUDGET = 1 << 14  # per-block array entries (module docstring)
+GV_MAX_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True)
 class GVConfig:
+    """RANSAC knobs.  Building a config checks it and raises ConfigError on a
+    bad value.  iterations is capped at GV_MAX_ITERATIONS, 50x the default,
+    because each pair draws an [iterations, n] float64 matrix and argsorts
+    it: 10**11 iterations over 8 matches would ask for 5.8 TiB."""
+
     iterations: int = 2000
     inlier_threshold: float = 3.0  # pixels, symmetric transfer
     ratio: Optional[float] = None  # Lowe ratio test, off by default
@@ -82,6 +105,10 @@ class GVConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ConfigError(f"GV iterations must be at least 1, got {self.iterations}")
+        if self.iterations > GV_MAX_ITERATIONS:
+            raise ConfigError(f"GV iterations must be at most {GV_MAX_ITERATIONS}, got {self.iterations}")
+        if self.seed < 0:
+            raise ConfigError(f"GV seed must be non-negative, got {self.seed}")
         if not (isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
             raise ConfigError(
                 f"GV inlier threshold must be finite and positive, got {self.inlier_threshold}"
@@ -194,38 +221,108 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., [1, 2, 0]] * v[..., [2, 0, 1]] - u[..., [2, 0, 1]] * v[..., [1, 2, 0]]
 
 
-def _projective_basis(pts: np.ndarray):
-    """[U,4,2] -> (M, adj(M), lambda): M = [p1 p2 p3] with the homogeneous
-    points as columns, its adjugate from cross products of the columns, and
-    lambda = adj(M) p4, so that p4 ~ M lambda."""
-    h = np.concatenate([pts, np.ones(pts.shape[:2] + (1,))], axis=2)  # [U,4,3]
-    adj = np.stack([_cross(h[:, 1], h[:, 2]), _cross(h[:, 2], h[:, 0]), _cross(h[:, 0], h[:, 1])], axis=1)
-    lam = (adj @ h[:, 3, :, None])[..., 0]
-    return h[:, :3].transpose(0, 2, 1), adj, lam
+def _sum4(r: np.ndarray) -> np.ndarray:
+    """((r0 + r1) + r2) + r3 over the rows of [4, U]: the order numpy's
+    reductions take over an axis of 4, strided or contiguous."""
+    out = r[0] + r[1]
+    out += r[2]
+    out += r[3]
+    return out
 
 
-def _four_point_homography(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Exact homographies through 4 correspondences, [U,4,2] x2 -> [U,3,3]
-    with unit Frobenius norm.  Every row needs 4 points of which no 3 are
-    collinear on either side."""
-    _, adj_a, la = _projective_basis(pa)
-    mb, _, lb = _projective_basis(pb)
-    # diag(lambda_b / lambda_a) times lambda_a1 * lambda_a2 * lambda_a3
-    w = lb * la[:, [1, 2, 0]] * la[:, [2, 0, 1]]
-    H = (mb * w[:, None, :]) @ adj_a
-    return H / np.linalg.norm(H, axis=(1, 2), keepdims=True)
+def _normalize(x: np.ndarray, y: np.ndarray):
+    """Hartley normalization of 4-point sets held as coordinate rows x, y
+    [4, U], in place: each set is centered and scaled to mean distance
+    sqrt(2).  Returns its scale and centroid (s, cx, cy) and whether its
+    spread is nonzero, each [U]."""
+    cx = _sum4(x) / 4.0
+    cy = _sum4(y) / 4.0
+    x -= cx
+    y -= cy
+    r = x * x
+    r += y * y
+    d = _sum4(np.sqrt(r, out=r)) / 4.0
+    s = np.sqrt(2.0) / np.maximum(d, 1e-12)
+    x *= s
+    y *= s
+    return s, cx, cy, d > 1e-9
 
 
-def _noncollinear(pts: np.ndarray) -> np.ndarray:
-    """[it,4,2] -> bool[it]: every triple spans a triangle of nonzero area."""
-    idx = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    ok = np.ones(pts.shape[0], dtype=bool)
-    for i, j, k in idx:
-        e1 = pts[:, j] - pts[:, i]
-        e2 = pts[:, k] - pts[:, i]
-        area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        ok &= area > _COLLINEAR_EPS
+_TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+
+
+def _noncollinear(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coordinate rows [4, U] -> bool [U]: every triple spans a triangle of
+    area above _COLLINEAR_EPS."""
+    ok = np.ones(x.shape[1], dtype=bool)
+    for i, j, k in _TRIPLES:
+        area = (x[j] - x[i]) * (y[k] - y[i]) - (y[j] - y[i]) * (x[k] - x[i])
+        ok &= 0.5 * np.abs(area) > _COLLINEAR_EPS
     return ok
+
+
+def _projective_basis(x: np.ndarray, y: np.ndarray):
+    """Coordinate rows [4, U] -> (adj(M) [U,3,3], lambda [U,3]): M = [p0 p1 p2]
+    with the homogeneous points as columns, so adj(M)'s rows are cross
+    products of its columns, and lambda = adj(M) p3, so that p3 ~ M lambda.
+    With z = 1 the cross products' products by 1 are exact and drop out.
+    adj(M) is laid out as np.stack lays it out in the stacked form:
+    column-major per matrix, and row-major for a lone set.  BLAS picks its
+    kernel by layout, and the kernel sets the bits of the products."""
+    u = x.shape[1]
+    adj = np.empty((3, u, 3)).transpose(1, 2, 0) if u > 1 else np.empty((1, 3, 3))
+    for row, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.subtract(y[i], y[j], out=adj[:, row, 0])
+        np.subtract(x[j], x[i], out=adj[:, row, 1])
+        np.subtract(x[i] * y[j], y[i] * x[j], out=adj[:, row, 2])
+    p3 = np.ones((u, 3, 1))
+    p3[:, 0, 0] = x[3]
+    p3[:, 1, 0] = y[3]
+    return adj, (adj @ p3)[..., 0]
+
+
+def _scale_shift(scale: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """[[scale, 0, tx], [0, scale, ty], [0, 0, 1]] per entry -> [U,3,3]."""
+    T = np.zeros((len(scale), 3, 3))
+    T[:, 0, 0] = T[:, 1, 1] = scale
+    T[:, 0, 2] = tx
+    T[:, 1, 2] = ty
+    T[:, 2, 2] = 1.0
+    return T
+
+
+def _four_point_fit(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarray) -> np.ndarray:
+    """Homographies [U,3,3] with unit Frobenius norm through 4 normalized
+    correspondences given as coordinate rows [4, U] per side: M_b
+    diag(lambda_b / lambda_a) adj(M_a), scaled by lambda_a1 lambda_a2
+    lambda_a3.  A set with 3 collinear points on either side gets garbage."""
+    adj_a, la = _projective_basis(xa, ya)
+    lb = _projective_basis(xb, yb)[1]
+    w = lb * la[:, [1, 2, 0]] * la[:, [2, 0, 1]]
+    mbw = np.empty((len(w), 3, 3)).transpose(0, 2, 1)  # column-major, as adj(M)
+    np.multiply(xb[:3].T, w, out=mbw[:, 0])
+    np.multiply(yb[:3].T, w, out=mbw[:, 1])
+    mbw[:, 2] = w
+    H = mbw @ adj_a
+    norm = np.linalg.norm(H, axis=(1, 2), keepdims=True)
+    H /= np.where(norm > 0, norm, 1.0)  # a collinear set's H can be 0
+    return H
+
+
+def _hypotheses(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarray):
+    """Exact homographies through 4-point correspondences given as coordinate
+    rows [4, U] per side (overwritten) -> (H [U,3,3], ok [U]).  ok holds
+    where both sides normalize with no 3 points collinear and H is finite
+    with H[2,2] off zero; every set is fitted, and ok drops the others.
+    Every 3x3 product is np.matmul, which keeps the bits of the [U,4,2]
+    form (module docstring)."""
+    sa, cxa, cya, va = _normalize(xa, ya)
+    sb, cxb, cyb, vb = _normalize(xb, yb)
+    ok = va & vb & _noncollinear(xa, ya) & _noncollinear(xb, yb)
+    H = _four_point_fit(xa, ya, xb, yb)
+    np.matmul(_scale_shift(1.0 / sb, cxb, cyb) @ H, _scale_shift(sa, -sa * cxa, -sa * cya), out=H)
+    ok &= np.isfinite(H).all(axis=(1, 2)) & (np.abs(H[:, 2, 2]) > _W_EPS)
+    return H, ok
 
 
 def _project(H: np.ndarray, x: np.ndarray, y: np.ndarray):
@@ -284,12 +381,26 @@ def _refit(inliers, owner, pts_a, pts_b, real, inlier_threshold):
             Hr[g[ok]] = Tb_inv[ok] @ _dlt_batch(pa[ok], pb[ok]) @ Ta[ok]
     fit = np.isfinite(Hr).all(axis=(1, 2)) & (np.abs(Hr[:, 2, 2]) > _W_EPS)
     mask = np.zeros_like(inliers)
-    f = owner[fit]
-    mask[fit] = (_symmetric_errors(Hr[fit], pts_a[f], pts_b[f]) < inlier_threshold) & real[f]
+    mask[fit] = _inliers(Hr[fit], owner[fit], pts_a, pts_b, real, inlier_threshold)
     return Hr, mask, mask.sum(axis=1) >= 4
 
 
 _PACK_MAX_WIDTH = 55_108  # largest w with w**4 <= 2**63: packed dedup keys fit int64
+
+
+def _set_keys(draws: np.ndarray, width: int) -> np.ndarray:
+    """The sets of the draws [k, 5], sorted by a 5-comparator network and
+    packed in base width -> int64 [k]."""
+    a, b, c, d = draws[:, 1:].astype(np.int64, copy=False).T
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    c, d = np.minimum(c, d), np.maximum(c, d)
+    a, c = np.minimum(a, c), np.maximum(a, c)
+    b, d = np.minimum(b, d), np.maximum(b, d)
+    b, c = np.minimum(b, c), np.maximum(b, c)
+    for col in (b, c, d):  # a is the network's own array, packed in place
+        a *= width
+        a += col
+    return a
 
 
 def _first_draws(draws: np.ndarray, width: int) -> np.ndarray:
@@ -300,15 +411,50 @@ def _first_draws(draws: np.ndarray, width: int) -> np.ndarray:
     draws of one set stay ordered by pair and then by draw."""
     if width > _PACK_MAX_WIDTH:
         raise ValueError(f"block width {width} exceeds the dedup packing bound {_PACK_MAX_WIDTH}")
-    s = np.sort(draws[:, 1:], axis=1).astype(np.int64, copy=False)
-    key = ((s[:, 0] * width + s[:, 1]) * width + s[:, 2]) * width + s[:, 3]
+    key = _set_keys(draws, width)
     order = np.argsort(key, kind="stable")
-    ranked, pair = key[order], draws[order, 0]
+    key, pair = key[order], draws[order, 0]
     new = np.ones(len(order), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]) | (pair[1:] != pair[:-1])
+    new[1:] = (key[1:] != key[:-1]) | (pair[1:] != pair[:-1])
     first = np.zeros(len(order), dtype=bool)
     first[order[new]] = True
     return np.flatnonzero(first)
+
+
+def _distinct_sets(pairs, width: int):
+    """(owner [U], at [4, U]): every distinct (pair, set of 4 matches) of a
+    block, on its first draw's ordering and in draw order, so grouped by
+    pair, as its pair and the flat indices of its 4 points into the
+    block's [pairs, width] padding."""
+    draws = np.empty((sum(len(samples) for _, _, samples in pairs), 5), dtype=np.int64)
+    lo = 0
+    for p, (_, _, samples) in enumerate(pairs):
+        draws[lo : lo + len(samples), 0] = p
+        draws[lo : lo + len(samples), 1:] = samples
+        lo += len(samples)
+    first = _first_draws(draws, width)
+    owner = draws[first, 0]
+    return owner, owner * width + draws[first, 1:].T
+
+
+def _inliers(H, owner, pts_a, pts_b, real, inlier_threshold):
+    """Inlier masks [U, w] of the homographies H [U,3,3] on their pairs'
+    points, padded to the width w of pts_a, pts_b [P,w,2] and real [P,w]."""
+    errors = _symmetric_errors(H, pts_a[owner], pts_b[owner])
+    return (errors < inlier_threshold) & real[owner]
+
+
+def _chunks(bounds, sizes):
+    """Pair-aligned slices (lo, hi, width) of a block's hypotheses, grouped
+    by pair at bounds [P+1]: each slice's hypotheses times its widest pair
+    stay within GV_BLOCK_BUDGET, and a pair above it forms a slice alone."""
+    start, width = 0, 0
+    for p, n in enumerate(sizes):
+        if p > start and (bounds[p + 1] - bounds[start]) * max(width, n) > GV_BLOCK_BUDGET:
+            yield bounds[start], bounds[p], width
+            start, width = p, 0
+        width = max(width, n)
+    yield bounds[start], bounds[-1], width
 
 
 def _ransac_block(pairs, inlier_threshold: float):
@@ -318,38 +464,29 @@ def _ransac_block(pairs, inlier_threshold: float):
     width = int(sizes.max())
     pts_a = np.zeros((len(pairs), width, 2))
     pts_b = np.zeros((len(pairs), width, 2))
-    draws = []
-    for p, (pa, pb, samples) in enumerate(pairs):
+    for p, (pa, pb, _) in enumerate(pairs):
         pts_a[p, : len(pa)] = pa
         pts_b[p, : len(pb)] = pb
-        draws.append(np.column_stack([np.full(len(samples), p), samples]))
-    draws = np.concatenate(draws)  # [sum it, 5]: pair, 4 sample indices
     real = np.arange(width) < sizes[:, None]
 
-    # One hypothesis per distinct (pair, set), on its first draw's ordering;
-    # rows stay in draw order, so grouped by pair.
-    first = _first_draws(draws, width)
-    owner, sets = draws[first, 0], draws[first, 1:]
-
-    Ta, _, pa_n, va = _similarity_T(pts_a[owner[:, None], sets])
-    _, Tb_inv, pb_n, vb = _similarity_T(pts_b[owner[:, None], sets])
-    valid = va & vb & _noncollinear(pa_n) & _noncollinear(pb_n)
-    H = Tb_inv[valid] @ _four_point_homography(pa_n[valid], pb_n[valid]) @ Ta[valid]
-    owner = owner[valid]
-    valid = np.isfinite(H).all(axis=(1, 2)) & (np.abs(H[:, 2, 2]) > _W_EPS)
-    H, owner = H[valid], owner[valid]
-
-    inliers = (_symmetric_errors(H, pts_a[owner], pts_b[owner]) < inlier_threshold) & real[owner]
-    counts = inliers.sum(axis=1)
+    owner, at = _distinct_sets(pairs, width)
+    H, ok = _hypotheses(*(np.take(pts[..., c], at) for pts in (pts_a, pts_b) for c in (0, 1)))
+    H, owner = H[ok], owner[ok]
+    bounds = np.searchsorted(owner, np.arange(len(pairs) + 1))
+    counts = np.concatenate([
+        _inliers(H[lo:hi], owner[lo:hi], pts_a[:, :w], pts_b[:, :w], real[:, :w], inlier_threshold).sum(axis=1)
+        for lo, hi, w in _chunks(bounds, sizes)
+    ])
 
     # Each pair's winner is its earliest hypothesis with the top count.
-    bounds = np.searchsorted(owner, np.arange(len(pairs) + 1))
     win = np.array(
         [lo + np.argmax(counts[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo],
         dtype=np.int64,
     )
     win = win[counts[win] >= 4]
-    best_H, best_mask = H[win] / H[win, 2:, 2:], inliers[win]
+    best_H = H[win] / H[win, 2:, 2:]
+    # the chunks kept only counts: the winners' masks again, with the same bits
+    best_mask = _inliers(H[win], owner[win], pts_a, pts_b, real, inlier_threshold)
     Hr, mask, ok = _refit(best_mask, owner[win], pts_a, pts_b, real, inlier_threshold)
     best_H[ok] = Hr[ok] / Hr[ok, 2:, 2:]
     best_mask[ok] = mask[ok]
@@ -362,7 +499,8 @@ def _ransac_block(pairs, inlier_threshold: float):
 
 def _draw_samples(n: int, iterations: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return np.argsort(rng.random((iterations, n)), axis=1)[:, :4]
+    # a copy, so the [iterations, n] argsort is freed before the block flushes
+    return np.argsort(rng.random((iterations, n)), axis=1)[:, :4].copy()
 
 
 def ransac_homography(
@@ -406,7 +544,7 @@ def gv_scores(
     how candidates fall into blocks."""
     scores = [0] * len(candidates)
     la, pos_a = query.vecs, query.uv
-    block, slots, rows, width = [], [], 0, 0
+    block, slots, rows = [], [], 0
 
     def flush():
         for slot, (_, count, _) in zip(slots, _ransac_block(block, cfg.inlier_threshold)):
@@ -424,12 +562,13 @@ def gv_scores(
         pb = cand.uv[ib].astype(np.float64)
         seed = int(_pair_seed(cfg.seed, query.id, cand.id).generate_state(1)[0])
         hyps = min(cfg.iterations, comb(n, 4))
-        if block and (rows + hyps) * max(width, n) > GV_BLOCK_BUDGET:
+        drawn = (len(block) + 1) * cfg.iterations
+        if block and (4 * (rows + hyps) > GV_BLOCK_BUDGET or drawn > 2 * GV_BLOCK_BUDGET):
             flush()
-            block, slots, rows, width = [], [], 0, 0
+            block, slots, rows = [], [], 0
         block.append((pa, pb, _draw_samples(n, cfg.iterations, seed)))
         slots.append(slot)
-        rows, width = rows + hyps, max(width, n)
+        rows += hyps
     if block:
         flush()
     return scores

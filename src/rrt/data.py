@@ -312,7 +312,7 @@ class SynthConfig:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("queries_per_instance", "parts_per_instance", "parts_per_image",
-                     "locals_per_image", "global_confusion_pairs"):
+                     "locals_per_image", "global_confusion_pairs", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         sizes = ("d_g_raw", "d_l", "n_scales", "locals_per_image")

@@ -66,6 +66,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "neg_pool_size"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.steps_per_epoch is not None and self.steps_per_epoch <= 0:
             raise ConfigError(f"steps_per_epoch must be positive when set, got {self.steps_per_epoch}")
         clip = self.grad_clip_norm

@@ -22,17 +22,23 @@ from rrt.retrieval import build_index, rank_queries
 ITERATIONS = 500
 
 
-def check_seed(seed: int, max_queries: int | None = None) -> tuple[int, int]:
-    """(pairs, differing scores) over the top-100 of the first max_queries
-    queries (all by default) of the seed's frozen eval set."""
+def frozen_top100(seed: int, max_queries: int | None = None) -> list:
+    """(query, top-100 candidate records) of the first max_queries queries
+    (all by default) of the seed's frozen eval set."""
     queries, gallery, _ = synth_generate(eval_synth_config(seed))
     queries = queries[:max_queries]
     queries, gallery = normalize_records(queries), normalize_records(gallery)
     by_id = {g.id: g for g in gallery}
+    lists = rank_queries(build_index(gallery), queries, k=RERANK_DEPTH)
+    return [(q, [by_id[g] for g in nl.gallery_ids()]) for q, nl in zip(queries, lists)]
+
+
+def check_seed(seed: int, max_queries: int | None = None) -> tuple[int, int]:
+    """(pairs, differing scores) over the top-100 of the first max_queries
+    queries (all by default) of the seed's frozen eval set."""
     cfg = GVConfig(iterations=ITERATIONS, seed=seed)
     pairs = differing = 0
-    for q, nl in zip(queries, rank_queries(build_index(gallery), queries, k=RERANK_DEPTH)):
-        cands = [by_id[g] for g in nl.gallery_ids()]
+    for q, cands in frozen_top100(seed, max_queries):
         got = gv_scores(q, cands, cfg)
         want = [gv_score_svd(q, c, cfg) for c in cands]
         pairs += len(cands)

@@ -297,6 +297,40 @@ def _noncollinear(pts):
     return ok
 
 
+def _cross(u, v):
+    return u[..., [1, 2, 0]] * v[..., [2, 0, 1]] - u[..., [2, 0, 1]] * v[..., [1, 2, 0]]
+
+
+def _projective_basis(pts):
+    h = np.concatenate([pts, np.ones(pts.shape[:2] + (1,))], axis=2)  # [U,4,3]
+    adj = np.stack([_cross(h[:, 1], h[:, 2]), _cross(h[:, 2], h[:, 0]), _cross(h[:, 0], h[:, 1])], axis=1)
+    lam = (adj @ h[:, 3, :, None])[..., 0]
+    return h[:, :3].transpose(0, 2, 1), adj, lam
+
+
+def _four_point_homography(pa, pb):
+    _, adj_a, la = _projective_basis(pa)
+    mb, _, lb = _projective_basis(pb)
+    w = lb * la[:, [1, 2, 0]] * la[:, [2, 0, 1]]
+    H = (mb * w[:, None, :]) @ adj_a
+    return H / np.linalg.norm(H, axis=(1, 2), keepdims=True)
+
+
+def four_point_hypotheses(pa, pb):
+    """The stacked form of `rrt.baselines._hypotheses`, on [U,4,2] point
+    sets per side: Hartley normalization and the collinearity test on
+    [U,4,2] stacks, then the projective-basis fit on [U,4,3] homogeneous
+    points, only for the sets that pass.  Returns (H [V,3,3], valid [U]):
+    valid marks the V sets kept, H their homographies in raw coordinates."""
+    Ta, _, pa_n, va = _similarity_T(pa)
+    _, Tb_inv, pb_n, vb = _similarity_T(pb)
+    valid = va & vb & _noncollinear(pa_n) & _noncollinear(pb_n)
+    H = Tb_inv[valid] @ _four_point_homography(pa_n[valid], pb_n[valid]) @ Ta[valid]
+    fit = np.isfinite(H).all(axis=(1, 2)) & (np.abs(H[:, 2, 2]) > _W_EPS)
+    valid[valid] = fit
+    return H[fit], valid
+
+
 def _project(H, pts):
     ph = np.concatenate([pts, np.ones((len(pts), 1))], axis=1)
     q = np.einsum("hij,nj->hni", H, ph)

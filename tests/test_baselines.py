@@ -1,7 +1,12 @@
 """Baseline reranker tests: query expansion arithmetic, mutual-NN matching
 against a quadratic oracle, RANSAC on planted homographies and against the
-per-iteration SVD reference, the packed-key draw dedup against a lexsort,
-block-split GV scoring with and without refit fallbacks, GV config checks."""
+per-iteration SVD reference, the structure-of-arrays hypothesis stage
+against its stacked form, the packed-key draw dedup against a lexsort,
+block-split and chunked GV scoring with and without refit fallbacks, the
+frozen eval set's GV score digest and peak heap, GV config checks."""
+
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +25,7 @@ from rrt.baselines import (
 from rrt.data import ImageRecord
 from rrt.errors import ConfigError
 
-from check_gv_reference import check_seed
+from check_gv_reference import ITERATIONS, check_seed, frozen_top100
 from helpers import make_record
 import oracles
 from oracles import (
@@ -343,8 +348,64 @@ class TestRansacAgainstSVDReference:
         H_true = planted_homography()
         pa = np.array([[10.0, 20.0], [900.0, 40.0], [870.0, 700.0], [30.0, 650.0]])
         pb = apply_h(H_true, pa)
-        H = baselines._four_point_homography(pa[None], pb[None])[0]
+        H, ok = baselines._hypotheses(*coordinate_rows(pa[None], pb[None]))
+        assert ok.all()
+        H = H[0]
         np.testing.assert_allclose(H / H[2, 2], H_true, rtol=1e-9, atol=1e-12)
+
+
+def coordinate_rows(pa, pb):
+    """[U,4,2] point sets per side -> the contiguous [4, U] rows xa, ya, xb,
+    yb that _hypotheses takes."""
+    return [np.ascontiguousarray(p[..., c].T) for p in (pa, pb) for c in (0, 1)]
+
+
+def four_point_sets(seed, u, kind):
+    """[U,4,2] point sets per side at pixel scale.  Half of the sets are
+    random; the other half, `hit`, are of the kind: mapped exactly by the
+    planted homography, with two points coincident on one side, with a
+    collinear triple on one side, or with all 4 points of one side within
+    1e-13 to 1e-7 of a center, around the normalization's 1e-9 floor."""
+    rng = np.random.default_rng(seed)
+    pa = rng.uniform(0, 1024, (u, 4, 2))
+    pb = rng.uniform(0, 1024, (u, 4, 2))
+    hit = np.flatnonzero(rng.random(u) < 0.5)
+    side = [pa, pb][int(rng.integers(2))]
+    for h in hit:
+        i, j, k = rng.permutation(4)[:3]
+        if kind == "mapped":
+            pb[h] = apply_h(planted_homography(), pa[h])
+        elif kind == "coincident":
+            side[h, j] = side[h, i]
+        elif kind == "collinear":
+            side[h, k] = side[h, i] + rng.uniform(-2, 2) * (side[h, j] - side[h, i])
+        elif kind == "near_zero_spread":
+            side[h] = side[h, i] + 10.0 ** rng.uniform(-13, -7) * rng.standard_normal((4, 2))
+    return pa, pb, hit
+
+
+class TestHypothesesStage:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        u=st.integers(1, 200),
+        kind=st.sampled_from(["random", "mapped", "coincident", "collinear", "near_zero_spread"]),
+    )
+    @example(seed=0, u=1, kind="coincident")
+    @settings(max_examples=100, deadline=None)
+    def test_same_bytes_as_the_stacked_form(self, seed, u, kind):
+        pa, pb, hit = four_point_sets(seed, u, kind)
+        H, ok = baselines._hypotheses(*coordinate_rows(pa, pb))
+        H_ref, valid_ref = oracles.four_point_hypotheses(pa, pb)
+        np.testing.assert_array_equal(ok, valid_ref)
+        assert H[ok].tobytes() == H_ref.tobytes()
+        if kind in ("coincident", "collinear"):
+            assert not ok[hit].any()
+
+    def test_every_kind_keeps_and_drops_sets(self):
+        for kind in ("coincident", "collinear", "near_zero_spread"):
+            pa, pb, hit = four_point_sets(7, 400, kind)
+            _, ok = baselines._hypotheses(*coordinate_rows(pa, pb))
+            assert ok.any() and not ok[hit].all(), kind
 
 
 def singular_homographies():
@@ -468,7 +529,8 @@ class TestGVScoresBlocks:
         single = [gv_score(query, c, cfg) for c in cands]
         assert single == [gv_score_svd(query, c, cfg) for c in cands]
         assert len(set(single)) > 5  # varied counts
-        # 8 blocks of 1-15 pairs at the default bound, 3-6 pairs per block, one block
+        # Blocks of 45-55 pairs scored in 7 chunks at the default bound, of
+        # 7-14 pairs in 27 chunks at 4,000, one block and one chunk at 2**30.
         for budget in (baselines.GV_BLOCK_BUDGET, 4000, 1 << 30):
             monkeypatch.setattr(baselines, "GV_BLOCK_BUDGET", budget)
             assert gv_scores(query, cands, cfg) == single
@@ -512,6 +574,31 @@ class TestFirstDraws:
         np.testing.assert_array_equal(baselines._first_draws(draws, w), [0, 1])
         with pytest.raises(ValueError, match="packing bound"):
             baselines._first_draws(draws, w + 1)
+
+
+class TestChunks:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pairs=st.integers(1, 30),
+        budget=st.sampled_from([64, 500, 4000]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pair_aligned_greedy_and_within_budget(self, seed, pairs, budget):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(4, 61, pairs)
+        bounds = np.concatenate([[0], np.cumsum(rng.integers(1, 121, pairs))])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "GV_BLOCK_BUDGET", budget)
+            chunks = list(baselines._chunks(bounds, sizes))
+        assert [lo for lo, _, _ in chunks] == [0] + [hi for _, hi, _ in chunks[:-1]]
+        assert chunks[-1][1] == bounds[-1]
+        for lo, hi, width in chunks:
+            p, q = np.searchsorted(bounds, [lo, hi])
+            assert bounds[p] == lo and bounds[q] == hi  # pair-aligned
+            assert width == sizes[p:q].max()
+            assert q - p == 1 or (hi - lo) * width <= budget
+            if q < pairs:  # the next pair would not have fitted
+                assert (bounds[q + 1] - lo) * max(width, sizes[q]) > budget
 
 
 PERSPECTIVE = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.001, 0.0, 1.0]])  # vanishing line x = -1000
@@ -597,6 +684,45 @@ class TestGVScoresRefitFallback:
             assert (~ok).sum() >= 2 and len(set(sizes[ok])) >= 3
 
 
+@pytest.fixture(scope="module")
+def seed1_top100():
+    return frozen_top100(1)
+
+
+class TestFrozenEvalSet:
+    """GV over the seed-1 frozen eval set at the benchmark's 500 iterations."""
+
+    # sha256 of the 40 x 100 scores as int64, from the hypotheses fitted on
+    # [U, 4, 2] stacks (tests/oracles.py); tests/check_gv_reference.py
+    # checks every score against the per-iteration SVD reference.
+    SCORES_SHA256 = "4c3fdf32ad7307807acdf5200b0390ac9110951667195886914e162801240e28"
+    # Query 0's traced peak heap in bytes, per iteration count, measured by
+    # the test below with the hypotheses fitted on [U, 4, 2] stacks and
+    # blocks of 2**14 hypotheses x padded matches scored in one pass
+    # (numpy 2.4.6, Python 3.11.7; it moves by a few hundred bytes with the
+    # tests run before it).
+    STACKED_PEAK_BYTES = {500: 3_668_464, 2000: 7_454_001}
+
+    def test_scores_digest(self, seed1_top100):
+        cfg = GVConfig(iterations=ITERATIONS, seed=1)
+        scores = np.array([gv_scores(q, cands, cfg) for q, cands in seed1_top100], dtype=np.int64)
+        assert scores.shape == (40, 100)
+        assert hashlib.sha256(scores.tobytes()).hexdigest() == self.SCORES_SHA256
+
+    @pytest.mark.parametrize("iterations", [500, 2000])
+    def test_one_query_peaks_below_the_stacked_form(self, seed1_top100, iterations):
+        query, cands = seed1_top100[0]
+        cfg = GVConfig(iterations=iterations, seed=1)
+        gv_scores(query, cands, cfg)  # one-time allocations (imports, caches) stay off the count
+        tracemalloc.start()
+        try:
+            gv_scores(query, cands, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.STACKED_PEAK_BYTES[iterations]
+
+
 def test_frozen_eval_pairs_match_reference():
     # The first 2 queries of the seed-1 frozen eval set, top-100 each, at the
     # benchmark's 500 iterations; tests/check_gv_reference.py runs them all.
@@ -616,6 +742,9 @@ class TestGVConfig:
             (dict(ratio=-1.0), "ratio must be finite and positive, got -1.0"),
             (dict(ratio=0.0), "ratio must be finite and positive, got 0.0"),
             (dict(ratio=float("nan")), "ratio must be finite and positive, got nan"),
+            (dict(iterations=100_001), "iterations must be at most 100000, got 100001"),
+            (dict(iterations=10**23), "iterations must be at most 100000, got 100000000000000000000000"),
+            (dict(seed=-1), "seed must be non-negative, got -1"),
         ],
     )
     def test_bad_values_raise_config_error(self, kwargs, message):
@@ -624,6 +753,7 @@ class TestGVConfig:
 
     def test_good_values_build(self):
         GVConfig(iterations=1, inlier_threshold=1e-3, ratio=0.8)
+        GVConfig(iterations=baselines.GV_MAX_ITERATIONS, seed=2**64)
         GVConfig(ratio=None)
 
     @pytest.mark.parametrize("threshold", [0.0, float("nan")])

@@ -607,8 +607,13 @@ def test_rerank_with_negative_locals_budget_exits_2(tmp_path, capsys):
         (["--ransac-thresh", "0"], "GV inlier threshold must be finite and positive, got 0.0"),
         (["--ransac-thresh", "nan"], "GV inlier threshold must be finite and positive, got nan"),
         (["--ratio", "-1.0"], "GV ratio must be finite and positive, got -1.0"),
+        (["--ransac-iters", "100000000000"], "GV iterations must be at most 100000, got 100000000000"),
+        (["--ransac-iters", "99999999999999999999999"],
+         "GV iterations must be at most 100000, got 99999999999999999999999"),
+        (["--seed", "-1"], "GV seed must be non-negative, got -1"),
     ],
-    ids=["iterations_-5", "threshold_0", "threshold_nan", "ratio_-1"],
+    ids=["iterations_-5", "threshold_0", "threshold_nan", "ratio_-1", "iterations_1e11", "iterations_1e23",
+         "seed_-1"],
 )
 def test_rerank_with_bad_gv_setting_exits_2(tmp_path, capsys, flags, message):
     data, neighbors, out = tmp_path / "g.rrtd", tmp_path / "n.jsonl", tmp_path / "r.jsonl"
@@ -638,6 +643,8 @@ def test_rerank_with_bad_gv_setting_exits_2(tmp_path, capsys, flags, message):
         ("train", ["--steps-per-epoch", "0"], "steps_per_epoch must be positive when set, got 0"),
         ("train", ["--layers", "256"], "layers must be at most 255 to fit a .rrtm file, got 256"),
         ("train", ["--mlp-dim", "70000"], "d_c must be at most 65535 to fit a .rrtm file, got 70000"),
+        ("train", ["--seed", "-1"], "seed must be non-negative, got -1"),
+        ("synth", ["--seed", "-1"], "seed must be non-negative, got -1"),
         ("synth", ["--global-noise", "nan"], "global_noise must be finite and non-negative, got nan"),
         ("synth", ["--local-noise", "inf"], "local_noise must be finite and non-negative, got inf"),
         ("synth", ["--dim-local", "0"], "d_l must be positive, got 0"),
@@ -661,6 +668,7 @@ def test_rerank_with_bad_gv_setting_exits_2(tmp_path, capsys, flags, message):
     ids=["retrieve_k_0", "retrieve_k_-1", "rerank_k_-1", "rerank_nqe_-1", "rerank_alpha_nan",
          "rerank_alpha_-0.5", "ablate_k_-1", "train_heads_0", "train_grad_clip_nan", "train_lr_nan",
          "train_weight_decay_inf", "train_steps_per_epoch_0", "train_layers_256", "train_mlp_dim_70000",
+         "train_seed_-1", "synth_seed_-1",
          "synth_global_noise_nan",
          "synth_local_noise_inf", "synth_dim_local_0", "synth_dim_global_0", "synth_instances_0",
          "synth_images_per_instance_0", "synth_parts_per_image_-2", "synth_queries_per_instance_-1",

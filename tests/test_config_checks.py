@@ -1,10 +1,19 @@
 """Every config dataclass of the package checks itself when it is built: it
 defines ``__post_init__``, which ``dataclasses.replace`` runs again, and no
-``validate`` method that callers would have to remember to call.  A plain
-AST scan, like the unused-import scan."""
+``validate`` method that callers would have to remember to call (a plain
+AST scan, like the unused-import scan).  Every seeded config refuses a
+negative seed, which numpy's generators cannot take."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+import pytest
+
+from rrt.baselines import GVConfig
+from rrt.data import SynthConfig
+from rrt.errors import ConfigError
+from rrt.train import TrainConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rrt"
 
@@ -29,3 +38,11 @@ def test_every_config_checks_itself_when_built():
     for name, methods in found.items():
         assert "__post_init__" in methods, f"{name} does not check itself when built"
         assert "validate" not in methods, f"{name} defines validate"
+
+
+@pytest.mark.parametrize("config", [SynthConfig, TrainConfig, GVConfig])
+def test_seeded_configs_refuse_a_negative_seed(config):
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        config(seed=-1)
+    assert config(seed=0).seed == 0
+    assert "seed" in {f.name for f in fields(config)}
