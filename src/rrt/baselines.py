@@ -178,25 +178,12 @@ def _similarity_T(pts: np.ndarray):
     """Hartley normalization per hypothesis: [it,4,2] -> (T, T_inv, normalized
     pts, validity).  T maps raw coords to centered coords with mean distance
     sqrt(2)."""
-    it = pts.shape[0]
     c = pts.mean(axis=1, keepdims=True)
     d = np.linalg.norm(pts - c, axis=2).mean(axis=1)
-    valid = d > 1e-9
     s = np.sqrt(2.0) / np.maximum(d, 1e-12)
-    T = np.zeros((it, 3, 3))
-    T[:, 0, 0] = s
-    T[:, 1, 1] = s
-    T[:, 0, 2] = -s * c[:, 0, 0]
-    T[:, 1, 2] = -s * c[:, 0, 1]
-    T[:, 2, 2] = 1.0
-    Tinv = np.zeros((it, 3, 3))
-    Tinv[:, 0, 0] = 1.0 / s
-    Tinv[:, 1, 1] = 1.0 / s
-    Tinv[:, 0, 2] = c[:, 0, 0]
-    Tinv[:, 1, 2] = c[:, 0, 1]
-    Tinv[:, 2, 2] = 1.0
+    cx, cy = c[:, 0, 0], c[:, 0, 1]
     pn = (pts - c) * s[:, None, None]
-    return T, Tinv, pn, valid
+    return _scale_shift(s, -s * cx, -s * cy), _scale_shift(1.0 / s, cx, cy), pn, d > 1e-9
 
 
 def _dlt_batch(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -315,11 +302,15 @@ def _hypotheses(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarray):
     where both sides normalize with no 3 points collinear and H is finite
     with H[2,2] off zero; every set is fitted, and ok drops the others.
     Every 3x3 product is np.matmul, which keeps the bits of the [U,4,2]
-    form (module docstring)."""
+    form (module docstring).  That form fits only the sets that pass, so a
+    lone one among several is fitted again alone, in a lone set's layout."""
     sa, cxa, cya, va = _normalize(xa, ya)
     sb, cxb, cyb, vb = _normalize(xb, yb)
     ok = va & vb & _noncollinear(xa, ya) & _noncollinear(xb, yb)
     H = _four_point_fit(xa, ya, xb, yb)
+    if len(ok) > 1 and np.count_nonzero(ok) == 1:
+        i = np.flatnonzero(ok)
+        H[i] = _four_point_fit(xa[:, i], ya[:, i], xb[:, i], yb[:, i])
     np.matmul(_scale_shift(1.0 / sb, cxb, cyb) @ H, _scale_shift(sa, -sa * cxa, -sa * cya), out=H)
     ok &= np.isfinite(H).all(axis=(1, 2)) & (np.abs(H[:, 2, 2]) > _W_EPS)
     return H, ok

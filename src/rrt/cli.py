@@ -8,18 +8,19 @@ its command does, so --seed sits only on the commands that draw random numbers
 echoes a digest of its effective configuration into its outputs (reports
 embed it; other artifacts, and the ``eval`` report too, get a
 ``<out>.meta.json`` sidecar), and exits 0 on success, 2 on configuration
-errors, 3 on data/format errors (a path that cannot be read or written
-included), 4 on a numerical abort.  Input is checked where it enters: flag
-values and the config objects built from them (which check themselves) before
-any output is written, and records against the model once per command, when
-the scorer is built or training starts, so a record the model cannot take
-exits 2 wherever it sits in the gallery.  ``rerank`` refuses, with exit 2, a
-flag set away from its default that its scorer does not read.  A checkpoint
-makes ``index`` projected, as params make ``build_index``; ``retrieve`` needs
+errors (sizing flags that ask for more memory than is available included), 3
+on data/format errors (a path that cannot be read or written included), 4 on
+a numerical abort.  Input is checked where it enters: flag values and the
+config objects built from them (which check themselves) before any output is
+written, and records against the model once per command, when the scorer is
+built or training starts, so a record the model cannot take exits 2 wherever
+it sits in the gallery.  ``rerank`` refuses, with exit 2, a flag set away
+from its default that its scorer does not read.  A checkpoint makes
+``index`` projected, as params make ``build_index``; ``retrieve`` needs
 one for a projected index and refuses one for a raw index.  Both check its
 global projection against the data and the index.  The ``rerank`` and ``eval``
-sidecars also record an ``environment`` block: ``workers``, the threads a
-multi-chunk ``score_batch`` uses on this machine, OPENBLAS_NUM_THREADS,
+sidecars also record an ``environment`` block: ``workers``, the threads
+``score_batch`` cuts its chunks for on this machine, OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS as this process sees them (null when
 unset), and ``blas_core``, the OpenBLAS core whose kernels run (null where
 the library does not report one); ``rerank`` adds ``heap_pinned``, true when
@@ -395,9 +396,9 @@ def _load_pair(cfg: dict, max_locals=None):
 
 def cmd_synth(cfg: dict) -> int:
     synth = _config(SynthConfig, cfg, SYNTH_FLAGS, seed=cfg["seed"])
+    queries, gallery, manifest = synth_generate(synth)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    queries, gallery, manifest = synth_generate(synth)
     save_dataset(queries, manifest, out / "queries.rrtd")
     save_dataset(gallery, manifest, out / "gallery.rrtd")
     export_labels_tsv(queries + gallery, out / "labels.tsv")
@@ -578,8 +579,9 @@ def _validate_ids(lists, queries, gallery):
 def _evaluate_files(cfg: dict, paths: Sequence[str]) -> list:
     """The EvalReport of each neighbour file in paths against the labels of
     --queries and --gallery, at --map-ks and --recall-ks.  A cutoff below 1
-    raises ConfigError; an id without a record, or a file in which no query
-    has a relevant gallery item (so no AP to average), DataFormatError."""
+    raises ConfigError; an id without a record, a file that lacks a query of
+    --queries, or a file in which no query has a relevant gallery item (so no
+    AP to average), DataFormatError."""
     for flag, ks in (("--map-ks", cfg["map_ks"]), ("--recall-ks", cfg["recall_ks"])):
         _require(all(k >= 1 for k in ks), flag, "positive integers", ks)
     queries, gallery, _ = _load_pair(cfg)
@@ -589,6 +591,9 @@ def _evaluate_files(cfg: dict, paths: Sequence[str]) -> list:
     for path in paths:
         lists = read_neighbors(path)
         _validate_ids(lists, queries, gallery)
+        listed = {nl.query_id for nl in lists}
+        if missing := [q.id for q in queries if q.id not in listed]:
+            raise DataFormatError(f"{path}: lacks {len(missing)} of {len(queries)} --queries ids, first {missing[0]}")
         if not any(gt.get(nl.query_id) for nl in lists):
             raise DataFormatError(f"{path}: no query has a relevant gallery item")
         reports.append(evaluate_neighbors(lists, gt, map_ks=cfg["map_ks"], recall_ks=cfg["recall_ks"], digest=digest))
@@ -722,6 +727,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TrainingDiverged as exc:
         print(f"{PROG} {name}: numerical abort: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print(f"{PROG} {name}: out of memory: its sizing flags ask for more than is available", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

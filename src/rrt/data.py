@@ -402,7 +402,9 @@ def synth_generate(
     """Generate (query records, gallery records, manifest) for the config.
 
     Deterministic per seed.  The first queries_per_instance images of each
-    instance become queries; ids are globally unique across both lists.
+    instance become queries; ids are globally unique across both lists.  A
+    noise that overflows a norm (which would leave a zero or NaN descriptor)
+    raises ConfigError naming it, as numpy raises there instead of warning.
     """
     rng = np.random.default_rng(cfg.seed)
 
@@ -418,34 +420,37 @@ def synth_generate(
     queries: list[ImageRecord] = []
     gallery: list[ImageRecord] = []
     next_id = 0
-    for inst in range(cfg.n_instances):
-        for j in range(cfg.images_per_instance):
-            part_ids = rng.choice(
-                cfg.parts_per_instance, size=cfg.parts_per_image, replace=False
-            )
-            true_locals = parts[inst, part_ids].astype(np.float64)
-            n_distract = cfg.locals_per_image - cfg.parts_per_image
-            distract = _unit_rows(rng, (n_distract, cfg.d_l)) if n_distract else np.zeros(
-                (0, cfg.d_l)
-            )
-            vecs = np.concatenate([true_locals, distract], axis=0)
-            vecs = vecs + cfg.local_noise * rng.standard_normal(vecs.shape)
-            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-            order = rng.permutation(cfg.locals_per_image)
-            vecs = vecs[order]
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for inst in range(cfg.n_instances):
+                for j in range(cfg.images_per_instance):
+                    noise = "local_noise"  # the noise being drawn, which the ConfigError names
+                    part_ids = rng.choice(cfg.parts_per_instance, size=cfg.parts_per_image, replace=False)
+                    true_locals = parts[inst, part_ids].astype(np.float64)
+                    n_distract = cfg.locals_per_image - cfg.parts_per_image
+                    distract = _unit_rows(rng, (n_distract, cfg.d_l)) if n_distract else np.zeros((0, cfg.d_l))
+                    vecs = np.concatenate([true_locals, distract], axis=0)
+                    vecs = vecs + cfg.local_noise * rng.standard_normal(vecs.shape)
+                    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+                    order = rng.permutation(cfg.locals_per_image)
+                    vecs = vecs[order]
 
-            uv = rng.uniform(0.0, cfg.canvas, size=(cfg.locals_per_image, 2))
-            sidx = rng.integers(0, cfg.n_scales, size=cfg.locals_per_image)
+                    uv = rng.uniform(0.0, cfg.canvas, size=(cfg.locals_per_image, 2))
+                    sidx = rng.integers(0, cfg.n_scales, size=cfg.locals_per_image)
 
-            g = global_protos[inst] + cfg.global_noise * rng.standard_normal(cfg.d_g_raw)
-            g = (g / np.linalg.norm(g)).astype(np.float32)
+                    noise = "global_noise"
+                    g = global_protos[inst] + cfg.global_noise * rng.standard_normal(cfg.d_g_raw)
+                    g = (g / np.linalg.norm(g)).astype(np.float32)
 
-            rec = ImageRecord(next_id, inst, g, vecs, uv, sidx)
-            next_id += 1
-            if j < cfg.queries_per_instance:
-                queries.append(rec)
-            else:
-                gallery.append(rec)
+                    rec = ImageRecord(next_id, inst, g, vecs, uv, sidx)
+                    next_id += 1
+                    if j < cfg.queries_per_instance:
+                        queries.append(rec)
+                    else:
+                        gallery.append(rec)
+    except FloatingPointError:
+        raise ConfigError(f"{noise} {getattr(cfg, noise)} leaves a descriptor whose norm is zero "
+                          "or not finite") from None
 
     manifest = DatasetManifest(
         d_g_raw=cfg.d_g_raw,

@@ -17,7 +17,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -69,16 +69,10 @@ class EvalReport:
     wallclock_s: float  # 0.0 from evaluate_neighbors; `rrt eval` sets its own run time
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "config_digest": self.config_digest,
-            "map": self.map,
-            "map_at": {str(k): v for k, v in self.map_at.items()},
-            "recall_at": {str(k): v for k, v in self.recall_at.items()},
-            "per_query": self.per_query,
-            "excluded_queries": self.excluded_queries,
-            "wallclock_s": self.wallclock_s,
-        }
+        """Every field, with the cutoffs of map_at and recall_at as strings,
+        the keys JSON gives them."""
+        return {**asdict(self), "map_at": {str(k): v for k, v in self.map_at.items()},
+                "recall_at": {str(k): v for k, v in self.recall_at.items()}}
 
 
 def evaluate_neighbors(

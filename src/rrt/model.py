@@ -10,10 +10,10 @@ embedding and a segment embedding (plus an optional fixed sinusoidal position
 code).  Images with fewer than L locals are padded up to L local slots; the
 attention mask excludes those slots as keys, so whatever their tokens hold
 never reaches a valid row.  The sequence runs through C identical
-transformer layers; a linear head on the final CLS row yields the match
-logit.  Since nothing else reads the last layer's output, that layer always
-runs its queries, residual, LayerNorms and MLP on the CLS row alone (Tq = 1
-query row against all T keys and values).
+transformer layers; a linear head scores each pair's final CLS row on its
+own, giving the match logit.  Since nothing else reads the last layer's
+output, that layer always runs its queries, residual, LayerNorms and MLP on
+the CLS row alone (Tq = 1 query row against all T keys and values).
 
 Scoring keeps its peak heap for the life of the process.  Building a
 scorer (``rrt.scorers``) calls ``pin_heap``, which sets glibc's mmap and
@@ -366,7 +366,8 @@ def forward_pair_logits(
     for i in range(cfg.layers):
         z = transformer_layer(params.layer(i), cfg, z, mask, query_rows=1 if i == cfg.layers - 1 else None)
     head = ag.reshape(params["head.w"], (cfg.d, 1))
-    return ag.reshape(ag.affine(z[:, 0, :], head, params["head.b"]), (len(pairs),))
+    # [B, 1, d]: numpy runs one [1, d].[d, 1] product per pair, which rounds alike at any B and place
+    return ag.reshape(ag.affine(z[:, :1, :], head, params["head.b"]), (len(pairs),))
 
 
 # Threads that score the chunks of one call.  numpy releases the GIL in the
@@ -379,17 +380,16 @@ MAX_SCORE_WORKERS = 2
 # of hidden activations, so the peak is set by the handful of [B, T, d] token
 # arrays alive in a layer.  This gives 2 pairs at paper scale (128,512 floats
 # per pair), and at T = 36 (2,304 per pair) a cap of 113 that a top 100 never
-# reaches, so there it splits into MAX_SCORE_WORKERS halves.  Each worker
-# thread allocates from its own malloc arena, which keeps the buffers that
-# thread freed: at paper scale, two workers over chunks of 8 peaked about
-# 40 MB (18%) above the serial path, chunks of 4 about 20 MB, chunks of 2 at
-# the serial peak.
+# reaches.  Each worker thread allocates from its own malloc arena, which
+# keeps the buffers that thread freed: at paper scale, two workers over chunks
+# of 8 peaked about 40 MB (18%) above the serial path, chunks of 4 about
+# 20 MB, chunks of 2 at the serial peak.
 SCORE_CHUNK_FLOATS = 1 << 18
 
 
 def score_workers() -> int:
-    """Threads score_batch uses for more than one chunk: one per CPU this
-    process may run on, at most MAX_SCORE_WORKERS."""
+    """Threads score_batch cuts its chunks for and runs them on: one per CPU
+    this process may run on, at most MAX_SCORE_WORKERS."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # no affinity call outside Linux
@@ -397,15 +397,11 @@ def score_workers() -> int:
     return min(MAX_SCORE_WORKERS, cpus)
 
 
-def score_chunks(n: int, cap: int) -> list[slice]:
-    """The fixed partition of n candidates that score_batch scores chunk by
-    chunk: consecutive chunks of ceil(n / MAX_SCORE_WORKERS)
-    candidates, at most `cap` and at least 2, with a trailing single
-    candidate joining the chunk before it.  A one-pair batch takes other
-    BLAS paths (one-row gemms), so its bytes could differ from the same pair
-    scored in a larger batch.  The partition does not depend on the worker
-    count."""
-    size = max(2, min(cap, -(-n // MAX_SCORE_WORKERS)))
+def score_chunks(n: int, cap: int, workers: int) -> list[slice]:
+    """The partition of n candidates that score_batch scores chunk by chunk:
+    consecutive chunks of ceil(n / workers) candidates, at most `cap` and at
+    least 2, with a trailing single candidate joining the chunk before it."""
+    size = max(2, min(cap, -(-n // workers)))
     starts = list(range(0, n, size))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
@@ -478,24 +474,24 @@ def score_batch(
     pair in a batch of its own within float tolerance.  The query and the
     candidates have passed check_records.
 
-    Candidates are split by score_chunks, capped at SCORE_CHUNK_FLOATS token
-    floats per chunk to bound peak memory.  A single chunk, or any number
-    when score_workers() is 1, runs on the calling thread; several run on
-    the scoring pool, whose threads run nothing else.  Scores, and the first
-    error, come in chunk order either way.  The partition does not depend
-    on the worker count, so neither do the score bytes.  A candidate's
-    score bytes depend on its two records, its chunk's size, its place in
-    the chunk and the BLAS core, and on nothing else: not on what its
-    chunk-mates hold, padded or not.  Moving a candidate to another place
-    in its chunk can move its score by float32 rounding: on OpenBLAS's
-    SkylakeX kernels every layer gives its CLS row the same bytes at any
-    place, and the place enters only through the head's [B, d].[d, 1]
-    matrix-vector product, whose rounding depends on the row; on Haswell
-    kernels the layers' gemm rows depend on their place as well.  Each
-    worker is assumed to run BLAS on one thread (the `rrt` command sets that
-    before numpy loads; a library caller sets OPENBLAS_NUM_THREADS itself);
-    with more, the workers' BLAS threads contend for the same cores, and
-    paper-scale scores can move by float32 rounding.
+    score_chunks cuts the candidates into one chunk per score_workers()
+    worker, of at most SCORE_CHUNK_FLOATS token floats to bound peak memory.
+    A single chunk, or any number on one worker, runs on the calling thread;
+    several run on the scoring pool, whose threads run nothing else.
+    Scores, and the first error, come in chunk order either way.
+
+    On OpenBLAS's SkylakeX kernels a score's bytes depend on its two records
+    and the BLAS core alone, in any chunk of at least 2 pairs and at any
+    place in it.  On its Haswell kernels a gemm row's bytes depend on the
+    call's row count and the row's place, so there they also depend on the
+    chunk's size and the pair's place in it, and so on the worker count,
+    which the `rerank` and `eval` sidecars record.  A one-candidate list is
+    a one-pair batch, whose CLS-only last layer runs one-row products, so
+    its bytes can differ.  Each worker is assumed to run BLAS on one thread
+    (the `rrt` command sets that before numpy loads; a library caller sets
+    OPENBLAS_NUM_THREADS itself); with more, the workers' BLAS threads
+    contend for the same cores, and paper-scale scores can move by float32
+    rounding.
     """
 
     def score(chunk: slice) -> list[float]:
@@ -503,8 +499,9 @@ def score_batch(
             logits = forward_pair_logits(params, cfg, [(query, c) for c in candidates[chunk]])
         return [float(s) for s in ag._sigmoid(logits.data)]
 
-    chunks = score_chunks(len(candidates), SCORE_CHUNK_FLOATS // (cfg.seq_len * cfg.d))
-    run = _scoring_pool().map if len(chunks) > 1 and score_workers() > 1 else map
+    workers = score_workers()
+    chunks = score_chunks(len(candidates), SCORE_CHUNK_FLOATS // (cfg.seq_len * cfg.d), workers)
+    run = _scoring_pool().map if len(chunks) > 1 and workers > 1 else map
     return [s for part in run(score, chunks) for s in part]
 
 

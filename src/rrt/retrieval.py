@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -176,18 +176,10 @@ def rerank_topk(
         raise ValueError("k must be >= 0")
     m = min(k, len(neighbors.entries))
     prefix = neighbors.entries[:m]
-    if m:
-        scores = list(scorer(neighbors.query_id, [g for g, _ in prefix]))
-        order = sorted(range(m), key=lambda i: (-scores[i], i))
-        new_prefix = [(prefix[i][0], float(scores[i])) for i in order]
-    else:
-        new_prefix = []
-    return NeighborList(
-        query_id=neighbors.query_id,
-        entries=new_prefix + neighbors.entries[m:],
-        method=method,
-        truncated=neighbors.truncated,
-    )
+    scores = list(scorer(neighbors.query_id, [g for g, _ in prefix])) if m else []
+    order = sorted(range(m), key=lambda i: (-scores[i], i))
+    new_prefix = [(prefix[i][0], float(scores[i])) for i in order]
+    return replace(neighbors, entries=new_prefix + neighbors.entries[m:], method=method)
 
 
 def aqe_requery(

@@ -411,11 +411,25 @@ def test_rerank_rrt_with_model_rejected_record_never_retrieved_exits_2(tmp_path,
 def test_evaluating_queries_without_relevant_items_exits_3(tmp_path, capsys, command):
     data, neighbors, out = tmp_path / "g.rrtd", tmp_path / "n.jsonl", tmp_path / "e.out"
     write_gallery(data, REPEATED, ids=[1, 2, 3], labels=[0, 1, 2])  # every label once
+    queries = tmp_path / "q.rrtd"  # the one query the file lists
+    write_gallery(queries, REPEATED[1:2], ids=[2], labels=[1])
     write_neighbors(neighbors, [NeighborList(2, [(1, 0.5), (3, 0.4)])])
-    code = main([command, "--data", str(neighbors), "--queries", str(data), "--gallery", str(data),
+    code = main([command, "--data", str(neighbors), "--queries", str(queries), "--gallery", str(data),
                  "--out", str(out)])
     assert code == 3
     assert f"{neighbors}: no query has a relevant gallery item" in capsys.readouterr().err
+    assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_evaluating_a_file_that_lacks_queries_exits_3(tmp_path, capsys, command):
+    data, neighbors, out = tmp_path / "g.rrtd", tmp_path / "n.jsonl", tmp_path / "e.out"
+    write_gallery(data, REPEATED, ids=[1, 2, 3], labels=[0, 1, 1])
+    write_neighbors(neighbors, [NeighborList(2, [(3, 0.5), (1, 0.4)])])  # no list for queries 1 and 3
+    code = main([command, "--data", str(neighbors), "--queries", str(data), "--gallery", str(data),
+                 "--out", str(out)])
+    assert code == 3
+    assert f"{neighbors}: lacks 2 of 3 --queries ids, first 1" in capsys.readouterr().err
     assert not out.exists() and not Path(str(out) + ".meta.json").exists()
 
 
@@ -700,6 +714,48 @@ def test_bad_flag_value_exits_2_naming_it_without_output(tmp_path, capsys, comma
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
     assert not out.exists() and not Path(str(out) + ".meta.json").exists()
+
+
+@pytest.mark.parametrize("flag, field", [("--global-noise", "global_noise"), ("--local-noise", "local_noise")])
+def test_synth_noise_that_overflows_a_norm_exits_2_without_output(tmp_path, capsys, flag, field):
+    # A norm of 1e300-scale noise overflows, which would leave zero
+    # descriptors; a numpy warning here fails the test (pyproject.toml).
+    out = tmp_path / "out"
+    assert main(["synth", "--seed", "1", flag, "1e300", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"rrt synth: configuration error: {field} 1e+300 leaves a descriptor "
+                            "whose norm is zero or not finite\n")
+    assert captured.out == "" and not out.exists()
+
+
+def test_running_out_of_memory_exits_2_naming_the_command_without_output(tmp_path, capsys, monkeypatch):
+    def too_big(cfg):
+        raise MemoryError("Unable to allocate 143. GiB")
+
+    monkeypatch.setattr(cli, "synth_generate", too_big)
+    out = tmp_path / "out"
+    assert main(["synth", "--instances", "100000000", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "rrt synth: out of memory: its sizing flags ask for more than is available\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_synth_beyond_an_address_space_limit_exits_2_without_a_traceback(tmp_path):
+    # 100 million instances ask for about 143 GiB; the child's own 2 GB limit
+    # makes that a MemoryError at once, whatever memory the machine has.
+    resource = pytest.importorskip("resource")  # POSIX only
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    out = tmp_path / "out"
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "rrt.cli", "synth", "--instances", "100000000", "--out", str(out)],
+                          env={**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"), "PYTHONPATH": path},
+                          preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "out of memory" in proc.stderr
+    assert not out.exists()
 
 
 def test_train_with_head_dim_beyond_the_checkpoint_format_exits_2(tmp_path, capsys):

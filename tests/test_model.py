@@ -17,7 +17,8 @@ from rrt import model
 from rrt import train as rrt_train
 from rrt import autograd as ag
 from rrt.autograd import Tensor
-from rrt.benchmark import benchmark_model_config
+from rrt.benchmark import benchmark_model_config, eval_synth_config
+from rrt.data import normalize_records, synth_generate
 from rrt.errors import ConfigError, DataFormatError, IntegrityError
 from rrt.model import (
     ModelConfig,
@@ -36,7 +37,7 @@ from rrt.model import (
 from rrt.scorers import make_rrt_scorer
 
 from gradcheck import central_difference, max_rel_err
-from helpers import make_pair, make_record, params_astype, spy_forward_passes, tiny_config
+from helpers import blas_core, make_pair, make_record, params_astype, spy_forward_passes, tiny_config
 from oracles import assemble_input, composed_pair_logit, mul, param_count, readout, score_pair
 
 
@@ -535,17 +536,17 @@ def first_byte_difference(one: list[float], two: list[float]) -> str:
 
 
 class TestChunkedScoring:
-    """score_batch splits candidates into a fixed partition; the chunks run
-    on the calling thread or on a small pool with the same bytes."""
+    """score_batch splits candidates into one chunk per worker, capped; the
+    chunks run on the calling thread or on a small pool with the same bytes."""
 
     @pytest.mark.parametrize("size", [2, 3, 4, 7, 8, 16])
     def test_partition_covers_in_order_without_lone_pairs(self, size):
-        for n in range(1, 201):
-            chunks = model.score_chunks(n, size)
-            assert [i for c in chunks for i in range(n)[c]] == list(range(n)), (n, size)
+        for n, workers in itertools.product(range(1, 201), (1, 2)):
+            chunks = model.score_chunks(n, size, workers)
+            assert [i for c in chunks for i in range(n)[c]] == list(range(n)), (n, size, workers)
             widths = [c.stop - c.start for c in chunks]
-            assert all(w <= size + 1 for w in widths), (n, size)
-            assert n == 1 or min(widths) >= 2, (n, size, widths)
+            assert all(w <= size + 1 for w in widths), (n, size, workers)
+            assert n == 1 or min(widths) >= 2, (n, size, workers, widths)
 
     def test_one_and_two_workers_give_equal_bytes(self, monkeypatch):
         cfg = tiny_config()
@@ -592,7 +593,7 @@ class TestChunkedScoring:
 
     @pytest.mark.parametrize(
         "cfg, widths",
-        [(benchmark_model_config(), [50, 50]), (ModelConfig(), [2] * 50)],
+        [(benchmark_model_config(), {1: [100], 2: [50, 50]}), (ModelConfig(), {1: [2] * 50, 2: [2] * 50})],
         ids=["frozen_T36", "paper_T1004"],
     )
     def test_top100_partition(self, monkeypatch, cfg, widths):
@@ -604,9 +605,40 @@ class TestChunkedScoring:
             return Tensor(np.zeros(len(pairs), np.float32))
 
         monkeypatch.setattr(model, "forward_pair_logits", fake_forward)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert score_batch(None, cfg, object(), [object()] * 100) == [0.5] * 100
-        assert calls == widths
+        for cpus, want in widths.items():
+            calls.clear()
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            assert score_batch(None, cfg, object(), [object()] * 100) == [0.5] * 100
+            assert sorted(calls) == want, cpus
+
+    def test_a_pairs_logit_keeps_its_bytes_in_any_chunk_and_place(self):
+        # The frozen checkpoint scores seed-1 query 0 against gallery records
+        # 0-99 in chunks of 2 to 100, and with its first chunk of 50 permuted.
+        # The head runs one product per CLS row, so on OpenBLAS's SkylakeX
+        # kernels, which give a gemm row the same bytes at any place and row
+        # count, no logit moves.  On its Haswell kernels the layers' gemm
+        # rows move with both, within float32 rounding.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        params, cfg = load_checkpoint(os.path.join(root, "perfbench", "data", "rrt_frozen_seed1.rrtm"))
+        queries, gallery, _ = synth_generate(eval_synth_config(1))
+        q, cands = normalize_records(queries[:1])[0], normalize_records(gallery[:100])
+
+        def logits(size, order=tuple(range(100))):
+            out = np.empty(100, np.float32)
+            with ag.no_grad():
+                for a in range(0, 100, size):
+                    part = list(order[a:a + size])
+                    out[part] = forward_pair_logits(params, cfg, [(q, cands[i]) for i in part]).data
+            return out
+
+        whole = logits(100)
+        chunked = {size: logits(size) for size in (2, 10, 25, 50)}
+        chunked["permuted"] = logits(50, (*np.random.default_rng(0).permutation(50), *range(50, 100)))
+        for chunks, got in chunked.items():
+            if blas_core() == "SkylakeX":
+                assert got.tobytes() == whole.tobytes(), (chunks, int((got != whole).sum()))
+            else:
+                np.testing.assert_allclose(got, whole, rtol=0, atol=1e-4, err_msg=str(chunks))
 
     def test_first_chunk_error_wins_when_a_later_chunk_fails_first(self, monkeypatch):
         # Two chunks on the pool: the second fails, and only then the first.

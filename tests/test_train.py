@@ -285,12 +285,12 @@ class TestTrain:
         # trained models' bits.
         recorded = {
             "SkylakeX": {
-                "loss_history.csv": "98ee08f3248182bc185f0889b45beadedd86914fb14b05ec9aeb368481b76074",
-                "model.rrtm": "fd020a6ead4e44f819d518b951b1dc4396a26eb443465b2587c1b63aa6f6260a",
+                "loss_history.csv": "e2399b54582752d71a06dfe1c24ff4e1acb462494cb7eea1443e9998d1681c33",
+                "model.rrtm": "74a5019b3445ecbc7dfcdef28f5a6f89a188048ce78f24db701411da3c51e597",
             },
             "Haswell": {
-                "loss_history.csv": "d1b9036d5a3870136e82010a67b5e6546c755b885cb191a748e396af23356d64",
-                "model.rrtm": "82f9632ff30d912cf2e93403c623503dbc97eca566e7cd979844cb61e0cc84f1",
+                "loss_history.csv": "e7333ca390829426f60ff6d208dd7abef4c5ebeaf98dd94fd9267610837595a0",
+                "model.rrtm": "29d901f2ba152c82bd5d2e9d648b4699aaa87fcb90b0629f44a694789e131078",
             },
         }
         core = blas_core()
